@@ -21,7 +21,8 @@ from .truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from .rng import normal_increments
 from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
                   load_ensemble, simulate_forward, simulate_variational)
-from .regression import FitInfo, RegressionBasis, fit_step
+from .regression import (FitInfo, RegressionBasis, StepDesign, fit_step,
+                         project, step_design)
 from .solver import (BackwardSolution, SolverMeta, compute_zbar,
                      project_window_average, solve_backward_regression,
                      solve_quadrature_1d)
@@ -45,16 +46,17 @@ __all__ = [
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",
     "PicardDivergence", "QgbsdeError", "QuadratureUnstable",
     "RegressionBasis", "RejectedModel", "RepresentationReport",
-    "SingularFlow", "SolverMeta", "TruncationCurve", "TruncationPoint",
+    "SingularFlow", "SolverMeta", "StepDesign", "TruncationCurve", "TruncationPoint",
     "VariationalSolution", "bmo_bound", "bmo_estimate",
     "check_growth_certificate", "cole_hopf_from_model",
     "cole_hopf_increment_stat", "cole_hopf_reference",
     "compute_zbar", "dump_ensemble", "effective_qbar", "fit_convergence_order",
     "fit_step", "flow_identity_residual", "load_ensemble", "make_brownian",
     "make_discount", "make_gbm", "make_quadratic", "nested_indices",
-    "normal_increments", "project_window_average", "representation_check",
-    "simulate_forward", "simulate_variational", "smooth_clamp",
-    "smooth_clamp_grad", "solve_backward_regression", "solve_quadrature_1d",
+    "normal_increments", "project", "project_window_average",
+    "representation_check", "simulate_forward", "simulate_variational",
+    "smooth_clamp", "smooth_clamp_grad", "solve_backward_regression",
+    "solve_quadrature_1d", "step_design",
     "solve_variational_bsde", "truncate_driver", "truncation_error_curve",
     "y_increment_stat", "z_increment_stat", "z_l2_regularity",
 ]

@@ -20,9 +20,11 @@ Every run writes the same artifact set into the output directory:
 Exit codes: 0 success, 1 numerical failure during the run, 2 configuration
 error. With --strict, runs that produced warnings also exit 1.
 
-Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set) keyed by model,
-grid, path count, and seed, so repeated backward experiments on the same
-paths skip the simulation.
+Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set), so repeated
+backward experiments on the same paths skip the simulation. The key covers
+everything that determines the paths: the model preset and all of its
+parameters, x0, the horizon, the time grid, the path count, the seed and a
+cache format version.
 """
 
 from __future__ import annotations
@@ -249,9 +251,19 @@ class RunContext:
 
 # ------------------------------------------------------------- ensembles ---
 
+# bump when the ensemble file format or the simulation scheme changes
+_CACHE_FORMAT = 2
+
+
 def _cache_key(model, partition, n_paths, seed):
+    """Hash of everything that determines a simulated ensemble: the preset
+    and every parameter in model.meta, x0, T, the time grid, P and the seed,
+    plus the cache format version."""
     h = hashlib.sha256()
-    h.update(model.name.encode())
+    h.update(f"qgbsde-ensemble|{_CACHE_FORMAT}|".encode())
+    h.update(repr(sorted(model.meta.items())).encode())
+    h.update(np.ascontiguousarray(model.x0, dtype="<f8").tobytes())
+    h.update(repr(float(model.T)).encode())
     h.update(np.ascontiguousarray(partition.times, dtype="<f8").tobytes())
     h.update(f"|{n_paths}|{seed}".encode())
     return h.hexdigest()[:16]
@@ -494,22 +506,21 @@ def cmd_truncate_sweep(ctx: RunContext):
         ctx.check("err_y decays at least like n^-1 (slope <= -1 on squared errors)",
                   fit.slope <= -1.0)
     if ctx.oracle_reference:
-        _sweep_oracle_rows(ctx, ens)
+        _sweep_oracle_rows(ctx, curve)
     return curve
 
 
-def _sweep_oracle_rows(ctx: RunContext, ens):
-    """Scalar per-level |y0 - oracle| rows; pathwise references cannot come
-    from the oracle, so this supplements the high-level reference solve."""
+def _sweep_oracle_rows(ctx: RunContext, curve):
+    """Scalar per-level |y0 - oracle| rows, from the y0 the sweep recorded;
+    pathwise references cannot come from the oracle, so this supplements the
+    high-level reference level."""
     try:
         ref = cole_hopf_from_model(ctx.model)
     except QgbsdeError as exc:
         ctx.warn(f"oracle reference requested but unavailable: {exc}")
         return
-    for n in ctx.trunc_levels:
-        sol = solve_backward_regression(truncate_driver(ctx.model, n), ens,
-                                        ctx.basis, picard_iters=ctx.picard_iters)
-        ctx.add("trunc_y0_abs_error_vs_oracle", abs(sol.y0 - ref.y0), n_trunc=n)
+    for p in curve.points:
+        ctx.add("trunc_y0_abs_error_vs_oracle", abs(p.y0 - ref.y0), n_trunc=p.level)
 
 
 def cmd_diagnose(ctx: RunContext):

@@ -4,9 +4,10 @@ Two families of checks live here. The path-regularity statistics compare a
 solution on a coarse partition with one on a nested refinement: the maximal
 mean-square Y increment over coarse windows, and the time-integrated L^2
 distance between the fine control and its best coarse-grid approximation.
-The truncation sweep re-solves one quadratic model under a ladder of
-truncation levels against a high-level reference and records the error decay,
-from which a convergence order (and the implied tail exponent) is fitted.
+The truncation sweep solves one quadratic model under a ladder of truncation
+levels and a high-level reference in one batched backward pass, one target
+column per level, and records the error decay, from which a convergence
+order (and the implied tail exponent) is fitted.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import numpy as np
 
 from .errors import InvalidParameters, InvalidPoints
 from .model import ModelSpec, Partition, nested_indices
-from .regression import RegressionBasis, fit_step
+from .regression import RegressionBasis, fit_step, step_design
 from .sde import PathEnsemble
-from .solver import (BackwardSolution, compute_zbar, project_window_average,
-                     solve_backward_regression)
+from .solver import (BackwardSolution, _backward_step, _start_backward,
+                     project_window_average)
 from .truncation import truncate_driver
 
 
@@ -145,6 +146,7 @@ class TruncationPoint:
     level: float
     err_y: float
     err_z: float
+    y0: float
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,12 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
 
-    realized_max_z records the largest |Z| seen in the reference solution;
-    levels above it give bit-identical recursions and therefore zero error.
+    Every level and the reference run in one backward pass, one column each:
+    at every step both regressions are single projections on the step's
+    shared design, and the errors, y0 per level, realized_max_z (the largest
+    |Z| of the reference) and y_scale accumulate as the pass goes, so no
+    full solution is stored. Levels above realized_max_z give bit-identical
+    columns and therefore zero error.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
@@ -183,20 +189,31 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     if ref_level <= lv[-1]:
         raise InvalidParameters(f"reference level {ref_level} must exceed the "
                                 f"largest ladder level {lv[-1]}")
-    dt = ensemble.partition.dt
-    ref = solve_backward_regression(truncate_driver(model, ref_level), ensemble,
-                                    basis, picard_iters=picard_iters)
-    realized = float(np.abs(ref.Z).max())
-    y_scale = float((ref.Y ** 2).max(axis=1).mean())
-    pts = []
-    for n in lv:
-        sol = solve_backward_regression(truncate_driver(model, n), ensemble,
-                                        basis, picard_iters=picard_iters)
-        err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
-        err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * dt).mean(axis=0).sum())
-        pts.append(TruncationPoint(level=n, err_y=err_y, err_z=err_z))
-    return TruncationCurve(points=tuple(pts), reference_level=ref_level,
-                           realized_max_z=realized, y_scale=y_scale)
+    models = [truncate_driver(model, n) for n in (*lv, ref_level)]
+    y = _start_backward(models, ensemble, picard_iters)
+    times = ensemble.partition.times
+    X, dW = ensemble.states, ensemble.increments
+    L, n = len(lv), times.size - 1
+    # running per-path maxima over the nodes seen so far, terminal included
+    err_y_path = (y[:, :L] - y[:, L:]) ** 2
+    y_sq_max = y[:, L] ** 2
+    err_z_steps = np.empty((L, n))
+    realized = 0.0
+    for i in range(n - 1, -1, -1):
+        dt = times[i + 1] - times[i]
+        design = step_design(basis, X[:, i], step=i)
+        y, z, *_ = _backward_step(models, design, times[i], dt, X[:, i], y,
+                                  dW[:, i], picard_iters)
+        np.maximum(err_y_path, (y[:, :L] - y[:, L:]) ** 2, out=err_y_path)
+        np.maximum(y_sq_max, y[:, L] ** 2, out=y_sq_max)
+        err_z_steps[:, i] = (((z[:, :L] - z[:, L:]) ** 2).sum(axis=2) * dt).mean(axis=0)
+        realized = max(realized, float(np.abs(z[:, L]).max()))
+    pts = tuple(TruncationPoint(level=lv[j], err_y=float(err_y_path[:, j].mean()),
+                                err_z=float(err_z_steps[j].sum()),
+                                y0=float(y[:, j].mean()))
+                for j in range(L))
+    return TruncationCurve(points=pts, reference_level=ref_level,
+                           realized_max_z=realized, y_scale=float(y_sq_max.mean()))
 
 
 def effective_qbar(curve: TruncationCurve, floor_rel: float = 1e-6) -> tuple[float, OrderFit] | None:

@@ -15,6 +15,11 @@ DegenerateRegression (the whole step is unusable); for the local basis a bad
 or underpopulated cell falls back to the cell mean (and an empty cell to the
 global mean), and only a step where every cell failed raises.
 
+The projection at one step is a fixed linear operator of the state sample.
+step_design builds what depends on the state alone (bounds, features or cell
+index, normal matrices, the condition check) once; project applies it to any
+number of target columns, and fit_step does both for a one-off fit.
+
 All reductions run over fixed-size path blocks combined in a fixed pairwise
 tree, so results do not depend on how work is scheduled.
 """
@@ -83,11 +88,10 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def _blocked_crossprods(phi, targets):
-    spans = [(a, min(a + _BLOCK, phi.shape[0])) for a in range(0, phi.shape[0], _BLOCK)]
-    G = _tree_sum([phi[a:b].T @ phi[a:b] for a, b in spans])
-    R = _tree_sum([phi[a:b].T @ targets[a:b] for a, b in spans])
-    return G, R
+def _blocked_crossprod(a, b):
+    """a.T @ b summed over fixed-size path blocks in a fixed pairwise tree."""
+    spans = [(p, min(p + _BLOCK, a.shape[0])) for p in range(0, a.shape[0], _BLOCK)]
+    return _tree_sum([a[p:q].T @ b[p:q] for p, q in spans])
 
 
 def step_bounds(basis: RegressionBasis, x: np.ndarray) -> np.ndarray:
@@ -111,28 +115,52 @@ def _monomial_powers(m, degree):
     return pows
 
 
-def _constant_fit(targets):
-    mean = targets.mean(axis=0)
-    fitted = np.broadcast_to(mean, targets.shape).copy()
-    resid = np.sqrt(np.mean((targets - fitted) ** 2, axis=0))
-    return fitted, FitInfo(condition=1.0, residual_rms=resid, n_features=1,
-                           degenerate=True)
+@dataclass(frozen=True)
+class StepDesign:
+    """The part of the least-squares projection at one step that depends only
+    on the state sample, built once by step_design and applied to any number
+    of target columns by project.
+
+    kind is "constant" for a state without spread, else the basis kind.
+    Global basis: features (P, F) and the ridged normal matrix (F, F).
+    Local basis: cell index (P,) and counts (n_cells,); for degree 1 also the
+    cell-local coordinates (P, m), the usable-cell mask and the ridged normal
+    matrices of the usable cells (n_usable, 1 + m, 1 + m).
+    """
+
+    basis: RegressionBasis
+    kind: str
+    step: int | None
+    n_paths: int
+    condition: float
+    n_features: int
+    fallback_cells: int = 0
+    bounds: np.ndarray | None = None
+    features: np.ndarray | None = None
+    normal: np.ndarray | None = None
+    cell: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    coords: np.ndarray | None = None
+    usable: np.ndarray | None = None
 
 
-def _fit_global(basis, x, targets, step):
+def _global_design(basis, x, step):
     bounds = step_bounds(basis, x)
     mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
     half = 0.5 * (bounds[:, 1] - bounds[:, 0])
     u = (x - mid) / half
+    # upow[p] = u ** p by repeated products; np.power is ~50x slower
+    upow = [np.ones_like(u)]
+    for _ in range(basis.degree):
+        upow.append(upow[-1] * u)
     pows = _monomial_powers(x.shape[1], basis.degree)
     phi = np.empty((x.shape[0], len(pows)))
     for j, e in enumerate(pows):
-        col = np.ones(x.shape[0])
-        for dim, p in enumerate(e):
-            if p:
-                col = col * u[:, dim] ** p
+        col = upow[e[0]][:, 0]
+        for dim in range(1, x.shape[1]):
+            col = col * upow[e[dim]][:, dim]
         phi[:, j] = col
-    G, R = _blocked_crossprods(phi, targets)
+    G = _blocked_crossprod(phi, phi)
     eig = np.linalg.eigvalsh(G)
     cond = np.inf if eig[0] <= 0 else float(eig[-1] / eig[0])
     if cond > basis.condition_cap:
@@ -140,15 +168,13 @@ def _fit_global(basis, x, targets, step):
             f"normal matrix condition {cond:.3e} exceeds cap {basis.condition_cap:.3e} "
             f"for {basis.describe()}", step=step)
     lam = basis.ridge_scale * float(np.trace(G))
-    beta = np.linalg.solve(G + lam * np.eye(G.shape[0]), R)
-    fitted = phi @ beta
-    resid = np.sqrt(np.mean((targets - fitted) ** 2, axis=0))
-    return fitted, FitInfo(condition=cond, residual_rms=resid, n_features=len(pows))
+    return StepDesign(basis=basis, kind=basis.kind, step=step, n_paths=x.shape[0],
+                      condition=cond, n_features=len(pows), bounds=bounds,
+                      features=phi, normal=G + lam * np.eye(G.shape[0]))
 
 
-def _fit_local(basis, x, targets, step):
+def _local_design(basis, x, step):
     P, m = x.shape
-    k = targets.shape[1]
     nc = basis.cells_per_dim
     bounds = step_bounds(basis, x)
     width = (bounds[:, 1] - bounds[:, 0]) / nc
@@ -158,27 +184,18 @@ def _fit_local(basis, x, targets, step):
         flat = flat * nc + idx[:, dim]
     n_cells = nc ** m
     counts = np.bincount(flat, minlength=n_cells)
+    common = dict(basis=basis, kind=basis.kind, step=step, n_paths=P,
+                  bounds=bounds, cell=flat, counts=counts)
+    if basis.degree == 0:
+        return StepDesign(condition=1.0, n_features=n_cells,
+                          fallback_cells=int((counts == 0).sum()), **common)
 
     centers = bounds[:, 0] + width * (np.stack(
         np.meshgrid(*[np.arange(nc)] * m, indexing="ij"), axis=-1)
         .reshape(n_cells, m) + 0.5)
-    halfw = 0.5 * width
-    u = (x - centers[flat]) / halfw  # cell-local coordinates in [-1, 1]
-
-    if basis.degree == 0:
-        sums = np.stack([np.bincount(flat, weights=targets[:, j], minlength=n_cells)
-                         for j in range(k)], axis=1)
-        means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
-                         targets.mean(axis=0))
-        fitted = means[flat]
-        resid = np.sqrt(np.mean((targets - fitted) ** 2, axis=0))
-        info = FitInfo(condition=1.0, residual_rms=resid, n_features=n_cells,
-                       fallback_cells=int((counts == 0).sum()))
-        return fitted, info
-
+    u = (x - centers[flat]) / (0.5 * width)  # cell-local coordinates in [-1, 1]
     nf = 1 + m
     G = np.zeros((n_cells, nf, nf))
-    R = np.zeros((n_cells, nf, k))
     G[:, 0, 0] = counts
     for a in range(m):
         sa = np.bincount(flat, weights=u[:, a], minlength=n_cells)
@@ -186,60 +203,102 @@ def _fit_local(basis, x, targets, step):
         for b2 in range(a, m):
             sab = np.bincount(flat, weights=u[:, a] * u[:, b2], minlength=n_cells)
             G[:, a + 1, b2 + 1] = G[:, b2 + 1, a + 1] = sab
-    for j in range(k):
-        R[:, 0, j] = np.bincount(flat, weights=targets[:, j], minlength=n_cells)
-        for a in range(m):
-            R[:, a + 1, j] = np.bincount(flat, weights=u[:, a] * targets[:, j],
-                                         minlength=n_cells)
-
     eig = np.linalg.eigvalsh(G)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(eig[:, 0] > 0, eig[:, -1] / np.maximum(eig[:, 0], 1e-300), np.inf)
     usable = (counts >= nf + 1) & (cond <= basis.condition_cap)
-    coefs = np.zeros((n_cells, nf, k))
-    if usable.any():
-        Gu = G[usable]
-        lam = basis.ridge_scale * np.trace(Gu, axis1=1, axis2=2)
-        Gu = Gu + lam[:, None, None] * np.eye(nf)
-        coefs[usable] = np.linalg.solve(Gu, R[usable])
+    if not usable.any():
+        raise DegenerateRegression(
+            f"every cell of {basis.describe()} fell back at this step", step=step)
+    Gu = G[usable]
+    lam = basis.ridge_scale * np.trace(Gu, axis1=1, axis2=2)
+    finite_cond = cond[np.isfinite(cond)]
+    return StepDesign(condition=float(finite_cond.max()) if finite_cond.size else np.inf,
+                      n_features=n_cells * nf,
+                      fallback_cells=int((~usable).sum()),
+                      coords=u, usable=usable,
+                      normal=Gu + lam[:, None, None] * np.eye(nf), **common)
+
+
+def step_design(basis: RegressionBasis, x: np.ndarray,
+                step: int | None = None) -> StepDesign:
+    """Everything the projection on the state x needs before it sees a target.
+
+    A state with (numerically) no spread in any dimension gets the constant
+    design, whose projection is the plain mean: the correct conditional
+    expectation at a deterministic node such as t = 0.
+    """
+    # one contiguous copy: callers pass a time slice of the (P, N+1, m) states
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise InvalidParameters(f"x must be (P, m), got {x.shape}")
+    spread = x.max(axis=0) - x.min(axis=0)
+    scale = np.maximum(1.0, np.abs(x).max(axis=0))
+    if np.all(spread <= _SPREAD_ATOL * scale):
+        return StepDesign(basis=basis, kind="constant", step=step,
+                          n_paths=x.shape[0], condition=1.0, n_features=1)
+    if basis.kind == "global_polynomial":
+        return _global_design(basis, x, step)
+    return _local_design(basis, x, step)
+
+
+def _project_local(design, targets):
+    cell, counts, u = design.cell, design.counts, design.coords
+    n_cells, k = counts.size, targets.shape[1]
+    if design.basis.degree == 0:
+        sums = np.stack([np.bincount(cell, weights=targets[:, j], minlength=n_cells)
+                         for j in range(k)], axis=1)
+        means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
+                         targets.mean(axis=0))
+        return means[cell]
+    m = u.shape[1]
+    R = np.zeros((n_cells, 1 + m, k))
+    for j in range(k):
+        R[:, 0, j] = np.bincount(cell, weights=targets[:, j], minlength=n_cells)
+        for a in range(m):
+            R[:, a + 1, j] = np.bincount(cell, weights=u[:, a] * targets[:, j],
+                                         minlength=n_cells)
+    usable = design.usable
+    coefs = np.zeros((n_cells, 1 + m, k))
+    coefs[usable] = np.linalg.solve(design.normal, R[usable])
     # underpopulated or ill-conditioned cells keep the cell mean; empty cells
     # fall back to the global mean so off-sample queries stay defined
     fallback = ~usable & (counts > 0)
-    if fallback.any():
-        coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
-    empty = counts == 0
-    if empty.any():
-        coefs[empty, 0, :] = targets.mean(axis=0)
-    if not usable.any() and basis.degree == 1:
-        raise DegenerateRegression(
-            f"every cell of {basis.describe()} fell back at this step", step=step)
+    coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
+    coefs[counts == 0, 0, :] = targets.mean(axis=0)
+    return coefs[cell, 0, :] + np.einsum("pa,pak->pk", u, coefs[cell, 1:, :])
 
-    fitted = coefs[flat, 0, :] + np.einsum("pa,pak->pk", u, coefs[flat, 1:, :])
-    resid = np.sqrt(np.mean((targets - fitted) ** 2, axis=0))
-    finite_cond = cond[np.isfinite(cond)]
-    info = FitInfo(condition=float(finite_cond.max()) if finite_cond.size else np.inf,
-                   residual_rms=resid, n_features=n_cells * nf,
-                   fallback_cells=int((fallback | empty).sum()))
-    return fitted, info
+
+def project(design: StepDesign, targets: np.ndarray):
+    """Fit every target column on the design's state; returns (fitted, FitInfo).
+
+    fitted[p, j] estimates E[targets[., j] | x_p]. Each column is fitted on
+    its own, so a (P, k) projection equals k single-column ones up to
+    rounding, and equal columns get equal fits.
+    """
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 2 or targets.shape[0] != design.n_paths:
+        raise InvalidParameters(
+            f"targets must be ({design.n_paths}, k), got {targets.shape}")
+    if design.kind == "constant":
+        fitted = np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
+    elif design.kind == "global_polynomial":
+        beta = np.linalg.solve(design.normal,
+                               _blocked_crossprod(design.features, targets))
+        fitted = design.features @ beta
+    else:
+        fitted = _project_local(design, targets)
+    r = targets - fitted
+    resid = np.sqrt(np.einsum("pk,pk->k", r, r) / design.n_paths)
+    return fitted, FitInfo(condition=design.condition, residual_rms=resid,
+                           n_features=design.n_features,
+                           fallback_cells=design.fallback_cells,
+                           degenerate=design.kind == "constant")
 
 
 def fit_step(basis: RegressionBasis, x: np.ndarray, targets: np.ndarray,
              step: int | None = None):
-    """Fit all target columns on the state x; returns (fitted, FitInfo).
-
-    fitted[p, j] estimates E[targets[., j] | x_p]. A state with (numerically)
-    no spread in any dimension gets a constant fit, which is the correct
-    conditional expectation at a deterministic node such as t = 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or targets.ndim != 2 or x.shape[0] != targets.shape[0]:
-        raise InvalidParameters(
-            f"x must be (P, m) and targets (P, k), got {x.shape} and {targets.shape}")
-    spread = x.max(axis=0) - x.min(axis=0)
-    scale = np.maximum(1.0, np.abs(x).max(axis=0))
-    if np.all(spread <= _SPREAD_ATOL * scale):
-        return _constant_fit(targets)
-    if basis.kind == "global_polynomial":
-        return _fit_global(basis, x, targets, step)
-    return _fit_local(basis, x, targets, step)
+    """One-off fit of every target column on the state x: a design built and
+    applied once. Callers fitting several targets on one state build the
+    design themselves and project each of them."""
+    return project(step_design(basis, x, step), targets)

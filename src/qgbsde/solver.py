@@ -7,7 +7,9 @@ Both walk the same one-step recursion backward from the terminal condition:
 
 implicit in Y (resolved by a few Picard passes), explicit in Z. The Monte
 Carlo solver estimates the conditional expectations by least-squares
-regression on the state; the quadrature solver computes them exactly against
+regression on the state, both as projections on one regression design per
+step; the same one-step kernel advances several drivers on shared paths at
+once (the truncation sweep in diagnostics). The quadrature solver computes them exactly against
 the one-step Euler Gaussian transition and serves as a slow, grid-bound
 cross-check for one-dimensional models.
 
@@ -29,7 +31,7 @@ from scipy.special import ndtr
 from .errors import (DomainTooSmall, InvalidParameters, NumericalBlowup,
                      PicardDivergence, RejectedModel)
 from .model import ModelSpec, Partition, nested_indices
-from .regression import RegressionBasis, fit_step
+from .regression import RegressionBasis, StepDesign, fit_step, project, step_design
 from .sde import PathEnsemble
 
 
@@ -96,6 +98,49 @@ def _picard_resolve(model, t, x, base, z, dt, picard_iters, step):
     return y, prev if prev is not None else 0.0
 
 
+def _start_backward(models, ensemble: PathEnsemble, picard_iters) -> np.ndarray:
+    """Check the solver inputs of every model and return the terminal values,
+    one column per model."""
+    for model in models:
+        _check_solver_inputs(model, ensemble)
+    if picard_iters < 1:
+        raise InvalidParameters(f"picard_iters must be >= 1, got {picard_iters}")
+    n = ensemble.partition.n_steps
+    x_n = ensemble.states[:, n]
+    y = np.column_stack([np.asarray(model.g(x_n)) for model in models])
+    if not np.isfinite(y).all():
+        raise NumericalBlowup("non-finite terminal values", step=n)
+    return y
+
+
+def _backward_step(models, design: StepDesign, t, dt, x, y_next, dw,
+                   picard_iters, y_clamp=None):
+    """One step of the recursion for several drivers on the same paths.
+
+    Column j of y_next (P, k) and of the returned y (P, k) and z (P, k, d)
+    belongs to models[j]. Both conditional expectations are one projection
+    each on the step's shared design; the implicit step is resolved column
+    by column, so divergence is checked per driver. Returns
+    (y, z, info_y, info_z, picard residual per column).
+    """
+    P, k = y_next.shape
+    d = dw.shape[1]
+    cond_mean, info_y = project(design, y_next)
+    z_targets = (y_next - cond_mean)[:, :, None] * dw[:, None, :] / dt
+    z_fit, info_z = project(design, z_targets.reshape(P, k * d))
+    z = z_fit.reshape(P, k, d)
+    y = np.empty((P, k))
+    residuals = np.empty(k)
+    for j, model in enumerate(models):
+        y[:, j], residuals[j] = _picard_resolve(model, t, x, cond_mean[:, j], z[:, j],
+                                                dt, picard_iters, step=design.step)
+    if y_clamp is not None:
+        np.clip(y, -y_clamp, y_clamp, out=y)
+    if not (np.isfinite(y).all() and np.isfinite(z).all()):
+        raise NumericalBlowup("non-finite backward value", step=design.step)
+    return y, z, info_y, info_z, residuals
+
+
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
                               basis: RegressionBasis, picard_iters: int = 3,
                               y_clamp: float | None = None) -> BackwardSolution:
@@ -105,9 +150,7 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     step. Off by default; it is a variance control for heavy-tailed
     regression overshoot, not part of the scheme.
     """
-    _check_solver_inputs(model, ensemble)
-    if picard_iters < 1:
-        raise InvalidParameters(f"picard_iters must be >= 1, got {picard_iters}")
+    terminal = _start_backward((model,), ensemble, picard_iters)
     if y_clamp is not None and y_clamp <= 0:
         raise InvalidParameters(f"y_clamp must be positive, got {y_clamp}")
     times = ensemble.partition.times
@@ -116,33 +159,22 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
 
     Y = np.empty((P, n + 1))
     Z = np.empty((P, n, d))
-    Y[:, n] = np.asarray(model.g(X[:, n]))
-    if not np.isfinite(Y[:, n]).all():
-        raise NumericalBlowup("non-finite terminal values", step=n)
-
+    Y[:, n] = terminal[:, 0]
     meta = SolverMeta(basis=basis.describe(), picard_iters=picard_iters,
                       y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
                       picard_residuals=np.empty(n), conditions=np.empty(n),
                       fallback_cells=np.zeros(n, dtype=np.int64))
 
     for i in range(n - 1, -1, -1):
-        dt = times[i + 1] - times[i]
-        xi = X[:, i]
-        cond_mean, info_y = fit_step(basis, xi, Y[:, i + 1][:, None], step=i)
-        c = cond_mean[:, 0]
-        z_targets = (Y[:, i + 1] - c)[:, None] * dW[:, i] / dt
-        z_fit, info_z = fit_step(basis, xi, z_targets, step=i)
-        y_i, pic_res = _picard_resolve(model, times[i], xi, c, z_fit, dt,
-                                       picard_iters, step=i)
-        if y_clamp is not None:
-            np.clip(y_i, -y_clamp, y_clamp, out=y_i)
-        if not (np.isfinite(y_i).all() and np.isfinite(z_fit).all()):
-            raise NumericalBlowup("non-finite backward value", step=i)
-        Y[:, i] = y_i
-        Z[:, i] = z_fit
+        design = step_design(basis, X[:, i], step=i)
+        y, z, info_y, info_z, pic_res = _backward_step(
+            (model,), design, times[i], times[i + 1] - times[i], X[:, i],
+            Y[:, i + 1:i + 2], dW[:, i], picard_iters, y_clamp)
+        Y[:, i] = y[:, 0]
+        Z[:, i] = z[:, 0]
         meta.y_residual_rms[i] = info_y.residual_rms[0]
         meta.z_residual_rms[i] = float(np.mean(info_z.residual_rms))
-        meta.picard_residuals[i] = pic_res
+        meta.picard_residuals[i] = pic_res[0]
         meta.conditions[i] = max(info_y.condition, info_z.condition)
         meta.fallback_cells[i] = info_y.fallback_cells + info_z.fallback_cells
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (AssumptionLevelTooLow, InvalidParameters, NumericalBlowup,
                      PicardDivergence)
 from .model import AssumptionLevel, ModelSpec
-from .regression import RegressionBasis, fit_step
+from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble
 from .solver import BackwardSolution
 
@@ -70,9 +70,10 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
     for i in range(n - 1, -1, -1):
         dt = times[i + 1] - times[i]
         t, xi = times[i], X[:, i]
-        e_fit, _ = fit_step(basis, xi, U[:, i + 1], step=i)
+        design = step_design(basis, xi, step=i)
+        e_fit, _ = project(design, U[:, i + 1])
         v_targets = ((U[:, i + 1] - e_fit)[:, None, :] * dW[:, i, :, None] / dt)
-        v_fit, _ = fit_step(basis, xi, v_targets.reshape(P, d * m), step=i)
+        v_fit, _ = project(design, v_targets.reshape(P, d * m))
         Vi = v_fit.reshape(P, d, m)
 
         fx = np.asarray(model.f_x(t, xi, base.Y[:, i], base.Z[:, i]))

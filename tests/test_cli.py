@@ -169,6 +169,58 @@ def test_ensemble_cache_roundtrip(tmp_path, monkeypatch):
     assert body1 == body2
 
 
+def test_ensemble_cache_keeps_model_parameters_apart(tmp_path, monkeypatch):
+    # make_quadratic names every model quadratic_<terminal>, so a key on the
+    # name alone handed the sigma = 1 paths to a sigma = 2 run
+    def body(out):
+        return (out / "report.csv").read_text().split("\n", 1)[1]
+
+    text = BASE.replace("name = brownian", "name = quadratic\nsigma = {}")
+    uncached = {}
+    for sigma in (1.0, 2.0):
+        cfg = _write(tmp_path, text.format(sigma), name=f"s{sigma}.ini")
+        out = tmp_path / f"plain{sigma}"
+        assert main(["--config", cfg, "--command", "simulate", "--out", str(out)]) == 0
+        uncached[sigma] = body(out)
+    assert uncached[1.0] != uncached[2.0]
+    monkeypatch.setenv("QGBSDE_CACHE_DIR", str(tmp_path / "cache"))
+    for sigma in (1.0, 2.0, 1.0):
+        cfg = _write(tmp_path, text.format(sigma), name=f"s{sigma}.ini")
+        out = tmp_path / f"cached{sigma}"
+        assert main(["--config", cfg, "--command", "simulate", "--out", str(out)]) == 0
+        assert body(out) == uncached[sigma]
+    assert len(list((tmp_path / "cache").glob("ens_*.bin"))) == 2
+
+
+def test_truncate_sweep_identical_across_worker_counts(tmp_path):
+    # 70k paths span three RNG and Euler blocks and two regression blocks;
+    # the batched sweep must not depend on how the forward work was split
+    cfg = _write(tmp_path, """
+[model]
+name = quadratic
+
+[grid]
+n_steps = 4
+
+[mc]
+n_paths = 70000
+seed = 3
+
+[truncation]
+levels = 0.5 1 2 4
+oracle_reference = true
+""")
+    bodies = []
+    for w in (1, 2, 3):
+        out = tmp_path / f"w{w}"
+        assert main(["--config", cfg, "--command", "truncate_sweep", "--out", str(out),
+                     "--workers", str(w)]) == 0
+        bodies.append((out / "report.csv").read_text().split("\n", 1)[1])
+    assert bodies[0] == bodies[1] == bodies[2]
+    names = [r["statistic_name"] for r in _read_report(tmp_path / "w1")[1]]
+    assert names.count("trunc_y0_abs_error_vs_oracle") == 4
+
+
 def test_strict_mode_turns_warnings_into_failure(tmp_path):
     # an undersized space grid makes the quadrature cross-check bail out with
     # a warning; strict mode promotes that to a nonzero exit

@@ -8,11 +8,13 @@ from qgbsde.diagnostics import (BmoEstimate, DiagnosticsReport, OrderFit,
                                 fit_convergence_order, truncation_error_curve,
                                 y_increment_stat, z_increment_stat,
                                 z_l2_regularity)
-from qgbsde.errors import GridMismatch, InvalidParameters, InvalidPoints
+from qgbsde.errors import (GridMismatch, InvalidParameters, InvalidPoints,
+                           PicardDivergence)
 from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.regression import RegressionBasis
 from qgbsde.sde import simulate_forward
 from qgbsde.solver import BackwardSolution, SolverMeta, solve_backward_regression
+from qgbsde.truncation import truncate_driver
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -177,6 +179,45 @@ def test_truncation_curve_decay_and_qbar():
     assert qbar > 0.0
 
 
+def test_batched_curve_matches_per_level_solves():
+    # reference implementation: one full solve per level, errors taken on
+    # the stored solutions; the batched pass may differ only by the rounding
+    # of multi-column matrix products
+    model = make_quadratic()
+    part = Partition.uniform(1.0, 8)
+    ens = simulate_forward(model, part, 4000, seed=5)
+    levels = [0.1, 0.2, 0.4, 4.0]
+    curve = truncation_error_curve(model, ens, GLOBAL2, levels, reference_level=8.0)
+    ref = solve_backward_regression(truncate_driver(model, 8.0), ens, GLOBAL2)
+    got, want = [], []
+    for p, n in zip(curve.points, levels):
+        sol = solve_backward_regression(truncate_driver(model, n), ens, GLOBAL2)
+        err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
+        err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt)
+                      .mean(axis=0).sum())
+        assert p.level == n
+        got += [p.err_y, p.err_z, p.y0]
+        want += [err_y, err_z, sol.y0]
+    got += [curve.realized_max_z, curve.y_scale]
+    want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    assert curve.points[-1].err_y == 0.0  # above the realized max |Z|
+
+
+def test_truncation_curve_diverging_column_raises_with_step():
+    # f = 2 y |z|^2 with Z near sigma = 3: the Picard factor dt 2 clamp(Z)^2
+    # stays below 1/4 at level 0.01 (|clamp| <= 1.01) but reaches about 2.25
+    # once the level no longer engages, so only that column diverges
+    model = make_quadratic(terminal="identity", sigma=3.0).with_driver(
+        f=lambda t, x, y, z: 2.0 * y * np.sum(z * z, axis=1))
+    ens = simulate_forward(model, Partition.uniform(1.0, 8), 4000, seed=5)
+    curve = truncation_error_curve(model, ens, GLOBAL2, [0.01], reference_level=0.02)
+    assert np.isfinite(curve.points[0].y0)
+    with pytest.raises(PicardDivergence) as exc:
+        truncation_error_curve(model, ens, GLOBAL2, [0.01, 4.0], reference_level=8.0)
+    assert exc.value.step == 7  # the first step of the backward pass
+
+
 def test_truncation_curve_validation():
     model = make_quadratic()
     part = Partition.uniform(1.0, 4)
@@ -188,6 +229,8 @@ def test_truncation_curve_validation():
     with pytest.raises(InvalidParameters):
         truncation_error_curve(model, ens, GLOBAL2, levels=[1.0, 2.0],
                                reference_level=2.0)
+    with pytest.raises(InvalidParameters):
+        truncation_error_curve(model, ens, GLOBAL2, levels=[1.0], picard_iters=0)
 
 
 def test_report_rows_flatten_only_present_fields():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qgbsde.errors import DegenerateRegression, InvalidParameters
-from qgbsde.regression import FitInfo, RegressionBasis, fit_step, step_bounds
+from qgbsde.regression import (FitInfo, RegressionBasis, fit_step, project,
+                               step_bounds, step_design)
 
 
 def test_global_recovers_polynomial_exactly():
@@ -176,3 +177,63 @@ def test_fit_info_residual_reflects_noise():
     _, info = fit_step(RegressionBasis(kind="global_polynomial", degree=1),
                        x, targets)
     assert info.residual_rms[0] == pytest.approx(0.3, rel=0.05)
+
+
+_KINDS = (RegressionBasis(kind="global_polynomial", degree=4),
+          RegressionBasis(kind="local_partition", degree=1, cells_per_dim=12),
+          RegressionBasis(kind="local_partition", degree=0, cells_per_dim=12))
+
+
+def _noisy_targets(x, rng, k):
+    u = x.sum(axis=1)
+    cols = [np.sin((j + 1) * u) + rng.normal(scale=0.2, size=u.size) for j in range(k)]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("basis", _KINDS, ids=lambda b: b.describe())
+@pytest.mark.parametrize("m", [1, 2])
+def test_multi_column_projection_matches_single_column_fits(basis, m):
+    # one design applied to k columns at once must give what k one-off fits
+    # give, up to the rounding of a multi-column matrix product
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(20000, m))
+    targets = _noisy_targets(x, rng, 5)
+    fitted, info = project(step_design(basis, x, step=2), targets)
+    assert fitted.shape == targets.shape
+    for j in range(targets.shape[1]):
+        single, single_info = fit_step(basis, x, targets[:, j:j + 1], step=2)
+        scale = np.abs(single).max()
+        assert np.abs(fitted[:, j] - single[:, 0]).max() <= 1e-12 * scale
+        assert info.residual_rms[j] == pytest.approx(single_info.residual_rms[0],
+                                                     rel=1e-12)
+        assert info.condition == single_info.condition
+        assert info.fallback_cells == single_info.fallback_cells
+
+
+@pytest.mark.parametrize("basis", _KINDS, ids=lambda b: b.describe())
+def test_duplicate_target_columns_fit_bit_identically(basis):
+    # the truncation sweep relies on this: a level the clamp never engages
+    # must reproduce the reference column exactly
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(70000, 1))  # more than one regression block
+    a, b = _noisy_targets(x, rng, 2).T
+    fitted, _ = project(step_design(basis, x), np.column_stack([a, b, a, a, b, a, b]))
+    for j in (2, 3, 5):
+        assert np.array_equal(fitted[:, j], fitted[:, 0])
+    for j in (4, 6):
+        assert np.array_equal(fitted[:, j], fitted[:, 1])
+
+
+def test_design_is_reusable_and_checks_targets():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 1.0, size=(3000, 1))
+    design = step_design(RegressionBasis(kind="global_polynomial", degree=2), x, step=4)
+    assert design.step == 4 and design.n_paths == 3000
+    first, _ = project(design, (x ** 2))
+    second, _ = project(design, 1.0 + x)
+    np.testing.assert_allclose(first, x ** 2, atol=1e-8)
+    np.testing.assert_allclose(second, 1.0 + x, atol=1e-8)
+    with pytest.raises(InvalidParameters):
+        project(design, np.zeros((2999, 1)))
+    with pytest.raises(InvalidParameters):
+        project(design, np.zeros(3000))

@@ -7,6 +7,7 @@ from qgbsde import (AssumptionLevel, AssumptionLevelTooLow, InvalidParameters,
                     flow_identity_residual, load_ensemble, make_brownian,
                     make_gbm, normal_increments, simulate_forward,
                     simulate_variational)
+from qgbsde.errors import SingularFlow
 
 
 def test_initial_state_exact():
@@ -68,7 +69,9 @@ def test_worker_count_bit_identical():
     assert np.array_equal(a.increments, b.increments)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_detected():
+    # the overflow must surface as NumericalBlowup only, never as a warning
     model = ModelSpec(
         name="explosive", m=1, d=1, x0=np.array([1.0]), T=1.0,
         b=lambda t, x: x ** 9,
@@ -122,6 +125,44 @@ def test_flow_mean_matches_deterministic_exponential():
         got = ens.flows[:, -1, 0, 0].mean()
         assert got == pytest.approx((1.0 + 0.3 / n) ** n, abs=3e-3)
     assert abs((1.0 + 0.3 / 64) ** 64 - np.exp(0.3)) < 2e-3
+
+
+def _linear_flow_model(rates):
+    """dX = -diag(rates) X dt + dW: the Euler flow is diag((1 - rates dt)^i)."""
+    rates = np.asarray(rates, dtype=np.float64)
+    m = rates.size
+
+    def driver_grad(shape_tail):
+        return lambda t, x, y, z: np.zeros(x.shape[:1] + shape_tail)
+
+    return ModelSpec(
+        name="linear_flow", m=m, d=m, x0=np.zeros(m), T=1.0,
+        b=lambda t, x: -rates * x,
+        sigma=lambda t, x: np.broadcast_to(np.eye(m), x.shape + (m,)).copy(),
+        f=lambda t, x, y, z: np.zeros(x.shape[0]),
+        g=lambda x: x.sum(axis=1),
+        b_jac=lambda t, x: np.broadcast_to(-np.diag(rates), x.shape + (m,)).copy(),
+        sigma_jac=lambda t, x: np.zeros(x.shape[:1] + (m, m, m)),
+        f_x=driver_grad((m,)), f_y=driver_grad(()), f_z=driver_grad((m,)),
+        g_grad=lambda x: np.ones_like(x),
+        driver_z_lipschitz=0.0, assumption_level=AssumptionLevel.HX1Y1)
+
+
+def test_flow_condition_cap_and_singular_flow():
+    part = Partition.uniform(1.0, 4)
+    # rates 0 and 3.6 at dt = 1/4: the flow ends at diag(1, 0.1^4), whose
+    # condition number is 1e4 (Frobenius bound 1e4 + 1e-4)
+    model = _linear_flow_model([0.0, 3.6])
+    ens = simulate_forward(model, part, 50, 1)
+    flows = simulate_variational(model, ens, condition_cap=1e5)
+    np.testing.assert_allclose(flows.flows[:, -1, 1, 1], 1e-4, rtol=1e-12)
+    with pytest.raises(SingularFlow):
+        simulate_variational(model, ens, condition_cap=5e3)
+    # rate 4 at dt = 1/4 sends the flow to exactly zero after one step
+    singular = _linear_flow_model([4.0])
+    ens = simulate_forward(singular, part, 50, 1)
+    with pytest.raises(SingularFlow):
+        simulate_variational(singular, ens)
 
 
 def test_inverse_sde_cross_check():
