@@ -24,7 +24,8 @@ Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set), so repeated
 backward experiments on the same paths skip the simulation. The key covers
 everything that determines the paths: the model preset and all of its
 parameters, x0, the horizon, the time grid, the path count, the seed and a
-cache format version.
+cache format version. A cache file that cannot be read or holds other paths
+is rebuilt, with a note in summary.txt.
 """
 
 from __future__ import annotations
@@ -201,6 +202,8 @@ class RunContext:
         self.rows = []
         self.summary = []
         self.warnings = []
+        # (cache key, ensemble) of the last ensemble handed out; see get_ensemble
+        self.ensemble_memo = None
 
     def solver_model(self) -> ModelSpec:
         """The model actually handed to the backward solvers: quadratic-growth
@@ -269,25 +272,57 @@ def _cache_key(model, partition, n_paths, seed):
     return h.hexdigest()[:16]
 
 
+def _cache_mismatch(ens: PathEnsemble, model, partition, n_paths, seed):
+    """Why a loaded cache file does not hold the requested paths, or None."""
+    if ens.seed != seed or ens.n_paths != n_paths:
+        return f"holds seed {ens.seed} with {ens.n_paths} paths"
+    if ens.m != model.m or ens.d != model.d:
+        return f"holds dimensions m = {ens.m}, d = {ens.d}"
+    if not np.array_equal(ens.partition.times, partition.times):
+        return "holds another time grid"
+    return None
+
+
 def get_ensemble(ctx: RunContext, partition: Partition, n_paths=None, seed=None):
+    """The forward ensemble on the partition, simulated at most once per run.
+
+    The last ensemble handed out is kept, keyed like the cache, and released
+    before a different one is built, so a run never holds more ensembles
+    than its commands do. Under $QGBSDE_CACHE_DIR a cache file is checked
+    against the request, rebuilt with a note when it is unreadable or holds
+    other paths, and written through a temporary file that replaces it in
+    one step.
+    """
     n_paths = ctx.n_paths if n_paths is None else n_paths
     seed = ctx.seed if seed is None else seed
+    key = _cache_key(ctx.model, partition, n_paths, seed)
+    if ctx.ensemble_memo is not None and ctx.ensemble_memo[0] == key:
+        return ctx.ensemble_memo[1]
+    ctx.ensemble_memo = None
     cache_dir = os.environ.get("QGBSDE_CACHE_DIR")
-    cache_path = None
-    if cache_dir:
-        cache_path = Path(cache_dir) / (
-            f"ens_{_cache_key(ctx.model, partition, n_paths, seed)}.bin")
-        if cache_path.exists():
+    cache_path = Path(cache_dir) / f"ens_{key}.bin" if cache_dir else None
+    ens = None
+    if cache_path is not None and cache_path.exists():
+        try:
+            ens = load_ensemble(cache_path)
+            reason = _cache_mismatch(ens, ctx.model, partition, n_paths, seed)
+        except (QgbsdeError, OSError) as exc:
+            reason = str(exc)
+        if reason is not None:
+            ctx.note(f"cache file {cache_path.name} rejected ({reason}); rebuilt")
+            ens = None
+    if ens is None:
+        ens = simulate_forward(ctx.model, partition, n_paths, seed,
+                               workers=ctx.workers)
+        if cache_path is not None:
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = cache_path.with_name(f".{cache_path.name}.{os.getpid()}.tmp")
             try:
-                ens = load_ensemble(cache_path)
-                if ens.seed == seed and ens.n_paths == n_paths:
-                    return ens
-            except QgbsdeError:
-                pass  # stale or foreign file, fall through and rebuild
-    ens = simulate_forward(ctx.model, partition, n_paths, seed, workers=ctx.workers)
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        dump_ensemble(ens, cache_path)
+                dump_ensemble(ens, tmp)
+                os.replace(tmp, cache_path)
+            finally:
+                tmp.unlink(missing_ok=True)
+    ctx.ensemble_memo = (key, ens)
     return ens
 
 
@@ -301,10 +336,15 @@ def _coarse_fine_pair(ctx: RunContext, n_steps: int):
     coarse = Partition.uniform(ctx.model.T, n_steps)
     fine = coarse.refine(ctx.refine_factor)
     ens_f = get_ensemble(ctx, fine)
-    idx = np.arange(n_steps + 1) * ctx.refine_factor
-    inc_c = np.add.reduceat(ens_f.increments, idx[:-1], axis=1)
-    ens_c = PathEnsemble(partition=coarse, seed=ens_f.seed, increments=inc_c,
-                         states=ens_f.states[:, idx])
+    r = ctx.refine_factor
+    # node subset and window sums taken along the node axis of the
+    # time-major storage, so the coarse arrays are time-major too
+    inc_f = ens_f.increments.swapaxes(0, 1)
+    inc_c = inc_f.reshape(n_steps, r, *inc_f.shape[1:]).sum(axis=1)
+    states_c = ens_f.states.swapaxes(0, 1)[::r]
+    ens_c = PathEnsemble(partition=coarse, seed=ens_f.seed,
+                         increments=inc_c.swapaxes(0, 1),
+                         states=states_c.swapaxes(0, 1))
     return ens_c, ens_f
 
 
@@ -434,6 +474,8 @@ def cmd_converge(ctx: RunContext):
         zsums.append(zsum)
         ystats.append(ystat)
         grids.append((ens_c.partition, ens_f.partition))
+        # drop this rung before the next one is simulated and solved
+        del ens_c, ens_f, sol_c, sol_f
     try:
         fit = fit_convergence_order(meshes, zsums)
         ctx.add("order_z_regularity", fit.slope)

@@ -74,9 +74,17 @@ def y_increment_stat(base: BackwardSolution, fine: BackwardSolution) -> float:
 
 
 def z_increment_stat(sol: BackwardSolution) -> float:
-    """max_i E |Z_{t_{i+1}} - Z_{t_i}|^2 along the solution's own grid."""
-    dz = sol.Z[:, 1:] - sol.Z[:, :-1]
-    return float((dz ** 2).sum(axis=2).mean(axis=0).max())
+    """max_i E |Z_{t_{i+1}} - Z_{t_i}|^2 along the solution's own grid.
+
+    One step at a time: two (P, d) slices per step, never a (P, N, d)
+    temporary.
+    """
+    Z = sol.Z
+    worst = 0.0
+    for i in range(Z.shape[1] - 1):
+        dz = Z[:, i + 1] - Z[:, i]
+        worst = max(worst, float(np.einsum("pd,pd->", dz, dz)) / Z.shape[0])
+    return worst
 
 
 def z_l2_regularity(base: BackwardSolution, fine: BackwardSolution,

@@ -93,6 +93,16 @@ class Partition:
         return Partition(fine)
 
 
+def empty_time_major(n_nodes: int, n_paths: int, tail=()) -> np.ndarray:
+    """Uninitialised (n_paths, n_nodes, *tail) array stored node by node.
+
+    Time is the slowest axis in memory, so the per-node slice a[:, i] that
+    every forward and backward pass walks is one contiguous block, while
+    the indexing stays path first.
+    """
+    return np.empty((n_nodes, n_paths) + tuple(tail)).swapaxes(0, 1)
+
+
 def nested_indices(coarse: Partition, fine: Partition, tol: float = 1e-9) -> np.ndarray:
     """Indices of the coarse nodes inside the fine grid.
 

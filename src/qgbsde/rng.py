@@ -21,6 +21,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .errors import InvalidParameters
+from .model import empty_time_major
 
 _DRAWS_PER_ADVANCE = 4
 _DEFAULT_BLOCK = 32768
@@ -38,12 +39,12 @@ def _fill_block(out, seed, p0, p1, n_steps, d):
     u = Generator(bg).random((p1 - p0) * bpp * _DRAWS_PER_ADVANCE)
     u = u.reshape(p1 - p0, bpp * _DRAWS_PER_ADVANCE)[:, : n_steps * d]
     np.maximum(u, _MIN_UNIFORM, out=u)
-    out[p0:p1] = ndtri(u).reshape(p1 - p0, n_steps, d)
+    ndtri(u.reshape(p1 - p0, n_steps, d), out=out[p0:p1])
 
 
 def normal_increments(seed: int, n_paths: int, n_steps: int, d: int,
                       workers: int = 1, block_size: int = _DEFAULT_BLOCK) -> np.ndarray:
-    """Standard normal array of shape (n_paths, n_steps, d).
+    """Standard normal array of shape (n_paths, n_steps, d), stored time-major.
 
     The value at [p, i, j] depends only on (seed, p, i, j); workers and
     block_size affect scheduling, never output.
@@ -56,7 +57,7 @@ def normal_increments(seed: int, n_paths: int, n_steps: int, d: int,
     if workers < 1 or block_size < 1:
         raise InvalidParameters("workers and block_size must be positive")
 
-    out = np.empty((n_paths, n_steps, d))
+    out = empty_time_major(n_steps, n_paths, (d,))
     edges = list(range(0, n_paths, block_size)) + [n_paths]
     spans = [(a, b) for a, b in zip(edges[:-1], edges[1:])]
     if workers == 1 or len(spans) == 1:

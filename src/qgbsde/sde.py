@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import (AssumptionLevelTooLow, InvalidParameters, NumericalBlowup,
                      SingularFlow)
-from .model import AssumptionLevel, ModelSpec, Partition
+from .model import AssumptionLevel, ModelSpec, Partition, empty_time_major
 from .rng import normal_increments
 
 _MAGIC = b"QGB1"
@@ -23,6 +23,11 @@ class PathEnsemble:
     increments: (P, N, d) Brownian increments (already scaled by sqrt(dt_i))
     states:     (P, N+1, m) Euler states, states[:, 0] == x0
     flows / flow_inverses: (P, N+1, m, m) when the variational pass ran
+
+    Arrays built by this module are indexed path first but stored time-major
+    (time is the slowest axis in memory, see model.empty_time_major), so the
+    per-node slice states[:, i] is contiguous. Path-major arrays are accepted
+    as well; only the speed of the per-node access differs.
     """
 
     partition: Partition
@@ -84,10 +89,10 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
         raise InvalidParameters(f"n_paths must be positive, got {n_paths}")
     times = partition.times
     n, m, d = partition.n_steps, model.m, model.d
-    normals = normal_increments(seed, n_paths, n, d, workers=workers)
-    dW = normals * np.sqrt(partition.dt)[None, :, None]
+    dW = normal_increments(seed, n_paths, n, d, workers=workers)
+    dW *= np.sqrt(partition.dt)[None, :, None]
 
-    X = np.empty((n_paths, n + 1, m))
+    X = empty_time_major(n + 1, n_paths, (m,))
     X[:, 0] = model.x0
     edges = list(range(0, n_paths, 32768)) + [n_paths]
     spans = [(p, q) for p, q in zip(edges[:-1], edges[1:])]
@@ -123,7 +128,7 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
     P, m = X.shape[0], model.m
     n = times.size - 1
 
-    F = np.empty((P, n + 1, m, m))
+    F = empty_time_major(n + 1, P, (m, m))
     F[:, 0] = np.eye(m)
     for i in range(n):
         dt = times[i + 1] - times[i]
@@ -177,33 +182,41 @@ def flow_identity_residual(ensemble: PathEnsemble) -> float:
 
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:
     """Binary dump: magic 'QGB1', little-endian u64 header (m, d, N, P, seed),
-    then times, increments, states as little-endian float64, row-major."""
+    then times, increments, states as little-endian float64, row-major in
+    the (P, N, d) and (P, N+1, m) indexing, i.e. path-major whatever the
+    in-memory storage order."""
     n = ensemble.partition.n_steps
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<5Q", ensemble.m, ensemble.d, n,
                              ensemble.n_paths, ensemble.seed % 2 ** 64))
-        fh.write(np.ascontiguousarray(ensemble.partition.times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ensemble.increments, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ensemble.states, dtype="<f8").tobytes())
+        for a in (ensemble.partition.times, ensemble.increments, ensemble.states):
+            # path-major bytes whatever the storage order, written from the
+            # array buffer without a further bytes copy
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_ensemble(path) -> PathEnsemble:
+    """Read a dump_ensemble file into time-major arrays."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise InvalidParameters(f"not an ensemble file (bad magic {blob[:4]!r})")
-    m, d, n, p, seed = struct.unpack("<5Q", blob[4:44])
     off = 44
+    if len(blob) < off:
+        raise InvalidParameters(f"ensemble file truncated: {len(blob)}-byte header")
+    m, d, n, p, seed = struct.unpack("<5Q", blob[4:off])
     expect = (n + 1) + p * n * d + p * (n + 1) * m
+    if len(blob) - off != 8 * expect:
+        raise InvalidParameters(f"ensemble file truncated: {len(blob) - off} data "
+                                f"bytes, expected {8 * expect}")
     data = np.frombuffer(blob, dtype="<f8", offset=off)
-    if data.size != expect:
-        raise InvalidParameters(
-            f"ensemble file truncated: {data.size} floats, expected {expect}")
     times = data[: n + 1].copy()
     a = n + 1
-    inc = data[a: a + p * n * d].reshape(p, n, d).copy()
+    inc = empty_time_major(n, p, (d,))
+    inc[...] = data[a: a + p * n * d].reshape(p, n, d)
     a += p * n * d
-    states = data[a:].reshape(p, n + 1, m).copy()
+    states = empty_time_major(n + 1, p, (m,))
+    states[...] = data[a:].reshape(p, n + 1, m)
     return PathEnsemble(partition=Partition(times), seed=int(seed),
                         increments=inc, states=states)

@@ -30,7 +30,7 @@ from scipy.special import ndtr
 
 from .errors import (DomainTooSmall, InvalidParameters, NumericalBlowup,
                      PicardDivergence, RejectedModel)
-from .model import ModelSpec, Partition, nested_indices
+from .model import ModelSpec, Partition, empty_time_major, nested_indices
 from .regression import RegressionBasis, StepDesign, fit_step, project, step_design
 from .sde import PathEnsemble
 
@@ -50,8 +50,9 @@ class SolverMeta:
 class BackwardSolution:
     """Per-path backward estimates on the ensemble's grid.
 
-    Y: (P, N+1), Z: (P, N, d). Zbar holds the per-step regression of Z on the
-    state once compute_zbar has run, else None.
+    Y: (P, N+1), Z: (P, N, d), both stored time-major like the ensemble
+    (Y[:, i] and Z[:, i] are contiguous). Zbar holds the per-step regression
+    of Z on the state once compute_zbar has run, else None.
     """
 
     partition: Partition
@@ -157,8 +158,8 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     X, dW = ensemble.states, ensemble.increments
     P, n, d = X.shape[0], times.size - 1, ensemble.d
 
-    Y = np.empty((P, n + 1))
-    Z = np.empty((P, n, d))
+    Y = empty_time_major(n + 1, P)
+    Z = empty_time_major(n, P, (d,))
     Y[:, n] = terminal[:, 0]
     meta = SolverMeta(basis=basis.describe(), picard_iters=picard_iters,
                       y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
@@ -204,12 +205,12 @@ def project_window_average(fine_sol: BackwardSolution, fine_ens: PathEnsemble,
     the window; regressing it on the state at the window's left node gives
     the best (within the basis) measurable approximation of the window-mean
     control, the quantity the path-regularity sum is built from.
-    Returns (P, N_coarse, d).
+    Returns (P, N_coarse, d), stored time-major.
     """
     idx = nested_indices(coarse, fine_sol.partition)
     dtf = fine_sol.partition.dt
     P, _, d = fine_sol.Z.shape
-    out = np.empty((P, coarse.n_steps, d))
+    out = empty_time_major(coarse.n_steps, P, (d,))
     for i in range(coarse.n_steps):
         j0, j1 = idx[i], idx[i + 1]
         h = coarse.times[i + 1] - coarse.times[i]

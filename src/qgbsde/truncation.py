@@ -24,21 +24,30 @@ def smooth_clamp(level, z):
     """Componentwise C^1 clamp at the given level. Preserves input shape."""
     n = _check_level(level)
     z = np.asarray(z, dtype=np.float64)
-    az = np.abs(z)
-    ramp = (-n * n + 2.0 * n * az - az * (az - 4.0)) / 4.0
-    mag = np.where(az <= n, az, np.where(az >= n + 2.0, n + 1.0, ramp))
-    out = np.where(z < 0, -mag, mag)
-    return out if out.ndim else float(out)
+    az = np.abs(np.atleast_1d(z))
+    # magnitude min(|z|, n) + s - s^2 / 4 with s = clip(|z| - n, 0, 2): s is
+    # 0 on the identity range, which is therefore returned bit for bit, and
+    # 2 once saturated at n + 1
+    s = az - n
+    np.clip(s, 0.0, 2.0, out=s)
+    out = np.minimum(az, n, out=az)
+    out += s
+    s *= s
+    s *= 0.25
+    out -= s
+    np.copysign(out, z, out=out)
+    return out if z.ndim else float(out[0])
 
 
 def smooth_clamp_grad(level, z):
     """Derivative of smooth_clamp in z, componentwise; values in [0, 1]."""
     n = _check_level(level)
     z = np.asarray(z, dtype=np.float64)
-    az = np.abs(z)
-    ramp = (n - az + 2.0) / 2.0
-    out = np.where(az <= n, 1.0, np.where(az >= n + 2.0, 0.0, ramp))
-    return out if out.ndim else float(out)
+    s = np.abs(np.atleast_1d(z)) - n
+    np.clip(s, 0.0, 2.0, out=s)
+    s *= -0.5
+    s += 1.0
+    return s if z.ndim else float(s[0])
 
 
 def truncate_driver(model: ModelSpec, level) -> ModelSpec:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (AssumptionLevelTooLow, InvalidParameters, NumericalBlowup,
                      PicardDivergence)
-from .model import AssumptionLevel, ModelSpec
+from .model import AssumptionLevel, ModelSpec, empty_time_major
 from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble
 from .solver import BackwardSolution
@@ -27,7 +27,8 @@ from .solver import BackwardSolution
 
 @dataclass(frozen=True)
 class VariationalSolution:
-    """gradY: (P, N+1, m); gradZ: (P, N, d, m); residual filled by the check."""
+    """gradY: (P, N+1, m); gradZ: (P, N, d, m), both stored time-major like
+    the ensemble; residual filled by the check."""
 
     gradY: np.ndarray
     gradZ: np.ndarray
@@ -60,8 +61,8 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
     if base.Y.shape != (P, n + 1):
         raise InvalidParameters("base solution does not match the ensemble")
 
-    U = np.empty((P, n + 1, m))
-    V = np.empty((P, n, d, m))
+    U = empty_time_major(n + 1, P, (m,))
+    V = empty_time_major(n, P, (d, m))
     gg = np.asarray(model.g_grad(X[:, n]))
     U[:, n] = np.einsum("pa,pak->pk", gg, F[:, n])
     if not np.isfinite(U[:, n]).all():

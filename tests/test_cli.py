@@ -3,12 +3,14 @@
 import configparser
 import csv
 
+import numpy as np
 import pytest
 
+from qgbsde import cli
 from qgbsde.cli import main
-from qgbsde.model import Partition, make_quadratic
+from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_increment_stat
-from qgbsde.sde import load_ensemble
+from qgbsde.sde import dump_ensemble, load_ensemble, simulate_forward
 
 BASE = """
 [model]
@@ -190,6 +192,52 @@ def test_ensemble_cache_keeps_model_parameters_apart(tmp_path, monkeypatch):
         assert main(["--config", cfg, "--command", "simulate", "--out", str(out)]) == 0
         assert body(out) == uncached[sigma]
     assert len(list((tmp_path / "cache").glob("ens_*.bin"))) == 2
+
+
+def _report_body(out):
+    return (out / "report.csv").read_text().split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "wrong_times"])
+def test_rejected_cache_file_is_rebuilt_with_a_note(tmp_path, monkeypatch, damage):
+    cfg = _write(tmp_path, BASE)
+    assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("QGBSDE_CACHE_DIR", str(cache))
+    assert main(["--config", cfg, "--out", str(tmp_path / "first")]) == 0
+    (path,) = cache.glob("ens_*.bin")
+    if damage == "truncated":
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+    else:
+        # the requested paths on another four-step grid, under the same key
+        other = Partition(np.array([0.0, 0.1, 0.5, 0.7, 1.0]))
+        dump_ensemble(simulate_forward(make_brownian(), other, 500, 3), path)
+    out = tmp_path / "rebuilt"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert f"cache file {path.name} rejected" in (out / "summary.txt").read_text()
+    assert _report_body(out) == _report_body(tmp_path / "plain")
+    np.testing.assert_array_equal(load_ensemble(path).partition.times,
+                                  Partition.uniform(1.0, 4).times)
+    assert sorted(p.name for p in cache.iterdir()) == [path.name]  # no temp file left
+    out = tmp_path / "reused"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert "rejected" not in (out / "summary.txt").read_text()
+
+
+def test_all_simulates_each_grid_once(tmp_path, monkeypatch):
+    grids = []
+
+    def counting(model, partition, *args, **kwargs):
+        grids.append(partition.n_steps)
+        return simulate_forward(model, partition, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_forward", counting)
+    cfg = _write(tmp_path, BASE.replace("name = brownian", "name = quadratic")
+                 + "\n[truncation]\nlevels = 0.5 1.0\n")
+    assert main(["--config", cfg, "--command", "all", "--out", str(tmp_path / "o")]) == 0
+    # solve and the sweep share the 4-step ensemble; diagnose needs the fine one
+    assert grids == [4, 16]
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):

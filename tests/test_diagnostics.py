@@ -95,6 +95,18 @@ def test_z_increment_stat_crafted():
     assert z_increment_stat(sol) == 1.0
 
 
+def test_z_increment_stat_matches_whole_array_formula():
+    # the per-step loop against the (P, N, d) difference it replaced, on a
+    # path-major and a time-major copy of the same control
+    part = Partition.uniform(1.0, 6)
+    Z = np.random.default_rng(5).normal(size=(2000, 6, 2)) * np.arange(1.0, 7.0)[:, None]
+    want = float(((Z[:, 1:] - Z[:, :-1]) ** 2).sum(axis=2).mean(axis=0).max())
+    time_major = np.ascontiguousarray(Z.swapaxes(0, 1)).swapaxes(0, 1)
+    for z in (Z, time_major):
+        got = z_increment_stat(_crafted(part, np.zeros((2000, 7)), z))
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 def test_z_l2_regularity_exact_projections():
     # fine control Z_t = t, constant across paths: every projection is exact
     # and the sums reduce to closed-form Riemann sums

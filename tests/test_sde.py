@@ -194,9 +194,11 @@ def test_load_rejects_garbage(tmp_path):
     ens = simulate_forward(make_gbm(), Partition.uniform(1.0, 4), 10, 0)
     dump_ensemble(ens, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-16])  # drop the tail of the states block
-    with pytest.raises(InvalidParameters):
-        load_ensemble(path)
+    # cut after whole floats, inside a float, and inside the header
+    for cut in (blob[:-16], blob[:-3], blob[:20]):
+        path.write_bytes(cut)
+        with pytest.raises(InvalidParameters):
+            load_ensemble(path)
 
 
 def test_ensemble_shape_validation():

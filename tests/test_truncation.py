@@ -87,6 +87,36 @@ def test_grad_matches_finite_difference(n, z):
         assert smooth_clamp_grad(n, z) == pytest.approx(fd, abs=1e-6)
 
 
+def _piecewise_clamp(n, z):
+    """The clamp and its derivative written branch by branch."""
+    az = np.abs(z)
+    with np.errstate(over="ignore", invalid="ignore"):  # unused ramp at |z| = inf
+        ramp = (-n * n + 2.0 * n * az - az * (az - 4.0)) / 4.0
+    mag = np.where(az <= n, az, np.where(az >= n + 2.0, n + 1.0, ramp))
+    grad = np.where(az <= n, 1.0, np.where(az >= n + 2.0, 0.0, (n - az + 2.0) / 2.0))
+    return np.where(z < 0, -mag, mag), grad
+
+
+def test_clamp_matches_piecewise_formula():
+    # exact on the identity and saturated ranges (the sweep's zero error
+    # above the realized max |Z| rests on the identity range), rounding-level
+    # on the ramp
+    rng = np.random.default_rng(11)
+    for n in range(13):
+        z = np.concatenate([rng.uniform(-(n + 4.0), n + 4.0, 20000),
+                            [0.0, n, -n, n + 2.0, -(n + 2.0), 1e300, -np.inf]])
+        want, want_grad = _piecewise_clamp(float(n), z)
+        got, got_grad = smooth_clamp(n, z), smooth_clamp_grad(n, z)
+        az = np.abs(z)
+        flat = (az <= n) | (az >= n + 2.0)
+        assert flat.sum() > 1000 and (~flat).sum() > 1000
+        np.testing.assert_array_equal(got[flat], want[flat])
+        np.testing.assert_array_equal(got_grad[flat], want_grad[flat])
+        np.testing.assert_allclose(got[~flat], want[~flat], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(got_grad[~flat], want_grad[~flat],
+                                   rtol=1e-14, atol=1e-15)
+
+
 def test_level_validation():
     with pytest.raises(InvalidParameters):
         smooth_clamp(-1.0, 0.0)
