@@ -30,17 +30,16 @@ from .variational import (RepresentationReport, VariationalSolution,
                           representation_check, solve_variational_bsde)
 from .oracle import (OracleResult, bmo_bound, cole_hopf_from_model,
                      cole_hopf_increment_stat, cole_hopf_reference)
-from .diagnostics import (BmoEstimate, DiagnosticsReport, OrderFit,
-                          TruncationCurve, TruncationPoint, bmo_estimate,
-                          effective_qbar, fit_convergence_order,
-                          truncation_error_curve, y_increment_stat,
-                          z_increment_stat, z_l2_regularity)
+from .diagnostics import (BmoEstimate, OrderFit, TruncationCurve,
+                          TruncationPoint, bmo_estimate, effective_qbar,
+                          fit_convergence_order, truncation_error_curve,
+                          y_increment_stat, z_increment_stat, z_l2_regularity)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionLevel", "AssumptionLevelTooLow", "BackwardSolution",
-    "BmoEstimate", "ConfigError", "DegenerateRegression", "DiagnosticsReport",
+    "BmoEstimate", "ConfigError", "DegenerateRegression",
     "DomainTooSmall", "FitInfo", "GridMismatch", "InvalidParameters",
     "InvalidPartition", "InvalidPoints", "ModelSpec", "NumericalBlowup",
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",

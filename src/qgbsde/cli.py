@@ -17,6 +17,14 @@ Every run writes the same artifact set into the output directory:
     config_resolved.ini  every effective setting made explicit
     ensemble.bin         the simulated paths (simulate, or write_ensemble = true)
 
+Every key outside [model] is one row of the _SETTINGS table: section, key,
+parser, default, INI format and range check. RunContext reads the rows in one
+loop (--seed, --workers and --out stand in for the rows of the same name) and
+checks them in a second, so a bad value exits 2 before anything is simulated.
+config_resolved.ini is written from the same rows, and passed back as
+--config it reproduces the run. The [model] keys are the parameters of the
+chosen preset in model.PRESETS, each parsed as the type of its default.
+
 Exit codes: 0 success, 1 numerical failure during the run, 2 configuration
 error. With --strict, runs that produced warnings also exit 1.
 
@@ -35,10 +43,12 @@ import configparser
 import csv
 import datetime
 import hashlib
+import inspect
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -59,28 +69,85 @@ from .variational import representation_check, solve_variational_bsde
 
 COMMANDS = ("simulate", "solve", "converge", "truncate_sweep", "diagnose", "all")
 
-_SECTIONS = {
-    "model": {"name", "gamma", "terminal", "kappa", "sigma", "x0", "horizon",
-              "rate", "mu", "vol"},
-    "grid": {"n_steps", "refine_factor", "ladder"},
-    "mc": {"n_paths", "seed", "workers"},
-    "solver": {"basis", "degree", "cells_per_dim", "picard_iters", "clamp",
-               "space_nodes", "gh_nodes", "space_bound"},
-    "truncation": {"level", "levels", "reference_level", "oracle_reference"},
-    "outputs": {"directory", "experiment_id", "write_ensemble"},
-}
-
-_PRESET_KEYS = {
-    "brownian": {"x0", "horizon", "terminal", "kappa"},
-    "discount": {"rate", "x0", "horizon"},
-    "gbm": {"mu", "vol", "x0", "horizon"},
-    "quadratic": {"gamma", "terminal", "kappa", "sigma", "x0", "horizon", "rate"},
-}
-
-_STR_KEYS = {"terminal"}
-
 
 # ---------------------------------------------------------------- config ---
+
+class _Setting(NamedTuple):
+    """One key outside [model]: how it is read, checked and written back."""
+
+    section: str
+    key: str
+    parse: Callable[[str], Any]  # INI text -> value; ValueError when malformed
+    default: Any  # a value, or a function of the context read so far
+    fmt: Callable[[Any], str] = str  # value -> INI text that parses back to it
+    check: tuple | None = None  # (valid(value, ctx), what a valid value is)
+
+
+def _bool(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+def _list(cast):
+    return lambda text: tuple(cast(tok) for tok in text.replace(",", " ").split())
+
+
+def _join(fmt):
+    return lambda values: " ".join(fmt(v) for v in values)
+
+
+def _short(x):
+    """%g when that reads back as the same float, repr otherwise."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(x)
+
+
+def _flag(value):
+    return str(value).lower()
+
+
+def _at_least(lo):
+    return (lambda v, ctx: v >= lo), f"must be >= {lo}"
+
+
+_INCREASING = ((lambda v, ctx: bool(v) and min(v) > 0 and list(v) == sorted(set(v))),
+               "must be a strictly increasing list of positive numbers")
+
+_SETTINGS = (
+    _Setting("grid", "n_steps", int, 64, check=_at_least(1)),
+    _Setting("grid", "refine_factor", int, 4, check=_at_least(2)),
+    _Setting("grid", "ladder", _list(int), (8, 16, 32, 64), _join(str), _INCREASING),
+    _Setting("mc", "n_paths", int, 100_000, check=_at_least(100)),
+    _Setting("mc", "seed", int, 7,
+             check=((lambda v, ctx: 0 <= v < 2 ** 64), "must lie in [0, 2**64)")),
+    _Setting("mc", "workers", int, 1, check=_at_least(1)),
+    # basis, degree and cells_per_dim make up ctx.basis, a RegressionBasis,
+    # which checks their ranges
+    _Setting("solver", "basis", str, "global_polynomial", lambda basis: basis.kind),
+    _Setting("solver", "degree", int, 4),
+    _Setting("solver", "cells_per_dim", int, 50),
+    _Setting("solver", "picard_iters", int, 3, check=_at_least(1)),
+    _Setting("solver", "clamp", _bool, False, _flag),
+    _Setting("solver", "space_nodes", int, 128, check=_at_least(8)),
+    _Setting("solver", "gh_nodes", int, 64, check=_at_least(1)),
+    _Setting("solver", "space_bound",  # auto (None): derived from sigma
+             lambda t: None if t == "auto" else float(t), None,
+             lambda v: "auto" if v is None else repr(v)),
+    _Setting("truncation", "level", float, 10.0, repr,
+             ((lambda v, ctx: 0 <= v < math.inf), "must be finite and >= 0")),
+    _Setting("truncation", "levels", _list(float), (1.0, 2.0, 3.0, 4.0, 6.0, 8.0),
+             _join(_short), _INCREASING),
+    _Setting("truncation", "reference_level", float,
+             lambda ctx: 2.0 * max(ctx.levels, default=0.0), repr,
+             ((lambda v, ctx: v > ctx.levels[-1]), "must exceed the largest of levels")),
+    _Setting("truncation", "oracle_reference", _bool, False, _flag),
+    _Setting("outputs", "directory", Path, Path("qgbsde_out")),
+    _Setting("outputs", "experiment_id", str, None,  # None: {command}_{model}
+             lambda v: v or ""),
+    _Setting("outputs", "write_ensemble", _bool, False, _flag),
+)
+
 
 def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -91,114 +158,70 @@ def _load_config(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    known = {"model": {"name"}.union(*(inspect.signature(make).parameters
+                                       for make in PRESETS.values()))}
+    for s in _SETTINGS:
+        known.setdefault(s.section, set()).add(s.key)
     for sec in cfg.sections():
-        if sec not in _SECTIONS:
+        if sec not in known:
             raise ConfigError(f"unknown section [{sec}] "
-                              f"(known: {', '.join(sorted(_SECTIONS))})")
-        extra = set(cfg[sec]) - _SECTIONS[sec]
+                              f"(known: {', '.join(sorted(known))})")
+        extra = set(cfg[sec]) - known[sec]
         if extra:
             raise ConfigError(f"unknown keys in [{sec}]: {', '.join(sorted(extra))}")
     return cfg
 
 
-def _get(cfg, sec, key, cast, default):
-    raw = cfg.get(sec, key, fallback=None)
-    if raw is None or raw.strip() == "":
+def _read(cfg, sec, key, parse, default, override=None):
+    """One setting from its override or its INI text; blank or absent text
+    means the default."""
+    text = cfg.get(sec, key, fallback="") if override is None else str(override)
+    if not text.strip():
         return default
     try:
-        if cast is bool:
-            return cfg.getboolean(sec, key)
-        return cast(raw)
+        return parse(text)
     except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key}: cannot parse {raw!r} as {cast.__name__}") from exc
-
-
-def _get_list(cfg, sec, key, cast, default):
-    raw = cfg.get(sec, key, fallback=None)
-    if raw is None or raw.strip() == "":
-        return list(default)
-    try:
-        return [cast(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"[{sec}] {key}: cannot parse list {raw!r}") from exc
+        raise ConfigError(f"[{sec}] {key}: cannot parse {text!r}") from exc
 
 
 def _build_model(cfg) -> ModelSpec:
-    name = _get(cfg, "model", "name", str, "quadratic")
+    name = _read(cfg, "model", "name", str, "quadratic")
     if name not in PRESETS:
         raise ConfigError(f"[model] name: unknown model {name!r} "
                           f"(known: {', '.join(sorted(PRESETS))})")
-    kwargs = {}
-    for key in _PRESET_KEYS[name]:
-        cast = str if key in _STR_KEYS else float
-        val = _get(cfg, "model", key, cast, None)
-        if val is not None:
-            kwargs[key] = val
-    stray = [k for k in (set(cfg["model"]) - {"name"} if cfg.has_section("model") else set())
-             if k not in _PRESET_KEYS[name]]
+    params = inspect.signature(PRESETS[name]).parameters
+    stray = set(cfg["model"]) - {"name", *params} if cfg.has_section("model") else set()
     if stray:
         raise ConfigError(f"[model] keys {sorted(stray)} do not apply to {name!r}")
+    kwargs = {key: _read(cfg, "model", key, type(p.default), None)
+              for key, p in params.items()}
     try:
-        return PRESETS[name](**kwargs)
+        return PRESETS[name](**{k: v for k, v in kwargs.items() if v is not None})
     except QgbsdeError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
 
 
-def _build_basis(cfg) -> RegressionBasis:
-    kind = _get(cfg, "solver", "basis", str, "global_polynomial")
-    try:
-        return RegressionBasis(
-            kind=kind,
-            degree=_get(cfg, "solver", "degree", int, 4),
-            cells_per_dim=_get(cfg, "solver", "cells_per_dim", int, 50),
-        )
-    except QgbsdeError as exc:
-        raise ConfigError(f"[solver]: {exc}") from exc
-
-
 class RunContext:
-    """Resolved settings plus accumulators for rows and warnings."""
+    """Resolved settings plus accumulators for rows and warnings.
+
+    Every _SETTINGS row becomes the attribute named by its key."""
 
     def __init__(self, cfg, args):
         self.model = _build_model(cfg)
-        self.basis = _build_basis(cfg)
-        self.n_steps = _get(cfg, "grid", "n_steps", int, 64)
-        self.refine_factor = _get(cfg, "grid", "refine_factor", int, 4)
-        self.ladder = _get_list(cfg, "grid", "ladder", int, (8, 16, 32, 64))
-        self.n_paths = _get(cfg, "mc", "n_paths", int, 100_000)
-        self.seed = args.seed if args.seed is not None else _get(cfg, "mc", "seed", int, 7)
-        self.workers = (args.workers if args.workers is not None
-                        else _get(cfg, "mc", "workers", int, 1))
-        self.picard_iters = _get(cfg, "solver", "picard_iters", int, 3)
-        self.clamp = _get(cfg, "solver", "clamp", bool, False)
-        self.space_nodes = _get(cfg, "solver", "space_nodes", int, 128)
-        self.gh_nodes = _get(cfg, "solver", "gh_nodes", int, 64)
-        self.space_bound = _get(cfg, "solver", "space_bound", float, None)
-        self.trunc_level = _get(cfg, "truncation", "level", float, 10.0)
-        self.trunc_levels = _get_list(cfg, "truncation", "levels", float,
-                                      (1.0, 2.0, 3.0, 4.0, 6.0, 8.0))
-        self.reference_level = _get(cfg, "truncation", "reference_level", float, None)
-        self.oracle_reference = _get(cfg, "truncation", "oracle_reference", bool, False)
-        out = args.out if args.out is not None else _get(
-            cfg, "outputs", "directory", str, "qgbsde_out")
-        self.out_dir = Path(out)
-        self.experiment_id = _get(cfg, "outputs", "experiment_id", str, "") or None
-        self.write_ensemble = _get(cfg, "outputs", "write_ensemble", bool, False)
-        if self.n_steps < 1:
-            raise ConfigError(f"[grid] n_steps must be positive, got {self.n_steps}")
-        if self.n_paths < 100:
-            raise ConfigError(f"[mc] n_paths must be at least 100, got {self.n_paths}")
-        if self.refine_factor < 2:
-            raise ConfigError(f"[grid] refine_factor must be >= 2, got {self.refine_factor}")
-        if any(n < 1 for n in self.ladder) or sorted(set(self.ladder)) != self.ladder:
-            raise ConfigError(f"[grid] ladder must be strictly increasing positive "
-                              f"integers, got {self.ladder}")
-        if (any(n <= 0 for n in self.trunc_levels)
-                or sorted(set(self.trunc_levels)) != self.trunc_levels):
-            raise ConfigError(f"[truncation] levels must be strictly increasing "
-                              f"and positive, got {self.trunc_levels}")
-        if self.picard_iters < 1:
-            raise ConfigError(f"[solver] picard_iters must be >= 1, got {self.picard_iters}")
+        overrides = {"seed": args.seed, "workers": args.workers, "directory": args.out}
+        for s in _SETTINGS:
+            default = s.default(self) if callable(s.default) else s.default
+            setattr(self, s.key, _read(cfg, s.section, s.key, s.parse, default,
+                                       overrides.get(s.key)))
+        for s in _SETTINGS:
+            value = getattr(self, s.key)
+            if s.check is not None and not s.check[0](value, self):
+                raise ConfigError(f"[{s.section}] {s.key} {s.check[1]}, got {value}")
+        try:
+            self.basis = RegressionBasis(kind=self.basis, degree=self.degree,
+                                         cells_per_dim=self.cells_per_dim)
+        except QgbsdeError as exc:
+            raise ConfigError(f"[solver]: {exc}") from exc
         self.rows = []
         self.summary = []
         self.warnings = []
@@ -207,23 +230,29 @@ class RunContext:
 
     def solver_model(self) -> ModelSpec:
         """The model actually handed to the backward solvers: quadratic-growth
-        drivers get the configured truncation level applied."""
-        if self.model.driver_z_lipschitz is None:
-            return truncate_driver(self.model, self.trunc_level)
-        return self.model
+        drivers get the configured truncation level applied, with a note."""
+        if self.model.driver_z_lipschitz is not None:
+            return self.model
+        model = truncate_driver(self.model, self.level)
+        self.note(f"driver truncated at level {self.level:g}")
+        return model
 
-    def y_clamp_for(self, model, ensemble) -> float | None:
-        """A-priori sup bound for Y when the clamp flag is on.
+    def solve(self, model, ensemble):
+        """Backward regression solve with the configured basis and Picard count.
 
+        With the clamp flag on, |Y| is capped at the a-priori bound
         exp(M T) (sup|xi| + M T) with the terminal sup taken empirically over
         the simulated paths; for M = 0 this degrades to the exact martingale
         bound sup|xi|.
         """
-        if not self.clamp:
-            return None
-        xi = float(np.abs(np.asarray(model.g(ensemble.states[:, -1]))).max())
-        M = model.growth_M
-        return math.exp(M * model.T) * (xi + M * model.T)
+        y_clamp = None
+        if self.clamp:
+            xi = float(np.abs(np.asarray(model.g(ensemble.states[:, -1]))).max())
+            M = model.growth_M
+            y_clamp = math.exp(M * model.T) * (xi + M * model.T)
+        return solve_backward_regression(model, ensemble, self.basis,
+                                         picard_iters=self.picard_iters,
+                                         y_clamp=y_clamp)
 
     def add(self, statistic_name, value, std_error=None, n_trunc=None,
             n_steps=None, n_paths=None):
@@ -396,8 +425,8 @@ def cmd_simulate(ctx: RunContext):
     ctx.add("x_max_abs", np.abs(ens.states).max())
     ctx.note(f"simulated {ens.n_paths} paths on {part.n_steps} steps, "
              f"E[X_T] = {xt.mean(axis=0)}")
-    ctx.out_dir.mkdir(parents=True, exist_ok=True)
-    dump_ensemble(ens, ctx.out_dir / "ensemble.bin")
+    ctx.directory.mkdir(parents=True, exist_ok=True)
+    dump_ensemble(ens, ctx.directory / "ensemble.bin")
     ctx.note("wrote ensemble.bin")
     return ens
 
@@ -406,11 +435,7 @@ def cmd_solve(ctx: RunContext):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     ens = get_ensemble(ctx, part)
     model = ctx.solver_model()
-    if model is not ctx.model:
-        ctx.note(f"driver truncated at level {ctx.trunc_level:g}")
-    sol = solve_backward_regression(model, ens, ctx.basis,
-                                    picard_iters=ctx.picard_iters,
-                                    y_clamp=ctx.y_clamp_for(model, ens))
+    sol = ctx.solve(model, ens)
     y0 = sol.y0
     z0 = float(sol.z0[0]) if ctx.model.d == 1 else None
     ctx.add("y0", y0)
@@ -433,8 +458,8 @@ def cmd_solve(ctx: RunContext):
         except DomainTooSmall as exc:
             ctx.warn(f"quadrature cross-check skipped: {exc}")
     if ctx.write_ensemble:
-        ctx.out_dir.mkdir(parents=True, exist_ok=True)
-        dump_ensemble(ens, ctx.out_dir / "ensemble.bin")
+        ctx.directory.mkdir(parents=True, exist_ok=True)
+        dump_ensemble(ens, ctx.directory / "ensemble.bin")
         ctx.note("wrote ensemble.bin")
     return sol
 
@@ -449,17 +474,11 @@ def cmd_converge(ctx: RunContext):
     solution's own value; elsewhere its ratios to the mesh are noted.
     """
     model = ctx.solver_model()
-    if model is not ctx.model:
-        ctx.note(f"driver truncated at level {ctx.trunc_level:g}")
     meshes, zsums, ystats, grids = [], [], [], []
     for n in ctx.ladder:
         ens_c, ens_f = _coarse_fine_pair(ctx, n)
-        sol_c = solve_backward_regression(model, ens_c, ctx.basis,
-                                          picard_iters=ctx.picard_iters,
-                                          y_clamp=ctx.y_clamp_for(model, ens_c))
-        sol_f = solve_backward_regression(model, ens_f, ctx.basis,
-                                          picard_iters=ctx.picard_iters,
-                                          y_clamp=ctx.y_clamp_for(model, ens_f))
+        sol_c = ctx.solve(model, ens_c)
+        sol_f = ctx.solve(model, ens_f)
         mesh = ens_c.partition.mesh
         zsum = z_l2_regularity(sol_c, sol_f, ensemble=ens_f, basis=ctx.basis,
                                projection="window")
@@ -514,7 +533,7 @@ def cmd_truncate_sweep(ctx: RunContext):
                           "(the driver is already Lipschitz)")
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     ens = get_ensemble(ctx, part)
-    curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.trunc_levels,
+    curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels,
                                    reference_level=ctx.reference_level,
                                    picard_iters=ctx.picard_iters)
     for p in curve.points:
@@ -567,16 +586,10 @@ def _sweep_oracle_rows(ctx: RunContext, curve):
 
 def cmd_diagnose(ctx: RunContext):
     model = ctx.solver_model()
-    if model is not ctx.model:
-        ctx.note(f"driver truncated at level {ctx.trunc_level:g}")
     ens_c, ens_f = _coarse_fine_pair(ctx, ctx.n_steps)
     coarse = ens_c.partition
-    sol_c = solve_backward_regression(model, ens_c, ctx.basis,
-                                      picard_iters=ctx.picard_iters,
-                                      y_clamp=ctx.y_clamp_for(model, ens_c))
-    sol_f = solve_backward_regression(model, ens_f, ctx.basis,
-                                      picard_iters=ctx.picard_iters,
-                                      y_clamp=ctx.y_clamp_for(model, ens_f))
+    sol_c = ctx.solve(model, ens_c)
+    sol_f = ctx.solve(model, ens_f)
 
     ystat = y_increment_stat(sol_c, sol_f)
     ratio = ystat / coarse.mesh
@@ -624,26 +637,13 @@ def cmd_diagnose(ctx: RunContext):
         ctx.warn(f"variational check skipped: {exc}")
 
 
-def _run_command(ctx: RunContext, command: str):
-    if command == "simulate":
-        cmd_simulate(ctx)
-    elif command == "solve":
-        cmd_solve(ctx)
-    elif command == "converge":
-        cmd_converge(ctx)
-    elif command == "truncate_sweep":
+def cmd_all(ctx: RunContext):
+    cmd_solve(ctx)
+    if ctx.model.driver_z_lipschitz is None:
         cmd_truncate_sweep(ctx)
-    elif command == "diagnose":
-        cmd_diagnose(ctx)
-    elif command == "all":
-        cmd_solve(ctx)
-        if ctx.model.driver_z_lipschitz is None:
-            cmd_truncate_sweep(ctx)
-        else:
-            ctx.note("truncation sweep skipped: driver already Lipschitz")
-        cmd_diagnose(ctx)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown command {command!r}")
+    else:
+        ctx.note("truncation sweep skipped: driver already Lipschitz")
+    cmd_diagnose(ctx)
 
 
 # ---------------------------------------------------------------- outputs ---
@@ -654,53 +654,35 @@ _CSV_COLUMNS = ("experiment_id", "model", "N", "P", "seed", "n_trunc",
 
 def _resolved_config(ctx: RunContext) -> configparser.ConfigParser:
     """Every effective setting, defaults included, as an INI document."""
-    meta = {k: v for k, v in ctx.model.meta.items() if k != "preset"}
     out = configparser.ConfigParser()
     out["model"] = {"name": ctx.model.meta.get("preset", ctx.model.name),
                     "x0": repr(float(ctx.model.x0[0])),
                     "horizon": repr(ctx.model.T),
-                    **{k: str(v) for k, v in sorted(meta.items())}}
-    out["grid"] = {"n_steps": str(ctx.n_steps),
-                   "refine_factor": str(ctx.refine_factor),
-                   "ladder": " ".join(str(n) for n in ctx.ladder)}
-    out["mc"] = {"n_paths": str(ctx.n_paths), "seed": str(ctx.seed),
-                 "workers": str(ctx.workers)}
-    out["solver"] = {"basis": ctx.basis.kind, "degree": str(ctx.basis.degree),
-                     "cells_per_dim": str(ctx.basis.cells_per_dim),
-                     "picard_iters": str(ctx.picard_iters),
-                     "clamp": str(ctx.clamp).lower(),
-                     "space_nodes": str(ctx.space_nodes),
-                     "gh_nodes": str(ctx.gh_nodes),
-                     "space_bound": ("auto" if ctx.space_bound is None
-                                     else repr(ctx.space_bound))}
-    out["truncation"] = {"level": repr(ctx.trunc_level),
-                         "levels": " ".join(f"{n:g}" for n in ctx.trunc_levels),
-                         "reference_level": (repr(2.0 * ctx.trunc_levels[-1])
-                                             if ctx.reference_level is None
-                                             else repr(ctx.reference_level)),
-                         "oracle_reference": str(ctx.oracle_reference).lower()}
-    out["outputs"] = {"directory": str(ctx.out_dir),
-                      "experiment_id": ctx.experiment_id or "",
-                      "write_ensemble": str(ctx.write_ensemble).lower()}
+                    **{k: str(v) for k, v in sorted(ctx.model.meta.items())
+                       if k != "preset"}}
+    for s in _SETTINGS:
+        if not out.has_section(s.section):
+            out.add_section(s.section)
+        out[s.section][s.key] = s.fmt(getattr(ctx, s.key))
     return out
 
 
 def _write_outputs(ctx: RunContext, command: str):
-    ctx.out_dir.mkdir(parents=True, exist_ok=True)
+    ctx.directory.mkdir(parents=True, exist_ok=True)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(ctx.out_dir / "report.csv", "w", newline="") as fh:
+    with open(ctx.directory / "report.csv", "w", newline="") as fh:
         fh.write(f"# generated {stamp}\n")
         writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in ctx.rows:
             writer.writerow(row)
-    with open(ctx.out_dir / "summary.txt", "w") as fh:
+    with open(ctx.directory / "summary.txt", "w") as fh:
         fh.write(f"command: {command}\n")
         fh.write(f"model: {ctx.model.name}  grid: {ctx.n_steps} steps  "
                  f"paths: {ctx.n_paths}  seed: {ctx.seed}\n")
         for line in ctx.summary:
             fh.write(line + "\n")
-    with open(ctx.out_dir / "config_resolved.ini", "w") as fh:
+    with open(ctx.directory / "config_resolved.ini", "w") as fh:
         _resolved_config(ctx).write(fh)
 
 
@@ -727,15 +709,11 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        ctx = RunContext(cfg, args)
+        ctx = RunContext(_load_config(args.config), args)
         if ctx.experiment_id is None:
             ctx.experiment_id = f"{args.command}_{ctx.model.name}"
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _run_command(ctx, args.command)
+        # looked up by name at call time, so a rebound cmd_* function is the one run
+        globals()[f"cmd_{args.command}"](ctx)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -745,7 +723,7 @@ def main(argv=None) -> int:
     _write_outputs(ctx, args.command)
     for line in ctx.warnings:
         print(f"warning: {line}", file=sys.stderr)
-    print(f"wrote {ctx.out_dir / 'report.csv'} ({len(ctx.rows)} statistics)")
+    print(f"wrote {ctx.directory / 'report.csv'} ({len(ctx.rows)} statistics)")
     if args.strict and ctx.warnings:
         print("strict mode: warnings are fatal", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ order (and the implied tail exponent) is fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,39 +239,3 @@ def effective_qbar(curve: TruncationCurve, floor_rel: float = 1e-6) -> tuple[flo
     if fit.slope >= 0.0:
         return None
     return -1.0 / (2.0 * fit.slope), fit
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Container the experiment driver fills in; fields default to absent."""
-    y_increment_sq: float | None = None
-    y_increment_ratio: float | None = None
-    z_regularity_sum: float | None = None
-    z_regularity_node: float | None = None
-    z_increment_sq: float | None = None
-    bmo_estimate: float | None = None
-    bmo_plain: float | None = None
-    bmo_bound_value: float | None = None
-    truncation_curve: TruncationCurve | None = None
-    effective_qbar: float | None = None
-    fitted_orders: dict = field(default_factory=dict)
-    seeds_and_sizes: dict = field(default_factory=dict)
-
-    def rows(self):
-        """Flatten to (statistic_name, value) pairs for tabular output."""
-        out = []
-        for name in ("y_increment_sq", "y_increment_ratio", "z_regularity_sum",
-                     "z_regularity_node", "z_increment_sq", "bmo_estimate",
-                     "bmo_plain", "bmo_bound_value", "effective_qbar"):
-            val = getattr(self, name)
-            if val is not None:
-                out.append((name, float(val)))
-        for key, fit in self.fitted_orders.items():
-            out.append((f"order_{key}", fit.slope))
-            out.append((f"order_{key}_r2", fit.r_squared))
-        if self.truncation_curve is not None:
-            for p in self.truncation_curve.points:
-                out.append((f"trunc_err_y_n{p.level:g}", p.err_y))
-                out.append((f"trunc_err_z_n{p.level:g}", p.err_z))
-            out.append(("trunc_realized_max_z", self.truncation_curve.realized_max_z))
-        return out

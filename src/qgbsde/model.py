@@ -30,12 +30,10 @@ class AssumptionLevel(enum.IntEnum):
 
     HX0Y0: Lipschitz forward coefficients, bounded terminal, quadratic driver.
     HX1Y1: adds differentiability (Jacobians and driver gradients present).
-    HX2Y2: adds bounded second derivatives; accepted but not separately used.
     """
 
     HX0Y0 = 0
     HX1Y1 = 1
-    HX2Y2 = 2
 
 
 @dataclass(frozen=True)
@@ -145,11 +143,8 @@ class ModelSpec:
     f_y: callable | None = None
     f_z: callable | None = None
     g_grad: callable | None = None
-    lipschitz_K: float = 0.0
     growth_M: float = 0.0
     driver_z_lipschitz: float | None = None
-    driver_y_lipschitz: float | None = None
-    ellipticity_c: float | None = None
     assumption_level: AssumptionLevel = AssumptionLevel.HX0Y0
     meta: dict = field(default_factory=dict)
 
@@ -162,7 +157,7 @@ class ModelSpec:
         if x0.shape != (self.m,):
             raise InvalidParameters(f"x0 must have shape ({self.m},), got {x0.shape}")
         object.__setattr__(self, "x0", x0)
-        if self.lipschitz_K < 0 or self.growth_M < 0:
+        if self.growth_M < 0:
             raise InvalidParameters("certified constants must be nonnegative")
         if self.assumption_level >= AssumptionLevel.HX1Y1:
             missing = [n for n in ("b_jac", "sigma_jac", "f_x", "f_y", "f_z", "g_grad")
@@ -234,9 +229,8 @@ def make_brownian(x0: float = 0.0, horizon: float = 1.0,
         f_y=lambda t, x, y, z: np.zeros(x.shape[0]),
         f_z=lambda t, x, y, z: np.zeros_like(z),
         g_grad=g_grad,
-        lipschitz_K=0.0, growth_M=0.0, driver_z_lipschitz=0.0,
-        driver_y_lipschitz=0.0, ellipticity_c=1.0,
-        assumption_level=AssumptionLevel.HX2Y2,
+        growth_M=0.0, driver_z_lipschitz=0.0,
+        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "brownian", "terminal": terminal, "kappa": kappa},
     )
 
@@ -257,9 +251,8 @@ def make_discount(rate: float = 0.1, x0: float = 0.0, horizon: float = 1.0) -> M
         f_y=lambda t, x, y, z: np.full(x.shape[0], -rate),
         f_z=lambda t, x, y, z: np.zeros_like(z),
         g_grad=lambda x: np.zeros_like(x),
-        lipschitz_K=0.0, growth_M=rate, driver_z_lipschitz=0.0,
-        driver_y_lipschitz=rate, ellipticity_c=1.0,
-        assumption_level=AssumptionLevel.HX2Y2,
+        growth_M=rate, driver_z_lipschitz=0.0,
+        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "discount", "rate": rate},
     )
 
@@ -279,9 +272,8 @@ def make_gbm(mu: float = 0.05, vol: float = 0.2, x0: float = 1.0,
         f_y=lambda t, x, y, z: np.zeros(x.shape[0]),
         f_z=lambda t, x, y, z: np.zeros_like(z),
         g_grad=lambda x: np.ones_like(x),
-        lipschitz_K=max(abs(mu), abs(vol)), growth_M=0.0,
-        driver_z_lipschitz=0.0, driver_y_lipschitz=0.0,
-        assumption_level=AssumptionLevel.HX2Y2,
+        growth_M=0.0, driver_z_lipschitz=0.0,
+        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "gbm", "mu": mu, "vol": vol},
     )
 
@@ -333,10 +325,8 @@ def make_quadratic(gamma: float = 1.0, terminal: str = "tanh", kappa: float = 1.
         f_y=lambda t, x, y, z: np.full(x.shape[0], -rate),
         f_z=lambda t, x, y, z: gamma * z,
         g_grad=g_grad,
-        lipschitz_K=0.0, growth_M=max(rate, 0.5 * abs(gamma)),
-        driver_z_lipschitz=None, driver_y_lipschitz=rate,
-        ellipticity_c=sigma ** 2,
-        assumption_level=AssumptionLevel.HX2Y2,
+        growth_M=max(rate, 0.5 * abs(gamma)), driver_z_lipschitz=None,
+        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "quadratic", "gamma": gamma, "terminal": terminal,
               "kappa": kappa, "sigma": sigma, "rate": rate},
     )

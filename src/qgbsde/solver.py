@@ -236,6 +236,8 @@ def solve_quadrature_1d(model: ModelSpec, partition: Partition,
         raise InvalidParameters("quadrature solver handles m = d = 1 only")
     if space_nodes < 8:
         raise InvalidParameters(f"space_nodes must be >= 8, got {space_nodes}")
+    if gh_nodes < 1:
+        raise InvalidParameters(f"gh_nodes must be >= 1, got {gh_nodes}")
     times = partition.times
     x0 = float(model.x0[0])
     T = partition.horizon

@@ -13,7 +13,7 @@ internal consistency check between two independently regressed objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +28,10 @@ from .solver import BackwardSolution
 @dataclass(frozen=True)
 class VariationalSolution:
     """gradY: (P, N+1, m); gradZ: (P, N, d, m), both stored time-major like
-    the ensemble; residual filled by the check."""
+    the ensemble."""
 
     gradY: np.ndarray
     gradZ: np.ndarray
-    representation_residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,3 @@ def representation_check(model: ModelSpec, ensemble: PathEnsemble,
         peak[i] = float(np.sqrt(sq.max()))
     return RepresentationReport(per_node_rms=rms, per_node_max=peak,
                                 time_avg_rms=float(rms.mean()))
-
-
-def attach_residual(var: VariationalSolution,
-                    report: RepresentationReport) -> VariationalSolution:
-    return replace(var, representation_residual=report.time_avg_rms)

@@ -81,22 +81,53 @@ def test_solve_writes_full_artifact_set(tmp_path):
     assert resolved["solver"]["space_bound"] == "auto"
 
 
-def test_config_errors_exit_2_and_write_nothing(tmp_path):
+def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad config must be rejected before any simulation")
+
+    monkeypatch.setattr(cli, "simulate_forward", never)
     bad = (
-        BASE + "\n[plotting]\nstyle = dark\n",          # unknown section
-        BASE + "\n[truncation]\nlevels = 3 2 1\n",      # not increasing
-        BASE.replace("n_paths = 500", "n_paths = 50"),  # too few paths
-        BASE.replace("name = brownian", "name = heston"),
-        BASE.replace("n_steps = 4", "n_steps = few"),
-        BASE + "\n[outputs]\nformat = json\n",          # unknown key
-        BASE.replace("[mc]", "[mc]\ngamma = 1.0\n[extra_mc]"[:4] + "]"),
+        (BASE + "\n[plotting]\nstyle = dark\n", []),          # unknown section
+        (BASE + "\n[truncation]\nlevels = 3 2 1\n", []),      # not increasing
+        (BASE.replace("n_paths = 500", "n_paths = 50"), []),  # too few paths
+        (BASE.replace("name = brownian", "name = heston"), []),
+        (BASE.replace("n_steps = 4", "n_steps = few"), []),
+        (BASE + "\n[outputs]\nformat = json\n", []),          # unknown key
+        (BASE.replace("[mc]", "[mc]\ngamma = 1.0"), []),      # model key under [mc]
+        (BASE.replace("seed = 3", "seed = 3\nworkers = 0"), []),
+        (BASE, ["--workers", "0"]),
+        (BASE.replace("seed = 3", "seed = -1"), []),
+        (BASE.replace("seed = 3", f"seed = {2 ** 64}"), []),
+        (BASE, ["--seed", "-1"]),
+        (BASE + "space_nodes = 0\n", []),
+        (BASE + "gh_nodes = 0\n", []),
+        (BASE + "\n[truncation]\nlevel = -1\n", []),
+        (BASE + "\n[truncation]\nlevels = 1 2\nreference_level = 2\n", []),
     )
-    for i, text in enumerate(bad[:-1]):
+    for i, (text, flags) in enumerate(bad):
         cfg = _write(tmp_path, text, name=f"bad{i}.ini")
         out = tmp_path / f"bad_out{i}"
-        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert main(["--config", cfg, "--out", str(out), *flags]) == 2, (i, text, flags)
         assert not out.exists()
     assert main(["--config", str(tmp_path / "absent.ini")]) == 2
+
+
+def test_resolved_config_reproduces_the_run(tmp_path):
+    # a level that %g would round must be written back exactly
+    cfg = _write(tmp_path, BASE.replace("name = brownian", "name = quadratic")
+                 + "\n[truncation]\nlevels = 0.3333333333 1.0\n")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["--config", cfg, "--command", "all", "--out", str(first)]) == 0
+    assert main(["--config", str(first / "config_resolved.ini"), "--command", "all",
+                 "--out", str(again)]) == 0
+    assert _report_body(again) == _report_body(first)
+
+    def resolved(out):
+        text = (out / "config_resolved.ini").read_text()
+        assert f"directory = {out}\n" in text
+        return text.replace(f"directory = {out}\n", "")
+
+    assert resolved(again) == resolved(first)
 
 
 def test_model_key_for_wrong_preset_is_rejected(tmp_path):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from qgbsde.diagnostics import (BmoEstimate, DiagnosticsReport, OrderFit,
-                                bmo_estimate, effective_qbar,
+from qgbsde.diagnostics import (BmoEstimate, bmo_estimate, effective_qbar,
                                 fit_convergence_order, truncation_error_curve,
                                 y_increment_stat, z_increment_stat,
                                 z_l2_regularity)
@@ -243,12 +242,3 @@ def test_truncation_curve_validation():
                                reference_level=2.0)
     with pytest.raises(InvalidParameters):
         truncation_error_curve(model, ens, GLOBAL2, levels=[1.0], picard_iters=0)
-
-
-def test_report_rows_flatten_only_present_fields():
-    fit = OrderFit(slope=0.5, intercept=0.0, r_squared=0.99)
-    report = DiagnosticsReport(y_increment_sq=0.25,
-                               fitted_orders={"z_regularity": fit})
-    rows = dict(report.rows())
-    assert rows == {"y_increment_sq": 0.25, "order_z_regularity": 0.5,
-                    "order_z_regularity_r2": 0.99}

@@ -130,7 +130,6 @@ class TestPresets:
         x = np.zeros((1, 1))
         assert m.f(0.0, x, np.ones(1), z)[0] == pytest.approx(-0.2 + 2.0)
         assert m.growth_M == pytest.approx(0.5)
-        assert m.driver_y_lipschitz == 0.2
 
     def test_growth_certificates(self):
         for m in (make_brownian(), make_discount(), make_gbm(),

@@ -94,8 +94,7 @@ def test_raw_quadratic_driver_is_rejected():
 
 def test_picard_divergence_on_stiff_driver():
     # dt * f_y = 50/4 >> 1, the inner fixed point cannot contract
-    model = make_discount(rate=0.1).with_driver(
-        f=lambda t, x, y, z: 50.0 * y, driver_y_lipschitz=50.0)
+    model = make_discount(rate=0.1).with_driver(f=lambda t, x, y, z: 50.0 * y)
     part = Partition.uniform(model.T, 4)
     ens = simulate_forward(model, part, 500, seed=0)
     with pytest.raises(PicardDivergence) as exc:
@@ -188,6 +187,8 @@ def test_quadrature_domain_guard():
         solve_quadrature_1d(model, Partition.uniform(model.T, 8), space_bound=0.5)
     with pytest.raises(InvalidParameters):
         solve_quadrature_1d(model, Partition.uniform(model.T, 8), space_nodes=4)
+    with pytest.raises(InvalidParameters, match="gh_nodes"):
+        solve_quadrature_1d(model, Partition.uniform(model.T, 8), gh_nodes=0)
 
 
 def test_solver_is_deterministic():

@@ -10,8 +10,7 @@ from qgbsde.model import (AssumptionLevel, Partition, make_brownian,
 from qgbsde.regression import RegressionBasis
 from qgbsde.sde import simulate_forward, simulate_variational
 from qgbsde.solver import solve_backward_regression
-from qgbsde.variational import (attach_residual, representation_check,
-                                solve_variational_bsde)
+from qgbsde.variational import representation_check, solve_variational_bsde
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -85,10 +84,6 @@ def test_representation_identity_on_brownian():
     # ">=" up to summation rounding: at the deterministic first node every
     # path carries the same residual and mean vs max differ by an ulp
     assert np.all(report.per_node_max >= report.per_node_rms - 1e-12)
-    assert var.representation_residual is None
-    var2 = attach_residual(var, report)
-    assert var2.representation_residual == report.time_avg_rms
-    assert var.representation_residual is None
 
 
 def test_implicit_factor_guard():
