@@ -21,19 +21,18 @@ from .truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from .rng import normal_increments
 from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
                   load_ensemble, simulate_forward, simulate_variational)
-from .regression import (FitInfo, RegressionBasis, StepDesign, fit_step,
-                         project, step_design)
-from .solver import (BackwardSolution, SolverMeta, compute_zbar,
-                     project_window_average, solve_backward_regression,
+from .regression import (FitInfo, RegressionBasis, StepDesign, project,
+                         step_design)
+from .solver import (BackwardSolution, SolverMeta, solve_backward_regression,
                      solve_quadrature_1d)
 from .variational import (RepresentationReport, VariationalSolution,
                           representation_check, solve_variational_bsde)
 from .oracle import (OracleResult, bmo_bound, cole_hopf_from_model,
                      cole_hopf_increment_stat, cole_hopf_reference)
-from .diagnostics import (BmoEstimate, OrderFit, TruncationCurve,
+from .diagnostics import (BmoEstimate, OrderFit, Regularity, TruncationCurve,
                           TruncationPoint, bmo_estimate, effective_qbar,
-                          fit_convergence_order, truncation_error_curve,
-                          y_increment_stat, z_increment_stat, z_l2_regularity)
+                          fit_convergence_order, regularity_pass,
+                          truncation_error_curve)
 
 __version__ = "0.1.0"
 
@@ -44,18 +43,17 @@ __all__ = [
     "InvalidPartition", "InvalidPoints", "ModelSpec", "NumericalBlowup",
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",
     "PicardDivergence", "QgbsdeError", "QuadratureUnstable",
-    "RegressionBasis", "RejectedModel", "RepresentationReport",
+    "RegressionBasis", "Regularity", "RejectedModel", "RepresentationReport",
     "SingularFlow", "SolverMeta", "StepDesign", "TruncationCurve", "TruncationPoint",
     "VariationalSolution", "bmo_bound", "bmo_estimate",
     "check_growth_certificate", "cole_hopf_from_model",
     "cole_hopf_increment_stat", "cole_hopf_reference",
-    "compute_zbar", "dump_ensemble", "effective_qbar", "fit_convergence_order",
-    "fit_step", "flow_identity_residual", "load_ensemble", "make_brownian",
+    "dump_ensemble", "effective_qbar", "fit_convergence_order",
+    "flow_identity_residual", "load_ensemble", "make_brownian",
     "make_discount", "make_gbm", "make_quadratic", "nested_indices",
-    "normal_increments", "project", "project_window_average",
-    "representation_check", "simulate_forward", "simulate_variational",
+    "normal_increments", "project", "regularity_pass", "representation_check",
+    "simulate_forward", "simulate_variational",
     "smooth_clamp", "smooth_clamp_grad", "solve_backward_regression",
     "solve_quadrature_1d", "step_design",
     "solve_variational_bsde", "truncate_driver", "truncation_error_curve",
-    "y_increment_stat", "z_increment_stat", "z_l2_regularity",
 ]

@@ -53,8 +53,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .diagnostics import (bmo_estimate, effective_qbar, fit_convergence_order,
-                          truncation_error_curve, y_increment_stat,
-                          z_increment_stat, z_l2_regularity)
+                          regularity_pass, truncation_error_curve)
 from .errors import (ConfigError, DomainTooSmall, InvalidParameters, QgbsdeError,
                      QuadratureUnstable)
 from .model import PRESETS, ModelSpec, Partition
@@ -62,8 +61,7 @@ from .oracle import bmo_bound, cole_hopf_from_model, cole_hopf_increment_stat
 from .regression import RegressionBasis
 from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
                   load_ensemble, simulate_forward, simulate_variational)
-from .solver import (compute_zbar, solve_backward_regression,
-                     solve_quadrature_1d)
+from .solver import solve_backward_regression, solve_quadrature_1d
 from .truncation import truncate_driver
 from .variational import representation_check, solve_variational_bsde
 
@@ -133,7 +131,9 @@ _SETTINGS = (
     _Setting("solver", "gh_nodes", int, 64, check=_at_least(1)),
     _Setting("solver", "space_bound",  # auto (None): derived from sigma
              lambda t: None if t == "auto" else float(t), None,
-             lambda v: "auto" if v is None else repr(v)),
+             lambda v: "auto" if v is None else repr(v),
+             ((lambda v, ctx: v is None or 0 < v < math.inf),
+              "must be auto or finite and > 0")),
     _Setting("truncation", "level", float, 10.0, repr,
              ((lambda v, ctx: 0 <= v < math.inf), "must be finite and >= 0")),
     _Setting("truncation", "levels", _list(float), (1.0, 2.0, 3.0, 4.0, 6.0, 8.0),
@@ -195,6 +195,9 @@ def _build_model(cfg) -> ModelSpec:
         raise ConfigError(f"[model] keys {sorted(stray)} do not apply to {name!r}")
     kwargs = {key: _read(cfg, "model", key, type(p.default), None)
               for key, p in params.items()}
+    for key, value in kwargs.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[model] {key} must be finite, got {value}")
     try:
         return PRESETS[name](**{k: v for k, v in kwargs.items() if v is not None})
     except QgbsdeError as exc:
@@ -237,8 +240,8 @@ class RunContext:
         self.note(f"driver truncated at level {self.level:g}")
         return model
 
-    def solve(self, model, ensemble):
-        """Backward regression solve with the configured basis and Picard count.
+    def solver_options(self, model, ensemble) -> dict:
+        """Basis, Picard count and |Y| cap for a backward solve on the ensemble.
 
         With the clamp flag on, |Y| is capped at the a-priori bound
         exp(M T) (sup|xi| + M T) with the terminal sup taken empirically over
@@ -250,9 +253,7 @@ class RunContext:
             xi = float(np.abs(np.asarray(model.g(ensemble.states[:, -1]))).max())
             M = model.growth_M
             y_clamp = math.exp(M * model.T) * (xi + M * model.T)
-        return solve_backward_regression(model, ensemble, self.basis,
-                                         picard_iters=self.picard_iters,
-                                         y_clamp=y_clamp)
+        return dict(basis=self.basis, picard_iters=self.picard_iters, y_clamp=y_clamp)
 
     def add(self, statistic_name, value, std_error=None, n_trunc=None,
             n_steps=None, n_paths=None):
@@ -435,7 +436,7 @@ def cmd_solve(ctx: RunContext):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     ens = get_ensemble(ctx, part)
     model = ctx.solver_model()
-    sol = ctx.solve(model, ens)
+    sol = solve_backward_regression(model, ens, **ctx.solver_options(model, ens))
     y0 = sol.y0
     z0 = float(sol.z0[0]) if ctx.model.d == 1 else None
     ctx.add("y0", y0)
@@ -467,22 +468,20 @@ def cmd_solve(ctx: RunContext):
 def cmd_converge(ctx: RunContext):
     """Path-regularity refinement study over the grid ladder.
 
-    For each N the fine solve sits at refine_factor x N; reported are the
-    Z regularity sum (window projection), the Y increment statistic, and the
-    fitted order of the regularity sum in the mesh. Where the closed-form
-    oracle applies, the Y increment statistic is checked against the exact
-    solution's own value; elsewhere its ratios to the mesh are noted.
+    For each N one regularity pass solves the coarse grid and the nested
+    fine grid at refine_factor x N; reported are the Z regularity sum
+    (window projection), the Y increment statistic, and the fitted order of
+    the regularity sum in the mesh. Where the closed-form oracle applies,
+    the Y increment statistic is checked against the exact solution's own
+    value; elsewhere its ratios to the mesh are noted.
     """
     model = ctx.solver_model()
     meshes, zsums, ystats, grids = [], [], [], []
     for n in ctx.ladder:
         ens_c, ens_f = _coarse_fine_pair(ctx, n)
-        sol_c = ctx.solve(model, ens_c)
-        sol_f = ctx.solve(model, ens_f)
+        reg = regularity_pass(model, ens_c, ens_f, **ctx.solver_options(model, ens_c))
         mesh = ens_c.partition.mesh
-        zsum = z_l2_regularity(sol_c, sol_f, ensemble=ens_f, basis=ctx.basis,
-                               projection="window")
-        ystat = y_increment_stat(sol_c, sol_f)
+        zsum, ystat = reg.z_regularity_sum, reg.y_increment_sq
         ratio = ystat / mesh
         ctx.add("z_regularity_sum", zsum, n_steps=n)
         ctx.add("y_increment_sq", ystat, n_steps=n)
@@ -494,7 +493,7 @@ def cmd_converge(ctx: RunContext):
         ystats.append(ystat)
         grids.append((ens_c.partition, ens_f.partition))
         # drop this rung before the next one is simulated and solved
-        del ens_c, ens_f, sol_c, sol_f
+        del ens_c, ens_f, reg
     try:
         fit = fit_convergence_order(meshes, zsums)
         ctx.add("order_z_regularity", fit.slope)
@@ -588,26 +587,22 @@ def cmd_diagnose(ctx: RunContext):
     model = ctx.solver_model()
     ens_c, ens_f = _coarse_fine_pair(ctx, ctx.n_steps)
     coarse = ens_c.partition
-    sol_c = ctx.solve(model, ens_c)
-    sol_f = ctx.solve(model, ens_f)
+    reg = regularity_pass(model, ens_c, ens_f, **ctx.solver_options(model, ens_c))
+    sol_c = reg.solution
 
-    ystat = y_increment_stat(sol_c, sol_f)
+    ystat = reg.y_increment_sq
     ratio = ystat / coarse.mesh
     ctx.add("y_increment_sq", ystat)
     ctx.add("y_increment_ratio", ratio)
     ctx.note(f"max window E(Y_t - Y_ti)^2 = {ystat:.6e} "
              f"({ratio:.4f} x mesh {coarse.mesh:g})")
 
-    zsum = z_l2_regularity(sol_c, sol_f, ensemble=ens_f, basis=ctx.basis,
-                           projection="window")
-    sol_c = compute_zbar(sol_c, ens_c, ctx.basis)
-    znode = z_l2_regularity(sol_c, sol_f, projection="node")
-    zleft = z_l2_regularity(sol_c, sol_f, projection="left")
-    zinc = z_increment_stat(sol_f)
+    zsum, znode = reg.z_regularity_sum, reg.z_regularity_node
+    zleft = reg.z_regularity_left_endpoint
     ctx.add("z_regularity_sum", zsum)
     ctx.add("z_regularity_node", znode)
     ctx.add("z_regularity_left_endpoint", zleft)
-    ctx.add("z_increment_sq", zinc)
+    ctx.add("z_increment_sq", reg.z_increment_sq)
     ctx.note(f"z regularity sum = {zsum:.6e} (window projection), "
              f"{znode:.6e} (coarse-node regression), "
              f"{zleft:.6e} (left-endpoint competitor)")
@@ -618,7 +613,7 @@ def cmd_diagnose(ctx: RunContext):
     ctx.note(f"BMO tail estimate: {bmo.regression_max:.4f} (regression), "
              f"{bmo.plain_max:.4f} (plain mean)")
     if ctx.model.growth_M > 0:
-        xi_sup = float(np.abs(sol_f.Y[:, -1]).max())
+        xi_sup = float(np.abs(sol_c.Y[:, -1]).max())
         bound = bmo_bound(ctx.model.growth_M, ctx.model.T, xi_sup)
         ctx.add("bmo_bound_value", bound)
         ctx.note(f"closed-form BMO bound {bound:.4f} "

@@ -2,8 +2,13 @@
 
 Two families of checks live here. The path-regularity statistics compare a
 solution on a coarse partition with one on a nested refinement: the maximal
-mean-square Y increment over coarse windows, and the time-integrated L^2
-distance between the fine control and its best coarse-grid approximation.
+mean-square Y increment over coarse windows, the time-integrated L^2
+distance between the fine control and three coarse-grid approximations of
+it, and the largest mean-square step of the fine control. regularity_pass
+computes all of them in one backward pass that advances the coarse and the
+fine solve in lockstep, window by window: each coarse node's regression
+design serves the coarse step, the fine step at that node and both coarse
+fits of the control, and the fine solution is held one window at a time.
 The truncation sweep solves one quadratic model under a ladder of truncation
 levels and a high-level reference in one batched backward pass, one target
 column per level, and records the error decay, from which a convergence
@@ -12,17 +17,16 @@ order (and the implied tail exponent) is fitted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameters, InvalidPoints
-from .model import ModelSpec, Partition, nested_indices
-from .regression import RegressionBasis, fit_step, step_design
+from .model import ModelSpec, empty_time_major, nested_indices
+from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble
-from .solver import (BackwardSolution, _backward_step, _start_backward,
-                     project_window_average)
+from .solver import (BackwardSolution, _backward_step, _empty_solution,
+                     _start_backward, _store_step)
 from .truncation import truncate_driver
 
 
@@ -57,70 +61,105 @@ def fit_convergence_order(scales, errors) -> OrderFit:
     return OrderFit(slope=slope, intercept=intercept, r_squared=r2)
 
 
-def y_increment_stat(base: BackwardSolution, fine: BackwardSolution) -> float:
-    """max over coarse windows of max_{t in window} E (Y_t - Y_{t_i})^2.
+@dataclass(frozen=True)
+class Regularity:
+    """The coarse solution of a regularity pass and the path-regularity
+    statistics of the nested fine solve, named after their report rows.
 
-    Windows are closed on the right, so the statistic over window i uses all
-    fine nodes up to and including the next coarse node.
+    With fine nodes t_j, coarse windows [t_i, t_{i+1}] (closed on the right)
+    and i(j) the window of fine step j:
+
+        y_increment_sq     max_i max_{t_j in window i} E (Y_{t_j} - Y_{t_i})^2
+        z_regularity_*     E sum_j |Z_{t_j} - Zbar_{i(j)}|^2 dt_j
+        z_increment_sq     max_j E |Z_{t_{j+1}} - Z_{t_j}|^2
+
+    where Zbar_i is, for z_regularity_sum, the regression on X_{t_i} of the
+    window-averaged fine control; for z_regularity_node, the regression on
+    X_{t_i} of the coarse solution's Z_i; for z_regularity_left_endpoint,
+    the fine control at t_i itself (a valid but suboptimal competitor, a
+    sanity ceiling for the other two).
     """
-    idx = nested_indices(base.partition, fine.partition)
-    yf = fine.Y
-    worst = 0.0
-    for i in range(len(idx) - 1):
-        lo, hi = idx[i], idx[i + 1]
-        inc = yf[:, lo + 1:hi + 1] - yf[:, lo:lo + 1]
-        worst = max(worst, float((inc ** 2).mean(axis=0).max()))
-    return worst
+
+    solution: BackwardSolution
+    y_increment_sq: float
+    z_regularity_sum: float
+    z_regularity_node: float
+    z_regularity_left_endpoint: float
+    z_increment_sq: float
 
 
-def z_increment_stat(sol: BackwardSolution) -> float:
-    """max_i E |Z_{t_{i+1}} - Z_{t_i}|^2 along the solution's own grid.
+def regularity_pass(model: ModelSpec, coarse: PathEnsemble, fine: PathEnsemble,
+                    basis: RegressionBasis, picard_iters: int = 3,
+                    y_clamp: float | None = None) -> Regularity:
+    """Solve on a coarse grid and a nested fine one in one backward pass and
+    measure the fine solution's path regularity against the coarse windows.
 
-    One step at a time: two (P, d) slices per step, never a (P, N, d)
-    temporary.
+    The coarse ensemble must hold the fine states at the shared nodes, so
+    that the design built at a coarse node can serve the coarse step, the
+    fine step at that node, and the regressions of the window-averaged fine
+    control and of the coarse control on the node's state. Within each
+    coarse window the fine solve runs from the right end to the left; its Y
+    and Z are kept for the current window only, in time-major buffers, and
+    the window's statistics are taken before the next window reuses them.
+    The window sums are added up in forward window order at the end.
+    Solver arguments are those of solve_backward_regression, and the coarse
+    solution and every statistic are bit for bit what two such solves and
+    a loop per statistic over the stored solutions give.
     """
-    Z = sol.Z
-    worst = 0.0
-    for i in range(Z.shape[1] - 1):
-        dz = Z[:, i + 1] - Z[:, i]
-        worst = max(worst, float(np.einsum("pd,pd->", dz, dz)) / Z.shape[0])
-    return worst
+    idx = nested_indices(coarse.partition, fine.partition)
+    if not all(np.array_equal(coarse.states[:, i], fine.states[:, j])
+               for i, j in enumerate(idx)):
+        raise InvalidParameters("the coarse states must be the fine states at "
+                                "the shared nodes")
+    _start_backward((model,), fine, picard_iters, y_clamp)  # checks only
+    terminal = _start_backward((model,), coarse, picard_iters, y_clamp)[:, 0]
+    sol = _empty_solution(coarse, basis, picard_iters, terminal)
+    h, dt_f = coarse.partition.dt, fine.partition.dt
+    P, d, n = coarse.n_paths, coarse.d, coarse.partition.n_steps
+    width = int(np.diff(idx).max())
+    yw = empty_time_major(width + 1, P)
+    zw = empty_time_major(width, P, (d,))
+    # fine Y and Z at the right end of the current window
+    y_right, z_right = terminal, None
+    y_inc = z_inc = 0.0
+    sums = np.empty((3, n))  # window, node and left-endpoint contributions
+    for i in range(n - 1, -1, -1):
+        lo, w = int(idx[i]), int(idx[i + 1] - idx[i])
+        ywin, zwin = yw[:, :w + 1], zw[:, :w]
+        ywin[:, w] = y_right
+        design = step_design(basis, coarse.states[:, i], step=i)
+        for k in range(w - 1, -1, -1):
+            j = lo + k
+            fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
+                                                            step=j)
+            y, z, *_ = _backward_step((model,), fine_design, fine, j,
+                                      ywin[:, k + 1:k + 2], picard_iters, y_clamp)
+            ywin[:, k] = y[:, 0]
+            zwin[:, k] = z[:, 0]
+        _store_step(sol, i, *_backward_step((model,), design, coarse, i,
+                                            sol.Y[:, i + 1:i + 2], picard_iters,
+                                            y_clamp))
 
-
-def z_l2_regularity(base: BackwardSolution, fine: BackwardSolution,
-                    ensemble: PathEnsemble | None = None,
-                    basis: RegressionBasis | None = None,
-                    projection: str = "window") -> float:
-    """E sum_j |Z_{t_j} - Zbar_{i(j)}|^2 dt_j with Zbar constant per coarse step.
-
-    projection selects the coarse-grid approximant: "window" regresses the
-    window-averaged fine control on the coarse-node states (needs the fine
-    ensemble and a basis), "node" uses the coarse solution's own Zbar field,
-    and "left" freezes the fine control at the left coarse node, which is a
-    valid but suboptimal competitor useful as a sanity ceiling.
-    """
-    idx = nested_indices(base.partition, fine.partition)
-    dt_f = fine.partition.dt
-    if projection == "window":
-        if ensemble is None or basis is None:
-            raise InvalidParameters(
-                "window projection needs the fine ensemble and a basis")
-        zbar = project_window_average(fine, ensemble, base.partition, basis)
-    elif projection == "node":
-        if base.Zbar is None:
-            raise InvalidParameters("node projection needs Zbar on the coarse "
-                                    "solution; run compute_zbar first")
-        zbar = base.Zbar
-    elif projection == "left":
-        zbar = fine.Z[:, idx[:-1]]
-    else:
-        raise InvalidParameters(f"unknown projection {projection!r}")
-    total = 0.0
-    for i in range(len(idx) - 1):
-        lo, hi = idx[i], idx[i + 1]
-        diff = fine.Z[:, lo:hi] - zbar[:, i:i + 1]
-        total += float(((diff ** 2).sum(axis=2) * dt_f[lo:hi]).mean(axis=0).sum())
-    return total
+        inc = ywin[:, 1:] - ywin[:, :1]
+        y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
+        dt = dt_f[lo:lo + w]
+        window_avg = np.einsum("pjd,j->pd", zwin, dt) / h[i]
+        for s, zbar in enumerate((project(design, window_avg)[0],
+                                  project(design, sol.Z[:, i])[0], zwin[:, 0])):
+            diff = zwin - zbar[:, None]
+            sums[s, i] = float(((diff ** 2).sum(axis=2) * dt).mean(axis=0).sum())
+        # every fine step of Z that starts in this window, the last one into
+        # the first node of the next window
+        for k in range(w):
+            z_next = zwin[:, k + 1] if k + 1 < w else z_right
+            if z_next is not None:
+                dz = z_next - zwin[:, k]
+                z_inc = max(z_inc, float(np.einsum("pd,pd->", dz, dz)) / P)
+        y_right, z_right = ywin[:, 0].copy(), zwin[:, 0].copy()
+    window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
+    return Regularity(solution=sol, y_increment_sq=y_inc,
+                      z_regularity_sum=float(window), z_regularity_node=float(node),
+                      z_regularity_left_endpoint=float(left), z_increment_sq=z_inc)
 
 
 @dataclass(frozen=True)
@@ -143,7 +182,8 @@ def bmo_estimate(sol: BackwardSolution, ensemble: PathEnsemble,
     tails = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
     reg_max = 0.0
     for i in range(tails.shape[1]):
-        fitted, _ = fit_step(basis, ensemble.states[:, i], tails[:, i:i + 1], i)
+        fitted, _ = project(step_design(basis, ensemble.states[:, i], step=i),
+                            tails[:, i:i + 1])
         reg_max = max(reg_max, float(fitted.max()))
     return BmoEstimate(regression_max=reg_max,
                        plain_max=float(tails.mean(axis=0).max()))
@@ -200,7 +240,6 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     models = [truncate_driver(model, n) for n in (*lv, ref_level)]
     y = _start_backward(models, ensemble, picard_iters)
     times = ensemble.partition.times
-    X, dW = ensemble.states, ensemble.increments
     L, n = len(lv), times.size - 1
     # running per-path maxima over the nodes seen so far, terminal included
     err_y_path = (y[:, :L] - y[:, L:]) ** 2
@@ -209,9 +248,8 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     realized = 0.0
     for i in range(n - 1, -1, -1):
         dt = times[i + 1] - times[i]
-        design = step_design(basis, X[:, i], step=i)
-        y, z, *_ = _backward_step(models, design, times[i], dt, X[:, i], y,
-                                  dW[:, i], picard_iters)
+        design = step_design(basis, ensemble.states[:, i], step=i)
+        y, z, *_ = _backward_step(models, design, ensemble, i, y, picard_iters)
         np.maximum(err_y_path, (y[:, :L] - y[:, L:]) ** 2, out=err_y_path)
         np.maximum(y_sq_max, y[:, L] ** 2, out=y_sq_max)
         err_z_steps[:, i] = (((z[:, :L] - z[:, L:]) ** 2).sum(axis=2) * dt).mean(axis=0)

@@ -15,7 +15,7 @@ The same transform gives the whole solution Y_t = u(t, X_t) with
     u(t, x) = (1/gamma) log E[ exp(gamma g(x + sigma sqrt(T - t) U)) ],
 
 from which cole_hopf_increment_stat evaluates the closed-form counterpart of
-diagnostics.y_increment_stat.
+the y_increment_sq statistic of diagnostics.regularity_pass.
 
 Separately, bmo_bound gives the closed-form bound on the BMO norm of the
 control process implied by a bounded terminal value and the quadratic growth
@@ -164,7 +164,8 @@ def _increment_window(gamma, terminal, x0, sigma, T, s, ts, nodes):
 
 def cole_hopf_increment_stat(model: ModelSpec, base: Partition,
                              fine: Partition) -> float:
-    """Closed-form value of diagnostics.y_increment_stat on (base, fine).
+    """Closed-form value of the y_increment_sq statistic of
+    diagnostics.regularity_pass on (base, fine).
 
     max over the windows [t_i, t_{i+1}] of base, and over the fine nodes t in
     (t_i, t_{i+1}], of E (Y_t - Y_{t_i})^2 for the exact solution

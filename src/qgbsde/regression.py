@@ -18,7 +18,7 @@ global mean), and only a step where every cell failed raises.
 The projection at one step is a fixed linear operator of the state sample.
 step_design builds what depends on the state alone (bounds, features or cell
 index, normal matrices, the condition check) once; project applies it to any
-number of target columns, and fit_step does both for a one-off fit.
+number of target columns.
 
 All reductions run over fixed-size path blocks combined in a fixed pairwise
 tree, so results do not depend on how work is scheduled.
@@ -295,10 +295,3 @@ def project(design: StepDesign, targets: np.ndarray):
                            fallback_cells=design.fallback_cells,
                            degenerate=design.kind == "constant")
 
-
-def fit_step(basis: RegressionBasis, x: np.ndarray, targets: np.ndarray,
-             step: int | None = None):
-    """One-off fit of every target column on the state x: a design built and
-    applied once. Callers fitting several targets on one state build the
-    design themselves and project each of them."""
-    return project(step_design(basis, x, step), targets)

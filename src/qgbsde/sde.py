@@ -108,21 +108,17 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
 
 
 def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
-                         inverse_mode: str = "solve", condition_cap: float = 1e12,
+                         condition_cap: float = 1e12,
                          flow_tol: float = 1e-8) -> PathEnsemble:
     """Attach the first-variation flow and its inverse to an ensemble.
 
-    inverse_mode "solve" inverts each flow matrix directly (default, and the
-    mode whose identity residual is certified against flow_tol). Mode "sde"
-    integrates the inverse flow equation instead, as an independent
-    cross-check; its identity residual is O(mesh) by construction and is not
-    gated.
+    Each flow matrix is inverted directly; the condition bound is capped at
+    condition_cap and the identity residual (flow_identity_residual) at
+    flow_tol.
     """
     if model.assumption_level < AssumptionLevel.HX1Y1:
         raise AssumptionLevelTooLow(
             "variational flow needs coefficient Jacobians (level HX1Y1 or higher)")
-    if inverse_mode not in ("solve", "sde"):
-        raise InvalidParameters(f"unknown inverse_mode {inverse_mode!r}")
     times = ensemble.partition.times
     X, dW = ensemble.states, ensemble.increments
     P, m = X.shape[0], model.m
@@ -140,44 +136,34 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
     if not np.isfinite(F[:, n]).all():
         raise NumericalBlowup("non-finite variational flow", step=n - 1)
 
-    if inverse_mode == "solve":
-        try:
-            G = np.linalg.inv(F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFlow(f"flow matrix is singular: {exc}") from exc
-        # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so
-        # the cap is never looser than on the exact condition number
-        with np.errstate(over="ignore", invalid="ignore"):
-            cond = (np.linalg.norm(F, axis=(-2, -1))
-                    * np.linalg.norm(G, axis=(-2, -1)))
-        if not np.isfinite(cond).all() or cond.max() > condition_cap:
-            raise SingularFlow(
-                f"flow condition bound {np.nanmax(cond):.3e} exceeds cap {condition_cap:.3e}")
-        resid = np.abs(np.einsum("piab,pibc->piac", F, G) - np.eye(m)).max()
-        if resid > flow_tol:
-            raise SingularFlow(f"flow inverse identity residual {resid:.3e} > {flow_tol:.3e}")
-    else:
-        G = np.empty_like(F)
-        G[:, 0] = np.eye(m)
-        for i in range(n):
-            dt = times[i + 1] - times[i]
-            B = model.b_jac(times[i], X[:, i])
-            S = model.sigma_jac(times[i], X[:, i])
-            Gi = G[:, i]
-            SS = np.einsum("pjab,pjbc->pac", S, S)
-            G[:, i + 1] = (Gi - np.einsum("pab,pbc->pac", Gi, B) * dt
-                           + np.einsum("pab,pbc->pac", Gi, SS) * dt
-                           - np.einsum("pab,pjbc,pj->pac", Gi, S, dW[:, i]))
-    return replace(ensemble, flows=F, flow_inverses=G)
+    try:
+        G = np.linalg.inv(F)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFlow(f"flow matrix is singular: {exc}") from exc
+    # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so
+    # the cap is never looser than on the exact condition number
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = (np.linalg.norm(F, axis=(-2, -1))
+                * np.linalg.norm(G, axis=(-2, -1)))
+    if not np.isfinite(cond).all() or cond.max() > condition_cap:
+        raise SingularFlow(
+            f"flow condition bound {np.nanmax(cond):.3e} exceeds cap {condition_cap:.3e}")
+    out = replace(ensemble, flows=F, flow_inverses=G)
+    resid = flow_identity_residual(out)
+    if resid > flow_tol:
+        raise SingularFlow(f"flow inverse identity residual {resid:.3e} > {flow_tol:.3e}")
+    return out
 
 
 def flow_identity_residual(ensemble: PathEnsemble) -> float:
-    """Max-norm of flow @ flow_inverse minus identity over all paths and nodes."""
+    """Max-norm of flow @ flow_inverse minus identity over all paths and nodes,
+    taken node by node."""
     if ensemble.flows is None or ensemble.flow_inverses is None:
         raise InvalidParameters("ensemble carries no flows; run simulate_variational")
-    m = ensemble.flows.shape[-1]
-    prod = np.einsum("piab,pibc->piac", ensemble.flows, ensemble.flow_inverses)
-    return float(np.abs(prod - np.eye(m)).max())
+    F, G = ensemble.flows, ensemble.flow_inverses
+    eye = np.eye(F.shape[-1])
+    return max(float(np.abs(np.einsum("pab,pbc->pac", F[:, i], G[:, i]) - eye).max())
+               for i in range(F.shape[1]))
 
 
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:

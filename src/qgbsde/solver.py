@@ -9,9 +9,11 @@ implicit in Y (resolved by a few Picard passes), explicit in Z. The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
 step; the same one-step kernel advances several drivers on shared paths at
-once (the truncation sweep in diagnostics). The quadrature solver computes them exactly against
-the one-step Euler Gaussian transition and serves as a slow, grid-bound
-cross-check for one-dimensional models.
+once (the truncation sweep in diagnostics), and a coarse and a nested fine
+solve in lockstep on shared designs (the regularity pass in diagnostics).
+The quadrature solver computes them exactly against the one-step Euler
+Gaussian transition and serves as a slow, grid-bound cross-check for
+one-dimensional models.
 
 The Z regression target is centered by the fitted conditional mean of
 Y_{i+1}: since that center is a function of X_i alone, the conditional
@@ -21,7 +23,7 @@ product target disappears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -30,8 +32,8 @@ from scipy.special import ndtr
 
 from .errors import (DomainTooSmall, InvalidParameters, NumericalBlowup,
                      PicardDivergence, RejectedModel)
-from .model import ModelSpec, Partition, empty_time_major, nested_indices
-from .regression import RegressionBasis, StepDesign, fit_step, project, step_design
+from .model import ModelSpec, Partition, empty_time_major
+from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble
 
 
@@ -51,14 +53,12 @@ class BackwardSolution:
     """Per-path backward estimates on the ensemble's grid.
 
     Y: (P, N+1), Z: (P, N, d), both stored time-major like the ensemble
-    (Y[:, i] and Z[:, i] are contiguous). Zbar holds the per-step regression
-    of Z on the state once compute_zbar has run, else None.
+    (Y[:, i] and Z[:, i] are contiguous).
     """
 
     partition: Partition
     Y: np.ndarray
     Z: np.ndarray
-    Zbar: np.ndarray | None
     meta: SolverMeta
 
     @property
@@ -99,13 +99,16 @@ def _picard_resolve(model, t, x, base, z, dt, picard_iters, step):
     return y, prev if prev is not None else 0.0
 
 
-def _start_backward(models, ensemble: PathEnsemble, picard_iters) -> np.ndarray:
+def _start_backward(models, ensemble: PathEnsemble, picard_iters,
+                    y_clamp=None) -> np.ndarray:
     """Check the solver inputs of every model and return the terminal values,
     one column per model."""
     for model in models:
         _check_solver_inputs(model, ensemble)
     if picard_iters < 1:
         raise InvalidParameters(f"picard_iters must be >= 1, got {picard_iters}")
+    if y_clamp is not None and y_clamp <= 0:
+        raise InvalidParameters(f"y_clamp must be positive, got {y_clamp}")
     n = ensemble.partition.n_steps
     x_n = ensemble.states[:, n]
     y = np.column_stack([np.asarray(model.g(x_n)) for model in models])
@@ -114,16 +117,20 @@ def _start_backward(models, ensemble: PathEnsemble, picard_iters) -> np.ndarray:
     return y
 
 
-def _backward_step(models, design: StepDesign, t, dt, x, y_next, dw,
+def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next,
                    picard_iters, y_clamp=None):
-    """One step of the recursion for several drivers on the same paths.
+    """Step i of the recursion for several drivers on the ensemble's paths.
 
-    Column j of y_next (P, k) and of the returned y (P, k) and z (P, k, d)
-    belongs to models[j]. Both conditional expectations are one projection
-    each on the step's shared design; the implicit step is resolved column
-    by column, so divergence is checked per driver. Returns
+    design is the step's design on the state at node i. Column j of y_next
+    (P, k) and of the returned y (P, k) and z (P, k, d) belongs to
+    models[j]. Both conditional expectations are one projection each on the
+    shared design; the implicit step is resolved column by column, so
+    divergence is checked per driver. Returns
     (y, z, info_y, info_z, picard residual per column).
     """
+    times = ensemble.partition.times
+    t, dt = times[i], times[i + 1] - times[i]
+    x, dw = ensemble.states[:, i], ensemble.increments[:, i]
     P, k = y_next.shape
     d = dw.shape[1]
     cond_mean, info_y = project(design, y_next)
@@ -134,12 +141,38 @@ def _backward_step(models, design: StepDesign, t, dt, x, y_next, dw,
     residuals = np.empty(k)
     for j, model in enumerate(models):
         y[:, j], residuals[j] = _picard_resolve(model, t, x, cond_mean[:, j], z[:, j],
-                                                dt, picard_iters, step=design.step)
+                                                dt, picard_iters, step=i)
     if y_clamp is not None:
         np.clip(y, -y_clamp, y_clamp, out=y)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
-        raise NumericalBlowup("non-finite backward value", step=design.step)
+        raise NumericalBlowup("non-finite backward value", step=i)
     return y, z, info_y, info_z, residuals
+
+
+def _empty_solution(ensemble: PathEnsemble, basis: RegressionBasis, picard_iters,
+                    terminal) -> BackwardSolution:
+    """Time-major Y and Z on the ensemble's grid with the terminal values in
+    place, for _store_step to fill backward."""
+    P, n, d = ensemble.n_paths, ensemble.partition.n_steps, ensemble.d
+    Y = empty_time_major(n + 1, P)
+    Y[:, n] = terminal
+    meta = SolverMeta(basis=basis.describe(), picard_iters=picard_iters,
+                      y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
+                      picard_residuals=np.empty(n), conditions=np.empty(n),
+                      fallback_cells=np.zeros(n, dtype=np.int64))
+    return BackwardSolution(partition=ensemble.partition, Y=Y,
+                            Z=empty_time_major(n, P, (d,)), meta=meta)
+
+
+def _store_step(sol: BackwardSolution, i, y, z, info_y, info_z, picard_residuals):
+    """Write step i of a one-driver _backward_step into the solution."""
+    sol.Y[:, i] = y[:, 0]
+    sol.Z[:, i] = z[:, 0]
+    sol.meta.y_residual_rms[i] = info_y.residual_rms[0]
+    sol.meta.z_residual_rms[i] = float(np.mean(info_z.residual_rms))
+    sol.meta.picard_residuals[i] = picard_residuals[0]
+    sol.meta.conditions[i] = max(info_y.condition, info_z.condition)
+    sol.meta.fallback_cells[i] = info_y.fallback_cells + info_z.fallback_cells
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
@@ -151,73 +184,14 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     step. Off by default; it is a variance control for heavy-tailed
     regression overshoot, not part of the scheme.
     """
-    terminal = _start_backward((model,), ensemble, picard_iters)
-    if y_clamp is not None and y_clamp <= 0:
-        raise InvalidParameters(f"y_clamp must be positive, got {y_clamp}")
-    times = ensemble.partition.times
-    X, dW = ensemble.states, ensemble.increments
-    P, n, d = X.shape[0], times.size - 1, ensemble.d
-
-    Y = empty_time_major(n + 1, P)
-    Z = empty_time_major(n, P, (d,))
-    Y[:, n] = terminal[:, 0]
-    meta = SolverMeta(basis=basis.describe(), picard_iters=picard_iters,
-                      y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
-                      picard_residuals=np.empty(n), conditions=np.empty(n),
-                      fallback_cells=np.zeros(n, dtype=np.int64))
-
-    for i in range(n - 1, -1, -1):
-        design = step_design(basis, X[:, i], step=i)
-        y, z, info_y, info_z, pic_res = _backward_step(
-            (model,), design, times[i], times[i + 1] - times[i], X[:, i],
-            Y[:, i + 1:i + 2], dW[:, i], picard_iters, y_clamp)
-        Y[:, i] = y[:, 0]
-        Z[:, i] = z[:, 0]
-        meta.y_residual_rms[i] = info_y.residual_rms[0]
-        meta.z_residual_rms[i] = float(np.mean(info_z.residual_rms))
-        meta.picard_residuals[i] = pic_res[0]
-        meta.conditions[i] = max(info_y.condition, info_z.condition)
-        meta.fallback_cells[i] = info_y.fallback_cells + info_z.fallback_cells
-
-    return BackwardSolution(partition=ensemble.partition, Y=Y, Z=Z, Zbar=None,
-                            meta=meta)
-
-
-def compute_zbar(solution: BackwardSolution, ensemble: PathEnsemble,
-                 basis: RegressionBasis) -> BackwardSolution:
-    """Per-step regression of Z on the state (the adapted projection of the
-    control on the solver's own grid, where Z is constant on each step)."""
-    if solution.Z.shape[:2] != (ensemble.n_paths, ensemble.partition.n_steps):
-        raise InvalidParameters("solution and ensemble disagree on shape")
-    n = solution.partition.n_steps
-    zbar = np.empty_like(solution.Z)
-    for i in range(n):
-        fit, _ = fit_step(basis, ensemble.states[:, i], solution.Z[:, i], step=i)
-        zbar[:, i] = fit
-    return replace(solution, Zbar=zbar)
-
-
-def project_window_average(fine_sol: BackwardSolution, fine_ens: PathEnsemble,
-                           coarse: Partition, basis: RegressionBasis) -> np.ndarray:
-    """Adapted projection of a fine-grid control onto coarse windows.
-
-    For each coarse window the target is the time average of the fine Z over
-    the window; regressing it on the state at the window's left node gives
-    the best (within the basis) measurable approximation of the window-mean
-    control, the quantity the path-regularity sum is built from.
-    Returns (P, N_coarse, d), stored time-major.
-    """
-    idx = nested_indices(coarse, fine_sol.partition)
-    dtf = fine_sol.partition.dt
-    P, _, d = fine_sol.Z.shape
-    out = empty_time_major(coarse.n_steps, P, (d,))
-    for i in range(coarse.n_steps):
-        j0, j1 = idx[i], idx[i + 1]
-        h = coarse.times[i + 1] - coarse.times[i]
-        avg = np.einsum("pjd,j->pd", fine_sol.Z[:, j0:j1], dtf[j0:j1]) / h
-        fit, _ = fit_step(basis, fine_ens.states[:, j0], avg, step=i)
-        out[:, i] = fit
-    return out
+    terminal = _start_backward((model,), ensemble, picard_iters, y_clamp)
+    sol = _empty_solution(ensemble, basis, picard_iters, terminal[:, 0])
+    for i in range(ensemble.partition.n_steps - 1, -1, -1):
+        design = step_design(basis, ensemble.states[:, i], step=i)
+        _store_step(sol, i, *_backward_step((model,), design, ensemble, i,
+                                            sol.Y[:, i + 1:i + 2], picard_iters,
+                                            y_clamp))
+    return sol
 
 
 def solve_quadrature_1d(model: ModelSpec, partition: Partition,
@@ -238,6 +212,8 @@ def solve_quadrature_1d(model: ModelSpec, partition: Partition,
         raise InvalidParameters(f"space_nodes must be >= 8, got {space_nodes}")
     if gh_nodes < 1:
         raise InvalidParameters(f"gh_nodes must be >= 1, got {gh_nodes}")
+    if space_bound is not None and not space_bound > 0:
+        raise InvalidParameters(f"space_bound must be > 0, got {space_bound}")
     times = partition.times
     x0 = float(model.x0[0])
     T = partition.horizon

@@ -21,16 +21,14 @@ import pytest
 
 from qgbsde.cli import main as cli_main
 from qgbsde.diagnostics import (effective_qbar, fit_convergence_order,
-                                truncation_error_curve, y_increment_stat,
-                                z_l2_regularity)
+                                regularity_pass, truncation_error_curve)
 from qgbsde.model import (Partition, make_brownian, make_discount, make_gbm,
                           make_quadratic)
 from qgbsde.oracle import (bmo_bound, cole_hopf_from_model,
                           cole_hopf_increment_stat, cole_hopf_reference)
 from qgbsde.regression import RegressionBasis
 from qgbsde.sde import PathEnsemble, simulate_forward, simulate_variational
-from qgbsde.solver import (compute_zbar, solve_backward_regression,
-                           solve_quadrature_1d)
+from qgbsde.solver import solve_backward_regression, solve_quadrature_1d
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from qgbsde.variational import representation_check, solve_variational_bsde
 from qgbsde.diagnostics import bmo_estimate
@@ -171,15 +169,13 @@ def regularity_ladder():
     meshes, zsums, ystats, exact = [], [], [], []
     for n in (8, 16, 32, 64):
         ens_c, ens_f = _coarse_fine_pair(CANON, n, 4, 100_000)
-        sol_c = solve_backward_regression(TRUNC6, ens_c, BASIS)
-        sol_f = solve_backward_regression(TRUNC6, ens_f, BASIS)
-        zsums.append(z_l2_regularity(sol_c, sol_f, ensemble=ens_f,
-                                     basis=BASIS, projection="window"))
+        reg = regularity_pass(TRUNC6, ens_c, ens_f, BASIS)
+        zsums.append(reg.z_regularity_sum)
         meshes.append(ens_c.partition.mesh)
-        ystats.append(y_increment_stat(sol_c, sol_f))
+        ystats.append(reg.y_increment_sq)
         exact.append(cole_hopf_increment_stat(CANON, ens_c.partition,
                                               ens_f.partition))
-        del ens_c, ens_f, sol_c, sol_f
+        del ens_c, ens_f, reg
         gc.collect()
     return meshes, zsums, ystats, exact
 
@@ -263,7 +259,7 @@ def test_bmo_tail_estimate_under_closed_form_bound():
     target = (10.0 / 3.0) * math.exp(7.0)
     pin_ok = abs(pinned - target) <= 1e-9 * target
     ens = simulate_forward(CANON, Partition.uniform(1.0, 64), 100_000, SEED)
-    sol = compute_zbar(solve_backward_regression(TRUNC6, ens, BASIS), ens, BASIS)
+    sol = solve_backward_regression(TRUNC6, ens, BASIS)
     est = bmo_estimate(sol, ens, BASIS)
     bound = bmo_bound(CANON.growth_M, CANON.T, 1.0)  # sup |tanh| = 1
     _check(pin_ok and est.regression_max <= bound,

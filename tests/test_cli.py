@@ -103,6 +103,11 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch):
         (BASE + "gh_nodes = 0\n", []),
         (BASE + "\n[truncation]\nlevel = -1\n", []),
         (BASE + "\n[truncation]\nlevels = 1 2\nreference_level = 2\n", []),
+        (BASE.replace("name = brownian", "name = quadratic\nsigma = nan"), []),
+        (BASE.replace("name = brownian", "name = brownian\nhorizon = nan"), []),
+        (BASE.replace("name = brownian", "name = brownian\nx0 = inf"), []),
+        (BASE + "space_bound = -1\n", []),
+        (BASE + "space_bound = 0\n", []),
     )
     for i, (text, flags) in enumerate(bad):
         cfg = _write(tmp_path, text, name=f"bad{i}.ini")

@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from qgbsde.diagnostics import (BmoEstimate, bmo_estimate, effective_qbar,
-                                fit_convergence_order, truncation_error_curve,
-                                y_increment_stat, z_increment_stat,
-                                z_l2_regularity)
+                                fit_convergence_order, regularity_pass,
+                                truncation_error_curve)
 from qgbsde.errors import (GridMismatch, InvalidParameters, InvalidPoints,
                            PicardDivergence)
-from qgbsde.model import Partition, make_brownian, make_quadratic
-from qgbsde.regression import RegressionBasis
-from qgbsde.sde import simulate_forward
+from qgbsde.model import (ModelSpec, Partition, empty_time_major, make_brownian,
+                          make_quadratic, nested_indices)
+from qgbsde.regression import RegressionBasis, project, step_design
+from qgbsde.sde import PathEnsemble, simulate_forward
 from qgbsde.solver import BackwardSolution, SolverMeta, solve_backward_regression
 from qgbsde.truncation import truncate_driver
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
+PLANAR = ModelSpec(
+    name="planar", m=2, d=2, x0=np.zeros(2), T=1.0,
+    b=lambda t, x: np.zeros_like(x),
+    sigma=lambda t, x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy(),
+    f=lambda t, x, y, z: -0.5 * (z ** 2).sum(axis=1),
+    g=lambda x: np.tanh(x).sum(axis=1),
+    driver_z_lipschitz=1.0)
 
 
 def _meta(n):
@@ -25,9 +32,89 @@ def _meta(n):
                       fallback_cells=np.zeros(n, dtype=np.int64))
 
 
-def _crafted(partition, Y, Z, Zbar=None):
-    return BackwardSolution(partition=partition, Y=Y, Z=Z, Zbar=Zbar,
+def _crafted(partition, Y, Z):
+    return BackwardSolution(partition=partition, Y=Y, Z=Z,
                             meta=_meta(partition.n_steps))
+
+
+# Reference statistics: one loop per statistic over two stored solutions,
+# as the package computed them before regularity_pass. The crafted-value
+# tests pin these formulas; the pass must reproduce them bit for bit.
+
+def _ref_y_increment_stat(base, fine):
+    idx = nested_indices(base.partition, fine.partition)
+    yf = fine.Y
+    worst = 0.0
+    for i in range(len(idx) - 1):
+        lo, hi = idx[i], idx[i + 1]
+        inc = yf[:, lo + 1:hi + 1] - yf[:, lo:lo + 1]
+        worst = max(worst, float((inc ** 2).mean(axis=0).max()))
+    return worst
+
+
+def _ref_z_increment_stat(Z):
+    worst = 0.0
+    for i in range(Z.shape[1] - 1):
+        dz = Z[:, i + 1] - Z[:, i]
+        worst = max(worst, float(np.einsum("pd,pd->", dz, dz)) / Z.shape[0])
+    return worst
+
+
+def _ref_z_l2_regularity(base, fine, zbar):
+    """E sum_j |Z_j - zbar_i(j)|^2 dt_j for a (P, N_coarse, d) zbar."""
+    idx = nested_indices(base.partition, fine.partition)
+    dt_f = fine.partition.dt
+    total = 0.0
+    for i in range(len(idx) - 1):
+        lo, hi = idx[i], idx[i + 1]
+        diff = fine.Z[:, lo:hi] - zbar[:, i:i + 1]
+        total += float(((diff ** 2).sum(axis=2) * dt_f[lo:hi]).mean(axis=0).sum())
+    return total
+
+
+def _ref_window_average_fit(fine, fine_ens, coarse, basis):
+    idx = nested_indices(coarse, fine.partition)
+    dtf = fine.partition.dt
+    P, _, d = fine.Z.shape
+    out = empty_time_major(coarse.n_steps, P, (d,))
+    for i in range(coarse.n_steps):
+        j0, j1 = idx[i], idx[i + 1]
+        h = coarse.times[i + 1] - coarse.times[i]
+        avg = np.einsum("pjd,j->pd", fine.Z[:, j0:j1], dtf[j0:j1]) / h
+        out[:, i] = project(step_design(basis, fine_ens.states[:, j0], step=i), avg)[0]
+    return out
+
+
+def _ref_node_fit(sol, ens, basis):
+    zbar = np.empty_like(sol.Z)
+    for i in range(sol.partition.n_steps):
+        zbar[:, i] = project(step_design(basis, ens.states[:, i], step=i), sol.Z[:, i])[0]
+    return zbar
+
+
+def _ref_left_endpoint(base, fine):
+    return fine.Z[:, nested_indices(base.partition, fine.partition)[:-1]]
+
+
+def _path_major(ens):
+    return PathEnsemble(partition=ens.partition, seed=ens.seed,
+                        increments=np.ascontiguousarray(ens.increments),
+                        states=np.ascontiguousarray(ens.states))
+
+
+def _restrict(ens_f, coarse):
+    """The coarse ensemble on the fine paths: the shared states and the
+    window-summed increments, in the fine ensemble's storage order."""
+    idx = nested_indices(coarse, ens_f.partition)
+    if ens_f.states.flags.c_contiguous:  # path-major
+        inc = np.add.reduceat(ens_f.increments, idx[:-1], axis=1)
+        states = ens_f.states[:, idx]
+    else:  # time-major, as the CLI builds it
+        inc = np.add.reduceat(ens_f.increments.swapaxes(0, 1), idx[:-1],
+                              axis=0).swapaxes(0, 1)
+        states = ens_f.states.swapaxes(0, 1)[idx].swapaxes(0, 1)
+    return PathEnsemble(partition=coarse, seed=ens_f.seed, increments=inc,
+                        states=states)
 
 
 def test_fit_convergence_order_recovers_exact_slopes():
@@ -59,51 +146,35 @@ def test_y_increment_stat_crafted_values():
     sol_c = _crafted(coarse, Y[:, ::2], np.zeros((3, 2, 1)))
     sol_f = _crafted(fine, Y, np.zeros((3, 4, 1)))
     # windows close on the right, so each one sees the full 2-node excursion
-    assert y_increment_stat(sol_c, sol_f) == 4.0
+    assert _ref_y_increment_stat(sol_c, sol_f) == 4.0
 
 
 def test_y_increment_stat_brownian_scaling():
     # for Y = W the worst window statistic is the window width itself
     model = make_brownian()
-    coarse, fine = Partition.uniform(1.0, 4), Partition.uniform(1.0, 16)
-    ens_f = simulate_forward(model, fine, 20000, seed=9)
-    sol_f = solve_backward_regression(model, ens_f, GLOBAL2)
-    idx = np.arange(5) * 4
-    from qgbsde.sde import PathEnsemble
-    ens_c = PathEnsemble(partition=coarse, seed=ens_f.seed,
-                         increments=np.add.reduceat(ens_f.increments, idx[:-1], axis=1),
-                         states=ens_f.states[:, idx])
-    sol_c = solve_backward_regression(model, ens_c, GLOBAL2)
-    stat = y_increment_stat(sol_c, sol_f)
+    ens_f = simulate_forward(model, Partition.uniform(1.0, 16), 20000, seed=9)
+    ens_c = _restrict(ens_f, Partition.uniform(1.0, 4))
+    stat = regularity_pass(model, ens_c, ens_f, GLOBAL2).y_increment_sq
     assert 0.8 * 0.25 < stat < 1.2 * 0.25
     # halving the window halves the statistic
-    coarse8 = Partition.uniform(1.0, 8)
-    idx8 = np.arange(9) * 2
-    ens_c8 = PathEnsemble(partition=coarse8, seed=ens_f.seed,
-                          increments=np.add.reduceat(ens_f.increments, idx8[:-1], axis=1),
-                          states=ens_f.states[:, idx8])
-    sol_c8 = solve_backward_regression(model, ens_c8, GLOBAL2)
-    stat8 = y_increment_stat(sol_c8, sol_f)
+    ens_c8 = _restrict(ens_f, Partition.uniform(1.0, 8))
+    stat8 = regularity_pass(model, ens_c8, ens_f, GLOBAL2).y_increment_sq
     assert 0.7 * 0.5 < stat8 / stat < 1.3 * 0.5
 
 
 def test_z_increment_stat_crafted():
-    part = Partition.uniform(1.0, 4)
     Z = np.tile(np.arange(4.0)[:, None], (5, 1, 1))
-    sol = _crafted(part, np.zeros((5, 5)), Z)
-    assert z_increment_stat(sol) == 1.0
+    assert _ref_z_increment_stat(Z) == 1.0
 
 
 def test_z_increment_stat_matches_whole_array_formula():
-    # the per-step loop against the (P, N, d) difference it replaced, on a
-    # path-major and a time-major copy of the same control
-    part = Partition.uniform(1.0, 6)
+    # the per-step loop against the (P, N, d) difference, on a path-major and
+    # a time-major copy of the same control
     Z = np.random.default_rng(5).normal(size=(2000, 6, 2)) * np.arange(1.0, 7.0)[:, None]
     want = float(((Z[:, 1:] - Z[:, :-1]) ** 2).sum(axis=2).mean(axis=0).max())
     time_major = np.ascontiguousarray(Z.swapaxes(0, 1)).swapaxes(0, 1)
     for z in (Z, time_major):
-        got = z_increment_stat(_crafted(part, np.zeros((2000, 7)), z))
-        assert got == pytest.approx(want, rel=1e-13)
+        assert _ref_z_increment_stat(z) == pytest.approx(want, rel=1e-13)
 
 
 def test_z_l2_regularity_exact_projections():
@@ -115,37 +186,88 @@ def test_z_l2_regularity_exact_projections():
     tz = np.tile(fine.times[:16][None, :, None], (500, 1, 1))
     sol_f = _crafted(fine, np.zeros((500, 17)), tz)
     left_vals = tz[:, ::4][:, :4]
-    sol_c = _crafted(coarse, np.zeros((500, 5)), left_vals, Zbar=left_vals)
+    sol_c = _crafted(coarse, np.zeros((500, 5)), left_vals)
 
-    left = z_l2_regularity(sol_c, sol_f, projection="left")
+    left = _ref_z_l2_regularity(sol_c, sol_f, _ref_left_endpoint(sol_c, sol_f))
     assert left == pytest.approx(7.0 / 512.0, rel=1e-12)
-    node = z_l2_regularity(sol_c, sol_f, projection="node")
+    node = _ref_z_l2_regularity(sol_c, sol_f, left_vals)  # an exact node fit
     assert node == pytest.approx(7.0 / 512.0, rel=1e-12)
-    window = z_l2_regularity(sol_c, sol_f, ensemble=ens_f, basis=GLOBAL2,
-                             projection="window")
+    window = _ref_z_l2_regularity(
+        sol_c, sol_f, _ref_window_average_fit(sol_f, ens_f, coarse, GLOBAL2))
     # the window mean is the optimal constant: sum of centered squares
     assert window == pytest.approx(5.0 / 1024.0, rel=1e-7)
     assert window < left
 
 
-def test_z_l2_regularity_validation():
+QUAD6 = truncate_driver(make_quadratic(), 6.0)
+GLOBAL4 = RegressionBasis(kind="global_polynomial", degree=4)
+_PASS_CASES = {
+    # model, basis, fine and coarse grid, paths, path-major pair, y_clamp
+    # (70k paths: two regression blocks of 65,536)
+    "global4_70k": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 70_000, False, None),
+    "local1_clamped": (make_brownian(terminal="tanh"),
+                       RegressionBasis(kind="local_partition", degree=1,
+                                       cells_per_dim=20),
+                       18, Partition.uniform(1.0, 6), 20_000, False, 0.9),
+    "planar": (PLANAR, GLOBAL2, 8, Partition.uniform(1.0, 4), 5_000, False, None),
+    "path_major": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 10_000, True, None),
+    # windows of 2, 1 and 5 fine steps
+    "uneven_windows": (QUAD6, GLOBAL2, 8, Partition(np.array([0.0, 0.25, 0.375, 1.0])),
+                       5_000, False, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_PASS_CASES))
+def test_regularity_pass_matches_stored_solutions_bitwise(case):
+    model, basis, n_fine, coarse, n_paths, path_major, y_clamp = _PASS_CASES[case]
+    ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
+    if path_major:
+        ens_f = _path_major(ens_f)
+    ens_c = _restrict(ens_f, coarse)
+    sol_c = solve_backward_regression(model, ens_c, basis, y_clamp=y_clamp)
+    sol_f = solve_backward_regression(model, ens_f, basis, y_clamp=y_clamp)
+    want = dict(
+        y_increment_sq=_ref_y_increment_stat(sol_c, sol_f),
+        z_regularity_sum=_ref_z_l2_regularity(
+            sol_c, sol_f, _ref_window_average_fit(sol_f, ens_f, coarse, basis)),
+        z_regularity_node=_ref_z_l2_regularity(
+            sol_c, sol_f, _ref_node_fit(sol_c, ens_c, basis)),
+        z_regularity_left_endpoint=_ref_z_l2_regularity(
+            sol_c, sol_f, _ref_left_endpoint(sol_c, sol_f)),
+        z_increment_sq=_ref_z_increment_stat(sol_f.Z))
+    reg = regularity_pass(model, ens_c, ens_f, basis, y_clamp=y_clamp)
+    assert {k: getattr(reg, k) for k in want} == want
+    np.testing.assert_array_equal(reg.solution.Y, sol_c.Y)
+    np.testing.assert_array_equal(reg.solution.Z, sol_c.Z)
+    for field in ("y_residual_rms", "z_residual_rms", "picard_residuals",
+                  "conditions", "fallback_cells"):
+        np.testing.assert_array_equal(getattr(reg.solution.meta, field),
+                                      getattr(sol_c.meta, field))
+
+
+def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
     model = make_brownian()
-    coarse, fine = Partition.uniform(1.0, 2), Partition.uniform(1.0, 4)
-    sol_c = _crafted(coarse, np.zeros((5, 3)), np.zeros((5, 2, 1)))
-    sol_f = _crafted(fine, np.zeros((5, 5)), np.zeros((5, 4, 1)))
-    with pytest.raises(InvalidParameters):
-        z_l2_regularity(sol_c, sol_f, projection="window")  # no ensemble
-    with pytest.raises(InvalidParameters):
-        z_l2_regularity(sol_c, sol_f, projection="node")  # no Zbar
-    with pytest.raises(InvalidParameters):
-        z_l2_regularity(sol_c, sol_f, projection="midpoint")
+    ens_f = simulate_forward(model, Partition.uniform(1.0, 8), 500, seed=1)
+    ens_c = _restrict(ens_f, Partition.uniform(1.0, 4))
+    other = simulate_forward(model, ens_c.partition, 500, seed=2)
+    fewer = PathEnsemble(partition=ens_c.partition, seed=1,
+                         increments=ens_c.increments[:400], states=ens_c.states[:400])
+    for bad in (other, fewer):
+        with pytest.raises(InvalidParameters, match="shared nodes"):
+            regularity_pass(model, bad, ens_f, GLOBAL2)
+    regularity_pass(model, ens_c, ens_f, GLOBAL2)
+    with pytest.raises(InvalidParameters, match="picard_iters"):
+        regularity_pass(model, ens_c, ens_f, GLOBAL2, picard_iters=0)
+    with pytest.raises(InvalidParameters, match="y_clamp"):
+        regularity_pass(model, ens_c, ens_f, GLOBAL2, y_clamp=0.0)
 
 
 def test_grid_mismatch_between_solutions():
-    sol_c = _crafted(Partition.uniform(1.0, 4), np.zeros((5, 5)), np.zeros((5, 4, 1)))
-    sol_f = _crafted(Partition.uniform(1.0, 6), np.zeros((5, 7)), np.zeros((5, 6, 1)))
+    model = make_brownian()
+    ens_c = simulate_forward(model, Partition.uniform(1.0, 4), 50, seed=1)
+    ens_f = simulate_forward(model, Partition.uniform(1.0, 6), 50, seed=1)
     with pytest.raises(GridMismatch):
-        y_increment_stat(sol_c, sol_f)
+        regularity_pass(model, ens_c, ens_f, GLOBAL2)
 
 
 def test_bmo_estimate_constant_control():

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from qgbsde import cli
+from qgbsde.diagnostics import regularity_pass
 from qgbsde.model import ModelSpec, Partition, make_gbm, make_quadratic
 from qgbsde.regression import RegressionBasis
 from qgbsde.sde import (PathEnsemble, dump_ensemble, load_ensemble,
                         simulate_forward, simulate_variational)
-from qgbsde.solver import (compute_zbar, project_window_average,
-                           solve_backward_regression)
+from qgbsde.solver import solve_backward_regression
 from qgbsde.truncation import truncate_driver
 from qgbsde.variational import solve_variational_bsde
 
@@ -49,24 +49,26 @@ def test_forward_and_backward_arrays_are_time_major(model, tmp_path):
     ens = simulate_forward(model, part, 700, seed=5, workers=2)
     dump_ensemble(ens, tmp_path / "ens.bin")
     loaded = load_ensemble(tmp_path / "ens.bin")
-    sol = compute_zbar(solve_backward_regression(model, ens, GLOBAL2), ens, GLOBAL2)
-    fine = part.refine(2)
-    ens_f = simulate_forward(model, fine, 700, seed=5)
-    sol_f = solve_backward_regression(model, ens_f, GLOBAL2)
-    window = project_window_average(sol_f, ens_f, part, GLOBAL2)
+    sol = solve_backward_regression(model, ens, GLOBAL2)
+    # the regularity pass, given a path-major copy of the coarse nodes of a
+    # refined ensemble
+    ens_f = simulate_forward(model, part.refine(2), 700, seed=5)
+    ens_c = _path_major(PathEnsemble(
+        partition=part, seed=5, states=ens_f.states[:, ::2],
+        increments=ens_f.increments[:, ::2] + ens_f.increments[:, 1::2]))
+    coarse = regularity_pass(model, ens_c, ens_f, GLOBAL2).solution
     for name, a in [("increments", ens.increments), ("states", ens.states),
                     ("loaded increments", loaded.increments),
                     ("loaded states", loaded.states),
-                    ("Y", sol.Y), ("Z", sol.Z), ("Zbar", sol.Zbar),
-                    ("window average", window)]:
+                    ("Y", sol.Y), ("Z", sol.Z),
+                    ("regularity pass Y", coarse.Y), ("regularity pass Z", coarse.Z)]:
         _assert_node_slices_contiguous(name, a)
 
 
-@pytest.mark.parametrize("inverse_mode", ["solve", "sde"])
-def test_flows_and_gradients_are_time_major(inverse_mode):
+def test_flows_and_gradients_are_time_major():
     model = make_gbm()
     ens = simulate_forward(model, Partition.uniform(model.T, 6), 600, seed=2)
-    ens_v = simulate_variational(model, ens, inverse_mode=inverse_mode)
+    ens_v = simulate_variational(model, ens)
     var = solve_variational_bsde(model, ens_v,
                                  solve_backward_regression(model, ens_v, GLOBAL2),
                                  GLOBAL2)

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from qgbsde.errors import DegenerateRegression, InvalidParameters
-from qgbsde.regression import (FitInfo, RegressionBasis, fit_step, project,
-                               step_bounds, step_design)
+from qgbsde.regression import (FitInfo, RegressionBasis, project, step_bounds,
+                               step_design)
+
+
+def _fit(basis, x, targets, step=None):
+    """A one-off fit: a design built on x and applied to the targets."""
+    return project(step_design(basis, x, step), targets)
 
 
 def test_global_recovers_polynomial_exactly():
@@ -13,7 +18,7 @@ def test_global_recovers_polynomial_exactly():
     x = rng.uniform(-2.0, 3.0, size=(5000, 1))
     targets = (2.0 + 3.0 * x - 0.5 * x ** 2).reshape(-1, 1)
     basis = RegressionBasis(kind="global_polynomial", degree=2)
-    fitted, info = fit_step(basis, x, targets)
+    fitted, info = _fit(basis, x, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-8)
     assert info.residual_rms[0] < 1e-8
     assert info.n_features == 3
@@ -25,7 +30,7 @@ def test_global_two_dimensional_cross_terms():
     x = rng.uniform(-1.0, 1.0, size=(4000, 2))
     targets = (1.0 + x[:, 0] + 0.7 * x[:, 0] * x[:, 1])[:, None]
     basis = RegressionBasis(kind="global_polynomial", degree=2)
-    fitted, info = fit_step(basis, x, targets)
+    fitted, info = _fit(basis, x, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-8)
     # monomials of total degree <= 2 in two variables: 1, x, y, x^2, xy, y^2
     assert info.n_features == 6
@@ -36,7 +41,7 @@ def test_global_multiple_target_columns():
     x = rng.normal(size=(3000, 1))
     targets = np.column_stack([x[:, 0], x[:, 0] ** 2 - 1.0])
     basis = RegressionBasis(kind="global_polynomial", degree=3)
-    fitted, _ = fit_step(basis, x, targets)
+    fitted, _ = _fit(basis, x, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-7)
 
 
@@ -45,7 +50,7 @@ def test_constant_fit_on_degenerate_state():
     # conditional expectation collapses to the plain mean
     x = np.full((500, 1), 1.25)
     targets = np.column_stack([np.arange(500.0), np.ones(500)])
-    fitted, info = fit_step(RegressionBasis(), x, targets)
+    fitted, info = _fit(RegressionBasis(), x, targets)
     assert info.degenerate
     assert info.n_features == 1
     np.testing.assert_allclose(fitted[:, 0], np.arange(500.0).mean())
@@ -57,7 +62,7 @@ def test_local_degree0_is_cellwise_mean():
                             bounds=np.array([[0.0, 1.0]]))
     x = np.array([[0.1], [0.2], [0.6], [0.9]])
     targets = np.array([[1.0], [3.0], [10.0], [20.0]])
-    fitted, info = fit_step(basis, x, targets)
+    fitted, info = _fit(basis, x, targets)
     np.testing.assert_allclose(fitted[:, 0], [2.0, 2.0, 15.0, 15.0])
     assert info.fallback_cells == 0
 
@@ -67,7 +72,7 @@ def test_local_degree1_recovers_affine():
     x = rng.uniform(0.0, 1.0, size=(20000, 1))
     targets = (1.0 + 2.0 * x).reshape(-1, 1)
     basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=10)
-    fitted, info = fit_step(basis, x, targets)
+    fitted, info = _fit(basis, x, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-8)
     assert info.fallback_cells == 0
 
@@ -84,7 +89,7 @@ def test_local_fallback_accounting():
     x3 = rng.uniform(0.75, 1.00, size=10)
     x = np.concatenate([x0, x1, x3])[:, None]
     targets = np.concatenate([np.ones(10), [4.0, 8.0], np.full(10, 2.0)])[:, None]
-    fitted, info = fit_step(basis, x, targets)
+    fitted, info = _fit(basis, x, targets)
     assert info.fallback_cells == 2
     np.testing.assert_allclose(fitted[10:12, 0], 6.0)
 
@@ -96,7 +101,7 @@ def test_global_collinear_design_raises():
     targets = u[:, None]
     basis = RegressionBasis(kind="global_polynomial", degree=1)
     with pytest.raises(DegenerateRegression) as exc:
-        fit_step(basis, x, targets, step=5)
+        _fit(basis, x, targets, step=5)
     assert exc.value.step == 5
 
 
@@ -104,7 +109,7 @@ def test_local_every_cell_failed_raises():
     basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=1)
     x = np.array([[0.2], [0.8]])  # one cell, two points, floor is three
     with pytest.raises(DegenerateRegression):
-        fit_step(basis, x, np.array([[1.0], [2.0]]))
+        _fit(basis, x, np.array([[1.0], [2.0]]))
 
 
 def test_fit_is_deterministic():
@@ -114,8 +119,8 @@ def test_fit_is_deterministic():
     for basis in (RegressionBasis(kind="global_polynomial", degree=4),
                   RegressionBasis(kind="local_partition", degree=1,
                                   cells_per_dim=25)):
-        a, _ = fit_step(basis, x, targets)
-        b, _ = fit_step(basis, x, targets)
+        a, _ = _fit(basis, x, targets)
+        b, _ = _fit(basis, x, targets)
         assert np.array_equal(a, b)
 
 
@@ -124,7 +129,7 @@ def test_points_outside_bounds_use_edge_cells():
                             bounds=np.array([[0.0, 1.0]]))
     x = np.array([[-5.0], [0.2], [0.8], [7.0]])
     targets = np.array([[1.0], [3.0], [5.0], [7.0]])
-    fitted, _ = fit_step(basis, x, targets)
+    fitted, _ = _fit(basis, x, targets)
     assert np.all(np.isfinite(fitted))
     # the stray points share their edge cell's mean
     np.testing.assert_allclose(fitted[:, 0], [2.0, 2.0, 6.0, 6.0])
@@ -164,9 +169,9 @@ def test_basis_validation():
 
 def test_fit_step_shape_validation():
     with pytest.raises(InvalidParameters):
-        fit_step(RegressionBasis(), np.zeros(10), np.zeros((10, 1)))
+        _fit(RegressionBasis(), np.zeros(10), np.zeros((10, 1)))
     with pytest.raises(InvalidParameters):
-        fit_step(RegressionBasis(), np.zeros((10, 1)), np.zeros((9, 1)))
+        _fit(RegressionBasis(), np.zeros((10, 1)), np.zeros((9, 1)))
 
 
 def test_fit_info_residual_reflects_noise():
@@ -174,8 +179,7 @@ def test_fit_info_residual_reflects_noise():
     x = rng.uniform(-1.0, 1.0, size=(50000, 1))
     noise = rng.normal(scale=0.3, size=(50000, 1))
     targets = x + noise
-    _, info = fit_step(RegressionBasis(kind="global_polynomial", degree=1),
-                       x, targets)
+    _, info = _fit(RegressionBasis(kind="global_polynomial", degree=1), x, targets)
     assert info.residual_rms[0] == pytest.approx(0.3, rel=0.05)
 
 
@@ -201,7 +205,7 @@ def test_multi_column_projection_matches_single_column_fits(basis, m):
     fitted, info = project(step_design(basis, x, step=2), targets)
     assert fitted.shape == targets.shape
     for j in range(targets.shape[1]):
-        single, single_info = fit_step(basis, x, targets[:, j:j + 1], step=2)
+        single, single_info = _fit(basis, x, targets[:, j:j + 1], step=2)
         scale = np.abs(single).max()
         assert np.abs(fitted[:, j] - single[:, 0]).max() <= 1e-12 * scale
         assert info.residual_rms[j] == pytest.approx(single_info.residual_rms[0],

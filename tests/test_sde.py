@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,14 +167,20 @@ def test_flow_condition_cap_and_singular_flow():
         simulate_variational(singular, ens)
 
 
-def test_inverse_sde_cross_check():
-    model = make_gbm(mu=0.2, vol=0.3)
-    ens = simulate_forward(model, Partition.uniform(1.0, 256), 1000, 3)
-    solved = simulate_variational(model, ens, inverse_mode="solve")
-    stepped = simulate_variational(model, ens, inverse_mode="sde")
-    # the integrated inverse agrees with the exact inverse to O(mesh)
-    diff = np.abs(solved.flow_inverses - stepped.flow_inverses).max()
-    assert diff < 0.05
+def test_flow_identity_residual_matches_whole_array_formula():
+    # node by node against the (P, N+1, m, m) product it replaced, on exact
+    # and perturbed inverses, time-major and path-major
+    model = _linear_flow_model([0.5, 1.5])
+    ens = simulate_forward(model, Partition.uniform(1.0, 6), 300, 4)
+    ens = simulate_variational(model, ens)
+    noise = np.random.default_rng(1).normal(scale=1e-3, size=ens.flows.shape)
+    for G in (ens.flow_inverses, ens.flow_inverses + noise):
+        for F, Gs in ((ens.flows, G),
+                      (np.ascontiguousarray(ens.flows), np.ascontiguousarray(G))):
+            want = float(np.abs(np.einsum("piab,pibc->piac", F, Gs) - np.eye(2)).max())
+            got = flow_identity_residual(replace(ens, flows=F, flow_inverses=Gs))
+            assert got == pytest.approx(want, rel=1e-12)
+    assert want > 1e-4  # the perturbed inverses leave a visible residual
 
 
 def test_dump_load_roundtrip(tmp_path):

@@ -10,8 +10,7 @@ from qgbsde.model import (ModelSpec, Partition, make_brownian, make_discount,
 from qgbsde.oracle import cole_hopf_from_model
 from qgbsde.regression import RegressionBasis
 from qgbsde.sde import PathEnsemble, simulate_forward
-from qgbsde.solver import (compute_zbar, project_window_average,
-                           solve_backward_regression, solve_quadrature_1d)
+from qgbsde.solver import solve_backward_regression, solve_quadrature_1d
 from qgbsde.truncation import truncate_driver
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
@@ -125,38 +124,6 @@ def test_dimension_mismatch_is_rejected():
         solve_backward_regression(model2, ens, GLOBAL2)
 
 
-def test_compute_zbar_projection():
-    model, ens = _brownian_ensemble()
-    sol = solve_backward_regression(model, ens, GLOBAL2)
-    assert sol.Zbar is None
-    sol2 = compute_zbar(sol, ens, GLOBAL2)
-    assert sol.Zbar is None  # original untouched
-    assert sol2.Zbar.shape == sol.Z.shape
-    # Z is near-constant 1, so its state projection has to stay near 1
-    assert np.sqrt(np.mean((sol2.Zbar - 1.0) ** 2)) < 5e-2
-
-
-def test_project_window_average_on_nested_grids():
-    model = make_brownian()
-    fine = Partition.uniform(model.T, 16)
-    coarse = Partition.uniform(model.T, 4)
-    ens_f = simulate_forward(model, fine, 20000, seed=5)
-    sol_f = solve_backward_regression(model, ens_f, GLOBAL2)
-    proj = project_window_average(sol_f, ens_f, coarse, GLOBAL2)
-    assert proj.shape == (20000, 4, 1)
-    assert np.sqrt(np.mean((proj - 1.0) ** 2)) < 5e-2
-
-
-def test_project_window_average_rejects_non_nested():
-    from qgbsde.errors import GridMismatch
-    model = make_brownian()
-    fine = Partition.uniform(model.T, 16)
-    ens_f = simulate_forward(model, fine, 1000, seed=5)
-    sol_f = solve_backward_regression(model, ens_f, GLOBAL2)
-    with pytest.raises(GridMismatch):
-        project_window_average(sol_f, ens_f, Partition.uniform(model.T, 5), GLOBAL2)
-
-
 def test_quadrature_brownian_identity_is_exact():
     model = make_brownian()
     y0, z0 = solve_quadrature_1d(model, Partition.uniform(model.T, 8))
@@ -189,6 +156,9 @@ def test_quadrature_domain_guard():
         solve_quadrature_1d(model, Partition.uniform(model.T, 8), space_nodes=4)
     with pytest.raises(InvalidParameters, match="gh_nodes"):
         solve_quadrature_1d(model, Partition.uniform(model.T, 8), gh_nodes=0)
+    for bound in (0.0, -1.0, float("nan")):
+        with pytest.raises(InvalidParameters, match="space_bound"):
+            solve_quadrature_1d(model, Partition.uniform(model.T, 8), space_bound=bound)
 
 
 def test_solver_is_deterministic():
