@@ -23,7 +23,9 @@ loop (--seed, --workers and --out stand in for the rows of the same name) and
 checks them in a second, so a bad value exits 2 before anything is simulated.
 config_resolved.ini is written from the same rows, and passed back as
 --config it reproduces the run. The [model] keys are the parameters of the
-chosen preset in model.PRESETS, each parsed as the type of its default.
+chosen preset in model.PRESETS, each parsed as the type of its default; a
+model whose certified growth constant growth_M fails the spot check of
+model.check_growth_certificate exits 2 as well.
 
 Exit codes: 0 success, 1 numerical failure during the run, 2 configuration
 error. With --strict, runs that produced warnings also exit 1.
@@ -56,11 +58,11 @@ from .diagnostics import (bmo_estimate, effective_qbar, fit_convergence_order,
                           regularity_pass, truncation_error_curve)
 from .errors import (ConfigError, DomainTooSmall, InvalidParameters, QgbsdeError,
                      QuadratureUnstable)
-from .model import PRESETS, ModelSpec, Partition
+from .model import PRESETS, ModelSpec, Partition, check_growth_certificate
 from .oracle import bmo_bound, cole_hopf_from_model, cole_hopf_increment_stat
 from .regression import RegressionBasis
-from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
-                  load_ensemble, simulate_forward, simulate_variational)
+from .sde import (PathEnsemble, dump_ensemble, load_ensemble, simulate_forward,
+                  simulate_variational)
 from .solver import solve_backward_regression, solve_quadrature_1d
 from .truncation import truncate_driver
 from .variational import representation_check, solve_variational_bsde
@@ -199,9 +201,15 @@ def _build_model(cfg) -> ModelSpec:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"[model] {key} must be finite, got {value}")
     try:
-        return PRESETS[name](**{k: v for k, v in kwargs.items() if v is not None})
+        model = PRESETS[name](**{k: v for k, v in kwargs.items() if v is not None})
     except QgbsdeError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
+    ratio = check_growth_certificate(model)
+    if ratio > 1.0:
+        raise ConfigError(f"[model] {name}: growth_M = {model.growth_M:g} does not "
+                          f"bound the driver (|f| / (M (1 + |y| + |z|^2)) reaches "
+                          f"{ratio:.4g})")
+    return model
 
 
 class RunContext:
@@ -589,6 +597,10 @@ def cmd_diagnose(ctx: RunContext):
     coarse = ens_c.partition
     reg = regularity_pass(model, ens_c, ens_f, **ctx.solver_options(model, ens_c))
     sol_c = reg.solution
+    # the stages below read the coarse ensemble only; its states are a view
+    # of the fine ones, so this frees the fine increments
+    del ens_f
+    ctx.ensemble_memo = None
 
     ystat = reg.y_increment_sq
     ratio = ystat / coarse.mesh
@@ -624,7 +636,7 @@ def cmd_diagnose(ctx: RunContext):
         ens_v = simulate_variational(model, ens_c)
         var = solve_variational_bsde(model, ens_v, sol_c, ctx.basis)
         rep = representation_check(model, ens_v, sol_c, var)
-        ctx.add("flow_identity_residual", flow_identity_residual(ens_v))
+        ctx.add("flow_identity_residual", ens_v.flow_residual)
         ctx.add("representation_rms", rep.time_avg_rms)
         ctx.add("representation_max", float(rep.per_node_max.max()))
         ctx.note(f"gradient representation residual: {rep.time_avg_rms:.4e} rms")

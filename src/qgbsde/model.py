@@ -120,12 +120,27 @@ def nested_indices(coarse: Partition, fine: Partition, tol: float = 1e-9) -> np.
 
 
 @dataclass(frozen=True)
+class Truncation:
+    """The level n and the model that truncation.truncate_driver clamped.
+
+    The truncated model's f, f_x and f_y are base's evaluated at
+    smooth_clamp(n, z), so a solver that evaluates the driver several times
+    at one z can clamp z once and call base's callables.
+    """
+
+    level: float
+    base: "ModelSpec"
+
+
+@dataclass(frozen=True)
 class ModelSpec:
     """Forward-backward system with certified constants.
 
     driver_z_lipschitz is the certified global Lipschitz constant of f in z,
     or None when the driver is only quadratic-growth. Solvers refuse models
-    with None (apply a truncation level first).
+    with None (apply a truncation level first). truncation is set by
+    truncate_driver only, and cleared by with_driver when a driver callable
+    is replaced.
     """
 
     name: str
@@ -147,6 +162,7 @@ class ModelSpec:
     driver_z_lipschitz: float | None = None
     assumption_level: AssumptionLevel = AssumptionLevel.HX0Y0
     meta: dict = field(default_factory=dict)
+    truncation: Truncation | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
@@ -167,6 +183,9 @@ class ModelSpec:
                     f"level {self.assumption_level.name} requires gradients, missing: {missing}")
 
     def with_driver(self, **changes) -> "ModelSpec":
+        if changes.keys() & {"f", "f_x", "f_y", "f_z"}:
+            # a recorded truncation no longer describes the new driver
+            changes.setdefault("truncation", None)
         return replace(self, **changes)
 
 

@@ -23,6 +23,8 @@ class PathEnsemble:
     increments: (P, N, d) Brownian increments (already scaled by sqrt(dt_i))
     states:     (P, N+1, m) Euler states, states[:, 0] == x0
     flows / flow_inverses: (P, N+1, m, m) when the variational pass ran
+    flow_residual: flow_identity_residual of those flows, as
+                   simulate_variational measured it for its check
 
     Arrays built by this module are indexed path first but stored time-major
     (time is the slowest axis in memory, see model.empty_time_major), so the
@@ -36,6 +38,7 @@ class PathEnsemble:
     states: np.ndarray
     flows: np.ndarray | None = None
     flow_inverses: np.ndarray | None = None
+    flow_residual: float | None = None
 
     def __post_init__(self):
         n = self.partition.n_steps
@@ -114,7 +117,7 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
 
     Each flow matrix is inverted directly; the condition bound is capped at
     condition_cap and the identity residual (flow_identity_residual) at
-    flow_tol.
+    flow_tol. The residual is handed on as flow_residual.
     """
     if model.assumption_level < AssumptionLevel.HX1Y1:
         raise AssumptionLevelTooLow(
@@ -152,7 +155,7 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
     resid = flow_identity_residual(out)
     if resid > flow_tol:
         raise SingularFlow(f"flow inverse identity residual {resid:.3e} > {flow_tol:.3e}")
-    return out
+    return replace(out, flow_residual=resid)
 
 
 def flow_identity_residual(ensemble: PathEnsemble) -> float:

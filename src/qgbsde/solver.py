@@ -15,6 +15,12 @@ The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
 
+Z is fixed while the Picard passes run. So both solvers clamp a truncated
+driver's z once per step and column (truncation.clamped_driver) and run the
+passes on the untruncated driver, and the passes stop as soon as one leaves
+y unchanged: every later pass would reproduce it bit for bit, with residual
+0. A driver that does not depend on y therefore takes two passes.
+
 The Z regression target is centered by the fitted conditional mean of
 Y_{i+1}: since that center is a function of X_i alone, the conditional
 expectation is unchanged, while the 1/dt variance inflation of the raw
@@ -35,6 +41,7 @@ from .errors import (DomainTooSmall, InvalidParameters, NumericalBlowup,
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble
+from .truncation import clamped_driver
 
 
 @dataclass
@@ -84,18 +91,27 @@ def _check_solver_inputs(model: ModelSpec, ensemble: PathEnsemble):
             f"(m={model.m}, d={model.d})")
 
 
-def _picard_resolve(model, t, x, base, z, dt, picard_iters, step):
-    """Fixed-point passes for y = base + dt f(t, x, y, z)."""
+def _picard_resolve(f, t, x, base, z, dt, picard_iters, step):
+    """At most picard_iters fixed-point passes for y = base + dt f(t, x, y, z).
+
+    A pass that leaves y unchanged ends the loop: the remaining passes would
+    return the same y with residual 0 and could not diverge, so y and the
+    residual are those of the full count.
+    """
     y = base
     prev = None
     for _ in range(picard_iters):
-        y_new = base + dt * np.asarray(model.f(t, x, y, z))
+        y_new = base + dt * np.asarray(f(t, x, y, z))
         res = float(np.sqrt(np.mean((y_new - y) ** 2)))
-        tol = 1e-12 * max(1.0, float(np.sqrt(np.mean(y_new ** 2))))
-        if prev is not None and res > prev and res > tol:
+        if (prev is not None and res > prev
+                and res > 1e-12 * max(1.0, float(np.sqrt(np.mean(y_new ** 2))))):
             raise PicardDivergence(
                 f"inner iteration residual grew {prev:.3e} -> {res:.3e}", step=step)
+        # res is 0 also when the squared changes underflow; only equal values stop
+        stop = res == 0.0 and np.array_equal(y_new, y)
         y, prev = y_new, res
+        if stop:
+            break
     return y, prev if prev is not None else 0.0
 
 
@@ -140,7 +156,8 @@ def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next
     y = np.empty((P, k))
     residuals = np.empty(k)
     for j, model in enumerate(models):
-        y[:, j], residuals[j] = _picard_resolve(model, t, x, cond_mean[:, j], z[:, j],
+        driver, zj = clamped_driver(model, z[:, j])
+        y[:, j], residuals[j] = _picard_resolve(driver.f, t, x, cond_mean[:, j], zj,
                                                 dt, picard_iters, step=i)
     if y_clamp is not None:
         np.clip(y, -y_clamp, y_clamp, out=y)
@@ -252,8 +269,8 @@ def solve_quadrature_1d(model: ModelSpec, partition: Partition,
         vals = spline(pts)
         ey = vals @ wn
         z_grid = (vals * xi[None, :]) @ wn / np.sqrt(dt)
-        y, _ = _picard_resolve(model, t, gx, ey, z_grid[:, None], dt,
-                               picard_iters, step=i)
+        driver, zc = clamped_driver(model, z_grid[:, None])
+        y, _ = _picard_resolve(driver.f, t, gx, ey, zc, dt, picard_iters, step=i)
         if not np.isfinite(y).all():
             raise NumericalBlowup("non-finite grid values in quadrature sweep", step=i)
 

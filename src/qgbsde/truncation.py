@@ -4,6 +4,12 @@ For level n >= 0 the scalar clamp is the identity on [-n, n], a C^1 quadratic
 ramp on n <= |z| <= n + 2, and saturates at +-(n + 1) beyond. It is odd,
 1-Lipschitz, and satisfies |clamp(z)| <= min(|z|, n + 1). Vector arguments
 are clamped componentwise.
+
+truncate_driver records the level and the untruncated model on the model it
+returns. Its f, f_x, f_y and f_z clamp z on every call; the solvers instead
+ask clamped_driver for z clamped once per step and the untruncated driver,
+and run every Picard pass (and the variational step's three gradients) on
+those.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameters
-from .model import ModelSpec
+from .model import ModelSpec, Truncation
 
 
 def _check_level(level):
@@ -50,6 +56,21 @@ def smooth_clamp_grad(level, z):
     return s if z.ndim else float(s[0])
 
 
+def clamped_driver(model: ModelSpec, z):
+    """(driver, z') such that driver.f, f_x and f_y at z' are bit for bit
+    model's at z.
+
+    For a model from truncate_driver, z' is z clamped at its level and the
+    driver is the model before truncation, so a caller that evaluates the
+    driver several times at one z clamps it once. Any other model comes
+    back as it is, with z. model.f_z carries the chain-rule factor
+    smooth_clamp_grad(level, z) on top of driver.f_z(..., z').
+    """
+    if model.truncation is None:
+        return model, z
+    return model.truncation.base, smooth_clamp(model.truncation.level, z)
+
+
 def truncate_driver(model: ModelSpec, level) -> ModelSpec:
     """Replace the driver f(t, x, y, z) by f(t, x, y, clamp(z)).
 
@@ -69,6 +90,7 @@ def truncate_driver(model: ModelSpec, level) -> ModelSpec:
         "f": f_trunc,
         "driver_z_lipschitz": model.growth_M * (3.0 + 2.0 * n),
         "meta": {**model.meta, "truncation_level": n},
+        "truncation": Truncation(level=n, base=model),
     }
     if model.f_x is not None:
         base_fx = model.f_x

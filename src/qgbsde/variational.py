@@ -7,6 +7,11 @@ a = f_y(t, X, Y, Z) the one-step update solves in closed form,
 
     gradY_i = (E_i[gradY_{i+1}] + dt (f_x . gradX + f_z . gradZ_i)) / (1 - dt a).
 
+For a truncated driver the base control is clamped once per step and the
+three gradients are evaluated on the untruncated driver at the clamped
+value (truncation.clamped_driver), with the clamp's derivative applied to
+f_z by the chain rule, as the truncated model's own f_z does.
+
 The control identity Z_t = gradY_t (gradX_t)^{-1} sigma(t, X_t) is then an
 internal consistency check between two independently regressed objects.
 """
@@ -23,6 +28,7 @@ from .model import AssumptionLevel, ModelSpec, empty_time_major
 from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble
 from .solver import BackwardSolution
+from .truncation import clamped_driver, smooth_clamp_grad
 
 
 @dataclass(frozen=True)
@@ -76,9 +82,13 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
         v_fit, _ = project(design, v_targets.reshape(P, d * m))
         Vi = v_fit.reshape(P, d, m)
 
-        fx = np.asarray(model.f_x(t, xi, base.Y[:, i], base.Z[:, i]))
-        fy = np.asarray(model.f_y(t, xi, base.Y[:, i], base.Z[:, i]))
-        fz = np.asarray(model.f_z(t, xi, base.Y[:, i], base.Z[:, i]))
+        yi, zi = base.Y[:, i], base.Z[:, i]
+        driver, zc = clamped_driver(model, zi)
+        fx = np.asarray(driver.f_x(t, xi, yi, zc))
+        fy = np.asarray(driver.f_y(t, xi, yi, zc))
+        fz = np.asarray(driver.f_z(t, xi, yi, zc))
+        if model.truncation is not None:
+            fz = fz * smooth_clamp_grad(model.truncation.level, zi)
         denom = 1.0 - dt * fy
         if np.abs(denom).min() < 0.5:
             raise PicardDivergence(

@@ -2,15 +2,18 @@
 
 import configparser
 import csv
+import functools
+import weakref
 
 import numpy as np
 import pytest
 
-from qgbsde import cli
-from qgbsde.cli import main
+from qgbsde import cli, sde
+from qgbsde.cli import get_ensemble, main
 from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_increment_stat
-from qgbsde.sde import dump_ensemble, load_ensemble, simulate_forward
+from qgbsde.sde import (dump_ensemble, flow_identity_residual, load_ensemble,
+                        simulate_forward, simulate_variational)
 
 BASE = """
 [model]
@@ -115,6 +118,18 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch):
         assert main(["--config", cfg, "--out", str(out), *flags]) == 2, (i, text, flags)
         assert not out.exists()
     assert main(["--config", str(tmp_path / "absent.ini")]) == 2
+
+
+def test_wrong_growth_certificate_exits_2(tmp_path, monkeypatch):
+    @functools.wraps(make_quadratic)
+    def understated(**kwargs):
+        return make_quadratic(**kwargs).with_driver(growth_M=0.1)
+
+    monkeypatch.setitem(cli.PRESETS, "quadratic", understated)
+    cfg = _write(tmp_path, BASE.replace("name = brownian", "name = quadratic\ngamma = 2.0"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_resolved_config_reproduces_the_run(tmp_path):
@@ -274,6 +289,38 @@ def test_all_simulates_each_grid_once(tmp_path, monkeypatch):
     assert main(["--config", cfg, "--command", "all", "--out", str(tmp_path / "o")]) == 0
     # solve and the sweep share the 4-step ensemble; diagnose needs the fine one
     assert grids == [4, 16]
+
+
+def test_diagnose_releases_the_fine_ensemble(tmp_path, monkeypatch):
+    handed_out = []
+    alive_at_flow = []
+    residuals = []
+
+    def recording(ctx, partition, *args, **kwargs):
+        ens = get_ensemble(ctx, partition, *args, **kwargs)
+        handed_out.append((partition.n_steps, weakref.ref(ens)))
+        return ens
+
+    def checking(model, ensemble, *args, **kwargs):
+        alive_at_flow.extend(n for n, ref in handed_out if ref() is not None)
+        return simulate_variational(model, ensemble, *args, **kwargs)
+
+    def counting(ensemble):
+        residuals.append(flow_identity_residual(ensemble))
+        return residuals[-1]
+
+    monkeypatch.setattr(cli, "get_ensemble", recording)
+    monkeypatch.setattr(cli, "simulate_variational", checking)
+    monkeypatch.setattr(sde, "flow_identity_residual", counting)
+    cfg = _write(tmp_path, BASE.replace("n_steps = 4", "n_steps = 4\nrefine_factor = 2"))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--command", "diagnose", "--out", str(out)]) == 0
+    assert [n for n, _ in handed_out] == [8]
+    assert alive_at_flow == []
+    # computed once, inside simulate_variational, and reported as it was
+    _, rows = _read_report(out)
+    row = [r for r in rows if r["statistic_name"] == "flow_identity_residual"]
+    assert len(residuals) == 1 and [float(r["value"]) for r in row] == residuals
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):

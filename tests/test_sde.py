@@ -116,6 +116,7 @@ def test_flow_gbm_closed_form():
     np.testing.assert_allclose(ens.flows[:, :, 0, 0], ens.states[:, :, 0] / 2.0,
                                rtol=1e-12)
     assert flow_identity_residual(ens) <= 1e-8
+    assert ens.flow_residual == flow_identity_residual(ens)  # handed on as measured
 
 
 def test_flow_mean_matches_deterministic_exponential():

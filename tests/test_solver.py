@@ -1,5 +1,7 @@
 """Tests for the backward regression and quadrature solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from qgbsde.model import (ModelSpec, Partition, make_brownian, make_discount,
                           make_quadratic)
 from qgbsde.oracle import cole_hopf_from_model
 from qgbsde.regression import RegressionBasis
+from qgbsde import solver, truncation
+from qgbsde.diagnostics import truncation_error_curve
 from qgbsde.sde import PathEnsemble, simulate_forward
-from qgbsde.solver import solve_backward_regression, solve_quadrature_1d
-from qgbsde.truncation import truncate_driver
+from qgbsde.solver import SolverMeta, solve_backward_regression, solve_quadrature_1d
+from qgbsde.truncation import smooth_clamp, truncate_driver
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -99,6 +103,69 @@ def test_picard_divergence_on_stiff_driver():
     with pytest.raises(PicardDivergence) as exc:
         solve_backward_regression(model, ens, GLOBAL2, picard_iters=4)
     assert exc.value.step is not None
+
+
+def _every_pass(f, t, x, base, z, dt, picard_iters, step):
+    """The Picard loop without the early stop: every pass runs."""
+    y, prev = base, None
+    for _ in range(picard_iters):
+        y_new = base + dt * np.asarray(f(t, x, y, z))
+        res = float(np.sqrt(np.mean((y_new - y) ** 2)))
+        tol = 1e-12 * max(1.0, float(np.sqrt(np.mean(y_new ** 2))))
+        if prev is not None and res > prev and res > tol:
+            raise PicardDivergence(f"residual grew {prev:.3e} -> {res:.3e}", step=step)
+        y, prev = y_new, res
+    return y, prev if prev is not None else 0.0
+
+
+@pytest.mark.parametrize("rate, passes", [(0.0, 2), (0.4, 4)])
+def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes):
+    # at rate 0 the driver ignores y, so pass 2 repeats pass 1 bit for bit
+    # and the loop stops there; at rate > 0 every pass changes y and runs
+    calls = []
+    quad = make_quadratic(rate=rate)
+    counted = quad.with_driver(
+        f=lambda t, x, y, z: (calls.append(1), quad.f(t, x, y, z))[1])
+    model = truncate_driver(counted, 0.5)
+    part = Partition.uniform(model.T, 8)
+    ens = simulate_forward(model, part, 4000, seed=2)
+    sol = solve_backward_regression(model, ens, GLOBAL2, picard_iters=4)
+    assert len(calls) == 8 * passes
+    assert np.abs(sol.Z).max() > 1.0  # the clamp engages
+    quad_y0z0 = solve_quadrature_1d(model, part, space_nodes=64, picard_iters=4)
+
+    # the truncated model without its recorded truncation clamps z inside
+    # every call of f, as a plain Lipschitz driver
+    unrecorded = dataclasses.replace(model, truncation=None)
+    monkeypatch.setattr(solver, "_picard_resolve", _every_pass)
+    ref = solve_backward_regression(unrecorded, ens, GLOBAL2, picard_iters=4)
+    np.testing.assert_array_equal(sol.Y, ref.Y)
+    np.testing.assert_array_equal(sol.Z, ref.Z)
+    for field in dataclasses.fields(SolverMeta):
+        np.testing.assert_array_equal(getattr(sol.meta, field.name),
+                                      getattr(ref.meta, field.name))
+    if rate == 0.0:
+        assert not sol.meta.picard_residuals.any()
+    assert quad_y0z0 == solve_quadrature_1d(unrecorded, part, space_nodes=64,
+                                            picard_iters=4)
+
+
+def test_clamp_once_per_column_and_step(monkeypatch):
+    levels = []
+
+    def counting(level, z):
+        levels.append(level)
+        return smooth_clamp(level, z)
+
+    monkeypatch.setattr(truncation, "smooth_clamp", counting)
+    model = make_quadratic()
+    ens = simulate_forward(model, Partition.uniform(model.T, 6), 2000, seed=1)
+    solve_backward_regression(truncate_driver(model, 1.0), ens, GLOBAL2)
+    assert levels == [1.0] * 6
+    levels.clear()
+    truncation_error_curve(model, ens, GLOBAL2, [0.5, 1.0, 2.0])
+    assert len(levels) == 4 * 6  # three levels and the reference per step
+    assert sorted(set(levels)) == [0.5, 1.0, 2.0, 4.0]
 
 
 def test_y_clamp_validation_and_effect():

@@ -1,15 +1,19 @@
 """Tests for the gradient process and the control representation identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qgbsde.errors import (AssumptionLevelTooLow, InvalidParameters,
                            PicardDivergence)
+from qgbsde import truncation, variational
 from qgbsde.model import (AssumptionLevel, Partition, make_brownian,
-                          make_discount, make_gbm)
+                          make_discount, make_gbm, make_quadratic)
 from qgbsde.regression import RegressionBasis
 from qgbsde.sde import simulate_forward, simulate_variational
 from qgbsde.solver import solve_backward_regression
+from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from qgbsde.variational import representation_check, solve_variational_bsde
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
@@ -104,3 +108,25 @@ def test_base_shape_mismatch_rejected():
     short = simulate_variational(model, simulate_forward(model, part, 400, seed=1))
     with pytest.raises(InvalidParameters):
         solve_variational_bsde(model, short, sol, GLOBAL2)
+
+
+def test_truncated_gradients_clamp_once_per_step(monkeypatch):
+    model = truncate_driver(make_quadratic(), 0.5)
+    ens, sol = _solved(model, n_steps=6, n_paths=3000)
+    assert np.abs(sol.Z).max() > 1.0  # the clamp engages
+    clamps, grads = [], []
+
+    def counting(calls, fn):
+        return lambda level, z: (calls.append(level), fn(level, z))[1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(truncation, "smooth_clamp", counting(clamps, smooth_clamp))
+        for module in (truncation, variational):
+            mp.setattr(module, "smooth_clamp_grad", counting(grads, smooth_clamp_grad))
+        var = solve_variational_bsde(model, ens, sol, GLOBAL2)
+    assert clamps == [0.5] * 6 and grads == [0.5] * 6
+    # the truncated model's own f_x, f_y and f_z clamp on every call
+    ref = solve_variational_bsde(dataclasses.replace(model, truncation=None), ens,
+                                 sol, GLOBAL2)
+    np.testing.assert_array_equal(var.gradY, ref.gradY)
+    np.testing.assert_array_equal(var.gradZ, ref.gradZ)
