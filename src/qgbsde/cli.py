@@ -390,19 +390,21 @@ def _coarse_fine_pair(ctx: RunContext, n_steps: int):
 
 def _oracle_rows(ctx: RunContext, y0, z0):
     """Compare the solved (Y_0, Z_0) against whatever closed form the model has."""
+    try:
+        ref = cole_hopf_from_model(ctx.model)
+    except InvalidParameters:  # no Cole-Hopf closed form for this model
+        ref = None
+    except QgbsdeError as exc:
+        ctx.warn(f"oracle unavailable: {exc}")
+        return
     preset = ctx.model.meta.get("preset")
-    if preset == "quadratic" and ctx.model.meta.get("rate", 0.0) == 0.0:
-        try:
-            ref = cole_hopf_from_model(ctx.model)
-        except QgbsdeError as exc:
-            ctx.warn(f"oracle unavailable: {exc}")
-            return
+    if ref is not None:
         ctx.add("y0_reference", ref.y0)
         ctx.add("y0_abs_error", abs(y0 - ref.y0))
         if ref.z0 is not None:
             ctx.add("z0_reference", ref.z0)
             ctx.add("z0_abs_error", abs(z0 - ref.z0))
-        ctx.note(f"reference y0 = {ref.y0!r} (quadrature estimate "
+        ctx.note(f"reference y0 = {ref.y0!r} (step-halving estimate "
                  f"{ref.error_estimate:.2e}), |error| = {abs(y0 - ref.y0):.3e}")
     elif preset == "brownian" and ctx.model.meta.get("terminal") == "identity":
         x0 = float(ctx.model.x0[0])
@@ -554,11 +556,10 @@ def cmd_truncate_sweep(ctx: RunContext):
     errs = [p.err_y for p in curve.points]
     ctx.check("truncation err_y non-increasing across levels (10% margin)",
               all(errs[i + 1] <= 1.1 * errs[i] + 1e-300 for i in range(len(errs) - 1)))
-    floor = 1e-6 * curve.y_scale
     saturated = [p.err_y for p in curve.points if p.level >= curve.realized_max_z]
     if saturated:
         ctx.check("err_y at noise floor once the level covers the realized |Z|",
-                  max(saturated) <= floor)
+                  max(saturated) <= curve.noise_floor)
     qb = effective_qbar(curve)
     if qb is None:
         ctx.warn("truncation curve has fewer than 3 points above the noise "

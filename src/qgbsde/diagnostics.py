@@ -204,10 +204,14 @@ class TruncationCurve:
     realized_max_z: float
     y_scale: float
 
-    def positive_points(self, floor_rel: float = 1e-6):
-        """Points whose Y error sits above the relative noise floor."""
-        floor = floor_rel * max(self.y_scale, np.finfo(np.float64).tiny)
-        return [p for p in self.points if p.err_y > floor]
+    @property
+    def noise_floor(self) -> float:
+        """Y error below which a level counts as exact: 1e-6 of y_scale."""
+        return 1e-6 * max(self.y_scale, np.finfo(np.float64).tiny)
+
+    def positive_points(self):
+        """Points whose Y error sits above the noise floor."""
+        return [p for p in self.points if p.err_y > self.noise_floor]
 
 
 def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
@@ -262,7 +266,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()))
 
 
-def effective_qbar(curve: TruncationCurve, floor_rel: float = 1e-6) -> tuple[float, OrderFit] | None:
+def effective_qbar(curve: TruncationCurve) -> tuple[float, OrderFit] | None:
     """Tail-weight exponent implied by the fitted decay of err_y in the level.
 
     With errors decaying like n^(-1/qbar') at unit distribution shape, the
@@ -270,7 +274,7 @@ def effective_qbar(curve: TruncationCurve, floor_rel: float = 1e-6) -> tuple[flo
     None when fewer than three points sit above the noise floor or the fit
     fails to decay.
     """
-    pts = curve.positive_points(floor_rel)
+    pts = curve.positive_points()
     if len(pts) < 3:
         return None
     fit = fit_convergence_order([p.level for p in pts], [p.err_y for p in pts])

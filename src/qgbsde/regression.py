@@ -8,7 +8,7 @@ Two basis families:
 - local_partition: hypercube cells over the step bounds, constant or affine
   fit per cell. Points outside the bounds land in the nearest edge cell.
 
-Bounds default to per-step empirical quantiles of the state. Normal equations
+Bounds are per-step empirical quantiles of the state. Normal equations
 get a ridge of ridge_scale * trace; the unridged condition number is checked
 against condition_cap. For the global basis a cap violation raises
 DegenerateRegression (the whole step is unusable); for the local basis a bad
@@ -42,7 +42,6 @@ class RegressionBasis:
     kind: str = "local_partition"
     degree: int = 1
     cells_per_dim: int = 50
-    bounds: np.ndarray | None = None
     lower_quantile: float = 0.001
     upper_quantile: float = 0.999
     ridge_scale: float = 1e-10
@@ -95,15 +94,7 @@ def _blocked_crossprod(a, b):
 
 
 def step_bounds(basis: RegressionBasis, x: np.ndarray) -> np.ndarray:
-    """Per-dimension (lo, hi) bounds, configured or empirical quantiles."""
-    if basis.bounds is not None:
-        bounds = np.asarray(basis.bounds, dtype=np.float64)
-        if bounds.shape != (x.shape[1], 2):
-            raise InvalidParameters(
-                f"bounds must have shape ({x.shape[1]}, 2), got {bounds.shape}")
-        if np.any(bounds[:, 1] <= bounds[:, 0]):
-            raise InvalidParameters("bounds must have hi > lo in every dimension")
-        return bounds
+    """Per-dimension (lo, hi) bounds: the basis's empirical quantiles of x."""
     q = np.quantile(x, [basis.lower_quantile, basis.upper_quantile], axis=0)
     return q.T.copy()
 

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qgbsde import (InvalidParameters, Partition, QuadratureUnstable,
                     bmo_bound, cole_hopf_from_model, cole_hopf_increment_stat,
@@ -17,13 +19,29 @@ def test_canonical_values():
     assert ref.y0 == pytest.approx(CANONICAL_Y0, abs=1e-12)
     assert ref.z0 == pytest.approx(CANONICAL_Z0, abs=1e-10)
     assert ref.error_estimate < 1e-10
-    assert ref.nodes == 128
 
 
 def test_from_model():
     ref = cole_hopf_from_model(make_quadratic())
     assert ref.y0 == pytest.approx(CANONICAL_Y0, abs=1e-12)
     assert ref.z0 == pytest.approx(CANONICAL_Z0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 5.0])
+def test_steep_terminals_match_adaptive_quadrature(kappa):
+    # tanh(kappa x) has poles at distance pi / (2 kappa) from the real axis;
+    # the lattice rule must stay exact where Gauss-Hermite loses digits
+    def expect(f):
+        integrand = lambda x: (f(x) * math.exp(math.tanh(kappa * x) - x * x / 2.0)
+                               / math.sqrt(2.0 * math.pi))
+        return quad(integrand, -12.0, 12.0, points=[0.0], epsabs=1e-13,
+                    epsrel=1e-13, limit=200)[0]
+
+    ey = expect(lambda x: 1.0)
+    ez = expect(lambda x: kappa / math.cosh(kappa * x) ** 2)
+    ref = cole_hopf_from_model(make_quadratic(kappa=kappa))
+    assert ref.y0 == pytest.approx(math.log(ey), abs=1e-10)
+    assert ref.z0 == pytest.approx(ez / ey, abs=1e-10)
 
 
 def test_constant_terminal_is_exact():
@@ -60,23 +78,23 @@ def test_validation():
     with pytest.raises(InvalidParameters):
         cole_hopf_reference(1.0, np.tanh, 0.0, 1.0, 0.0)
     with pytest.raises(InvalidParameters):
-        cole_hopf_reference(1.0, np.tanh, 0.0, 1.0, 1.0, nodes=1)
-    with pytest.raises(InvalidParameters):
         cole_hopf_reference(1.0, lambda x: np.full_like(x, np.inf), 0.0, 1.0, 1.0)
 
 
 def test_instability_detected():
-    # 4 nodes cannot resolve the integrand; doubling moves the value a lot
-    with pytest.raises(QuadratureUnstable):
-        cole_hopf_reference(1.0, np.tanh, 0.0, 1.0, 1.0, nodes=4,
-                            stability_tol=1e-12)
+    # tanh(50 x) has poles 0.031 from the real axis, too close for the
+    # 0.025 lattice: halving the step moves y0 by about 5e-5
+    with pytest.raises(QuadratureUnstable, match="step halving"):
+        cole_hopf_reference(1.0, lambda x: np.tanh(50.0 * x), 0.0, 1.0, 1.0)
 
 
-def test_overflowing_node_count_raises():
-    # numpy's Gauss-Hermite weights overflow from 372 nodes up, so the
-    # doubled rule of 200 nodes is non-finite and must not pass as stable
-    with pytest.raises(QuadratureUnstable):
-        cole_hopf_reference(1.0, np.tanh, 0.0, 1.0, 1.0, nodes=200)
+def test_overflowing_exponential_raises():
+    # exp(1000 x) is not finite on the lattice: the rule must refuse the
+    # value instead of returning it, and without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureUnstable, match="not finite"):
+            cole_hopf_reference(1000.0, lambda x: x, 0.0, 1.0, 1.0)
 
 
 def test_increment_stat_linear_terminal_exact():
@@ -103,28 +121,29 @@ def test_increment_stat_canonical_values():
 
 
 def test_increment_stat_matches_dense_quadrature():
-    # the canonical model (g = tanh, gamma = sigma = T = 1, x0 = 0) at N = 8,
-    # fine grid 32, evaluated apart from the oracle with 200-point rules in
-    # every dimension: Y_t = u(t, W_t) with
-    # u(t, x) = log E exp(tanh(x + sqrt(1 - t) U))
+    # the canonical model (g = tanh, gamma = sigma = T = 1, x0 = 0) and its
+    # steeper kappa = 2 variant at N = 8, fine grid 32, evaluated apart from
+    # the oracle with 200-point Gauss-Hermite rules in every dimension:
+    # Y_t = u(t, W_t) with u(t, x) = log E exp(tanh(kappa (x + sqrt(1 - t) U)))
     u, w = np.polynomial.hermite.hermgauss(200)
     u, w = math.sqrt(2.0) * u, w / math.sqrt(math.pi)
-
-    def value(t, x):
-        return np.log(np.exp(np.tanh(x[..., None] + math.sqrt(1.0 - t) * u)) @ w)
-
     base = Partition.uniform(1.0, 8)
     fine = base.refine(4)
-    dense = 0.0
-    for i in range(8):
-        s = base.times[i]
-        ws = math.sqrt(s) * u
-        ys = value(s, ws)[:, None]
-        for t in fine.times[4 * i + 1:4 * i + 5]:
-            yt = value(t, ws[:, None] + math.sqrt(t - s) * u)
-            dense = max(dense, float(w @ (yt - ys) ** 2 @ w))
-    got = cole_hopf_increment_stat(make_quadratic(), base, fine)
-    assert got == pytest.approx(dense, rel=1e-6)
+    for kappa in (1.0, 2.0):
+        def value(t, x):
+            pts = x[..., None] + math.sqrt(1.0 - t) * u
+            return np.log(np.exp(np.tanh(kappa * pts)) @ w)
+
+        dense = 0.0
+        for i in range(8):
+            s = base.times[i]
+            ws = math.sqrt(s) * u
+            ys = value(s, ws)[:, None]
+            for t in fine.times[4 * i + 1:4 * i + 5]:
+                yt = value(t, ws[:, None] + math.sqrt(t - s) * u)
+                dense = max(dense, float(w @ (yt - ys) ** 2 @ w))
+        got = cole_hopf_increment_stat(make_quadratic(kappa=kappa), base, fine)
+        assert got == pytest.approx(dense, rel=1e-6)
 
 
 def test_increment_stat_validation():

@@ -58,8 +58,9 @@ def test_constant_fit_on_degenerate_state():
 
 
 def test_local_degree0_is_cellwise_mean():
+    # bounds at the sample's extremes, [0.1, 0.9], split into two cells at 0.5
     basis = RegressionBasis(kind="local_partition", degree=0, cells_per_dim=2,
-                            bounds=np.array([[0.0, 1.0]]))
+                            lower_quantile=0.0, upper_quantile=1.0)
     x = np.array([[0.1], [0.2], [0.6], [0.9]])
     targets = np.array([[1.0], [3.0], [10.0], [20.0]])
     fitted, info = _fit(basis, x, targets)
@@ -80,13 +81,14 @@ def test_local_degree1_recovers_affine():
 def test_local_fallback_accounting():
     # cell 1 holds two points (below the degree-1 population floor) and cell 2
     # none at all; both must be reported, and the sparse cell must predict its
-    # own mean rather than an extrapolated slope
+    # own mean rather than an extrapolated slope; the sample spans [0, 1], so
+    # its extremes as bounds give the cells [0, 0.25), ..., [0.75, 1]
     basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=4,
-                            bounds=np.array([[0.0, 1.0]]))
+                            lower_quantile=0.0, upper_quantile=1.0)
     rng = np.random.default_rng(4)
-    x0 = rng.uniform(0.00, 0.25, size=10)
+    x0 = np.append(0.0, rng.uniform(0.00, 0.25, size=9))
     x1 = np.array([0.30, 0.40])
-    x3 = rng.uniform(0.75, 1.00, size=10)
+    x3 = np.append(rng.uniform(0.75, 1.00, size=9), 1.0)
     x = np.concatenate([x0, x1, x3])[:, None]
     targets = np.concatenate([np.ones(10), [4.0, 8.0], np.full(10, 2.0)])[:, None]
     fitted, info = _fit(basis, x, targets)
@@ -125,9 +127,11 @@ def test_fit_is_deterministic():
 
 
 def test_points_outside_bounds_use_edge_cells():
+    # the quartiles of the sample, [-1.1, 2.35], leave both extremes outside
     basis = RegressionBasis(kind="local_partition", degree=0, cells_per_dim=2,
-                            bounds=np.array([[0.0, 1.0]]))
+                            lower_quantile=0.25, upper_quantile=0.75)
     x = np.array([[-5.0], [0.2], [0.8], [7.0]])
+    np.testing.assert_allclose(step_bounds(basis, x), [[-1.1, 2.35]])
     targets = np.array([[1.0], [3.0], [5.0], [7.0]])
     fitted, _ = _fit(basis, x, targets)
     assert np.all(np.isfinite(fitted))
@@ -142,13 +146,6 @@ def test_step_bounds_sources():
     # default 0.1% / 99.9% quantiles of a standard normal sit near +-3.09
     assert -3.4 < b[0, 0] < -2.9
     assert 2.9 < b[0, 1] < 3.4
-    configured = np.array([[-1.0, 2.0]])
-    np.testing.assert_array_equal(
-        step_bounds(RegressionBasis(bounds=configured), x), configured)
-    with pytest.raises(InvalidParameters):
-        step_bounds(RegressionBasis(bounds=np.array([[1.0, -1.0]])), x)
-    with pytest.raises(InvalidParameters):
-        step_bounds(RegressionBasis(bounds=np.zeros((2, 2))), x)
 
 
 def test_basis_validation():
