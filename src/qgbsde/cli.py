@@ -449,11 +449,21 @@ def cmd_solve(ctx: RunContext):
     sol = solve_backward_regression(model, ens, **ctx.solver_options(model, ens))
     y0 = sol.y0
     z0 = float(sol.z0[0]) if ctx.model.d == 1 else None
-    ctx.add("y0", y0)
+    # at t = 0 the design is the constant one, so y0 and z0 are plain means of
+    # their step-0 targets: the residual RMS over sqrt(P) is their Monte Carlo
+    # error given the later fits. z's RMS is kept only as a mean over the d
+    # components, so z0 gets one for d = 1 only.
+    sqrt_p = math.sqrt(ens.n_paths)
+    y0_se = sol.meta.y_residual_rms[0] / sqrt_p
+    z0_se = sol.meta.z_residual_rms[0] / sqrt_p if ctx.model.d == 1 else None
+    ctx.add("y0", y0, std_error=y0_se)
     for k in range(ctx.model.d):
         suffix = "" if ctx.model.d == 1 else f"_{k}"
-        ctx.add(f"z0{suffix}", sol.z0[k])
+        ctx.add(f"z0{suffix}", sol.z0[k], std_error=z0_se)
     ctx.note(f"solved: y0 = {y0!r}, z0 = {np.array2string(sol.z0, precision=8)}")
+    ctx.note(f"std_error: y0 {y0_se:.3e}"
+             + ("" if z0_se is None else f", z0 {z0_se:.3e}")
+             + " (conditional on the fitted regressions, not seed-to-seed error)")
     _oracle_rows(ctx, y0, z0)
     if ctx.model.m == 1 and ctx.model.d == 1:
         try:

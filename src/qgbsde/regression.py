@@ -8,9 +8,13 @@ Two basis families:
 - local_partition: hypercube cells over the step bounds, constant or affine
   fit per cell. Points outside the bounds land in the nearest edge cell.
 
-Bounds are per-step empirical quantiles of the state. Normal equations
-get a ridge of ridge_scale * trace; the unridged condition number is checked
-against condition_cap. For the global basis a cap violation raises
+Bounds are per-step empirical quantiles of the state, taken from one sort
+per dimension with numpy's linear method, so they equal np.quantile's bit
+for bit. A dimension whose bounds have zero width (a constant coordinate
+beside a spread one, or a point mass holding more than the quantile level)
+raises DegenerateRegression. Normal equations get a ridge of
+ridge_scale * trace; the unridged condition number is checked against
+condition_cap. For the global basis a cap violation raises
 DegenerateRegression (the whole step is unusable); for the local basis a bad
 or underpopulated cell falls back to the cell mean (and an empty cell to the
 global mean), and only a step where every cell failed raises.
@@ -18,7 +22,10 @@ global mean), and only a step where every cell failed raises.
 The projection at one step is a fixed linear operator of the state sample.
 step_design builds what depends on the state alone (bounds, features or cell
 index, normal matrices, the condition check) once; project applies it to any
-number of target columns.
+number of target columns. Global features are stored feature-major, one
+contiguous row of P values per monomial, so the normal matrix, the
+right-hand sides and the fit all stream along contiguous rows; a cell fit
+fetches every coefficient a path needs with one gather along the cell axis.
 
 All reductions run over fixed-size path blocks combined in a fixed pairwise
 tree, so results do not depend on how work is scheduled.
@@ -87,16 +94,35 @@ def _tree_sum(parts):
     return parts[0]
 
 
-def _blocked_crossprod(a, b):
-    """a.T @ b summed over fixed-size path blocks in a fixed pairwise tree."""
-    spans = [(p, min(p + _BLOCK, a.shape[0])) for p in range(0, a.shape[0], _BLOCK)]
-    return _tree_sum([a[p:q].T @ b[p:q] for p, q in spans])
+def _blocked_product(a, b):
+    """a @ b for feature-major a (F, P) and b (P, k), summed over fixed-size
+    path blocks in a fixed pairwise tree."""
+    spans = [(p, min(p + _BLOCK, a.shape[1])) for p in range(0, a.shape[1], _BLOCK)]
+    return _tree_sum([a[:, p:q] @ b[p:q] for p, q in spans])
 
 
 def step_bounds(basis: RegressionBasis, x: np.ndarray) -> np.ndarray:
-    """Per-dimension (lo, hi) bounds: the basis's empirical quantiles of x."""
-    q = np.quantile(x, [basis.lower_quantile, basis.upper_quantile], axis=0)
-    return q.T.copy()
+    """Per-dimension (lo, hi) bounds: the basis's empirical quantiles of the
+    finite sample x (P, m), as an (m, 2) array.
+
+    One sort per dimension, then np.quantile's linear method: virtual index
+    (P - 1) q, its floor and the fraction gamma, and the two-sided lerp
+    that runs from the upper neighbour when gamma >= 0.5. The result equals
+    np.quantile(x, [lo, hi], axis=0).T bit for bit.
+    """
+    n = x.shape[0]
+    virtual = (n - 1) * np.array([basis.lower_quantile, basis.upper_quantile])
+    below = np.floor(virtual)
+    gamma = virtual - below
+    i = below.astype(np.intp)
+    j = np.minimum(i + 1, n - 1)
+    bounds = np.empty((x.shape[1], 2))
+    for dim in range(x.shape[1]):
+        xs = np.sort(x[:, dim])
+        a, b = xs[i], xs[j]
+        diff = b - a
+        bounds[dim] = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    return bounds
 
 
 def _monomial_powers(m, degree):
@@ -113,7 +139,8 @@ class StepDesign:
     of target columns by project.
 
     kind is "constant" for a state without spread, else the basis kind.
-    Global basis: features (P, F) and the ridged normal matrix (F, F).
+    Global basis: features (F, P), feature-major and C-contiguous, one row
+    per monomial, and the ridged normal matrix (F, F).
     Local basis: cell index (P,) and counts (n_cells,); for degree 1 also the
     cell-local coordinates (P, m), the usable-cell mask and the ridged normal
     matrices of the usable cells (n_usable, 1 + m, 1 + m).
@@ -135,23 +162,22 @@ class StepDesign:
     usable: np.ndarray | None = None
 
 
-def _global_design(basis, x, step):
-    bounds = step_bounds(basis, x)
+def _global_design(basis, x, bounds, step):
+    P, m = x.shape
     mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
     half = 0.5 * (bounds[:, 1] - bounds[:, 0])
-    u = (x - mid) / half
+    u = ((x - mid) / half).T.copy()  # (m, P): one contiguous row per coordinate
     # upow[p] = u ** p by repeated products; np.power is ~50x slower
     upow = [np.ones_like(u)]
     for _ in range(basis.degree):
         upow.append(upow[-1] * u)
-    pows = _monomial_powers(x.shape[1], basis.degree)
-    phi = np.empty((x.shape[0], len(pows)))
-    for j, e in enumerate(pows):
-        col = upow[e[0]][:, 0]
-        for dim in range(1, x.shape[1]):
-            col = col * upow[e[dim]][:, dim]
-        phi[:, j] = col
-    G = _blocked_crossprod(phi, phi)
+    pows = _monomial_powers(m, basis.degree)
+    phi = np.empty((len(pows), P))
+    for row, e in zip(phi, pows):
+        row[:] = upow[e[0]][0]
+        for dim in range(1, m):
+            row *= upow[e[dim]][dim]
+    G = _blocked_product(phi, phi.T)
     eig = np.linalg.eigvalsh(G)
     cond = np.inf if eig[0] <= 0 else float(eig[-1] / eig[0])
     if cond > basis.condition_cap:
@@ -159,15 +185,14 @@ def _global_design(basis, x, step):
             f"normal matrix condition {cond:.3e} exceeds cap {basis.condition_cap:.3e} "
             f"for {basis.describe()}", step=step)
     lam = basis.ridge_scale * float(np.trace(G))
-    return StepDesign(basis=basis, kind=basis.kind, step=step, n_paths=x.shape[0],
+    return StepDesign(basis=basis, kind=basis.kind, step=step, n_paths=P,
                       condition=cond, n_features=len(pows), bounds=bounds,
                       features=phi, normal=G + lam * np.eye(G.shape[0]))
 
 
-def _local_design(basis, x, step):
+def _local_design(basis, x, bounds, step):
     P, m = x.shape
     nc = basis.cells_per_dim
-    bounds = step_bounds(basis, x)
     width = (bounds[:, 1] - bounds[:, 0]) / nc
     idx = np.clip(((x - bounds[:, 0]) / width).astype(np.int64), 0, nc - 1)
     flat = idx[:, 0]
@@ -184,7 +209,8 @@ def _local_design(basis, x, step):
     centers = bounds[:, 0] + width * (np.stack(
         np.meshgrid(*[np.arange(nc)] * m, indexing="ij"), axis=-1)
         .reshape(n_cells, m) + 0.5)
-    u = (x - centers[flat]) / (0.5 * width)  # cell-local coordinates in [-1, 1]
+    # cell-local coordinates in [-1, 1]
+    u = (x - np.take(centers, flat, axis=0)) / (0.5 * width)
     nf = 1 + m
     G = np.zeros((n_cells, nf, nf))
     G[:, 0, 0] = counts
@@ -217,7 +243,9 @@ def step_design(basis: RegressionBasis, x: np.ndarray,
 
     A state with (numerically) no spread in any dimension gets the constant
     design, whose projection is the plain mean: the correct conditional
-    expectation at a deterministic node such as t = 0.
+    expectation at a deterministic node such as t = 0. A state with spread
+    whose bounds have zero width in some dimension raises
+    DegenerateRegression naming that dimension.
     """
     # one contiguous copy: callers pass a time slice of the (P, N+1, m) states
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -228,9 +256,15 @@ def step_design(basis: RegressionBasis, x: np.ndarray,
     if np.all(spread <= _SPREAD_ATOL * scale):
         return StepDesign(basis=basis, kind="constant", step=step,
                           n_paths=x.shape[0], condition=1.0, n_features=1)
+    bounds = step_bounds(basis, x)
+    for dim, (lo, hi) in enumerate(bounds):
+        if hi == lo:
+            raise DegenerateRegression(
+                f"bounds of dimension {dim} have zero width (both at {float(lo)!r}) "
+                f"for {basis.describe()}", step=step)
     if basis.kind == "global_polynomial":
-        return _global_design(basis, x, step)
-    return _local_design(basis, x, step)
+        return _global_design(basis, x, bounds, step)
+    return _local_design(basis, x, bounds, step)
 
 
 def _project_local(design, targets):
@@ -241,7 +275,7 @@ def _project_local(design, targets):
                          for j in range(k)], axis=1)
         means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
                          targets.mean(axis=0))
-        return means[cell]
+        return np.take(means, cell, axis=0)
     m = u.shape[1]
     R = np.zeros((n_cells, 1 + m, k))
     for j in range(k):
@@ -257,7 +291,8 @@ def _project_local(design, targets):
     fallback = ~usable & (counts > 0)
     coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
     coefs[counts == 0, 0, :] = targets.mean(axis=0)
-    return coefs[cell, 0, :] + np.einsum("pa,pak->pk", u, coefs[cell, 1:, :])
+    per_path = np.take(coefs, cell, axis=0)
+    return per_path[:, 0] + np.einsum("pa,pak->pk", u, per_path[:, 1:])
 
 
 def project(design: StepDesign, targets: np.ndarray):
@@ -274,9 +309,8 @@ def project(design: StepDesign, targets: np.ndarray):
     if design.kind == "constant":
         fitted = np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
     elif design.kind == "global_polynomial":
-        beta = np.linalg.solve(design.normal,
-                               _blocked_crossprod(design.features, targets))
-        fitted = design.features @ beta
+        beta = np.linalg.solve(design.normal, _blocked_product(design.features, targets))
+        fitted = design.features.T @ beta
     else:
         fitted = _project_local(design, targets)
     r = targets - fitted

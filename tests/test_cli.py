@@ -14,6 +14,7 @@ from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_from_model, cole_hopf_increment_stat
 from qgbsde.sde import (dump_ensemble, flow_identity_residual, load_ensemble,
                         simulate_forward, simulate_variational)
+from qgbsde.solver import solve_backward_regression
 
 BASE = """
 [model]
@@ -82,6 +83,29 @@ def test_solve_writes_full_artifact_set(tmp_path):
             assert resolved.has_option(sec, key), f"[{sec}] {key} missing"
     assert resolved["grid"]["n_steps"] == "4"
     assert resolved["solver"]["space_bound"] == "auto"
+
+
+def test_solve_reports_conditional_standard_errors(tmp_path, monkeypatch):
+    # y0 and z0 are means at the constant t = 0 design, so their std_error
+    # is the step-0 residual RMS of the same solve over sqrt(P)
+    solved = []
+
+    def keep(*args, **kwargs):
+        solved.append(solve_backward_regression(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_backward_regression", keep)
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, BASE), "--out", str(out)]) == 0
+    rows = {r["statistic_name"]: r for r in _read_report(out)[1]}
+    meta = solved[0].meta
+    y0_se, z0_se = float(rows["y0"]["std_error"]), float(rows["z0"]["std_error"])
+    assert y0_se == meta.y_residual_rms[0] / np.sqrt(500) > 0
+    assert z0_se == meta.z_residual_rms[0] / np.sqrt(500) > 0
+    assert rows["y0_reference"]["std_error"] == ""
+    summary = (out / "summary.txt").read_text()
+    assert f"std_error: y0 {y0_se:.3e}, z0 {z0_se:.3e} (conditional on the fitted " \
+           "regressions, not seed-to-seed error)" in summary
 
 
 def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch):

@@ -238,3 +238,85 @@ def test_design_is_reusable_and_checks_targets():
         project(design, np.zeros((2999, 1)))
     with pytest.raises(InvalidParameters):
         project(design, np.zeros(3000))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_step_bounds_equal_numpy_quantile_bit_for_bit(m):
+    rng = np.random.default_rng(12)
+    for P in (2, 3, 7, 100, 1001, 65537, 120000):
+        smooth = rng.normal(size=(P, m))
+        for x in (smooth, np.round(smooth, 1), rng.integers(0, 3, size=(P, m)) * 0.5):
+            for lo, hi in ((0.001, 0.999), (0.0, 1.0), (0.25, 0.75)):
+                basis = RegressionBasis(lower_quantile=lo, upper_quantile=hi)
+                expected = np.quantile(x, [lo, hi], axis=0).T
+                assert np.array_equal(step_bounds(basis, x), expected), (P, lo, hi)
+
+
+def _cell_fit_reference(design, targets):
+    """The cell fit written with the per-path fancy-index gathers; project
+    must reproduce it bit for bit."""
+    cell, counts, u = design.cell, design.counts, design.coords
+    n_cells, k = counts.size, targets.shape[1]
+    if design.basis.degree == 0:
+        sums = np.stack([np.bincount(cell, weights=targets[:, j], minlength=n_cells)
+                         for j in range(k)], axis=1)
+        means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
+                         targets.mean(axis=0))
+        return means[cell]
+    m = u.shape[1]
+    R = np.zeros((n_cells, 1 + m, k))
+    for j in range(k):
+        R[:, 0, j] = np.bincount(cell, weights=targets[:, j], minlength=n_cells)
+        for a in range(m):
+            R[:, a + 1, j] = np.bincount(cell, weights=u[:, a] * targets[:, j],
+                                         minlength=n_cells)
+    coefs = np.zeros((n_cells, 1 + m, k))
+    coefs[design.usable] = np.linalg.solve(design.normal, R[design.usable])
+    fallback = ~design.usable & (counts > 0)
+    coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
+    coefs[counts == 0, 0, :] = targets.mean(axis=0)
+    return coefs[cell, 0, :] + np.einsum("pa,pak->pk", u, coefs[cell, 1:, :])
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_cell_fit_matches_fancy_index_reference(degree, m, k):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(20000, m))
+    # 12 cells per dimension leave sparse and empty edge cells at m = 2, so
+    # the fallbacks are part of what must match
+    design = step_design(RegressionBasis(kind="local_partition", degree=degree,
+                                         cells_per_dim=12), x)
+    assert m == 1 or design.fallback_cells > 0
+    targets = _noisy_targets(x, rng, k)
+    fitted, _ = project(design, targets)
+    assert np.array_equal(fitted, _cell_fit_reference(design, targets))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_global_features_are_feature_major(m):
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-1.0, 1.0, size=(3000, m))
+    design = step_design(RegressionBasis(kind="global_polynomial", degree=3), x)
+    assert design.features.shape == (design.n_features, 3000)
+    assert design.features.flags.c_contiguous
+    # rows are the monomials sorted by (total degree, exponents): 1, then the
+    # coordinates rescaled to [-1, 1], the last coordinate first
+    np.testing.assert_array_equal(design.features[0], 1.0)
+    lo, hi = design.bounds.T
+    np.testing.assert_allclose(design.features[m:0:-1],
+                               ((2 * x - (lo + hi)) / (hi - lo)).T, atol=1e-12)
+
+
+@pytest.mark.parametrize("basis", _KINDS, ids=lambda b: b.describe())
+def test_zero_width_bounds_raise_with_step_and_dimension(basis):
+    rng = np.random.default_rng(15)
+    constant_beside_spread = np.column_stack([rng.normal(size=5000), np.full(5000, 0.3)])
+    point_mass = rng.normal(size=(5000, 1))
+    point_mass[:4996] = 0.7  # more than the 0.1% quantile level on either side
+    for x, dim in ((constant_beside_spread, 1), (point_mass, 0)):
+        with pytest.raises(DegenerateRegression, match=f"dimension {dim} have zero width") \
+                as exc:
+            step_design(basis, x, step=9)
+        assert exc.value.step == 9
