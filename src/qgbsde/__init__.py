@@ -21,8 +21,7 @@ from .truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from .rng import normal_increments
 from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
                   load_ensemble, simulate_forward, simulate_variational)
-from .regression import (FitInfo, RegressionBasis, StepDesign, project,
-                         step_design)
+from .regression import RegressionBasis, StepDesign, project, step_design
 from .solver import (BackwardSolution, SolverMeta, solve_backward_regression,
                      solve_quadrature_1d)
 from .variational import (RepresentationReport, VariationalSolution,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionLevel", "AssumptionLevelTooLow", "BackwardSolution",
     "BmoEstimate", "ConfigError", "DegenerateRegression",
-    "DomainTooSmall", "FitInfo", "GridMismatch", "InvalidParameters",
+    "DomainTooSmall", "GridMismatch", "InvalidParameters",
     "InvalidPartition", "InvalidPoints", "ModelSpec", "NumericalBlowup",
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",
     "PicardDivergence", "QgbsdeError", "QuadratureUnstable",

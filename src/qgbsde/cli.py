@@ -264,12 +264,12 @@ class RunContext:
         return dict(basis=self.basis, picard_iters=self.picard_iters, y_clamp=y_clamp)
 
     def add(self, statistic_name, value, std_error=None, n_trunc=None,
-            n_steps=None, n_paths=None):
+            n_steps=None):
         self.rows.append({
             "experiment_id": self.experiment_id,
             "model": self.model.name,
             "N": self.n_steps if n_steps is None else n_steps,
-            "P": self.n_paths if n_paths is None else n_paths,
+            "P": self.n_paths,
             "seed": self.seed,
             "n_trunc": "" if n_trunc is None else f"{n_trunc:g}",
             "statistic_name": statistic_name,
@@ -321,7 +321,7 @@ def _cache_mismatch(ens: PathEnsemble, model, partition, n_paths, seed):
     return None
 
 
-def get_ensemble(ctx: RunContext, partition: Partition, n_paths=None, seed=None):
+def get_ensemble(ctx: RunContext, partition: Partition):
     """The forward ensemble on the partition, simulated at most once per run.
 
     The last ensemble handed out is kept, keyed like the cache, and released
@@ -331,8 +331,7 @@ def get_ensemble(ctx: RunContext, partition: Partition, n_paths=None, seed=None)
     other paths, and written through a temporary file that replaces it in
     one step.
     """
-    n_paths = ctx.n_paths if n_paths is None else n_paths
-    seed = ctx.seed if seed is None else seed
+    n_paths, seed = ctx.n_paths, ctx.seed
     key = _cache_key(ctx.model, partition, n_paths, seed)
     if ctx.ensemble_memo is not None and ctx.ensemble_memo[0] == key:
         return ctx.ensemble_memo[1]

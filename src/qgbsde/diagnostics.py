@@ -136,9 +136,9 @@ def regularity_pass(model: ModelSpec, coarse: PathEnsemble, fine: PathEnsemble,
                                       ywin[:, k + 1:k + 2], picard_iters, y_clamp)
             ywin[:, k] = y[:, 0]
             zwin[:, k] = z[:, 0]
-        _store_step(sol, i, *_backward_step((model,), design, coarse, i,
-                                            sol.Y[:, i + 1:i + 2], picard_iters,
-                                            y_clamp))
+        _store_step(sol, i, design, *_backward_step((model,), design, coarse, i,
+                                                    sol.Y[:, i + 1:i + 2],
+                                                    picard_iters, y_clamp))
 
         inc = ywin[:, 1:] - ywin[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))

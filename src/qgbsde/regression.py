@@ -26,9 +26,8 @@ number of target columns. Global features are stored feature-major, one
 contiguous row of P values per monomial, so the normal matrix, the
 right-hand sides and the fit all stream along contiguous rows; a cell fit
 fetches every coefficient a path needs with one gather along the cell axis.
-
-All reductions run over fixed-size path blocks combined in a fixed pairwise
-tree, so results do not depend on how work is scheduled.
+The design is the only record of the step: project returns the fitted values
+and what only the fit knows, the residual RMS of every target column.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 
 from .errors import DegenerateRegression, InvalidParameters
 
-_BLOCK = 65536
 _SPREAD_ATOL = 1e-12
 
 
@@ -71,34 +69,6 @@ class RegressionBasis:
         if self.kind == "global_polynomial":
             return f"global_polynomial(degree={self.degree})"
         return f"local_partition(cells={self.cells_per_dim}, degree={self.degree})"
-
-
-@dataclass
-class FitInfo:
-    condition: float
-    residual_rms: np.ndarray
-    n_features: int
-    fallback_cells: int = 0
-    degenerate: bool = False
-
-
-def _tree_sum(parts):
-    """Sum a list of equally-shaped arrays in a fixed pairwise order."""
-    parts = list(parts)
-    if not parts:
-        raise InvalidParameters("nothing to sum")
-    while len(parts) > 1:
-        nxt = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-               for i in range(0, len(parts), 2)]
-        parts = nxt
-    return parts[0]
-
-
-def _blocked_product(a, b):
-    """a @ b for feature-major a (F, P) and b (P, k), summed over fixed-size
-    path blocks in a fixed pairwise tree."""
-    spans = [(p, min(p + _BLOCK, a.shape[1])) for p in range(0, a.shape[1], _BLOCK)]
-    return _tree_sum([a[:, p:q] @ b[p:q] for p, q in spans])
 
 
 def step_bounds(basis: RegressionBasis, x: np.ndarray) -> np.ndarray:
@@ -139,6 +109,11 @@ class StepDesign:
     of target columns by project.
 
     kind is "constant" for a state without spread, else the basis kind.
+    condition is the largest unridged condition number of a normal matrix
+    the fit solves (1 for the constant design and the local degree-0 basis),
+    and fallback_cells counts the local cells that fall back: an empty cell
+    to the global mean, an underpopulated or ill-conditioned affine cell to
+    its own mean.
     Global basis: features (F, P), feature-major and C-contiguous, one row
     per monomial, and the ridged normal matrix (F, F).
     Local basis: cell index (P,) and counts (n_cells,); for degree 1 also the
@@ -148,10 +123,8 @@ class StepDesign:
 
     basis: RegressionBasis
     kind: str
-    step: int | None
     n_paths: int
     condition: float
-    n_features: int
     fallback_cells: int = 0
     bounds: np.ndarray | None = None
     features: np.ndarray | None = None
@@ -177,7 +150,7 @@ def _global_design(basis, x, bounds, step):
         row[:] = upow[e[0]][0]
         for dim in range(1, m):
             row *= upow[e[dim]][dim]
-    G = _blocked_product(phi, phi.T)
+    G = phi @ phi.T
     eig = np.linalg.eigvalsh(G)
     cond = np.inf if eig[0] <= 0 else float(eig[-1] / eig[0])
     if cond > basis.condition_cap:
@@ -185,9 +158,9 @@ def _global_design(basis, x, bounds, step):
             f"normal matrix condition {cond:.3e} exceeds cap {basis.condition_cap:.3e} "
             f"for {basis.describe()}", step=step)
     lam = basis.ridge_scale * float(np.trace(G))
-    return StepDesign(basis=basis, kind=basis.kind, step=step, n_paths=P,
-                      condition=cond, n_features=len(pows), bounds=bounds,
-                      features=phi, normal=G + lam * np.eye(G.shape[0]))
+    return StepDesign(basis=basis, kind=basis.kind, n_paths=P, condition=cond,
+                      bounds=bounds, features=phi,
+                      normal=G + lam * np.eye(G.shape[0]))
 
 
 def _local_design(basis, x, bounds, step):
@@ -200,11 +173,11 @@ def _local_design(basis, x, bounds, step):
         flat = flat * nc + idx[:, dim]
     n_cells = nc ** m
     counts = np.bincount(flat, minlength=n_cells)
-    common = dict(basis=basis, kind=basis.kind, step=step, n_paths=P,
-                  bounds=bounds, cell=flat, counts=counts)
+    common = dict(basis=basis, kind=basis.kind, n_paths=P, bounds=bounds,
+                  cell=flat, counts=counts)
     if basis.degree == 0:
-        return StepDesign(condition=1.0, n_features=n_cells,
-                          fallback_cells=int((counts == 0).sum()), **common)
+        return StepDesign(condition=1.0, fallback_cells=int((counts == 0).sum()),
+                          **common)
 
     centers = bounds[:, 0] + width * (np.stack(
         np.meshgrid(*[np.arange(nc)] * m, indexing="ij"), axis=-1)
@@ -229,9 +202,7 @@ def _local_design(basis, x, bounds, step):
             f"every cell of {basis.describe()} fell back at this step", step=step)
     Gu = G[usable]
     lam = basis.ridge_scale * np.trace(Gu, axis1=1, axis2=2)
-    finite_cond = cond[np.isfinite(cond)]
-    return StepDesign(condition=float(finite_cond.max()) if finite_cond.size else np.inf,
-                      n_features=n_cells * nf,
+    return StepDesign(condition=float(cond[usable].max()),
                       fallback_cells=int((~usable).sum()),
                       coords=u, usable=usable,
                       normal=Gu + lam[:, None, None] * np.eye(nf), **common)
@@ -254,8 +225,8 @@ def step_design(basis: RegressionBasis, x: np.ndarray,
     spread = x.max(axis=0) - x.min(axis=0)
     scale = np.maximum(1.0, np.abs(x).max(axis=0))
     if np.all(spread <= _SPREAD_ATOL * scale):
-        return StepDesign(basis=basis, kind="constant", step=step,
-                          n_paths=x.shape[0], condition=1.0, n_features=1)
+        return StepDesign(basis=basis, kind="constant", n_paths=x.shape[0],
+                          condition=1.0)
     bounds = step_bounds(basis, x)
     for dim, (lo, hi) in enumerate(bounds):
         if hi == lo:
@@ -296,10 +267,12 @@ def _project_local(design, targets):
 
 
 def project(design: StepDesign, targets: np.ndarray):
-    """Fit every target column on the design's state; returns (fitted, FitInfo).
+    """Fit every target column on the design's state; returns (fitted,
+    residual_rms).
 
-    fitted[p, j] estimates E[targets[., j] | x_p]. Each column is fitted on
-    its own, so a (P, k) projection equals k single-column ones up to
+    fitted[p, j] estimates E[targets[., j] | x_p], and residual_rms[j] is the
+    root mean square of targets[:, j] - fitted[:, j]. Each column is fitted
+    on its own, so a (P, k) projection equals k single-column ones up to
     rounding, and equal columns get equal fits.
     """
     targets = np.asarray(targets, dtype=np.float64)
@@ -309,14 +282,10 @@ def project(design: StepDesign, targets: np.ndarray):
     if design.kind == "constant":
         fitted = np.broadcast_to(targets.mean(axis=0), targets.shape).copy()
     elif design.kind == "global_polynomial":
-        beta = np.linalg.solve(design.normal, _blocked_product(design.features, targets))
+        beta = np.linalg.solve(design.normal, design.features @ targets)
         fitted = design.features.T @ beta
     else:
         fitted = _project_local(design, targets)
     r = targets - fitted
-    resid = np.sqrt(np.einsum("pk,pk->k", r, r) / design.n_paths)
-    return fitted, FitInfo(condition=design.condition, residual_rms=resid,
-                           n_features=design.n_features,
-                           fallback_cells=design.fallback_cells,
-                           degenerate=design.kind == "constant")
+    return fitted, np.sqrt(np.einsum("pk,pk->k", r, r) / design.n_paths)
 

@@ -8,9 +8,10 @@ Both walk the same one-step recursion backward from the terminal condition:
 implicit in Y (resolved by a few Picard passes), explicit in Z. The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
-step; the same one-step kernel advances several drivers on shared paths at
-once (the truncation sweep in diagnostics), and a coarse and a nested fine
-solve in lockstep on shared designs (the regularity pass in diagnostics).
+step (_martingale_pair, which the gradient solve in variational shares); the
+same one-step kernel advances several drivers on shared paths at once (the
+truncation sweep in diagnostics), and a coarse and a nested fine solve in
+lockstep on shared designs (the regularity pass in diagnostics).
 The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
@@ -133,26 +134,39 @@ def _start_backward(models, ensemble: PathEnsemble, picard_iters,
     return y
 
 
+def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
+    """The two conditional expectations of step i for the targets v_next
+    (P, k) at node i + 1, each one projection on the design at node i.
+
+    Returns E[v | X_i] (P, k), E[(v - E[v | X_i]) dW_i | X_i] / dt_i
+    (P, k, d), and the residual RMS of the two projections, (k,) and
+    (k * d,).
+    """
+    times = ensemble.partition.times
+    dt = times[i + 1] - times[i]
+    dw = ensemble.increments[:, i]
+    mean, mean_rms = project(design, v_next)
+    targets = (v_next - mean)[:, :, None] * dw[:, None, :] / dt
+    z, z_rms = project(design, targets.reshape(len(targets), -1))
+    return mean, z.reshape(targets.shape), mean_rms, z_rms
+
+
 def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next,
                    picard_iters, y_clamp=None):
     """Step i of the recursion for several drivers on the ensemble's paths.
 
     design is the step's design on the state at node i. Column j of y_next
     (P, k) and of the returned y (P, k) and z (P, k, d) belongs to
-    models[j]. Both conditional expectations are one projection each on the
-    shared design; the implicit step is resolved column by column, so
-    divergence is checked per driver. Returns
-    (y, z, info_y, info_z, picard residual per column).
+    models[j]. The conditional expectations come from _martingale_pair; the
+    implicit step is resolved column by column, so divergence is checked
+    per driver. Returns (y, z, residual RMS of the Y and of the Z
+    projection, picard residual per column).
     """
     times = ensemble.partition.times
     t, dt = times[i], times[i + 1] - times[i]
-    x, dw = ensemble.states[:, i], ensemble.increments[:, i]
+    x = ensemble.states[:, i]
     P, k = y_next.shape
-    d = dw.shape[1]
-    cond_mean, info_y = project(design, y_next)
-    z_targets = (y_next - cond_mean)[:, :, None] * dw[:, None, :] / dt
-    z_fit, info_z = project(design, z_targets.reshape(P, k * d))
-    z = z_fit.reshape(P, k, d)
+    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next)
     y = np.empty((P, k))
     residuals = np.empty(k)
     for j, model in enumerate(models):
@@ -163,7 +177,7 @@ def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next
         np.clip(y, -y_clamp, y_clamp, out=y)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise NumericalBlowup("non-finite backward value", step=i)
-    return y, z, info_y, info_z, residuals
+    return y, z, y_rms, z_rms, residuals
 
 
 def _empty_solution(ensemble: PathEnsemble, basis: RegressionBasis, picard_iters,
@@ -181,15 +195,17 @@ def _empty_solution(ensemble: PathEnsemble, basis: RegressionBasis, picard_iters
                             Z=empty_time_major(n, P, (d,)), meta=meta)
 
 
-def _store_step(sol: BackwardSolution, i, y, z, info_y, info_z, picard_residuals):
-    """Write step i of a one-driver _backward_step into the solution."""
+def _store_step(sol: BackwardSolution, i, design: StepDesign, y, z, y_rms, z_rms,
+                picard_residuals):
+    """Write step i of a one-driver _backward_step on the design into the
+    solution."""
     sol.Y[:, i] = y[:, 0]
     sol.Z[:, i] = z[:, 0]
-    sol.meta.y_residual_rms[i] = info_y.residual_rms[0]
-    sol.meta.z_residual_rms[i] = float(np.mean(info_z.residual_rms))
+    sol.meta.y_residual_rms[i] = y_rms[0]
+    sol.meta.z_residual_rms[i] = float(np.mean(z_rms))
     sol.meta.picard_residuals[i] = picard_residuals[0]
-    sol.meta.conditions[i] = max(info_y.condition, info_z.condition)
-    sol.meta.fallback_cells[i] = info_y.fallback_cells + info_z.fallback_cells
+    sol.meta.conditions[i] = design.condition
+    sol.meta.fallback_cells[i] = design.fallback_cells
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
@@ -205,9 +221,9 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     sol = _empty_solution(ensemble, basis, picard_iters, terminal[:, 0])
     for i in range(ensemble.partition.n_steps - 1, -1, -1):
         design = step_design(basis, ensemble.states[:, i], step=i)
-        _store_step(sol, i, *_backward_step((model,), design, ensemble, i,
-                                            sol.Y[:, i + 1:i + 2], picard_iters,
-                                            y_clamp))
+        _store_step(sol, i, design, *_backward_step((model,), design, ensemble, i,
+                                                    sol.Y[:, i + 1:i + 2],
+                                                    picard_iters, y_clamp))
     return sol
 
 

@@ -7,6 +7,10 @@ a = f_y(t, X, Y, Z) the one-step update solves in closed form,
 
     gradY_i = (E_i[gradY_{i+1}] + dt (f_x . gradX + f_z . gradZ_i)) / (1 - dt a).
 
+E_i[gradY_{i+1}] and gradZ_i come from the backward solver's own estimator
+(solver._martingale_pair) on one regression design per step, each of the m
+components of gradY one target column, as for Y and Z in the base solve.
+
 For a truncated driver the base control is clamped once per step and the
 three gradients are evaluated on the untruncated driver at the clamped
 value (truncation.clamped_driver), with the clamp's derivative applied to
@@ -25,9 +29,9 @@ import numpy as np
 from .errors import (AssumptionLevelTooLow, InvalidParameters, NumericalBlowup,
                      PicardDivergence)
 from .model import AssumptionLevel, ModelSpec, empty_time_major
-from .regression import RegressionBasis, project, step_design
+from .regression import RegressionBasis, step_design
 from .sde import PathEnsemble
-from .solver import BackwardSolution
+from .solver import BackwardSolution, _martingale_pair
 from .truncation import clamped_driver, smooth_clamp_grad
 
 
@@ -61,7 +65,7 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
                            basis: RegressionBasis) -> VariationalSolution:
     _require_variational_inputs(model, ensemble)
     times = ensemble.partition.times
-    X, dW, F = ensemble.states, ensemble.increments, ensemble.flows
+    X, F = ensemble.states, ensemble.flows
     P, n, m, d = X.shape[0], times.size - 1, model.m, model.d
     if base.Y.shape != (P, n + 1):
         raise InvalidParameters("base solution does not match the ensemble")
@@ -76,11 +80,9 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
     for i in range(n - 1, -1, -1):
         dt = times[i + 1] - times[i]
         t, xi = times[i], X[:, i]
-        design = step_design(basis, xi, step=i)
-        e_fit, _ = project(design, U[:, i + 1])
-        v_targets = ((U[:, i + 1] - e_fit)[:, None, :] * dW[:, i, :, None] / dt)
-        v_fit, _ = project(design, v_targets.reshape(P, d * m))
-        Vi = v_fit.reshape(P, d, m)
+        e_fit, v_fit, *_ = _martingale_pair(step_design(basis, xi, step=i), ensemble,
+                                            i, U[:, i + 1])
+        Vi = v_fit.swapaxes(1, 2)  # (P, m, d) -> (P, d, m)
 
         yi, zi = base.Y[:, i], base.Z[:, i]
         driver, zc = clamped_driver(model, zi)

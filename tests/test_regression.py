@@ -1,11 +1,12 @@
 """Tests for the least-squares conditional expectation machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from qgbsde.errors import DegenerateRegression, InvalidParameters
-from qgbsde.regression import (FitInfo, RegressionBasis, project, step_bounds,
-                               step_design)
+from qgbsde.regression import RegressionBasis, project, step_bounds, step_design
 
 
 def _fit(basis, x, targets, step=None):
@@ -17,23 +18,23 @@ def test_global_recovers_polynomial_exactly():
     rng = np.random.default_rng(0)
     x = rng.uniform(-2.0, 3.0, size=(5000, 1))
     targets = (2.0 + 3.0 * x - 0.5 * x ** 2).reshape(-1, 1)
-    basis = RegressionBasis(kind="global_polynomial", degree=2)
-    fitted, info = _fit(basis, x, targets)
+    design = step_design(RegressionBasis(kind="global_polynomial", degree=2), x)
+    fitted, residual_rms = project(design, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-8)
-    assert info.residual_rms[0] < 1e-8
-    assert info.n_features == 3
-    assert not info.degenerate
+    assert residual_rms[0] < 1e-8
+    assert design.features.shape[0] == 3
+    assert design.kind != "constant"
 
 
 def test_global_two_dimensional_cross_terms():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1.0, 1.0, size=(4000, 2))
     targets = (1.0 + x[:, 0] + 0.7 * x[:, 0] * x[:, 1])[:, None]
-    basis = RegressionBasis(kind="global_polynomial", degree=2)
-    fitted, info = _fit(basis, x, targets)
+    design = step_design(RegressionBasis(kind="global_polynomial", degree=2), x)
+    fitted, _ = project(design, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-8)
     # monomials of total degree <= 2 in two variables: 1, x, y, x^2, xy, y^2
-    assert info.n_features == 6
+    assert design.features.shape[0] == 6
 
 
 def test_global_multiple_target_columns():
@@ -50,9 +51,9 @@ def test_constant_fit_on_degenerate_state():
     # conditional expectation collapses to the plain mean
     x = np.full((500, 1), 1.25)
     targets = np.column_stack([np.arange(500.0), np.ones(500)])
-    fitted, info = _fit(RegressionBasis(), x, targets)
-    assert info.degenerate
-    assert info.n_features == 1
+    design = step_design(RegressionBasis(), x)
+    fitted, _ = project(design, targets)
+    assert design.kind == "constant"
     np.testing.assert_allclose(fitted[:, 0], np.arange(500.0).mean())
     np.testing.assert_allclose(fitted[:, 1], 1.0)
 
@@ -63,19 +64,21 @@ def test_local_degree0_is_cellwise_mean():
                             lower_quantile=0.0, upper_quantile=1.0)
     x = np.array([[0.1], [0.2], [0.6], [0.9]])
     targets = np.array([[1.0], [3.0], [10.0], [20.0]])
-    fitted, info = _fit(basis, x, targets)
+    design = step_design(basis, x)
+    fitted, _ = project(design, targets)
     np.testing.assert_allclose(fitted[:, 0], [2.0, 2.0, 15.0, 15.0])
-    assert info.fallback_cells == 0
+    assert design.fallback_cells == 0
 
 
 def test_local_degree1_recovers_affine():
     rng = np.random.default_rng(3)
     x = rng.uniform(0.0, 1.0, size=(20000, 1))
     targets = (1.0 + 2.0 * x).reshape(-1, 1)
-    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=10)
-    fitted, info = _fit(basis, x, targets)
+    design = step_design(RegressionBasis(kind="local_partition", degree=1,
+                                         cells_per_dim=10), x)
+    fitted, _ = project(design, targets)
     np.testing.assert_allclose(fitted, targets, atol=1e-8)
-    assert info.fallback_cells == 0
+    assert design.fallback_cells == 0
 
 
 def test_local_fallback_accounting():
@@ -91,8 +94,9 @@ def test_local_fallback_accounting():
     x3 = np.append(rng.uniform(0.75, 1.00, size=9), 1.0)
     x = np.concatenate([x0, x1, x3])[:, None]
     targets = np.concatenate([np.ones(10), [4.0, 8.0], np.full(10, 2.0)])[:, None]
-    fitted, info = _fit(basis, x, targets)
-    assert info.fallback_cells == 2
+    design = step_design(basis, x)
+    fitted, _ = project(design, targets)
+    assert design.fallback_cells == 2
     np.testing.assert_allclose(fitted[10:12, 0], 6.0)
 
 
@@ -171,13 +175,14 @@ def test_fit_step_shape_validation():
         _fit(RegressionBasis(), np.zeros((10, 1)), np.zeros((9, 1)))
 
 
-def test_fit_info_residual_reflects_noise():
+def test_projection_residual_reflects_noise():
     rng = np.random.default_rng(8)
     x = rng.uniform(-1.0, 1.0, size=(50000, 1))
     noise = rng.normal(scale=0.3, size=(50000, 1))
     targets = x + noise
-    _, info = _fit(RegressionBasis(kind="global_polynomial", degree=1), x, targets)
-    assert info.residual_rms[0] == pytest.approx(0.3, rel=0.05)
+    _, residual_rms = _fit(RegressionBasis(kind="global_polynomial", degree=1), x,
+                           targets)
+    assert residual_rms[0] == pytest.approx(0.3, rel=0.05)
 
 
 _KINDS = (RegressionBasis(kind="global_polynomial", degree=4),
@@ -199,16 +204,13 @@ def test_multi_column_projection_matches_single_column_fits(basis, m):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20000, m))
     targets = _noisy_targets(x, rng, 5)
-    fitted, info = project(step_design(basis, x, step=2), targets)
+    fitted, residual_rms = project(step_design(basis, x, step=2), targets)
     assert fitted.shape == targets.shape
     for j in range(targets.shape[1]):
-        single, single_info = _fit(basis, x, targets[:, j:j + 1], step=2)
+        single, single_rms = _fit(basis, x, targets[:, j:j + 1], step=2)
         scale = np.abs(single).max()
         assert np.abs(fitted[:, j] - single[:, 0]).max() <= 1e-12 * scale
-        assert info.residual_rms[j] == pytest.approx(single_info.residual_rms[0],
-                                                     rel=1e-12)
-        assert info.condition == single_info.condition
-        assert info.fallback_cells == single_info.fallback_cells
+        assert residual_rms[j] == pytest.approx(single_rms[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("basis", _KINDS, ids=lambda b: b.describe())
@@ -216,7 +218,7 @@ def test_duplicate_target_columns_fit_bit_identically(basis):
     # the truncation sweep relies on this: a level the clamp never engages
     # must reproduce the reference column exactly
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(70000, 1))  # more than one regression block
+    x = rng.normal(size=(70000, 1))  # the path count of the canonical benchmark run
     a, b = _noisy_targets(x, rng, 2).T
     fitted, _ = project(step_design(basis, x), np.column_stack([a, b, a, a, b, a, b]))
     for j in (2, 3, 5):
@@ -229,7 +231,7 @@ def test_design_is_reusable_and_checks_targets():
     rng = np.random.default_rng(11)
     x = rng.uniform(-1.0, 1.0, size=(3000, 1))
     design = step_design(RegressionBasis(kind="global_polynomial", degree=2), x, step=4)
-    assert design.step == 4 and design.n_paths == 3000
+    assert design.n_paths == 3000
     first, _ = project(design, (x ** 2))
     second, _ = project(design, 1.0 + x)
     np.testing.assert_allclose(first, x ** 2, atol=1e-8)
@@ -299,7 +301,8 @@ def test_global_features_are_feature_major(m):
     rng = np.random.default_rng(14)
     x = rng.uniform(-1.0, 1.0, size=(3000, m))
     design = step_design(RegressionBasis(kind="global_polynomial", degree=3), x)
-    assert design.features.shape == (design.n_features, 3000)
+    # monomials of total degree <= 3 in m variables
+    assert design.features.shape == (math.comb(m + 3, 3), 3000)
     assert design.features.flags.c_contiguous
     # rows are the monomials sorted by (total degree, exponents): 1, then the
     # coordinates rescaled to [-1, 1], the last coordinate first
@@ -320,3 +323,51 @@ def test_zero_width_bounds_raise_with_step_and_dimension(basis):
                 as exc:
             step_design(basis, x, step=9)
         assert exc.value.step == 9
+
+
+def test_local_design_condition_is_that_of_the_fitted_cells():
+    # 2000 points in 200 cells leave many cells with one or two points, whose
+    # normal matrices are (near) singular; they fall back to their mean and
+    # must not set the design's condition
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(2000, 1))
+    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=200)
+    design = step_design(basis, x)
+    assert 0 < design.fallback_cells < 200
+    assert design.fallback_cells == int((~design.usable).sum())
+    u = design.coords[:, 0]
+    conds = []
+    for c in np.flatnonzero(design.usable):
+        uc = u[design.cell == c]
+        G = np.array([[uc.size, uc.sum()], [uc.sum(), (uc * uc).sum()]])
+        eig = np.linalg.eigvalsh(G)
+        conds.append(eig[-1] / eig[0])
+    assert design.condition <= basis.condition_cap
+    assert design.condition == pytest.approx(max(conds), rel=1e-9)
+
+
+def _blocked_pairwise_projection(design, targets, block=65536):
+    """The global fit with both products summed over fixed-size path blocks
+    in a fixed pairwise tree; plain products must agree with it to rounding."""
+    def tree_product(a, b):
+        parts = [a[:, p:p + block] @ b[p:p + block] for p in range(0, a.shape[1], block)]
+        while len(parts) > 1:
+            parts = [parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
+                     for i in range(0, len(parts), 2)]
+        return parts[0]
+
+    phi = design.features
+    G = tree_product(phi, phi.T)
+    normal = G + design.basis.ridge_scale * float(np.trace(G)) * np.eye(G.shape[0])
+    return phi.T @ np.linalg.solve(normal, tree_product(phi, targets))
+
+
+def test_global_projection_matches_blocked_pairwise_sums():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(200_000, 1))  # four blocks of 65,536 paths
+    targets = _noisy_targets(x, rng, 3)
+    design = step_design(RegressionBasis(kind="global_polynomial", degree=4), x)
+    fitted, _ = project(design, targets)
+    reference = _blocked_pairwise_projection(design, targets)
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(np.abs(fitted - reference).max(axis=0) <= 1e-13 * scale)

@@ -10,7 +10,7 @@ from qgbsde.errors import (DomainTooSmall, InvalidParameters, PicardDivergence,
 from qgbsde.model import (ModelSpec, Partition, make_brownian, make_discount,
                           make_quadratic)
 from qgbsde.oracle import cole_hopf_from_model
-from qgbsde.regression import RegressionBasis
+from qgbsde.regression import RegressionBasis, step_design
 from qgbsde import solver, truncation
 from qgbsde.diagnostics import truncation_error_curve
 from qgbsde.sde import PathEnsemble, simulate_forward
@@ -234,3 +234,18 @@ def test_solver_is_deterministic():
     b = solve_backward_regression(model, ens, GLOBAL2)
     assert np.array_equal(a.Y, b.Y)
     assert np.array_equal(a.Z, b.Z)
+
+
+def test_meta_reads_condition_and_fallbacks_from_the_step_design():
+    # 2000 paths in 200 cells of degree 1: every step after t = 0 has cells
+    # too sparse to fit, counted once per step, and the condition is that of
+    # the cells the fit solved
+    model = make_brownian(terminal="tanh")
+    ens = simulate_forward(model, Partition.uniform(model.T, 4), 2000, seed=7)
+    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=200)
+    meta = solve_backward_regression(model, ens, basis).meta
+    designs = [step_design(basis, ens.states[:, i]) for i in range(4)]
+    assert meta.fallback_cells.tolist() == [d.fallback_cells for d in designs]
+    assert meta.conditions.tolist() == [d.condition for d in designs]
+    assert meta.fallback_cells[0] == 0 and meta.fallback_cells[1:].min() > 0
+    assert meta.conditions.max() <= basis.condition_cap

@@ -8,9 +8,9 @@ import pytest
 from qgbsde.errors import (AssumptionLevelTooLow, InvalidParameters,
                            PicardDivergence)
 from qgbsde import truncation, variational
-from qgbsde.model import (AssumptionLevel, Partition, make_brownian,
-                          make_discount, make_gbm, make_quadratic)
-from qgbsde.regression import RegressionBasis
+from qgbsde.model import (AssumptionLevel, ModelSpec, Partition, empty_time_major,
+                          make_brownian, make_discount, make_gbm, make_quadratic)
+from qgbsde.regression import RegressionBasis, project, step_design
 from qgbsde.sde import simulate_forward, simulate_variational
 from qgbsde.solver import solve_backward_regression
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
@@ -130,3 +130,75 @@ def test_truncated_gradients_clamp_once_per_step(monkeypatch):
                                  sol, GLOBAL2)
     np.testing.assert_array_equal(var.gradY, ref.gradY)
     np.testing.assert_array_equal(var.gradZ, ref.gradZ)
+
+
+def _planar_model():
+    """m = d = 2 with state-dependent volatility, so the flows and both
+    components of gradY and gradZ are non-trivial."""
+    def sigma(t, x):
+        out = np.zeros(x.shape + (2,))
+        out[:, 0, 0] = 1.0 + 0.1 * np.sin(x[:, 0])
+        out[:, 1, 1] = 1.0 + 0.1 * np.sin(x[:, 1])
+        out[:, 1, 0] = 0.3
+        return out
+
+    def sigma_jac(t, x):
+        out = np.zeros(x.shape[:1] + (2, 2, 2))  # [p, noise j, a, b]
+        out[:, 0, 0, 0] = 0.1 * np.cos(x[:, 0])
+        out[:, 1, 1, 1] = 0.1 * np.cos(x[:, 1])
+        return out
+
+    return ModelSpec(
+        name="planar", m=2, d=2, x0=np.array([0.1, -0.2]), T=1.0,
+        b=lambda t, x: -0.5 * x,
+        sigma=sigma,
+        f=lambda t, x, y, z: 0.1 * y + 0.2 * np.sin(z).sum(axis=1) + 0.1 * x[:, 0],
+        g=lambda x: np.tanh(x).sum(axis=1) + 0.5 * x[:, 0] * x[:, 1],
+        b_jac=lambda t, x: np.broadcast_to(-0.5 * np.eye(2), x.shape + (2,)).copy(),
+        sigma_jac=sigma_jac,
+        f_x=lambda t, x, y, z: np.column_stack([np.full(x.shape[0], 0.1),
+                                                np.zeros(x.shape[0])]),
+        f_y=lambda t, x, y, z: np.full(x.shape[0], 0.1),
+        f_z=lambda t, x, y, z: 0.2 * np.cos(z),
+        g_grad=lambda x: 1.0 / np.cosh(x) ** 2 + 0.5 * x[:, ::-1],
+        driver_z_lipschitz=0.4, assumption_level=AssumptionLevel.HX1Y1)
+
+
+def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
+    """The gradient solve with its own copy of the pair of projections, in
+    its own (d, m) column order; the shared estimator must reproduce it."""
+    times = ensemble.partition.times
+    X, dW, F = ensemble.states, ensemble.increments, ensemble.flows
+    P, n, m, d = X.shape[0], times.size - 1, model.m, model.d
+    U = empty_time_major(n + 1, P, (m,))
+    V = empty_time_major(n, P, (d, m))
+    U[:, n] = np.einsum("pa,pak->pk", np.asarray(model.g_grad(X[:, n])), F[:, n])
+    for i in range(n - 1, -1, -1):
+        dt = times[i + 1] - times[i]
+        t, xi = times[i], X[:, i]
+        design = step_design(basis, xi, step=i)
+        e_fit, _ = project(design, U[:, i + 1])
+        v_targets = ((U[:, i + 1] - e_fit)[:, None, :] * dW[:, i, :, None] / dt)
+        Vi = project(design, v_targets.reshape(P, d * m))[0].reshape(P, d, m)
+        yi, zi = base.Y[:, i], base.Z[:, i]
+        fx = np.asarray(model.f_x(t, xi, yi, zi))
+        fy = np.asarray(model.f_y(t, xi, yi, zi))
+        fz = np.asarray(model.f_z(t, xi, yi, zi))
+        drive = (np.einsum("pa,pak->pk", fx, F[:, i])
+                 + np.einsum("pj,pjk->pk", fz, Vi))
+        U[:, i] = (e_fit + dt * drive) / (1.0 - dt * fy)[:, None]
+        V[:, i] = Vi
+    return U, V
+
+
+@pytest.mark.parametrize("basis", [GLOBAL2, RegressionBasis(kind="local_partition",
+                                                            degree=1, cells_per_dim=6)],
+                         ids=lambda b: b.describe())
+def test_planar_gradient_solve_matches_its_own_estimator_bit_for_bit(basis):
+    model = _planar_model()
+    ens, sol = _solved(model, n_steps=6, n_paths=4000, basis=basis)
+    var = solve_variational_bsde(model, ens, sol, basis)
+    U, V = _gradient_loop_with_own_estimator(model, ens, sol, basis)
+    assert np.abs(V).max() > 1e-2  # gradZ is not trivially zero
+    assert np.array_equal(var.gradY, U)
+    assert np.array_equal(var.gradZ, V)
