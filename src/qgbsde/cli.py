@@ -15,7 +15,7 @@ Every run writes the same artifact set into the output directory:
     report.csv           one statistic per row, timestamp comment line first
     summary.txt          the same numbers, human readable, with pass/fail lines
     config_resolved.ini  every effective setting made explicit
-    ensemble.bin         the simulated paths (simulate, or write_ensemble = true)
+    ensemble.bin         the simulated paths (simulate only)
 
 Every key outside [model] is one row of the _SETTINGS table: section, key,
 parser, default, INI format and range check. RunContext reads the rows in one
@@ -128,14 +128,6 @@ _SETTINGS = (
     _Setting("solver", "degree", int, 4),
     _Setting("solver", "cells_per_dim", int, 50),
     _Setting("solver", "picard_iters", int, 3, check=_at_least(1)),
-    _Setting("solver", "clamp", _bool, False, _flag),
-    _Setting("solver", "space_nodes", int, 128, check=_at_least(8)),
-    _Setting("solver", "gh_nodes", int, 64, check=_at_least(1)),
-    _Setting("solver", "space_bound",  # auto (None): derived from sigma
-             lambda t: None if t == "auto" else float(t), None,
-             lambda v: "auto" if v is None else repr(v),
-             ((lambda v, ctx: v is None or 0 < v < math.inf),
-              "must be auto or finite and > 0")),
     _Setting("truncation", "level", float, 10.0, repr,
              ((lambda v, ctx: 0 <= v < math.inf), "must be finite and >= 0")),
     _Setting("truncation", "levels", _list(float), (1.0, 2.0, 3.0, 4.0, 6.0, 8.0),
@@ -147,7 +139,6 @@ _SETTINGS = (
     _Setting("outputs", "directory", Path, Path("qgbsde_out")),
     _Setting("outputs", "experiment_id", str, None,  # None: {command}_{model}
              lambda v: v or ""),
-    _Setting("outputs", "write_ensemble", _bool, False, _flag),
 )
 
 
@@ -168,9 +159,10 @@ def _load_config(path: str) -> configparser.ConfigParser:
         if sec not in known:
             raise ConfigError(f"unknown section [{sec}] "
                               f"(known: {', '.join(sorted(known))})")
-        extra = set(cfg[sec]) - known[sec]
-        if extra:
-            raise ConfigError(f"unknown keys in [{sec}]: {', '.join(sorted(extra))}")
+    extra = [f"[{sec}] {key}" for sec in cfg.sections()
+             for key in sorted(set(cfg[sec]) - known[sec])]
+    if extra:
+        raise ConfigError(f"unknown keys: {', '.join(extra)}")
     return cfg
 
 
@@ -247,21 +239,6 @@ class RunContext:
         model = truncate_driver(self.model, self.level)
         self.note(f"driver truncated at level {self.level:g}")
         return model
-
-    def solver_options(self, model, ensemble) -> dict:
-        """Basis, Picard count and |Y| cap for a backward solve on the ensemble.
-
-        With the clamp flag on, |Y| is capped at the a-priori bound
-        exp(M T) (sup|xi| + M T) with the terminal sup taken empirically over
-        the simulated paths; for M = 0 this degrades to the exact martingale
-        bound sup|xi|.
-        """
-        y_clamp = None
-        if self.clamp:
-            xi = float(np.abs(np.asarray(model.g(ensemble.states[:, -1]))).max())
-            M = model.growth_M
-            y_clamp = math.exp(M * model.T) * (xi + M * model.T)
-        return dict(basis=self.basis, picard_iters=self.picard_iters, y_clamp=y_clamp)
 
     def add(self, statistic_name, value, std_error=None, n_trunc=None,
             n_steps=None):
@@ -445,7 +422,7 @@ def cmd_solve(ctx: RunContext):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     ens = get_ensemble(ctx, part)
     model = ctx.solver_model()
-    sol = solve_backward_regression(model, ens, **ctx.solver_options(model, ens))
+    sol = solve_backward_regression(model, ens, ctx.basis, ctx.picard_iters)
     y0 = sol.y0
     z0 = float(sol.z0[0]) if ctx.model.d == 1 else None
     # at t = 0 the design is the constant one, so y0 and z0 are plain means of
@@ -466,10 +443,7 @@ def cmd_solve(ctx: RunContext):
     _oracle_rows(ctx, y0, z0)
     if ctx.model.m == 1 and ctx.model.d == 1:
         try:
-            qy, qz = solve_quadrature_1d(model, part, space_nodes=ctx.space_nodes,
-                                         space_bound=ctx.space_bound,
-                                         gh_nodes=ctx.gh_nodes,
-                                         picard_iters=ctx.picard_iters)
+            qy, qz = solve_quadrature_1d(model, part, ctx.picard_iters)
             ctx.add("y0_quadrature", qy)
             ctx.add("z0_quadrature", qz)
             ctx.add("y0_vs_quadrature", abs(y0 - qy))
@@ -477,10 +451,6 @@ def cmd_solve(ctx: RunContext):
                      f"|MC - quadrature| = {abs(y0 - qy):.3e}")
         except DomainTooSmall as exc:
             ctx.warn(f"quadrature cross-check skipped: {exc}")
-    if ctx.write_ensemble:
-        ctx.directory.mkdir(parents=True, exist_ok=True)
-        dump_ensemble(ens, ctx.directory / "ensemble.bin")
-        ctx.note("wrote ensemble.bin")
     return sol
 
 
@@ -498,7 +468,7 @@ def cmd_converge(ctx: RunContext):
     meshes, zsums, ystats, grids = [], [], [], []
     for n in ctx.ladder:
         ens_c, ens_f = _coarse_fine_pair(ctx, n)
-        reg = regularity_pass(model, ens_c, ens_f, **ctx.solver_options(model, ens_c))
+        reg = regularity_pass(model, ens_c, ens_f, ctx.basis, ctx.picard_iters)
         mesh = ens_c.partition.mesh
         zsum, ystat = reg.z_regularity_sum, reg.y_increment_sq
         ratio = ystat / mesh
@@ -605,7 +575,7 @@ def cmd_diagnose(ctx: RunContext):
     model = ctx.solver_model()
     ens_c, ens_f = _coarse_fine_pair(ctx, ctx.n_steps)
     coarse = ens_c.partition
-    reg = regularity_pass(model, ens_c, ens_f, **ctx.solver_options(model, ens_c))
+    reg = regularity_pass(model, ens_c, ens_f, ctx.basis, ctx.picard_iters)
     sol_c = reg.solution
     # the stages below read the coarse ensemble only; its states are a view
     # of the fine ones, so this frees the fine increments

@@ -89,8 +89,7 @@ class Regularity:
 
 
 def regularity_pass(model: ModelSpec, coarse: PathEnsemble, fine: PathEnsemble,
-                    basis: RegressionBasis, picard_iters: int = 3,
-                    y_clamp: float | None = None) -> Regularity:
+                    basis: RegressionBasis, picard_iters: int = 3) -> Regularity:
     """Solve on a coarse grid and a nested fine one in one backward pass and
     measure the fine solution's path regularity against the coarse windows.
 
@@ -111,9 +110,9 @@ def regularity_pass(model: ModelSpec, coarse: PathEnsemble, fine: PathEnsemble,
                for i, j in enumerate(idx)):
         raise InvalidParameters("the coarse states must be the fine states at "
                                 "the shared nodes")
-    _start_backward((model,), fine, picard_iters, y_clamp)  # checks only
-    terminal = _start_backward((model,), coarse, picard_iters, y_clamp)[:, 0]
-    sol = _empty_solution(coarse, basis, picard_iters, terminal)
+    _start_backward((model,), fine, picard_iters)  # checks only
+    terminal = _start_backward((model,), coarse, picard_iters)[:, 0]
+    sol = _empty_solution(coarse, terminal)
     h, dt_f = coarse.partition.dt, fine.partition.dt
     P, d, n = coarse.n_paths, coarse.d, coarse.partition.n_steps
     width = int(np.diff(idx).max())
@@ -133,12 +132,12 @@ def regularity_pass(model: ModelSpec, coarse: PathEnsemble, fine: PathEnsemble,
             fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
                                                             step=j)
             y, z, *_ = _backward_step((model,), fine_design, fine, j,
-                                      ywin[:, k + 1:k + 2], picard_iters, y_clamp)
+                                      ywin[:, k + 1:k + 2], picard_iters)
             ywin[:, k] = y[:, 0]
             zwin[:, k] = z[:, 0]
         _store_step(sol, i, design, *_backward_step((model,), design, coarse, i,
                                                     sol.Y[:, i + 1:i + 2],
-                                                    picard_iters, y_clamp))
+                                                    picard_iters))
 
         inc = ywin[:, 1:] - ywin[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AssumptionLevelTooLow, InvalidParameters, InvalidPartition
+from .errors import (AssumptionLevelTooLow, GridMismatch, InvalidParameters,
+                     InvalidPartition)
 
 
 class AssumptionLevel(enum.IntEnum):
@@ -107,8 +108,6 @@ def nested_indices(coarse: Partition, fine: Partition, tol: float = 1e-9) -> np.
     Raises GridMismatch unless every coarse node matches a fine node within
     tol (absolute, the grids live on [0, T] with T of order one).
     """
-    from .errors import GridMismatch  # local import to keep module order simple
-
     idx = np.searchsorted(fine.times, coarse.times - tol)
     ok = (idx < fine.times.size) & (np.abs(fine.times[np.minimum(idx, fine.times.size - 1)]
                                            - coarse.times) <= tol)

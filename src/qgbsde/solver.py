@@ -47,8 +47,6 @@ from .truncation import clamped_driver
 
 @dataclass
 class SolverMeta:
-    basis: str
-    picard_iters: int
     y_residual_rms: np.ndarray
     z_residual_rms: np.ndarray
     picard_residuals: np.ndarray
@@ -116,16 +114,13 @@ def _picard_resolve(f, t, x, base, z, dt, picard_iters, step):
     return y, prev if prev is not None else 0.0
 
 
-def _start_backward(models, ensemble: PathEnsemble, picard_iters,
-                    y_clamp=None) -> np.ndarray:
+def _start_backward(models, ensemble: PathEnsemble, picard_iters) -> np.ndarray:
     """Check the solver inputs of every model and return the terminal values,
     one column per model."""
     for model in models:
         _check_solver_inputs(model, ensemble)
     if picard_iters < 1:
         raise InvalidParameters(f"picard_iters must be >= 1, got {picard_iters}")
-    if y_clamp is not None and y_clamp <= 0:
-        raise InvalidParameters(f"y_clamp must be positive, got {y_clamp}")
     n = ensemble.partition.n_steps
     x_n = ensemble.states[:, n]
     y = np.column_stack([np.asarray(model.g(x_n)) for model in models])
@@ -152,7 +147,7 @@ def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
 
 
 def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next,
-                   picard_iters, y_clamp=None):
+                   picard_iters):
     """Step i of the recursion for several drivers on the ensemble's paths.
 
     design is the step's design on the state at node i. Column j of y_next
@@ -173,22 +168,18 @@ def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next
         driver, zj = clamped_driver(model, z[:, j])
         y[:, j], residuals[j] = _picard_resolve(driver.f, t, x, cond_mean[:, j], zj,
                                                 dt, picard_iters, step=i)
-    if y_clamp is not None:
-        np.clip(y, -y_clamp, y_clamp, out=y)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise NumericalBlowup("non-finite backward value", step=i)
     return y, z, y_rms, z_rms, residuals
 
 
-def _empty_solution(ensemble: PathEnsemble, basis: RegressionBasis, picard_iters,
-                    terminal) -> BackwardSolution:
+def _empty_solution(ensemble: PathEnsemble, terminal) -> BackwardSolution:
     """Time-major Y and Z on the ensemble's grid with the terminal values in
     place, for _store_step to fill backward."""
     P, n, d = ensemble.n_paths, ensemble.partition.n_steps, ensemble.d
     Y = empty_time_major(n + 1, P)
     Y[:, n] = terminal
-    meta = SolverMeta(basis=basis.describe(), picard_iters=picard_iters,
-                      y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
+    meta = SolverMeta(y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
                       picard_residuals=np.empty(n), conditions=np.empty(n),
                       fallback_cells=np.zeros(n, dtype=np.int64))
     return BackwardSolution(partition=ensemble.partition, Y=Y,
@@ -209,66 +200,81 @@ def _store_step(sol: BackwardSolution, i, design: StepDesign, y, z, y_rms, z_rms
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
-                              basis: RegressionBasis, picard_iters: int = 3,
-                              y_clamp: float | None = None) -> BackwardSolution:
+                              basis: RegressionBasis,
+                              picard_iters: int = 3) -> BackwardSolution:
     """Regression Monte Carlo dynamic programming over the ensemble.
 
-    y_clamp, when given, caps |Y_i| at an a-priori sup bound after every
-    step. Off by default; it is a variance control for heavy-tailed
-    regression overshoot, not part of the scheme.
+    Each step regresses on one design of the state (step_design) and resolves
+    the implicit step with at most picard_iters passes. Y is whatever the
+    scheme gives: the a-priori bound on the exact |Y| is not imposed.
     """
-    terminal = _start_backward((model,), ensemble, picard_iters, y_clamp)
-    sol = _empty_solution(ensemble, basis, picard_iters, terminal[:, 0])
+    terminal = _start_backward((model,), ensemble, picard_iters)
+    sol = _empty_solution(ensemble, terminal[:, 0])
     for i in range(ensemble.partition.n_steps - 1, -1, -1):
         design = step_design(basis, ensemble.states[:, i], step=i)
         _store_step(sol, i, design, *_backward_step((model,), design, ensemble, i,
                                                     sol.Y[:, i + 1:i + 2],
-                                                    picard_iters, y_clamp))
+                                                    picard_iters))
     return sol
 
 
-def solve_quadrature_1d(model: ModelSpec, partition: Partition,
-                        space_nodes: int = 128, space_bound: float | None = None,
-                        gh_nodes: int = 64, picard_iters: int = 3,
-                        leak_tol: float = 1e-6):
+# fixed sizes of the quadrature: space grid nodes, Gauss-Hermite nodes, the
+# largest share of the terminal mass the grid may leak, and how often its
+# half-width may double to get there
+_GRID_SIZE = 128
+_HERMITE_SIZE = 64
+_MAX_LEAK = 1e-6
+_MAX_DOUBLINGS = 8
+
+
+def _space_grid(model: ModelSpec, times, x0, T) -> np.ndarray:
+    """The space grid of solve_quadrature_1d, centred at x0.
+
+    The half-width starts at 6 sigma sqrt(T), with sigma the largest
+    volatility within 1 of x0, and doubles while the grid leaks more than
+    _MAX_LEAK of the terminal mass: the mass a Gaussian of the largest
+    volatility on the grid puts beyond its nearer end. Raises DomainTooSmall
+    when _MAX_DOUBLINGS doublings do not get there: a volatility linear in x
+    grows with the half-width, so the leak levels off (above _MAX_LEAK for
+    gbm with vol above about 0.2).
+    """
+    probe = np.linspace(x0 - 1.0, x0 + 1.0, 9)[:, None]
+    width = 6.0 * max(float(np.abs(model.sigma(0.0, probe)).max()), 1e-12) * np.sqrt(T)
+    for k in range(_MAX_DOUBLINGS + 1):
+        half = width * 2.0 ** k
+        lo, hi = x0 - half, x0 + half
+        grid = np.linspace(lo, hi, _GRID_SIZE)
+        sig_max = max(float(np.abs(model.sigma(t, grid[:, None])).max()) for t in
+                      (times[0], times[times.size // 2], times[-1]))
+        dist = min(hi - x0, x0 - lo)
+        leak = 2.0 * ndtr(-dist / max(sig_max * np.sqrt(T), 1e-300))
+        if leak <= _MAX_LEAK:
+            return grid
+    raise DomainTooSmall(
+        f"space grid of half-width {half:g} still leaks {leak:.3e} of the terminal "
+        f"mass (tol {_MAX_LEAK:.1e}) after {_MAX_DOUBLINGS} doublings")
+
+
+def solve_quadrature_1d(model: ModelSpec, partition: Partition, picard_iters: int = 3):
     """Deterministic dynamic programming on a one-dimensional space grid.
 
-    Conditional expectations use Gauss-Hermite quadrature against the exact
-    one-step Euler Gaussian transition; z comes from the dW-weighted
-    quadrature. Values between grid nodes are cubic-spline interpolated and
-    the read-out at x0 goes through the spline as well. Returns (y0, z0).
+    The grid has _GRID_SIZE nodes and a half-width that _space_grid doubles
+    until the grid holds the terminal mass. Conditional expectations use
+    _HERMITE_SIZE-node Gauss-Hermite quadrature against the exact one-step
+    Euler Gaussian transition; z comes from the dW-weighted quadrature.
+    Values between grid nodes are cubic-spline interpolated and the read-out
+    at x0 goes through the spline as well. Returns (y0, z0).
     """
     _require_lipschitz_driver(model)
     if model.m != 1 or model.d != 1:
         raise InvalidParameters("quadrature solver handles m = d = 1 only")
-    if space_nodes < 8:
-        raise InvalidParameters(f"space_nodes must be >= 8, got {space_nodes}")
-    if gh_nodes < 1:
-        raise InvalidParameters(f"gh_nodes must be >= 1, got {gh_nodes}")
-    if space_bound is not None and not space_bound > 0:
-        raise InvalidParameters(f"space_bound must be > 0, got {space_bound}")
     times = partition.times
     x0 = float(model.x0[0])
-    T = partition.horizon
-
-    probe = np.linspace(x0 - 1.0, x0 + 1.0, 9)[:, None]
-    sig_scale = float(np.abs(model.sigma(0.0, probe)).max())
-    if space_bound is None:
-        space_bound = 6.0 * max(sig_scale, 1e-12) * np.sqrt(T)
-    lo, hi = x0 - space_bound, x0 + space_bound
-    grid = np.linspace(lo, hi, space_nodes)
+    grid = _space_grid(model, times, x0, partition.horizon)
+    lo, hi = grid[0], grid[-1]
     gx = grid[:, None]
 
-    sig_max = max(float(np.abs(model.sigma(t, gx)).max()) for t in
-                  (times[0], times[times.size // 2], times[-1]))
-    dist = min(hi - x0, x0 - lo)
-    leak = 2.0 * ndtr(-dist / max(sig_max * np.sqrt(T), 1e-300))
-    if leak > leak_tol:
-        raise DomainTooSmall(
-            f"grid bounds leak {leak:.3e} of the terminal mass (tol {leak_tol:.1e}); "
-            f"widen space_bound")
-
-    u, w = hermgauss(gh_nodes)
+    u, w = hermgauss(_HERMITE_SIZE)
     wn = w / np.sqrt(np.pi)
     xi = np.sqrt(2.0) * u  # standard normal nodes
 

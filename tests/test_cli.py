@@ -3,7 +3,9 @@
 import configparser
 import csv
 import functools
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qgbsde import cli, sde
 from qgbsde.cli import get_ensemble, main
 from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_from_model, cole_hopf_increment_stat
+from qgbsde.regression import RegressionBasis
 from qgbsde.sde import (dump_ensemble, flow_identity_residual, load_ensemble,
                         simulate_forward, simulate_variational)
 from qgbsde.solver import solve_backward_regression
@@ -74,15 +77,13 @@ def test_solve_writes_full_artifact_set(tmp_path):
     for sec, keys in (("grid", ("n_steps", "refine_factor", "ladder")),
                       ("mc", ("n_paths", "seed", "workers")),
                       ("solver", ("basis", "degree", "cells_per_dim",
-                                  "picard_iters", "clamp", "space_nodes",
-                                  "gh_nodes", "space_bound")),
+                                  "picard_iters")),
                       ("truncation", ("level", "levels", "reference_level",
                                       "oracle_reference")),
-                      ("outputs", ("directory", "experiment_id", "write_ensemble"))):
+                      ("outputs", ("directory", "experiment_id"))):
         for key in keys:
             assert resolved.has_option(sec, key), f"[{sec}] {key} missing"
     assert resolved["grid"]["n_steps"] == "4"
-    assert resolved["solver"]["space_bound"] == "auto"
 
 
 def test_solve_reports_conditional_standard_errors(tmp_path, monkeypatch):
@@ -108,7 +109,50 @@ def test_solve_reports_conditional_standard_errors(tmp_path, monkeypatch):
            "regressions, not seed-to-seed error)" in summary
 
 
-def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch):
+# config_resolved.ini as written before the |Y| clamp, the quadrature's grid
+# settings and write_ensemble were deleted
+OLD_RESOLVED = """
+[model]
+name = brownian
+x0 = 0.0
+horizon = 1.0
+kappa = 1.0
+terminal = identity
+
+[grid]
+n_steps = 4
+refine_factor = 4
+ladder = 8 16 32 64
+
+[mc]
+n_paths = 500
+seed = 3
+workers = 1
+
+[solver]
+basis = global_polynomial
+degree = 2
+cells_per_dim = 50
+picard_iters = 3
+clamp = false
+space_nodes = 128
+gh_nodes = 64
+space_bound = auto
+
+[truncation]
+level = 10.0
+levels = 1 2 3 4 6 8
+reference_level = 16.0
+oracle_reference = false
+
+[outputs]
+directory = qgbsde_out
+experiment_id = solve_brownian
+write_ensemble = false
+"""
+
+
+def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("a bad config must be rejected before any simulation")
 
@@ -126,21 +170,20 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch):
         (BASE.replace("seed = 3", "seed = -1"), []),
         (BASE.replace("seed = 3", f"seed = {2 ** 64}"), []),
         (BASE, ["--seed", "-1"]),
-        (BASE + "space_nodes = 0\n", []),
-        (BASE + "gh_nodes = 0\n", []),
         (BASE + "\n[truncation]\nlevel = -1\n", []),
         (BASE + "\n[truncation]\nlevels = 1 2\nreference_level = 2\n", []),
         (BASE.replace("name = brownian", "name = quadratic\nsigma = nan"), []),
         (BASE.replace("name = brownian", "name = brownian\nhorizon = nan"), []),
         (BASE.replace("name = brownian", "name = brownian\nx0 = inf"), []),
-        (BASE + "space_bound = -1\n", []),
-        (BASE + "space_bound = 0\n", []),
+        (OLD_RESOLVED, []),                                   # deleted settings
     )
     for i, (text, flags) in enumerate(bad):
         cfg = _write(tmp_path, text, name=f"bad{i}.ini")
         out = tmp_path / f"bad_out{i}"
         assert main(["--config", cfg, "--out", str(out), *flags]) == 2, (i, text, flags)
         assert not out.exists()
+    assert ("unknown keys: [solver] clamp, [solver] gh_nodes, [solver] space_bound, "
+            "[solver] space_nodes, [outputs] write_ensemble") in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "absent.ini")]) == 2
 
 
@@ -377,16 +420,46 @@ oracle_reference = true
 
 
 def test_strict_mode_turns_warnings_into_failure(tmp_path):
-    # an undersized space grid makes the quadrature cross-check bail out with
-    # a warning; strict mode promotes that to a nonzero exit
-    text = BASE + "\nspace_bound = 0.5\n"
-    cfg = _write(tmp_path, text)
+    # at vol = 0.5 no space grid holds the gbm terminal mass, so the
+    # quadrature cross-check bails out with a warning; strict mode promotes
+    # that to a nonzero exit
+    cfg = _write(tmp_path, BASE.replace("name = brownian", "name = gbm\nvol = 0.5"))
     out = tmp_path / "lax"
     assert main(["--config", cfg, "--out", str(out)]) == 0
     assert "WARNING" in (out / "summary.txt").read_text()
     out2 = tmp_path / "strict"
     assert main(["--config", cfg, "--out", str(out2), "--strict"]) == 1
     assert (out2 / "report.csv").exists()  # artifacts still written
+
+
+def test_gbm_solve_runs_its_quadrature_cross_check_under_strict(tmp_path, capsys):
+    # sigma grows linearly in x, so the first space grid leaks too much mass
+    # and the quadrature doubles it; on that grid Euler's E[X_T] is exact
+    cfg = _write(tmp_path, BASE.replace("name = brownian", "name = gbm")
+                 .replace("n_steps = 4", "n_steps = 16"))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--strict"]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert "WARNING" not in (out / "summary.txt").read_text()
+    rows = {r["statistic_name"]: float(r["value"]) for r in _read_report(out)[1]}
+    assert rows["y0_quadrature"] == pytest.approx((1 + 0.05 / 16) ** 16, abs=1e-12)
+
+
+def test_simulate_writes_the_paths_solve_uses(tmp_path):
+    cfg = _write(tmp_path, BASE)
+    sim, solved = tmp_path / "sim", tmp_path / "solve"
+    assert main(["--config", cfg, "--command", "simulate", "--out", str(sim)]) == 0
+    assert main(["--config", cfg, "--out", str(solved)]) == 0
+    rows = {r["statistic_name"]: float(r["value"]) for r in _read_report(solved)[1]}
+    sol = solve_backward_regression(make_brownian(), load_ensemble(sim / "ensemble.bin"),
+                                    RegressionBasis(kind="global_polynomial", degree=2))
+    assert sol.y0 == rows["y0"]
+
+
+def test_readme_settings_table_lists_every_setting():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = re.findall(r"^\| `\[(\w+)\] (\w+)`", readme, flags=re.MULTILINE)
+    assert documented == [(s.section, s.key) for s in cli._SETTINGS]
 
 
 def test_seed_override_and_experiment_id(tmp_path):

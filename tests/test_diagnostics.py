@@ -26,8 +26,7 @@ PLANAR = ModelSpec(
 
 
 def _meta(n):
-    return SolverMeta(basis="crafted", picard_iters=1,
-                      y_residual_rms=np.zeros(n), z_residual_rms=np.zeros(n),
+    return SolverMeta(y_residual_rms=np.zeros(n), z_residual_rms=np.zeros(n),
                       picard_residuals=np.zeros(n), conditions=np.ones(n),
                       fallback_cells=np.zeros(n, dtype=np.int64))
 
@@ -202,30 +201,29 @@ def test_z_l2_regularity_exact_projections():
 QUAD6 = truncate_driver(make_quadratic(), 6.0)
 GLOBAL4 = RegressionBasis(kind="global_polynomial", degree=4)
 _PASS_CASES = {
-    # model, basis, fine and coarse grid, paths, path-major pair, y_clamp
+    # model, basis, fine and coarse grid, paths, path-major pair
     # (70k paths: two regression blocks of 65,536)
-    "global4_70k": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 70_000, False, None),
-    "local1_clamped": (make_brownian(terminal="tanh"),
-                       RegressionBasis(kind="local_partition", degree=1,
-                                       cells_per_dim=20),
-                       18, Partition.uniform(1.0, 6), 20_000, False, 0.9),
-    "planar": (PLANAR, GLOBAL2, 8, Partition.uniform(1.0, 4), 5_000, False, None),
-    "path_major": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 10_000, True, None),
+    "global4_70k": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 70_000, False),
+    "local1": (make_brownian(terminal="tanh"),
+               RegressionBasis(kind="local_partition", degree=1, cells_per_dim=20),
+               18, Partition.uniform(1.0, 6), 20_000, False),
+    "planar": (PLANAR, GLOBAL2, 8, Partition.uniform(1.0, 4), 5_000, False),
+    "path_major": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 10_000, True),
     # windows of 2, 1 and 5 fine steps
     "uneven_windows": (QUAD6, GLOBAL2, 8, Partition(np.array([0.0, 0.25, 0.375, 1.0])),
-                       5_000, False, None),
+                       5_000, False),
 }
 
 
 @pytest.mark.parametrize("case", list(_PASS_CASES))
 def test_regularity_pass_matches_stored_solutions_bitwise(case):
-    model, basis, n_fine, coarse, n_paths, path_major, y_clamp = _PASS_CASES[case]
+    model, basis, n_fine, coarse, n_paths, path_major = _PASS_CASES[case]
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
     if path_major:
         ens_f = _path_major(ens_f)
     ens_c = _restrict(ens_f, coarse)
-    sol_c = solve_backward_regression(model, ens_c, basis, y_clamp=y_clamp)
-    sol_f = solve_backward_regression(model, ens_f, basis, y_clamp=y_clamp)
+    sol_c = solve_backward_regression(model, ens_c, basis)
+    sol_f = solve_backward_regression(model, ens_f, basis)
     want = dict(
         y_increment_sq=_ref_y_increment_stat(sol_c, sol_f),
         z_regularity_sum=_ref_z_l2_regularity(
@@ -235,7 +233,7 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case):
         z_regularity_left_endpoint=_ref_z_l2_regularity(
             sol_c, sol_f, _ref_left_endpoint(sol_c, sol_f)),
         z_increment_sq=_ref_z_increment_stat(sol_f.Z))
-    reg = regularity_pass(model, ens_c, ens_f, basis, y_clamp=y_clamp)
+    reg = regularity_pass(model, ens_c, ens_f, basis)
     assert {k: getattr(reg, k) for k in want} == want
     np.testing.assert_array_equal(reg.solution.Y, sol_c.Y)
     np.testing.assert_array_equal(reg.solution.Z, sol_c.Z)
@@ -258,8 +256,6 @@ def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
     regularity_pass(model, ens_c, ens_f, GLOBAL2)
     with pytest.raises(InvalidParameters, match="picard_iters"):
         regularity_pass(model, ens_c, ens_f, GLOBAL2, picard_iters=0)
-    with pytest.raises(InvalidParameters, match="y_clamp"):
-        regularity_pass(model, ens_c, ens_f, GLOBAL2, y_clamp=0.0)
 
 
 def test_grid_mismatch_between_solutions():
