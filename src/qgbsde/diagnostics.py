@@ -10,9 +10,11 @@ fine solve in lockstep, window by window: each coarse node's regression
 design serves the coarse step, the fine step at that node and both coarse
 fits of the control, and the fine solution is held one window at a time.
 The truncation sweep solves one quadratic model under a ladder of truncation
-levels and a high-level reference in one batched backward pass, one target
-column per level, and records the error decay, from which a convergence
-order (and the implied tail exponent) is fitted.
+levels and a high-level reference in one batched backward pass and records
+the error decay, from which a convergence order (and the implied tail
+exponent) is fitted. Levels share a target column until their clamp
+engages: a level at or above a column's max |Z| solves the untruncated step
+on it, so the pass computes each distinct column once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .model import ModelSpec, empty_time_major, nested_indices
 from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble
 from .solver import (BackwardSolution, _backward_step, _empty_solution,
-                     _start_backward, _store_step)
+                     _martingale_pair, _resolve_columns, _start_backward, _store_step)
 from .truncation import truncate_driver
 
 
@@ -226,12 +228,17 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
 
-    Every level and the reference run in one backward pass, one column each:
-    at every step both regressions are single projections on the step's
-    shared design, and the errors, y0 per level, realized_max_z (the largest
-    |Z| of the reference) and y_scale accumulate as the pass goes, so no
-    full solution is stored. Levels above realized_max_z give bit-identical
-    columns and therefore zero error.
+    Every level and the reference run in one backward pass on one column
+    per group of levels whose solutions are bit-equal so far. All levels
+    start in one group, since they share g. At every step both regressions
+    are single projections of the distinct columns on the step's shared
+    design. In each group, the levels at or above the column's max |z| see
+    the identity clamp and share one implicit step on the untruncated
+    driver; each level below splits off into a column of its own. Groups
+    never merge. The errors, y0 per level, realized_max_z (the largest |Z|
+    of the reference) and y_scale accumulate as the pass goes, so no full
+    solution is stored. A level in the reference's group has zero error by
+    construction, which holds for every level above realized_max_z.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
@@ -240,26 +247,58 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     if ref_level <= lv[-1]:
         raise InvalidParameters(f"reference level {ref_level} must exceed the "
                                 f"largest ladder level {lv[-1]}")
-    models = [truncate_driver(model, n) for n in (*lv, ref_level)]
-    y = _start_backward(models, ensemble, picard_iters)
+    levels = (*lv, ref_level)
+    models = [truncate_driver(model, n) for n in levels]
+    # every level has the model's g, so the terminal values are one column
+    y = _start_backward(models[-1:], ensemble, picard_iters)
     times = ensemble.partition.times
     L, n = len(lv), times.size - 1
+    # groups[c] lists, in ascending level, the level indices whose solution
+    # is column c of y
+    groups = [list(range(L + 1))]
     # running per-path maxima over the nodes seen so far, terminal included
-    err_y_path = (y[:, :L] - y[:, L:]) ** 2
-    y_sq_max = y[:, L] ** 2
-    err_z_steps = np.empty((L, n))
+    err_y_path = np.zeros((L, ensemble.n_paths))
+    y_sq_max = y[:, 0] ** 2
+    err_z_steps = np.zeros((L, n))
     realized = 0.0
     for i in range(n - 1, -1, -1):
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
-        y, z, *_ = _backward_step(models, design, ensemble, i, y, picard_iters)
-        np.maximum(err_y_path, (y[:, :L] - y[:, L:]) ** 2, out=err_y_path)
-        np.maximum(y_sq_max, y[:, L] ** 2, out=y_sq_max)
-        err_z_steps[:, i] = (((z[:, :L] - z[:, L:]) ** 2).sum(axis=2) * dt).mean(axis=0)
-        realized = max(realized, float(np.abs(z[:, L]).max()))
-    pts = tuple(TruncationPoint(level=lv[j], err_y=float(err_y_path[:, j].mean()),
+        cond_mean, z, *_ = _martingale_pair(design, ensemble, i, y)
+        # the levels at or above a column's max |z| leave its z unclamped and
+        # keep sharing it; each level below splits off into a column of its own
+        split, src = [], []
+        for c, members in enumerate(groups):
+            top = float(np.abs(z[:, c]).max())
+            shared = [j for j in members if levels[j] >= top]
+            parts = [[j] for j in members if j not in shared]
+            if shared:
+                parts.append(shared)
+            split += parts
+            src += [c] * len(parts)
+            if L in members:
+                realized = max(realized, top)
+        groups = split
+        # gathered one at a time, so that no step holds a column twice
+        cond_mean = cond_mean[:, src]
+        z = z[:, src]
+        y, _ = _resolve_columns([models[g[0]] for g in groups], ensemble, i,
+                                cond_mean, z, picard_iters)
+        col = np.empty(L + 1, dtype=np.intp)
+        for c, members in enumerate(groups):
+            col[members] = c
+        ref = col[L]
+        np.maximum(y_sq_max, y[:, ref] ** 2, out=y_sq_max)
+        # a level in the reference's column has error 0 by construction
+        for j in np.flatnonzero(col[:L] != ref):
+            dy = y[:, col[j]] - y[:, ref]
+            np.maximum(err_y_path[j], dy * dy, out=err_y_path[j])
+            dz = z[:, col[j]] - z[:, ref]
+            err_z_steps[j, i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
+        del cond_mean, z  # not held through the next step's projections
+    pts = tuple(TruncationPoint(level=lv[j], err_y=float(err_y_path[j].mean()),
                                 err_z=float(err_z_steps[j].sum()),
-                                y0=float(y[:, j].mean()))
+                                y0=float(y[:, col[j]].mean()))
                 for j in range(L))
     return TruncationCurve(points=pts, reference_level=ref_level,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()))

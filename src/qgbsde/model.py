@@ -335,7 +335,7 @@ def make_quadratic(gamma: float = 1.0, terminal: str = "tanh", kappa: float = 1.
         name=f"quadratic_{terminal}", m=1, d=1, x0=np.array([x0]), T=horizon,
         b=lambda t, x: np.zeros_like(x),
         sigma=lambda t, x: np.full(x.shape + (1,), sigma),
-        f=lambda t, x, y, z: -rate * y + 0.5 * gamma * np.sum(z * z, axis=1),
+        f=lambda t, x, y, z: -rate * y + 0.5 * gamma * np.einsum("pd,pd->p", z, z),
         g=g,
         b_jac=_zero_field((1, 1)),
         sigma_jac=_zero_field((1, 1, 1)),

@@ -9,18 +9,20 @@ implicit in Y (resolved by a few Picard passes), explicit in Z. The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
 step (_martingale_pair, which the gradient solve in variational shares); the
-same one-step kernel advances several drivers on shared paths at once (the
-truncation sweep in diagnostics), and a coarse and a nested fine solve in
-lockstep on shared designs (the regularity pass in diagnostics).
+same one-step kernels advance several drivers on shared paths at once (the
+truncation sweep in diagnostics, which resolves each distinct column once
+with _resolve_columns), and a coarse and a nested fine solve in lockstep on
+shared designs (the regularity pass in diagnostics).
 The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
 
 Z is fixed while the Picard passes run. So both solvers clamp a truncated
-driver's z once per step and column (truncation.clamped_driver) and run the
-passes on the untruncated driver, and the passes stop as soon as one leaves
-y unchanged: every later pass would reproduce it bit for bit, with residual
-0. A driver that does not depend on y therefore takes two passes.
+driver's z at most once per step and column (truncation.clamped_driver),
+and not at all when its max |z| is within the level, and run the passes on
+the untruncated driver. The passes stop as soon as one leaves y unchanged:
+every later pass would reproduce it bit for bit, with residual 0. A driver
+that does not depend on y therefore takes two passes.
 
 The Z regression target is centered by the fitted conditional mean of
 Y_{i+1}: since that center is a function of X_i alone, the conditional
@@ -146,30 +148,38 @@ def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
     return mean, z.reshape(targets.shape), mean_rms, z_rms
 
 
-def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next,
-                   picard_iters):
-    """Step i of the recursion for several drivers on the ensemble's paths.
-
-    design is the step's design on the state at node i. Column j of y_next
-    (P, k) and of the returned y (P, k) and z (P, k, d) belongs to
-    models[j]. The conditional expectations come from _martingale_pair; the
-    implicit step is resolved column by column, so divergence is checked
-    per driver. Returns (y, z, residual RMS of the Y and of the Z
-    projection, picard residual per column).
+def _resolve_columns(models, ensemble: PathEnsemble, i, cond_mean, z, picard_iters):
+    """The implicit step i for column j of cond_mean (P, k) and z (P, k, d)
+    under models[j], resolved column by column so that divergence is checked
+    per driver. Returns y (P, k) and the picard residual per column; raises
+    NumericalBlowup when y or z is not finite.
     """
     times = ensemble.partition.times
     t, dt = times[i], times[i + 1] - times[i]
     x = ensemble.states[:, i]
-    P, k = y_next.shape
-    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next)
-    y = np.empty((P, k))
-    residuals = np.empty(k)
+    y = np.empty(cond_mean.shape)
+    residuals = np.empty(len(models))
     for j, model in enumerate(models):
         driver, zj = clamped_driver(model, z[:, j])
         y[:, j], residuals[j] = _picard_resolve(driver.f, t, x, cond_mean[:, j], zj,
                                                 dt, picard_iters, step=i)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise NumericalBlowup("non-finite backward value", step=i)
+    return y, residuals
+
+
+def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next,
+                   picard_iters):
+    """Step i of the recursion for several drivers on the ensemble's paths.
+
+    design is the step's design on the state at node i. Column j of y_next
+    (P, k) and of the returned y (P, k) and z (P, k, d) belongs to
+    models[j]. The conditional expectations come from _martingale_pair and
+    the implicit step from _resolve_columns. Returns (y, z, residual RMS of
+    the Y and of the Z projection, picard residual per column).
+    """
+    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next)
+    y, residuals = _resolve_columns(models, ensemble, i, cond_mean, z, picard_iters)
     return y, z, y_rms, z_rms, residuals
 
 

@@ -7,9 +7,10 @@ are clamped componentwise.
 
 truncate_driver records the level and the untruncated model on the model it
 returns. Its f, f_x, f_y and f_z clamp z on every call; the solvers instead
-ask clamped_driver for z clamped once per step and the untruncated driver,
+ask clamped_driver for the untruncated driver and z clamped once per step,
 and run every Picard pass (and the variational step's three gradients) on
-those.
+those. Where max |z| is within the level the clamp is the identity, so
+clamped_driver hands z back as it is and the step clamps nothing.
 """
 
 from __future__ import annotations
@@ -60,15 +61,21 @@ def clamped_driver(model: ModelSpec, z):
     """(driver, z') such that driver.f, f_x and f_y at z' are bit for bit
     model's at z.
 
-    For a model from truncate_driver, z' is z clamped at its level and the
-    driver is the model before truncation, so a caller that evaluates the
-    driver several times at one z clamps it once. Any other model comes
-    back as it is, with z. model.f_z carries the chain-rule factor
-    smooth_clamp_grad(level, z) on top of driver.f_z(..., z').
+    For a model from truncate_driver, the driver is the model before
+    truncation and z' is z clamped at its level, so a caller that evaluates
+    the driver several times at one z clamps it once. When max |z| is within
+    the level, z' is z itself: the clamp is the identity there bit for bit.
+    A NaN in z fails that test and goes through the clamp, which keeps it.
+    Any other model comes back as it is, with z. model.f_z carries the
+    chain-rule factor smooth_clamp_grad(level, z) on top of
+    driver.f_z(..., z').
     """
-    if model.truncation is None:
+    trunc = model.truncation
+    if trunc is None:
         return model, z
-    return model.truncation.base, smooth_clamp(model.truncation.level, z)
+    if np.abs(z).max() <= trunc.level:
+        return trunc.base, z
+    return trunc.base, smooth_clamp(trunc.level, z)
 
 
 def truncate_driver(model: ModelSpec, level) -> ModelSpec:

@@ -1,5 +1,7 @@
 """Tests for path-regularity statistics, truncation sweeps, and order fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qgbsde.errors import (GridMismatch, InvalidParameters, InvalidPoints,
                            PicardDivergence)
 from qgbsde.model import (ModelSpec, Partition, empty_time_major, make_brownian,
                           make_quadratic, nested_indices)
+from qgbsde import solver
 from qgbsde.regression import RegressionBasis, project, step_design
 from qgbsde.sde import PathEnsemble, simulate_forward
 from qgbsde.solver import BackwardSolution, SolverMeta, solve_backward_regression
@@ -331,6 +334,51 @@ def test_batched_curve_matches_per_level_solves():
     want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
     assert curve.points[-1].err_y == 0.0  # above the realized max |Z|
+
+
+def test_levels_above_the_realized_max_z_share_one_column(monkeypatch):
+    # max |Z| is 1.49: no level engages its clamp, so every step projects
+    # one column, and every level's y0 is the reference solve's bit for bit
+    widths = []
+
+    def counting(design, targets):
+        widths.append(targets.shape[1])
+        return project(design, targets)
+
+    model = make_quadratic()
+    ens = simulate_forward(model, Partition.uniform(model.T, 6), 2000, seed=1)
+    monkeypatch.setattr(solver, "project", counting)
+    curve = truncation_error_curve(model, ens, GLOBAL2, [2.0, 3.0], reference_level=6.0)
+    assert widths == [1] * (2 * 6)  # the Y and the Z projection per step
+    assert curve.realized_max_z < 2.0
+    ref = solve_backward_regression(truncate_driver(model, 6.0), ens, GLOBAL2)
+    for p in curve.points:
+        assert p.y0 == ref.y0
+        assert p.err_y == 0.0 and p.err_z == 0.0
+
+
+def test_level_split_off_partway_matches_its_own_solve():
+    # g(x) = x gives Z = sigma(t), here 3 at t = 0 falling to 1 at t = 1, so
+    # level 2 shares the reference's column over the last steps of the grid
+    # and splits off once the clamp engages partway through the pass
+    quad = make_quadratic(terminal="identity")
+    model = dataclasses.replace(
+        quad, sigma=lambda t, x: np.full(x.shape + (1,), 3.0 - 2.0 * t))
+    part = Partition.uniform(1.0, 8)
+    ens = simulate_forward(model, part, 4000, seed=5)
+    curve = truncation_error_curve(model, ens, GLOBAL2, [2.0], reference_level=4.0)
+    ref = solve_backward_regression(truncate_driver(model, 4.0), ens, GLOBAL2)
+    sol = solve_backward_regression(truncate_driver(model, 2.0), ens, GLOBAL2)
+    engaged = np.abs(sol.Z).max(axis=(0, 2)) > 2.0
+    assert engaged[0] and not engaged[-1]
+    assert np.abs(ref.Z).max() < 4.0
+    err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
+    err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt).mean(axis=0).sum())
+    (p,) = curve.points
+    assert p.err_y > 0.0
+    np.testing.assert_allclose([p.err_y, p.err_z, p.y0, curve.realized_max_z],
+                               [err_y, err_z, sol.y0, float(np.abs(ref.Z).max())],
+                               rtol=1e-9, atol=0.0)
 
 
 def test_truncation_curve_diverging_column_raises_with_step():

@@ -15,7 +15,7 @@ from qgbsde import solver, truncation
 from qgbsde.diagnostics import truncation_error_curve
 from qgbsde.sde import PathEnsemble, simulate_forward
 from qgbsde.solver import SolverMeta, solve_backward_regression, solve_quadrature_1d
-from qgbsde.truncation import smooth_clamp, truncate_driver
+from qgbsde.truncation import clamped_driver, smooth_clamp, truncate_driver
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -152,21 +152,36 @@ def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes)
 
 
 def test_clamp_once_per_column_and_step(monkeypatch):
-    levels = []
+    # every clamped_driver call is one column at one step; it may clamp at
+    # most once, and only when that column's max |z| exceeds the level
+    clamps, calls = [], []
 
     def counting(level, z):
-        levels.append(level)
+        clamps.append(level)
         return smooth_clamp(level, z)
 
+    def recording(model, z):
+        before = len(clamps)
+        out = clamped_driver(model, z)
+        calls.append((model.truncation.level, float(np.abs(z).max()),
+                      len(clamps) - before))
+        return out
+
     monkeypatch.setattr(truncation, "smooth_clamp", counting)
+    monkeypatch.setattr(solver, "clamped_driver", recording)
     model = make_quadratic()
     ens = simulate_forward(model, Partition.uniform(model.T, 6), 2000, seed=1)
     solve_backward_regression(truncate_driver(model, 1.0), ens, GLOBAL2)
-    assert levels == [1.0] * 6
-    levels.clear()
+    assert len(calls) == 6
+    # max |Z| is 1.49 at the first step of the pass and below 0.7 after it
+    assert [c for *_, c in calls] == [1, 0, 0, 0, 0, 0]
+    calls.clear()
     truncation_error_curve(model, ens, GLOBAL2, [0.5, 1.0, 2.0])
-    assert len(levels) == 4 * 6  # three levels and the reference per step
-    assert sorted(set(levels)) == [0.5, 1.0, 2.0, 4.0]
+    assert all(c == (level < top) for level, top, c in calls)
+    # levels 2 and 4 share one column at every step; 0.5 and 1 split off at
+    # the first step, and 1 engages only there
+    assert len(calls) == 3 * 6
+    assert sorted(level for level, _, c in calls if c) == [0.5] * 6 + [1.0]
 
 
 def test_dimension_mismatch_is_rejected():

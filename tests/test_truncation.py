@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qgbsde import (InvalidParameters, make_quadratic, smooth_clamp,
                     smooth_clamp_grad, truncate_driver)
+from qgbsde.truncation import clamped_driver
 
 
 def test_identity_region():
@@ -169,6 +170,33 @@ def test_truncated_gradient_chain_rule():
     near_knot = np.minimum(np.abs(np.abs(z[:, 0]) - 3.0),
                            np.abs(np.abs(z[:, 0]) - 5.0)) < 1e-3
     np.testing.assert_allclose(fz[~near_knot, 0], fd[~near_knot], atol=1e-5)
+
+
+@given(st.floats(0.0, 10.0),
+       st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=16))
+@settings(max_examples=300, deadline=None)
+def test_clamped_driver_evaluates_the_truncated_driver(n, values):
+    model = truncate_driver(make_quadratic(gamma=1.5, rate=0.3), n)
+    z = np.array(values)[:, None]
+    x = np.linspace(-1.0, 1.0, z.shape[0])[:, None]
+    y = np.linspace(0.5, -0.5, z.shape[0])
+    driver, zc = clamped_driver(model, z)
+    assert driver is model.truncation.base
+    # z comes back itself exactly where the clamp is the identity
+    assert (zc is z) == (np.abs(z).max() <= n)
+    for name in ("f", "f_x", "f_y"):
+        np.testing.assert_array_equal(getattr(driver, name)(0.3, x, y, zc),
+                                      getattr(model, name)(0.3, x, y, z))
+
+
+def test_clamped_driver_passes_nan_through_the_clamp():
+    model = truncate_driver(make_quadratic(), 2.0)
+    z = np.array([[0.5], [np.nan]])
+    driver, zc = clamped_driver(model, z)
+    assert zc is not z and np.isnan(zc[1, 0]) and zc[0, 0] == 0.5
+    plain = make_quadratic()
+    driver, zc = clamped_driver(plain, z)
+    assert driver is plain and zc is z
 
 
 def test_truncation_metadata():
