@@ -30,6 +30,9 @@ model.check_growth_certificate exits 2 as well.
 Exit codes: 0 success, 1 numerical failure during the run, 2 configuration
 error. With --strict, runs that produced warnings also exit 1.
 
+Commands get their ensembles from get_ensemble, which keeps none: all hands
+its N-step ensemble to solve and truncate_sweep and drops it before diagnose.
+
 Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set), so repeated
 backward experiments on the same paths skip the simulation. The key covers
 everything that determines the paths: the model preset and all of its
@@ -228,8 +231,6 @@ class RunContext:
         self.rows = []
         self.summary = []
         self.warnings = []
-        # (cache key, ensemble) of the last ensemble handed out; see get_ensemble
-        self.ensemble_memo = None
 
     def solver_model(self) -> ModelSpec:
         """The model actually handed to the backward solvers: quadratic-growth
@@ -299,20 +300,16 @@ def _cache_mismatch(ens: PathEnsemble, model, partition, n_paths, seed):
 
 
 def get_ensemble(ctx: RunContext, partition: Partition):
-    """The forward ensemble on the partition, simulated at most once per run.
+    """The forward ensemble on the partition, simulated or read from the cache.
 
-    The last ensemble handed out is kept, keyed like the cache, and released
-    before a different one is built, so a run never holds more ensembles
-    than its commands do. Under $QGBSDE_CACHE_DIR a cache file is checked
-    against the request, rebuilt with a note when it is unreadable or holds
-    other paths, and written through a temporary file that replaces it in
-    one step.
+    Nothing is kept: a command that shares its ensemble with another is
+    handed it by its caller (cmd_all). Under $QGBSDE_CACHE_DIR a cache file
+    is checked against the request, rebuilt with a note when it is
+    unreadable or holds other paths, and written through a temporary file
+    that replaces it in one step.
     """
     n_paths, seed = ctx.n_paths, ctx.seed
     key = _cache_key(ctx.model, partition, n_paths, seed)
-    if ctx.ensemble_memo is not None and ctx.ensemble_memo[0] == key:
-        return ctx.ensemble_memo[1]
-    ctx.ensemble_memo = None
     cache_dir = os.environ.get("QGBSDE_CACHE_DIR")
     cache_path = Path(cache_dir) / f"ens_{key}.bin" if cache_dir else None
     ens = None
@@ -336,30 +333,7 @@ def get_ensemble(ctx: RunContext, partition: Partition):
                 os.replace(tmp, cache_path)
             finally:
                 tmp.unlink(missing_ok=True)
-    ctx.ensemble_memo = (key, ens)
     return ens
-
-
-def _coarse_fine_pair(ctx: RunContext, n_steps: int):
-    """Fine ensemble at refine_factor x n_steps plus its coarse restriction.
-
-    The coarse ensemble reuses the fine states at the shared nodes and the
-    window-summed increments, so both solves see the same Brownian path and
-    the regularity statistics compare like with like.
-    """
-    coarse = Partition.uniform(ctx.model.T, n_steps)
-    fine = coarse.refine(ctx.refine_factor)
-    ens_f = get_ensemble(ctx, fine)
-    r = ctx.refine_factor
-    # node subset and window sums taken along the node axis of the
-    # time-major storage, so the coarse arrays are time-major too
-    inc_f = ens_f.increments.swapaxes(0, 1)
-    inc_c = inc_f.reshape(n_steps, r, *inc_f.shape[1:]).sum(axis=1)
-    states_c = ens_f.states.swapaxes(0, 1)[::r]
-    ens_c = PathEnsemble(partition=coarse, seed=ens_f.seed,
-                         increments=inc_c.swapaxes(0, 1),
-                         states=states_c.swapaxes(0, 1))
-    return ens_c, ens_f
 
 
 # --------------------------------------------------------------- commands ---
@@ -418,9 +392,10 @@ def cmd_simulate(ctx: RunContext):
     return ens
 
 
-def cmd_solve(ctx: RunContext):
+def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
-    ens = get_ensemble(ctx, part)
+    if ens is None:
+        ens = get_ensemble(ctx, part)
     model = ctx.solver_model()
     sol = solve_backward_regression(model, ens, ctx.basis, ctx.picard_iters)
     y0 = sol.y0
@@ -457,8 +432,8 @@ def cmd_solve(ctx: RunContext):
 def cmd_converge(ctx: RunContext):
     """Path-regularity refinement study over the grid ladder.
 
-    For each N one regularity pass solves the coarse grid and the nested
-    fine grid at refine_factor x N; reported are the Z regularity sum
+    For each N one regularity pass solves the fine grid at refine_factor x N
+    and its coarsening to N steps; reported are the Z regularity sum
     (window projection), the Y increment statistic, and the fitted order of
     the regularity sum in the mesh. Where the closed-form oracle applies,
     the Y increment statistic is checked against the exact solution's own
@@ -467,9 +442,12 @@ def cmd_converge(ctx: RunContext):
     model = ctx.solver_model()
     meshes, zsums, ystats, grids = [], [], [], []
     for n in ctx.ladder:
-        ens_c, ens_f = _coarse_fine_pair(ctx, n)
-        reg = regularity_pass(model, ens_c, ens_f, ctx.basis, ctx.picard_iters)
-        mesh = ens_c.partition.mesh
+        fine = Partition.uniform(ctx.model.T, n).refine(ctx.refine_factor)
+        # the fine ensemble is dropped with the pass, before the next rung
+        reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
+                              ctx.basis, ctx.picard_iters)
+        coarse = reg.ensemble.partition
+        mesh = coarse.mesh
         zsum, ystat = reg.z_regularity_sum, reg.y_increment_sq
         ratio = ystat / mesh
         ctx.add("z_regularity_sum", zsum, n_steps=n)
@@ -480,9 +458,8 @@ def cmd_converge(ctx: RunContext):
         meshes.append(mesh)
         zsums.append(zsum)
         ystats.append(ystat)
-        grids.append((ens_c.partition, ens_f.partition))
-        # drop this rung before the next one is simulated and solved
-        del ens_c, ens_f, reg
+        grids.append((coarse, fine))
+        del reg
     try:
         fit = fit_convergence_order(meshes, zsums)
         ctx.add("order_z_regularity", fit.slope)
@@ -515,12 +492,12 @@ def cmd_converge(ctx: RunContext):
               all(0.5 <= r <= 2.0 for r in ratios))
 
 
-def cmd_truncate_sweep(ctx: RunContext):
+def cmd_truncate_sweep(ctx: RunContext, ens: PathEnsemble | None = None):
     if ctx.model.driver_z_lipschitz is not None:
         raise ConfigError("truncate_sweep needs a quadratic-growth model "
                           "(the driver is already Lipschitz)")
-    part = Partition.uniform(ctx.model.T, ctx.n_steps)
-    ens = get_ensemble(ctx, part)
+    if ens is None:
+        ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
     curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels,
                                    reference_level=ctx.reference_level,
                                    picard_iters=ctx.picard_iters)
@@ -573,14 +550,13 @@ def _sweep_oracle_rows(ctx: RunContext, curve):
 
 def cmd_diagnose(ctx: RunContext):
     model = ctx.solver_model()
-    ens_c, ens_f = _coarse_fine_pair(ctx, ctx.n_steps)
-    coarse = ens_c.partition
-    reg = regularity_pass(model, ens_c, ens_f, ctx.basis, ctx.picard_iters)
-    sol_c = reg.solution
+    fine = Partition.uniform(ctx.model.T, ctx.n_steps).refine(ctx.refine_factor)
     # the stages below read the coarse ensemble only; its states are a view
-    # of the fine ones, so this frees the fine increments
-    del ens_f
-    ctx.ensemble_memo = None
+    # of the fine ones, whose increments go with the pass
+    reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
+                          ctx.basis, ctx.picard_iters)
+    ens_c, sol_c = reg.ensemble, reg.solution
+    coarse = ens_c.partition
 
     ystat = reg.y_increment_sq
     ratio = ystat / coarse.mesh
@@ -625,11 +601,13 @@ def cmd_diagnose(ctx: RunContext):
 
 
 def cmd_all(ctx: RunContext):
-    cmd_solve(ctx)
+    ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
+    cmd_solve(ctx, ens)
     if ctx.model.driver_z_lipschitz is None:
-        cmd_truncate_sweep(ctx)
+        cmd_truncate_sweep(ctx, ens)
     else:
         ctx.note("truncation sweep skipped: driver already Lipschitz")
+    del ens  # diagnose simulates the fine grid
     cmd_diagnose(ctx)
 
 

@@ -1,30 +1,32 @@
 """Empirical statistics for the backward solutions.
 
 Two families of checks live here. The path-regularity statistics compare a
-solution on a coarse partition with one on a nested refinement: the maximal
-mean-square Y increment over coarse windows, the time-integrated L^2
-distance between the fine control and three coarse-grid approximations of
-it, and the largest mean-square step of the fine control. regularity_pass
-computes all of them in one backward pass that advances the coarse and the
-fine solve in lockstep, window by window: each coarse node's regression
-design serves the coarse step, the fine step at that node and both coarse
-fits of the control, and the fine solution is held one window at a time.
-The truncation sweep solves one quadratic model under a ladder of truncation
-levels and a high-level reference in one batched backward pass and records
-the error decay, from which a convergence order (and the implied tail
-exponent) is fitted. Levels share a target column until their clamp
-engages: a level at or above a column's max |Z| solves the untruncated step
-on it, so the pass computes each distinct column once.
+solution on a fine partition with one on its coarsening by a whole factor:
+the maximal mean-square Y increment over coarse windows, the
+time-integrated L^2 distance between the fine control and three
+coarse-grid approximations of it, and the largest mean-square step of the
+fine control. regularity_pass restricts the fine ensemble to the coarse
+grid and computes all of them in one backward pass that advances the
+coarse and the fine solve in lockstep, window by window: each coarse node's
+regression design serves the coarse step, the fine step at that node and
+both coarse fits of the control, and the fine solution is held one window
+at a time. The truncation sweep solves one quadratic model under a ladder
+of truncation levels and a high-level reference in one batched backward
+pass and records the error decay, from which a convergence order (and the
+implied tail exponent) is fitted. Levels share a target column until their
+clamp engages: a level at or above a column's max |Z| solves the
+untruncated step on it, so the pass computes each distinct column once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameters, InvalidPoints
-from .model import ModelSpec, empty_time_major, nested_indices
+from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble
 from .solver import (BackwardSolution, _backward_step, _empty_solution,
@@ -65,8 +67,9 @@ def fit_convergence_order(scales, errors) -> OrderFit:
 
 @dataclass(frozen=True)
 class Regularity:
-    """The coarse solution of a regularity pass and the path-regularity
-    statistics of the nested fine solve, named after their report rows.
+    """The coarse ensemble and solution of a regularity pass and the
+    path-regularity statistics of the nested fine solve, named after their
+    report rows.
 
     With fine nodes t_j, coarse windows [t_i, t_{i+1}] (closed on the right)
     and i(j) the window of fine step j:
@@ -82,6 +85,7 @@ class Regularity:
     sanity ceiling for the other two).
     """
 
+    ensemble: PathEnsemble
     solution: BackwardSolution
     y_increment_sq: float
     z_regularity_sum: float
@@ -90,75 +94,82 @@ class Regularity:
     z_increment_sq: float
 
 
-def regularity_pass(model: ModelSpec, coarse: PathEnsemble, fine: PathEnsemble,
+def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
                     basis: RegressionBasis, picard_iters: int = 3) -> Regularity:
-    """Solve on a coarse grid and a nested fine one in one backward pass and
-    measure the fine solution's path regularity against the coarse windows.
+    """Solve on the fine grid and on its coarsening by factor in one
+    backward pass and measure the fine solution's path regularity against
+    the coarse windows.
 
-    The coarse ensemble must hold the fine states at the shared nodes, so
-    that the design built at a coarse node can serve the coarse step, the
-    fine step at that node, and the regressions of the window-averaged fine
-    control and of the coarse control on the node's state. Within each
-    coarse window the fine solve runs from the right end to the left; its Y
-    and Z are kept for the current window only, in time-major buffers, and
-    the window's statistics are taken before the next window reuses them.
-    The window sums are added up in forward window order at the end.
-    Solver arguments are those of solve_backward_regression, and the coarse
-    solution and every statistic are bit for bit what two such solves and
-    a loop per statistic over the stored solutions give.
+    The coarse ensemble lives on the fine paths: its states are those at
+    every factor-th fine node (a strided view) and its increments the
+    window sums of the fine ones, taken along the node axis so that
+    time-major fine arrays give time-major coarse ones. So the design built
+    at a coarse node serves the coarse step, the fine step at that node,
+    and the regressions of the window-averaged fine control and of the
+    coarse control on the node's state. Within each coarse window the fine
+    solve runs from the right end to the left; its Y and Z are kept for the
+    current window only, in time-major buffers, and the window's statistics
+    are taken before the next window reuses them. The window sums are added
+    up in forward window order at the end. Solver arguments are those of
+    solve_backward_regression, and the coarse solution and every statistic
+    are bit for bit what two such solves and a loop per statistic over the
+    stored solutions give. Raises InvalidParameters unless factor divides
+    the fine step count.
     """
-    idx = nested_indices(coarse.partition, fine.partition)
-    if not all(np.array_equal(coarse.states[:, i], fine.states[:, j])
-               for i, j in enumerate(idx)):
-        raise InvalidParameters("the coarse states must be the fine states at "
-                                "the shared nodes")
-    _start_backward((model,), fine, picard_iters)  # checks only
+    r, n_fine = factor, fine.partition.n_steps
+    if r < 1 or n_fine % r:
+        raise InvalidParameters(f"factor {factor} does not divide the {n_fine} "
+                                f"fine steps")
+    n = n_fine // r
+    dw = fine.increments.swapaxes(0, 1)
+    coarse = PathEnsemble(
+        partition=Partition(fine.partition.times[::r]), seed=fine.seed,
+        increments=dw.reshape(n, r, *dw.shape[1:]).sum(axis=1).swapaxes(0, 1),
+        states=fine.states[:, ::r])
     terminal = _start_backward((model,), coarse, picard_iters)[:, 0]
     sol = _empty_solution(coarse, terminal)
     h, dt_f = coarse.partition.dt, fine.partition.dt
-    P, d, n = coarse.n_paths, coarse.d, coarse.partition.n_steps
-    width = int(np.diff(idx).max())
-    yw = empty_time_major(width + 1, P)
-    zw = empty_time_major(width, P, (d,))
+    P, d = fine.n_paths, fine.d
+    yw = empty_time_major(r + 1, P)
+    zw = empty_time_major(r, P, (d,))
     # fine Y and Z at the right end of the current window
     y_right, z_right = terminal, None
     y_inc = z_inc = 0.0
     sums = np.empty((3, n))  # window, node and left-endpoint contributions
     for i in range(n - 1, -1, -1):
-        lo, w = int(idx[i]), int(idx[i + 1] - idx[i])
-        ywin, zwin = yw[:, :w + 1], zw[:, :w]
-        ywin[:, w] = y_right
+        lo = i * r
+        yw[:, r] = y_right
         design = step_design(basis, coarse.states[:, i], step=i)
-        for k in range(w - 1, -1, -1):
+        for k in range(r - 1, -1, -1):
             j = lo + k
             fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
                                                             step=j)
             y, z, *_ = _backward_step((model,), fine_design, fine, j,
-                                      ywin[:, k + 1:k + 2], picard_iters)
-            ywin[:, k] = y[:, 0]
-            zwin[:, k] = z[:, 0]
+                                      yw[:, k + 1:k + 2], picard_iters)
+            yw[:, k] = y[:, 0]
+            zw[:, k] = z[:, 0]
         _store_step(sol, i, design, *_backward_step((model,), design, coarse, i,
                                                     sol.Y[:, i + 1:i + 2],
                                                     picard_iters))
 
-        inc = ywin[:, 1:] - ywin[:, :1]
+        inc = yw[:, 1:] - yw[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
-        dt = dt_f[lo:lo + w]
-        window_avg = np.einsum("pjd,j->pd", zwin, dt) / h[i]
+        dt = dt_f[lo:lo + r]
+        window_avg = np.einsum("pjd,j->pd", zw, dt) / h[i]
         for s, zbar in enumerate((project(design, window_avg)[0],
-                                  project(design, sol.Z[:, i])[0], zwin[:, 0])):
-            diff = zwin - zbar[:, None]
+                                  project(design, sol.Z[:, i])[0], zw[:, 0])):
+            diff = zw - zbar[:, None]
             sums[s, i] = float(((diff ** 2).sum(axis=2) * dt).mean(axis=0).sum())
         # every fine step of Z that starts in this window, the last one into
         # the first node of the next window
-        for k in range(w):
-            z_next = zwin[:, k + 1] if k + 1 < w else z_right
+        for k in range(r):
+            z_next = zw[:, k + 1] if k + 1 < r else z_right
             if z_next is not None:
-                dz = z_next - zwin[:, k]
+                dz = z_next - zw[:, k]
                 z_inc = max(z_inc, float(np.einsum("pd,pd->", dz, dz)) / P)
-        y_right, z_right = ywin[:, 0].copy(), zwin[:, 0].copy()
+        y_right, z_right = yw[:, 0].copy(), zw[:, 0].copy()
     window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
-    return Regularity(solution=sol, y_increment_sq=y_inc,
+    return Regularity(ensemble=coarse, solution=sol, y_increment_sq=y_inc,
                       z_regularity_sum=float(window), z_regularity_node=float(node),
                       z_regularity_left_endpoint=float(left), z_increment_sq=z_inc)
 
@@ -228,17 +239,21 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
 
-    Every level and the reference run in one backward pass on one column
-    per group of levels whose solutions are bit-equal so far. All levels
-    start in one group, since they share g. At every step both regressions
-    are single projections of the distinct columns on the step's shared
-    design. In each group, the levels at or above the column's max |z| see
-    the identity clamp and share one implicit step on the untruncated
-    driver; each level below splits off into a column of its own. Groups
-    never merge. The errors, y0 per level, realized_max_z (the largest |Z|
-    of the reference) and y_scale accumulate as the pass goes, so no full
-    solution is stored. A level in the reference's group has zero error by
-    construction, which holds for every level above realized_max_z.
+    Every level and the reference run in one backward pass, on one column
+    per level that has split off and one column shared by the rest. All
+    levels start in the shared column, since they share g. At every step
+    both regressions are single projections of the columns on the step's
+    shared design. The levels at or above the shared column's max |z| see
+    the identity clamp there and share one implicit step on the
+    untruncated driver; each level below splits off into a column of its
+    own. The levels are sorted, so the ones still sharing are a top part of
+    the ladder, the reference included, and one split index describes the
+    columns. The reference can split off as well, and then every level
+    has a column of its own. The errors, y0 per level, realized_max_z (the
+    largest |Z| of the reference) and y_scale accumulate as the pass goes,
+    so no full solution is stored. A level in the reference's column has
+    zero error by construction, which holds for every level above
+    realized_max_z.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
@@ -253,9 +268,9 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     y = _start_backward(models[-1:], ensemble, picard_iters)
     times = ensemble.partition.times
     L, n = len(lv), times.size - 1
-    # groups[c] lists, in ascending level, the level indices whose solution
-    # is column c of y
-    groups = [list(range(L + 1))]
+    # column j < k of y is the level j, split off; column k is shared by
+    # levels[k:] and is the reference's column while k <= L
+    k = 0
     # running per-path maxima over the nodes seen so far, terminal included
     err_y_path = np.zeros((L, ensemble.n_paths))
     y_sq_max = y[:, 0] ** 2
@@ -265,40 +280,31 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
         cond_mean, z, *_ = _martingale_pair(design, ensemble, i, y)
-        # the levels at or above a column's max |z| leave its z unclamped and
-        # keep sharing it; each level below splits off into a column of its own
-        split, src = [], []
-        for c, members in enumerate(groups):
-            top = float(np.abs(z[:, c]).max())
-            shared = [j for j in members if levels[j] >= top]
-            parts = [[j] for j in members if j not in shared]
-            if shared:
-                parts.append(shared)
-            split += parts
-            src += [c] * len(parts)
-            if L in members:
-                realized = max(realized, top)
-        groups = split
+        # the levels at or above the max |z| of the reference's column leave
+        # its z unclamped and keep sharing it; each level below splits off
+        # into a copy of it
+        shared = min(k, L)
+        top = float(np.abs(z[:, shared]).max())
+        realized = max(realized, top)
+        k = max(k, bisect_left(levels, top))
+        ref = min(k, L)
         # gathered one at a time, so that no step holds a column twice
+        src = np.minimum(np.arange(ref + 1), shared)
         cond_mean = cond_mean[:, src]
         z = z[:, src]
-        y, _ = _resolve_columns([models[g[0]] for g in groups], ensemble, i,
-                                cond_mean, z, picard_iters)
-        col = np.empty(L + 1, dtype=np.intp)
-        for c, members in enumerate(groups):
-            col[members] = c
-        ref = col[L]
+        y, _ = _resolve_columns(models[:k + 1], ensemble, i, cond_mean, z,
+                                picard_iters)
         np.maximum(y_sq_max, y[:, ref] ** 2, out=y_sq_max)
-        # a level in the reference's column has error 0 by construction
-        for j in np.flatnonzero(col[:L] != ref):
-            dy = y[:, col[j]] - y[:, ref]
+        # a level still in the reference's column has error 0 by construction
+        for j in range(ref):
+            dy = y[:, j] - y[:, ref]
             np.maximum(err_y_path[j], dy * dy, out=err_y_path[j])
-            dz = z[:, col[j]] - z[:, ref]
+            dz = z[:, j] - z[:, ref]
             err_z_steps[j, i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
         del cond_mean, z  # not held through the next step's projections
     pts = tuple(TruncationPoint(level=lv[j], err_y=float(err_y_path[j].mean()),
                                 err_z=float(err_z_steps[j].sum()),
-                                y0=float(y[:, col[j]].mean()))
+                                y0=float(y[:, min(j, k)].mean()))
                 for j in range(L))
     return TruncationCurve(points=pts, reference_level=ref_level,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()))

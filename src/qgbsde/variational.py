@@ -14,7 +14,9 @@ components of gradY one target column, as for Y and Z in the base solve.
 For a truncated driver the base control is clamped once per step and the
 three gradients are evaluated on the untruncated driver at the clamped
 value (truncation.clamped_driver), with the clamp's derivative applied to
-f_z by the chain rule, as the truncated model's own f_z does.
+f_z by the chain rule, as the truncated model's own f_z does. Where the
+clamp is the identity (max |z| within the level) that derivative is 1 and
+is not evaluated.
 
 The control identity Z_t = gradY_t (gradX_t)^{-1} sigma(t, X_t) is then an
 internal consistency check between two independently regressed objects.
@@ -89,7 +91,7 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
         fx = np.asarray(driver.f_x(t, xi, yi, zc))
         fy = np.asarray(driver.f_y(t, xi, yi, zc))
         fz = np.asarray(driver.f_z(t, xi, yi, zc))
-        if model.truncation is not None:
+        if zc is not zi:  # the clamp engaged; where it did not, its slope is 1
             fz = fz * smooth_clamp_grad(model.truncation.level, zi)
         denom = 1.0 - dt * fy
         if np.abs(denom).min() < 0.5:

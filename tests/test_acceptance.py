@@ -28,7 +28,7 @@ from qgbsde.model import (Partition, make_brownian, make_discount, make_gbm,
 from qgbsde.oracle import (bmo_bound, cole_hopf_from_model,
                           cole_hopf_increment_stat)
 from qgbsde.regression import RegressionBasis
-from qgbsde.sde import PathEnsemble, simulate_forward, simulate_variational
+from qgbsde.sde import simulate_forward, simulate_variational
 from qgbsde.solver import solve_backward_regression, solve_quadrature_1d
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from qgbsde.variational import representation_check, solve_variational_bsde
@@ -43,17 +43,6 @@ TRUNC6 = truncate_driver(CANON, 6.0)
 def _check(ok: bool, label: str) -> None:
     print(f"{'pass' if ok else 'FAIL'}: {label}")
     assert ok, label
-
-
-def _coarse_fine_pair(model, n, refine, n_paths):
-    coarse = Partition.uniform(model.T, n)
-    fine = coarse.refine(refine)
-    ens_f = simulate_forward(model, fine, n_paths, SEED)
-    idx = np.arange(n + 1) * refine
-    inc = np.add.reduceat(ens_f.increments, idx[:-1], axis=1)
-    ens_c = PathEnsemble(partition=coarse, seed=SEED, increments=inc,
-                         states=ens_f.states[:, idx])
-    return ens_c, ens_f
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +161,15 @@ def test_oracle_step_halving_agreement():
 def regularity_ladder():
     meshes, zsums, ystats, exact = [], [], [], []
     for n in (8, 16, 32, 64):
-        ens_c, ens_f = _coarse_fine_pair(CANON, n, 4, 100_000)
-        reg = regularity_pass(TRUNC6, ens_c, ens_f, BASIS)
+        fine = Partition.uniform(CANON.T, n).refine(4)
+        reg = regularity_pass(TRUNC6, simulate_forward(CANON, fine, 100_000, SEED), 4,
+                              BASIS)
+        coarse = reg.ensemble.partition
         zsums.append(reg.z_regularity_sum)
-        meshes.append(ens_c.partition.mesh)
+        meshes.append(coarse.mesh)
         ystats.append(reg.y_increment_sq)
-        exact.append(cole_hopf_increment_stat(CANON, ens_c.partition,
-                                              ens_f.partition))
-        del ens_c, ens_f, reg
+        exact.append(cole_hopf_increment_stat(CANON, coarse, fine))
+        del reg
         gc.collect()
     return meshes, zsums, ystats, exact
 

@@ -8,8 +8,7 @@ import pytest
 from qgbsde.diagnostics import (BmoEstimate, bmo_estimate, effective_qbar,
                                 fit_convergence_order, regularity_pass,
                                 truncation_error_curve)
-from qgbsde.errors import (GridMismatch, InvalidParameters, InvalidPoints,
-                           PicardDivergence)
+from qgbsde.errors import InvalidParameters, InvalidPoints, PicardDivergence
 from qgbsde.model import (ModelSpec, Partition, empty_time_major, make_brownian,
                           make_quadratic, nested_indices)
 from qgbsde import solver
@@ -104,21 +103,6 @@ def _path_major(ens):
                         states=np.ascontiguousarray(ens.states))
 
 
-def _restrict(ens_f, coarse):
-    """The coarse ensemble on the fine paths: the shared states and the
-    window-summed increments, in the fine ensemble's storage order."""
-    idx = nested_indices(coarse, ens_f.partition)
-    if ens_f.states.flags.c_contiguous:  # path-major
-        inc = np.add.reduceat(ens_f.increments, idx[:-1], axis=1)
-        states = ens_f.states[:, idx]
-    else:  # time-major, as the CLI builds it
-        inc = np.add.reduceat(ens_f.increments.swapaxes(0, 1), idx[:-1],
-                              axis=0).swapaxes(0, 1)
-        states = ens_f.states.swapaxes(0, 1)[idx].swapaxes(0, 1)
-    return PathEnsemble(partition=coarse, seed=ens_f.seed, increments=inc,
-                        states=states)
-
-
 def test_fit_convergence_order_recovers_exact_slopes():
     fit = fit_convergence_order([1.0, 0.5, 0.25], [2.0, 1.0, 0.5])
     assert fit.slope == pytest.approx(1.0, abs=1e-12)
@@ -155,12 +139,10 @@ def test_y_increment_stat_brownian_scaling():
     # for Y = W the worst window statistic is the window width itself
     model = make_brownian()
     ens_f = simulate_forward(model, Partition.uniform(1.0, 16), 20000, seed=9)
-    ens_c = _restrict(ens_f, Partition.uniform(1.0, 4))
-    stat = regularity_pass(model, ens_c, ens_f, GLOBAL2).y_increment_sq
+    stat = regularity_pass(model, ens_f, 4, GLOBAL2).y_increment_sq
     assert 0.8 * 0.25 < stat < 1.2 * 0.25
     # halving the window halves the statistic
-    ens_c8 = _restrict(ens_f, Partition.uniform(1.0, 8))
-    stat8 = regularity_pass(model, ens_c8, ens_f, GLOBAL2).y_increment_sq
+    stat8 = regularity_pass(model, ens_f, 2, GLOBAL2).y_increment_sq
     assert 0.7 * 0.5 < stat8 / stat < 1.3 * 0.5
 
 
@@ -204,27 +186,38 @@ def test_z_l2_regularity_exact_projections():
 QUAD6 = truncate_driver(make_quadratic(), 6.0)
 GLOBAL4 = RegressionBasis(kind="global_polynomial", degree=4)
 _PASS_CASES = {
-    # model, basis, fine and coarse grid, paths, path-major pair
+    # model, basis, fine steps, factor, paths, path-major fine ensemble
     # (70k paths: two regression blocks of 65,536)
-    "global4_70k": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 70_000, False),
+    "global4_70k": (QUAD6, GLOBAL4, 16, 4, 70_000, False),
     "local1": (make_brownian(terminal="tanh"),
                RegressionBasis(kind="local_partition", degree=1, cells_per_dim=20),
-               18, Partition.uniform(1.0, 6), 20_000, False),
-    "planar": (PLANAR, GLOBAL2, 8, Partition.uniform(1.0, 4), 5_000, False),
-    "path_major": (QUAD6, GLOBAL4, 16, Partition.uniform(1.0, 4), 10_000, True),
-    # windows of 2, 1 and 5 fine steps
-    "uneven_windows": (QUAD6, GLOBAL2, 8, Partition(np.array([0.0, 0.25, 0.375, 1.0])),
-                       5_000, False),
+               18, 3, 20_000, False),
+    "planar": (PLANAR, GLOBAL2, 8, 2, 5_000, False),
+    "path_major": (QUAD6, GLOBAL4, 16, 4, 10_000, True),
+    # the extreme factors: one window over the whole horizon, and windows of
+    # one fine step each
+    "one_window": (QUAD6, GLOBAL2, 8, 8, 5_000, False),
+    "factor_1": (QUAD6, GLOBAL2, 8, 1, 5_000, False),
 }
 
 
 @pytest.mark.parametrize("case", list(_PASS_CASES))
 def test_regularity_pass_matches_stored_solutions_bitwise(case):
-    model, basis, n_fine, coarse, n_paths, path_major = _PASS_CASES[case]
+    model, basis, n_fine, factor, n_paths, path_major = _PASS_CASES[case]
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
     if path_major:
         ens_f = _path_major(ens_f)
-    ens_c = _restrict(ens_f, coarse)
+    reg = regularity_pass(model, ens_f, factor, basis)
+    # the coarse ensemble: the fine states at every factor-th node, and the
+    # window sums of the fine increments
+    ens_c = reg.ensemble
+    coarse = ens_c.partition
+    np.testing.assert_array_equal(coarse.times, ens_f.partition.times[::factor])
+    np.testing.assert_array_equal(ens_c.states, ens_f.states[:, ::factor])
+    np.testing.assert_allclose(
+        ens_c.increments,
+        np.add.reduceat(ens_f.increments, np.arange(0, n_fine, factor), axis=1),
+        rtol=0, atol=1e-15)
     sol_c = solve_backward_regression(model, ens_c, basis)
     sol_f = solve_backward_regression(model, ens_f, basis)
     want = dict(
@@ -236,7 +229,6 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case):
         z_regularity_left_endpoint=_ref_z_l2_regularity(
             sol_c, sol_f, _ref_left_endpoint(sol_c, sol_f)),
         z_increment_sq=_ref_z_increment_stat(sol_f.Z))
-    reg = regularity_pass(model, ens_c, ens_f, basis)
     assert {k: getattr(reg, k) for k in want} == want
     np.testing.assert_array_equal(reg.solution.Y, sol_c.Y)
     np.testing.assert_array_equal(reg.solution.Z, sol_c.Z)
@@ -247,26 +239,16 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case):
 
 
 def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
+    # the pass builds the coarse states from the fine paths itself; what is
+    # left to reject is a factor that leaves no whole windows
     model = make_brownian()
     ens_f = simulate_forward(model, Partition.uniform(1.0, 8), 500, seed=1)
-    ens_c = _restrict(ens_f, Partition.uniform(1.0, 4))
-    other = simulate_forward(model, ens_c.partition, 500, seed=2)
-    fewer = PathEnsemble(partition=ens_c.partition, seed=1,
-                         increments=ens_c.increments[:400], states=ens_c.states[:400])
-    for bad in (other, fewer):
-        with pytest.raises(InvalidParameters, match="shared nodes"):
-            regularity_pass(model, bad, ens_f, GLOBAL2)
-    regularity_pass(model, ens_c, ens_f, GLOBAL2)
+    for factor in (3, 0):
+        with pytest.raises(InvalidParameters, match="does not divide"):
+            regularity_pass(model, ens_f, factor, GLOBAL2)
+    regularity_pass(model, ens_f, 4, GLOBAL2)
     with pytest.raises(InvalidParameters, match="picard_iters"):
-        regularity_pass(model, ens_c, ens_f, GLOBAL2, picard_iters=0)
-
-
-def test_grid_mismatch_between_solutions():
-    model = make_brownian()
-    ens_c = simulate_forward(model, Partition.uniform(1.0, 4), 50, seed=1)
-    ens_f = simulate_forward(model, Partition.uniform(1.0, 6), 50, seed=1)
-    with pytest.raises(GridMismatch):
-        regularity_pass(model, ens_c, ens_f, GLOBAL2)
+        regularity_pass(model, ens_f, 4, GLOBAL2, picard_iters=0)
 
 
 def test_bmo_estimate_constant_control():
@@ -314,26 +296,31 @@ def test_truncation_curve_decay_and_qbar():
 def test_batched_curve_matches_per_level_solves():
     # reference implementation: one full solve per level, errors taken on
     # the stored solutions; the batched pass may differ only by the rounding
-    # of multi-column matrix products
+    # of multi-column matrix products. The second ladder lies entirely below
+    # the realized max |Z|, so the reference's own column splits off as well.
     model = make_quadratic()
     part = Partition.uniform(1.0, 8)
     ens = simulate_forward(model, part, 4000, seed=5)
-    levels = [0.1, 0.2, 0.4, 4.0]
-    curve = truncation_error_curve(model, ens, GLOBAL2, levels, reference_level=8.0)
-    ref = solve_backward_regression(truncate_driver(model, 8.0), ens, GLOBAL2)
-    got, want = [], []
-    for p, n in zip(curve.points, levels):
-        sol = solve_backward_regression(truncate_driver(model, n), ens, GLOBAL2)
-        err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
-        err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt)
-                      .mean(axis=0).sum())
-        assert p.level == n
-        got += [p.err_y, p.err_z, p.y0]
-        want += [err_y, err_z, sol.y0]
-    got += [curve.realized_max_z, curve.y_scale]
-    want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
-    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
-    assert curve.points[-1].err_y == 0.0  # above the realized max |Z|
+    for levels, ref_level in (([0.1, 0.2, 0.4, 4.0], 8.0), ([0.1, 0.2], 0.4)):
+        curve = truncation_error_curve(model, ens, GLOBAL2, levels,
+                                       reference_level=ref_level)
+        ref = solve_backward_regression(truncate_driver(model, ref_level), ens, GLOBAL2)
+        got, want = [], []
+        for p, n in zip(curve.points, levels):
+            sol = solve_backward_regression(truncate_driver(model, n), ens, GLOBAL2)
+            err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
+            err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt)
+                          .mean(axis=0).sum())
+            assert p.level == n
+            got += [p.err_y, p.err_z, p.y0]
+            want += [err_y, err_z, sol.y0]
+        got += [curve.realized_max_z, curve.y_scale]
+        want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        # exactly the levels above the realized max |Z| share the reference
+        assert ([p.err_y == 0.0 for p in curve.points]
+                == [n >= curve.realized_max_z for n in levels])
+    assert curve.realized_max_z > ref_level  # the reference split off
 
 
 def test_levels_above_the_realized_max_z_share_one_column(monkeypatch):

@@ -6,12 +6,9 @@ backward pass walks is one contiguous block. Path-major arrays built by hand
 must still give the same numbers.
 """
 
-import argparse
-
 import numpy as np
 import pytest
 
-from qgbsde import cli
 from qgbsde.diagnostics import regularity_pass
 from qgbsde.model import ModelSpec, Partition, make_gbm, make_quadratic
 from qgbsde.regression import RegressionBasis
@@ -50,13 +47,9 @@ def test_forward_and_backward_arrays_are_time_major(model, tmp_path):
     dump_ensemble(ens, tmp_path / "ens.bin")
     loaded = load_ensemble(tmp_path / "ens.bin")
     sol = solve_backward_regression(model, ens, GLOBAL2)
-    # the regularity pass, given a path-major copy of the coarse nodes of a
-    # refined ensemble
-    ens_f = simulate_forward(model, part.refine(2), 700, seed=5)
-    ens_c = _path_major(PathEnsemble(
-        partition=part, seed=5, states=ens_f.states[:, ::2],
-        increments=ens_f.increments[:, ::2] + ens_f.increments[:, 1::2]))
-    coarse = regularity_pass(model, ens_c, ens_f, GLOBAL2).solution
+    # the regularity pass, given a path-major copy of a refined ensemble
+    ens_f = _path_major(simulate_forward(model, part.refine(2), 700, seed=5))
+    coarse = regularity_pass(model, ens_f, 2, GLOBAL2).solution
     for name, a in [("increments", ens.increments), ("states", ens.states),
                     ("loaded increments", loaded.increments),
                     ("loaded states", loaded.states),
@@ -77,13 +70,11 @@ def test_flows_and_gradients_are_time_major():
         _assert_node_slices_contiguous(name, a)
 
 
-def test_coarse_restriction_is_time_major(tmp_path):
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text("[model]\nname = brownian\n[grid]\nrefine_factor = 3\n"
-                        "[mc]\nn_paths = 300\nseed = 4\n")
-    args = argparse.Namespace(seed=None, workers=None, out=str(tmp_path / "out"))
-    ctx = cli.RunContext(cli._load_config(str(cfg_path)), args)
-    ens_c, ens_f = cli._coarse_fine_pair(ctx, 5)
+def test_coarse_restriction_is_time_major():
+    # the regularity pass coarsens the fine ensemble along its node axis
+    model = make_gbm()
+    ens_f = simulate_forward(model, Partition.uniform(model.T, 15), 300, seed=4)
+    ens_c = regularity_pass(model, ens_f, 3, GLOBAL2).ensemble
     for name, a in [("coarse increments", ens_c.increments),
                     ("coarse states", ens_c.states)]:
         _assert_node_slices_contiguous(name, a)

@@ -111,25 +111,29 @@ def test_base_shape_mismatch_rejected():
 
 
 def test_truncated_gradients_clamp_once_per_step(monkeypatch):
-    model = truncate_driver(make_quadratic(), 0.5)
-    ens, sol = _solved(model, n_steps=6, n_paths=3000)
-    assert np.abs(sol.Z).max() > 1.0  # the clamp engages
-    clamps, grads = [], []
+    # at level 0.5 the clamp engages at every step; above the realized max
+    # |Z| it is the identity and neither the clamp nor its slope is evaluated
+    for level, engaged in ((0.5, True), (10.0, False)):
+        model = truncate_driver(make_quadratic(), level)
+        ens, sol = _solved(model, n_steps=6, n_paths=3000)
+        assert (np.abs(sol.Z).max() > 1.0) if engaged else (np.abs(sol.Z).max() < level)
+        clamps, grads = [], []
 
-    def counting(calls, fn):
-        return lambda level, z: (calls.append(level), fn(level, z))[1]
+        def counting(calls, fn):
+            return lambda level, z: (calls.append(level), fn(level, z))[1]
 
-    with monkeypatch.context() as mp:
-        mp.setattr(truncation, "smooth_clamp", counting(clamps, smooth_clamp))
-        for module in (truncation, variational):
-            mp.setattr(module, "smooth_clamp_grad", counting(grads, smooth_clamp_grad))
-        var = solve_variational_bsde(model, ens, sol, GLOBAL2)
-    assert clamps == [0.5] * 6 and grads == [0.5] * 6
-    # the truncated model's own f_x, f_y and f_z clamp on every call
-    ref = solve_variational_bsde(dataclasses.replace(model, truncation=None), ens,
-                                 sol, GLOBAL2)
-    np.testing.assert_array_equal(var.gradY, ref.gradY)
-    np.testing.assert_array_equal(var.gradZ, ref.gradZ)
+        with monkeypatch.context() as mp:
+            mp.setattr(truncation, "smooth_clamp", counting(clamps, smooth_clamp))
+            for module in (truncation, variational):
+                mp.setattr(module, "smooth_clamp_grad",
+                           counting(grads, smooth_clamp_grad))
+            var = solve_variational_bsde(model, ens, sol, GLOBAL2)
+        assert clamps == grads == [level] * (6 if engaged else 0)
+        # the truncated model's own f_x, f_y and f_z clamp on every call
+        ref = solve_variational_bsde(dataclasses.replace(model, truncation=None), ens,
+                                     sol, GLOBAL2)
+        np.testing.assert_array_equal(var.gradY, ref.gradY)
+        np.testing.assert_array_equal(var.gradZ, ref.gradZ)
 
 
 def _planar_model():
