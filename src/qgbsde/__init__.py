@@ -10,13 +10,12 @@ reproducible experiments.
 """
 
 from .errors import (AssumptionLevelTooLow, ConfigError, DegenerateRegression,
-                     DomainTooSmall, GridMismatch, InvalidParameters,
+                     DomainTooSmall, InvalidParameters,
                      InvalidPartition, InvalidPoints, NumericalBlowup,
                      PicardDivergence, QgbsdeError, QuadratureUnstable,
                      RejectedModel, SingularFlow)
-from .model import (PRESETS, AssumptionLevel, ModelSpec, Partition,
-                    check_growth_certificate, make_brownian, make_discount,
-                    make_gbm, make_quadratic, nested_indices)
+from .model import (PRESETS, ModelSpec, Partition, check_growth_certificate,
+                    make_brownian, make_discount, make_gbm, make_quadratic)
 from .truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from .rng import normal_increments
 from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
@@ -36,9 +35,9 @@ from .diagnostics import (BmoEstimate, OrderFit, Regularity, TruncationCurve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssumptionLevel", "AssumptionLevelTooLow", "BackwardSolution",
+    "AssumptionLevelTooLow", "BackwardSolution",
     "BmoEstimate", "ConfigError", "DegenerateRegression",
-    "DomainTooSmall", "GridMismatch", "InvalidParameters",
+    "DomainTooSmall", "InvalidParameters",
     "InvalidPartition", "InvalidPoints", "ModelSpec", "NumericalBlowup",
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",
     "PicardDivergence", "QgbsdeError", "QuadratureUnstable",
@@ -49,7 +48,7 @@ __all__ = [
     "cole_hopf_increment_stat", "cole_hopf_reference",
     "dump_ensemble", "effective_qbar", "fit_convergence_order",
     "flow_identity_residual", "load_ensemble", "make_brownian",
-    "make_discount", "make_gbm", "make_quadratic", "nested_indices",
+    "make_discount", "make_gbm", "make_quadratic",
     "normal_increments", "project", "regularity_pass", "representation_check",
     "simulate_forward", "simulate_variational",
     "smooth_clamp", "smooth_clamp_grad", "solve_backward_regression",

@@ -47,6 +47,7 @@ import argparse
 import configparser
 import csv
 import datetime
+import functools
 import hashlib
 import inspect
 import math
@@ -130,7 +131,6 @@ _SETTINGS = (
     _Setting("solver", "basis", str, "global_polynomial", lambda basis: basis.kind),
     _Setting("solver", "degree", int, 4),
     _Setting("solver", "cells_per_dim", int, 50),
-    _Setting("solver", "picard_iters", int, 3, check=_at_least(1)),
     _Setting("truncation", "level", float, 10.0, repr,
              ((lambda v, ctx: 0 <= v < math.inf), "must be finite and >= 0")),
     _Setting("truncation", "levels", _list(float), (1.0, 2.0, 3.0, 4.0, 6.0, 8.0),
@@ -232,9 +232,11 @@ class RunContext:
         self.summary = []
         self.warnings = []
 
+    @functools.cached_property
     def solver_model(self) -> ModelSpec:
         """The model actually handed to the backward solvers: quadratic-growth
-        drivers get the configured truncation level applied, with a note."""
+        drivers get the configured truncation level applied, with a note.
+        Built once per run, so the note is written once."""
         if self.model.driver_z_lipschitz is not None:
             return self.model
         model = truncate_driver(self.model, self.level)
@@ -396,8 +398,8 @@ def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     if ens is None:
         ens = get_ensemble(ctx, part)
-    model = ctx.solver_model()
-    sol = solve_backward_regression(model, ens, ctx.basis, ctx.picard_iters)
+    model = ctx.solver_model
+    sol = solve_backward_regression(model, ens, ctx.basis)
     y0 = sol.y0
     z0 = float(sol.z0[0]) if ctx.model.d == 1 else None
     # at t = 0 the design is the constant one, so y0 and z0 are plain means of
@@ -418,7 +420,7 @@ def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None):
     _oracle_rows(ctx, y0, z0)
     if ctx.model.m == 1 and ctx.model.d == 1:
         try:
-            qy, qz = solve_quadrature_1d(model, part, ctx.picard_iters)
+            qy, qz = solve_quadrature_1d(model, part)
             ctx.add("y0_quadrature", qy)
             ctx.add("z0_quadrature", qz)
             ctx.add("y0_vs_quadrature", abs(y0 - qy))
@@ -439,13 +441,13 @@ def cmd_converge(ctx: RunContext):
     the Y increment statistic is checked against the exact solution's own
     value; elsewhere its ratios to the mesh are noted.
     """
-    model = ctx.solver_model()
-    meshes, zsums, ystats, grids = [], [], [], []
+    model = ctx.solver_model
+    meshes, zsums, ystats = [], [], []
     for n in ctx.ladder:
         fine = Partition.uniform(ctx.model.T, n).refine(ctx.refine_factor)
         # the fine ensemble is dropped with the pass, before the next rung
         reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
-                              ctx.basis, ctx.picard_iters)
+                              ctx.basis)
         coarse = reg.ensemble.partition
         mesh = coarse.mesh
         zsum, ystat = reg.z_regularity_sum, reg.y_increment_sq
@@ -458,7 +460,6 @@ def cmd_converge(ctx: RunContext):
         meshes.append(mesh)
         zsums.append(zsum)
         ystats.append(ystat)
-        grids.append((coarse, fine))
         del reg
     try:
         fit = fit_convergence_order(meshes, zsums)
@@ -473,7 +474,9 @@ def cmd_converge(ctx: RunContext):
     # E(Y_t - Y_ti)^2 <= C mesh holds with a model-dependent C, so the band
     # is asserted only where the closed form gives this model's own statistic
     try:
-        exact = [cole_hopf_increment_stat(ctx.model, *grid) for grid in grids]
+        exact = [cole_hopf_increment_stat(
+            ctx.model, Partition.uniform(ctx.model.T, n).refine(ctx.refine_factor),
+            ctx.refine_factor) for n in ctx.ladder]
     except InvalidParameters:  # no closed form for this model
         exact = None
     except QuadratureUnstable as exc:
@@ -499,8 +502,7 @@ def cmd_truncate_sweep(ctx: RunContext, ens: PathEnsemble | None = None):
     if ens is None:
         ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
     curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels,
-                                   reference_level=ctx.reference_level,
-                                   picard_iters=ctx.picard_iters)
+                                   reference_level=ctx.reference_level)
     for p in curve.points:
         ctx.add("trunc_err_y", p.err_y, n_trunc=p.level)
         ctx.add("trunc_err_z", p.err_z, n_trunc=p.level)
@@ -549,12 +551,12 @@ def _sweep_oracle_rows(ctx: RunContext, curve):
 
 
 def cmd_diagnose(ctx: RunContext):
-    model = ctx.solver_model()
+    model = ctx.solver_model
     fine = Partition.uniform(ctx.model.T, ctx.n_steps).refine(ctx.refine_factor)
     # the stages below read the coarse ensemble only; its states are a view
     # of the fine ones, whose increments go with the pass
     reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
-                          ctx.basis, ctx.picard_iters)
+                          ctx.basis)
     ens_c, sol_c = reg.ensemble, reg.solution
     coarse = ens_c.partition
 

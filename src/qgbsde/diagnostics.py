@@ -95,7 +95,7 @@ class Regularity:
 
 
 def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
-                    basis: RegressionBasis, picard_iters: int = 3) -> Regularity:
+                    basis: RegressionBasis) -> Regularity:
     """Solve on the fine grid and on its coarsening by factor in one
     backward pass and measure the fine solution's path regularity against
     the coarse windows.
@@ -126,7 +126,7 @@ def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
         partition=Partition(fine.partition.times[::r]), seed=fine.seed,
         increments=dw.reshape(n, r, *dw.shape[1:]).sum(axis=1).swapaxes(0, 1),
         states=fine.states[:, ::r])
-    terminal = _start_backward((model,), coarse, picard_iters)[:, 0]
+    terminal = _start_backward((model,), coarse)[:, 0]
     sol = _empty_solution(coarse, terminal)
     h, dt_f = coarse.partition.dt, fine.partition.dt
     P, d = fine.n_paths, fine.d
@@ -145,12 +145,11 @@ def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
             fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
                                                             step=j)
             y, z, *_ = _backward_step((model,), fine_design, fine, j,
-                                      yw[:, k + 1:k + 2], picard_iters)
+                                      yw[:, k + 1:k + 2])
             yw[:, k] = y[:, 0]
             zw[:, k] = z[:, 0]
         _store_step(sol, i, design, *_backward_step((model,), design, coarse, i,
-                                                    sol.Y[:, i + 1:i + 2],
-                                                    picard_iters))
+                                                    sol.Y[:, i + 1:i + 2]))
 
         inc = yw[:, 1:] - yw[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
@@ -228,8 +227,7 @@ class TruncationCurve:
 
 def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
                            basis: RegressionBasis, levels,
-                           reference_level: float | None = None,
-                           picard_iters: int = 3) -> TruncationCurve:
+                           reference_level: float | None = None) -> TruncationCurve:
     """Solve the truncated equations over a ladder of levels.
 
     Errors are against the solution at reference_level (default: twice the
@@ -265,7 +263,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     levels = (*lv, ref_level)
     models = [truncate_driver(model, n) for n in levels]
     # every level has the model's g, so the terminal values are one column
-    y = _start_backward(models[-1:], ensemble, picard_iters)
+    y = _start_backward(models[-1:], ensemble)
     times = ensemble.partition.times
     L, n = len(lv), times.size - 1
     # column j < k of y is the level j, split off; column k is shared by
@@ -292,8 +290,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         src = np.minimum(np.arange(ref + 1), shared)
         cond_mean = cond_mean[:, src]
         z = z[:, src]
-        y, _ = _resolve_columns(models[:k + 1], ensemble, i, cond_mean, z,
-                                picard_iters)
+        y, _ = _resolve_columns(models[:k + 1], ensemble, i, cond_mean, z)
         np.maximum(y_sq_max, y[:, ref] ** 2, out=y_sq_max)
         # a level still in the reference's column has error 0 by construction
         for j in range(ref):

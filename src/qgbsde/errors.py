@@ -21,12 +21,9 @@ class InvalidPoints(QgbsdeError):
     """A convergence fit was asked for on unusable data points."""
 
 
-class GridMismatch(QgbsdeError):
-    """Two objects that must share a time grid (or nest) do not."""
-
-
 class AssumptionLevelTooLow(QgbsdeError):
-    """Operation needs coefficient derivatives the model does not certify."""
+    """Operation needs coefficient Jacobians or driver gradients that the
+    model does not supply (raised by ModelSpec.require, naming them)."""
 
 
 class RejectedModel(QgbsdeError):

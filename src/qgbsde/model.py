@@ -13,28 +13,20 @@ paths:
     f_x / f_y / f_z                     -> (P, m) / (P,) / (P, d)
     g(x)                                -> (P,)
     g_grad(x)                           -> (P, m)
+
+The Jacobians and gradients are optional (None when absent). The paper's
+differentiability hypotheses (HX1Y1) hold exactly when a model supplies
+them, so an operation that needs some of them asks the model with
+ModelSpec.require, which names the missing ones.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (AssumptionLevelTooLow, GridMismatch, InvalidParameters,
-                     InvalidPartition)
-
-
-class AssumptionLevel(enum.IntEnum):
-    """Regularity ladder for the coefficient set.
-
-    HX0Y0: Lipschitz forward coefficients, bounded terminal, quadratic driver.
-    HX1Y1: adds differentiability (Jacobians and driver gradients present).
-    """
-
-    HX0Y0 = 0
-    HX1Y1 = 1
+from .errors import AssumptionLevelTooLow, InvalidParameters, InvalidPartition
 
 
 @dataclass(frozen=True)
@@ -102,22 +94,6 @@ def empty_time_major(n_nodes: int, n_paths: int, tail=()) -> np.ndarray:
     return np.empty((n_nodes, n_paths) + tuple(tail)).swapaxes(0, 1)
 
 
-def nested_indices(coarse: Partition, fine: Partition, tol: float = 1e-9) -> np.ndarray:
-    """Indices of the coarse nodes inside the fine grid.
-
-    Raises GridMismatch unless every coarse node matches a fine node within
-    tol (absolute, the grids live on [0, T] with T of order one).
-    """
-    idx = np.searchsorted(fine.times, coarse.times - tol)
-    ok = (idx < fine.times.size) & (np.abs(fine.times[np.minimum(idx, fine.times.size - 1)]
-                                           - coarse.times) <= tol)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise GridMismatch(
-            f"coarse node t={coarse.times[bad]} not on the fine grid (tol {tol})")
-    return idx
-
-
 @dataclass(frozen=True)
 class Truncation:
     """The level n and the model that truncation.truncate_driver clamped.
@@ -159,7 +135,6 @@ class ModelSpec:
     g_grad: callable | None = None
     growth_M: float = 0.0
     driver_z_lipschitz: float | None = None
-    assumption_level: AssumptionLevel = AssumptionLevel.HX0Y0
     meta: dict = field(default_factory=dict)
     truncation: Truncation | None = None
 
@@ -174,12 +149,14 @@ class ModelSpec:
         object.__setattr__(self, "x0", x0)
         if self.growth_M < 0:
             raise InvalidParameters("certified constants must be nonnegative")
-        if self.assumption_level >= AssumptionLevel.HX1Y1:
-            missing = [n for n in ("b_jac", "sigma_jac", "f_x", "f_y", "f_z", "g_grad")
-                       if getattr(self, n) is None]
-            if missing:
-                raise AssumptionLevelTooLow(
-                    f"level {self.assumption_level.name} requires gradients, missing: {missing}")
+
+    def require(self, *names):
+        """Raise AssumptionLevelTooLow unless every callable named is supplied
+        (not None); the message names the missing ones."""
+        missing = [n for n in names if getattr(self, n) is None]
+        if missing:
+            raise AssumptionLevelTooLow(
+                f"model {self.name!r} does not supply {', '.join(missing)}")
 
     def with_driver(self, **changes) -> "ModelSpec":
         if changes.keys() & {"f", "f_x", "f_y", "f_z"}:
@@ -188,18 +165,19 @@ class ModelSpec:
         return replace(self, **changes)
 
 
-def check_growth_certificate(model: ModelSpec, n_samples: int = 4096,
-                             seed: int = 0, box: float = 5.0) -> float:
-    """Spot-check |f| <= M (1 + |y| + |z|^2) on random points.
+def check_growth_certificate(model: ModelSpec) -> float:
+    """Spot-check |f| <= M (1 + |y| + |z|^2) on 4096 random points (x, y, z)
+    of the box [-5, 5] (seed 0), at 17 times in [0, T].
 
     Returns the largest observed ratio |f| / (M (1 + |y| + |z|^2)). Values
     above 1 mean the certificate is wrong. Models with f identically zero
     certify with M = 0 and return 0.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-box, box, (n_samples, model.m))
-    y = rng.uniform(-box, box, n_samples)
-    z = rng.uniform(-box, box, (n_samples, model.d))
+    n, box = 4096, 5.0
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-box, box, (n, model.m))
+    y = rng.uniform(-box, box, n)
+    z = rng.uniform(-box, box, (n, model.d))
     env = 1.0 + np.abs(y) + np.sum(z * z, axis=1)
     worst = 0.0
     for ti in np.linspace(0.0, model.T, 17):
@@ -248,7 +226,6 @@ def make_brownian(x0: float = 0.0, horizon: float = 1.0,
         f_z=lambda t, x, y, z: np.zeros_like(z),
         g_grad=g_grad,
         growth_M=0.0, driver_z_lipschitz=0.0,
-        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "brownian", "terminal": terminal, "kappa": kappa},
     )
 
@@ -270,7 +247,6 @@ def make_discount(rate: float = 0.1, x0: float = 0.0, horizon: float = 1.0) -> M
         f_z=lambda t, x, y, z: np.zeros_like(z),
         g_grad=lambda x: np.zeros_like(x),
         growth_M=rate, driver_z_lipschitz=0.0,
-        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "discount", "rate": rate},
     )
 
@@ -291,7 +267,6 @@ def make_gbm(mu: float = 0.05, vol: float = 0.2, x0: float = 1.0,
         f_z=lambda t, x, y, z: np.zeros_like(z),
         g_grad=lambda x: np.ones_like(x),
         growth_M=0.0, driver_z_lipschitz=0.0,
-        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "gbm", "mu": mu, "vol": vol},
     )
 
@@ -344,7 +319,6 @@ def make_quadratic(gamma: float = 1.0, terminal: str = "tanh", kappa: float = 1.
         f_z=lambda t, x, y, z: gamma * z,
         g_grad=g_grad,
         growth_M=max(rate, 0.5 * abs(gamma)), driver_z_lipschitz=None,
-        assumption_level=AssumptionLevel.HX1Y1,
         meta={"preset": "quadratic", "gamma": gamma, "terminal": terminal,
               "kappa": kappa, "sigma": sigma, "rate": rate},
     )

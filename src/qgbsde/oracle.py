@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidParameters, QuadratureUnstable
-from .model import ModelSpec, Partition, nested_indices
+from .model import ModelSpec, Partition
 
 # exp(gamma g) stays in double range for |gamma g| <= EXP_RANGE; step-halving
 # tolerances on y0 (absolute) and on the increment statistic (relative)
@@ -173,27 +173,32 @@ def _increments(gamma, terminal, x0, sigma, T, times, pairs, delta):
     return np.array(out)
 
 
-def cole_hopf_increment_stat(model: ModelSpec, base: Partition,
-                             fine: Partition) -> float:
+def cole_hopf_increment_stat(model: ModelSpec, fine: Partition,
+                             factor: int) -> float:
     """Closed-form value of the y_increment_sq statistic of
-    diagnostics.regularity_pass on (base, fine).
+    diagnostics.regularity_pass on (fine, factor).
 
-    max over the windows [t_i, t_{i+1}] of base, and over the fine nodes t in
-    (t_i, t_{i+1}], of E (Y_t - Y_{t_i})^2 for the exact solution
+    max over the coarse windows [t_i, t_{i+factor}], i = 0, factor, 2 factor,
+    ... of the fine nodes t_i, and over the fine nodes t in the window but
+    t_i, of E (Y_t - Y_{t_i})^2 for the exact solution
     Y_t = u(t, X_t), X_t = x0 + sigma W_t. The maximizing term is
     re-evaluated at half the lattice step and returned; a relative change
     above INCREMENT_RTOL raises QuadratureUnstable. The model must meet the
-    preconditions of the oracle (see _closed_form_inputs).
+    preconditions of the oracle (see _closed_form_inputs), and factor must
+    divide the fine step count; InvalidParameters otherwise.
     """
     gamma, terminal, _, x0, sigma = _closed_form_inputs(model)
     if abs(fine.horizon - model.T) > 1e-9:
         raise InvalidParameters(
             f"grid horizon {fine.horizon} differs from the model's {model.T}")
-    idx = nested_indices(base, fine)
+    n_fine = fine.n_steps
+    if factor < 1 or n_fine % factor:
+        raise InvalidParameters(f"factor {factor} does not divide the {n_fine} "
+                                f"fine steps")
     t = fine.times
     delta = _lattice_step(float(np.diff(t).min()))
-    pairs = [(lo, end) for lo, hi in zip(idx[:-1], idx[1:])
-             for end in range(lo + 1, hi + 1)]
+    pairs = [(lo, end) for lo in range(0, n_fine, factor)
+             for end in range(lo + 1, lo + factor + 1)]
     vals = _increments(gamma, terminal, x0, sigma, model.T, t, pairs, delta)
     k = int(np.argmax(vals))
     worst = float(vals[k])

@@ -8,16 +8,17 @@ Two basis families:
 - local_partition: hypercube cells over the step bounds, constant or affine
   fit per cell. Points outside the bounds land in the nearest edge cell.
 
-Bounds are per-step empirical quantiles of the state, taken from one sort
-per dimension with numpy's linear method, so they equal np.quantile's bit
-for bit. A dimension whose bounds have zero width (a constant coordinate
-beside a spread one, or a point mass holding more than the quantile level)
-raises DegenerateRegression. Normal equations get a ridge of
-ridge_scale * trace; the unridged condition number is checked against
-condition_cap. For the global basis a cap violation raises
-DegenerateRegression (the whole step is unusable); for the local basis a bad
-or underpopulated cell falls back to the cell mean (and an empty cell to the
-global mean), and only a step where every cell failed raises.
+Bounds are the per-step empirical QUANTILES (0.001, 0.999) of the state,
+taken from one sort per dimension with numpy's linear method, so they equal
+np.quantile's bit for bit. A dimension whose bounds have zero width (a
+constant coordinate beside a spread one, or a point mass holding more than
+the quantile level) raises DegenerateRegression. Normal equations get a
+ridge of RIDGE_SCALE = 1e-10 times their trace; the unridged condition
+number is checked against CONDITION_CAP = 1e12. For the global basis a cap
+violation raises DegenerateRegression (the whole step is unusable); for the
+local basis a bad or underpopulated cell falls back to the cell mean (and an
+empty cell to the global mean), and only a step where every cell failed
+raises.
 
 The projection at one step is a fixed linear operator of the state sample.
 step_design builds what depends on the state alone (bounds, features or cell
@@ -40,6 +41,9 @@ import numpy as np
 from .errors import DegenerateRegression, InvalidParameters
 
 _SPREAD_ATOL = 1e-12
+QUANTILES = (0.001, 0.999)
+RIDGE_SCALE = 1e-10
+CONDITION_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,6 @@ class RegressionBasis:
     kind: str = "local_partition"
     degree: int = 1
     cells_per_dim: int = 50
-    lower_quantile: float = 0.001
-    upper_quantile: float = 0.999
-    ridge_scale: float = 1e-10
-    condition_cap: float = 1e12
 
     def __post_init__(self):
         if self.kind not in ("local_partition", "global_polynomial"):
@@ -62,8 +62,6 @@ class RegressionBasis:
                 f"local_partition supports degree 0 or 1, got {self.degree}")
         if self.cells_per_dim < 1:
             raise InvalidParameters(f"cells_per_dim must be >= 1, got {self.cells_per_dim}")
-        if not 0.0 <= self.lower_quantile < self.upper_quantile <= 1.0:
-            raise InvalidParameters("quantiles must satisfy 0 <= lo < hi <= 1")
 
     def describe(self) -> str:
         if self.kind == "global_polynomial":
@@ -71,17 +69,17 @@ class RegressionBasis:
         return f"local_partition(cells={self.cells_per_dim}, degree={self.degree})"
 
 
-def step_bounds(basis: RegressionBasis, x: np.ndarray) -> np.ndarray:
-    """Per-dimension (lo, hi) bounds: the basis's empirical quantiles of the
-    finite sample x (P, m), as an (m, 2) array.
+def step_bounds(x: np.ndarray) -> np.ndarray:
+    """Per-dimension (lo, hi) bounds: the empirical QUANTILES of the finite
+    sample x (P, m), as an (m, 2) array.
 
     One sort per dimension, then np.quantile's linear method: virtual index
     (P - 1) q, its floor and the fraction gamma, and the two-sided lerp
     that runs from the upper neighbour when gamma >= 0.5. The result equals
-    np.quantile(x, [lo, hi], axis=0).T bit for bit.
+    np.quantile(x, QUANTILES, axis=0).T bit for bit.
     """
     n = x.shape[0]
-    virtual = (n - 1) * np.array([basis.lower_quantile, basis.upper_quantile])
+    virtual = (n - 1) * np.array(QUANTILES)
     below = np.floor(virtual)
     gamma = virtual - below
     i = below.astype(np.intp)
@@ -153,11 +151,11 @@ def _global_design(basis, x, bounds, step):
     G = phi @ phi.T
     eig = np.linalg.eigvalsh(G)
     cond = np.inf if eig[0] <= 0 else float(eig[-1] / eig[0])
-    if cond > basis.condition_cap:
+    if cond > CONDITION_CAP:
         raise DegenerateRegression(
-            f"normal matrix condition {cond:.3e} exceeds cap {basis.condition_cap:.3e} "
+            f"normal matrix condition {cond:.3e} exceeds cap {CONDITION_CAP:.3e} "
             f"for {basis.describe()}", step=step)
-    lam = basis.ridge_scale * float(np.trace(G))
+    lam = RIDGE_SCALE * float(np.trace(G))
     return StepDesign(basis=basis, kind=basis.kind, n_paths=P, condition=cond,
                       bounds=bounds, features=phi,
                       normal=G + lam * np.eye(G.shape[0]))
@@ -196,12 +194,12 @@ def _local_design(basis, x, bounds, step):
     eig = np.linalg.eigvalsh(G)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(eig[:, 0] > 0, eig[:, -1] / np.maximum(eig[:, 0], 1e-300), np.inf)
-    usable = (counts >= nf + 1) & (cond <= basis.condition_cap)
+    usable = (counts >= nf + 1) & (cond <= CONDITION_CAP)
     if not usable.any():
         raise DegenerateRegression(
             f"every cell of {basis.describe()} fell back at this step", step=step)
     Gu = G[usable]
-    lam = basis.ridge_scale * np.trace(Gu, axis1=1, axis2=2)
+    lam = RIDGE_SCALE * np.trace(Gu, axis1=1, axis2=2)
     return StepDesign(condition=float(cond[usable].max()),
                       fallback_cells=int((~usable).sum()),
                       coords=u, usable=usable,
@@ -227,7 +225,7 @@ def step_design(basis: RegressionBasis, x: np.ndarray,
     if np.all(spread <= _SPREAD_ATOL * scale):
         return StepDesign(basis=basis, kind="constant", n_paths=x.shape[0],
                           condition=1.0)
-    bounds = step_bounds(basis, x)
+    bounds = step_bounds(x)
     for dim, (lo, hi) in enumerate(bounds):
         if hi == lo:
             raise DegenerateRegression(

@@ -42,6 +42,23 @@ def _fill_block(out, seed, p0, p1, n_steps, d):
     ndtri(u.reshape(p1 - p0, n_steps, d), out=out[p0:p1])
 
 
+def _run_blocks(fill, n_paths: int, workers: int,
+                block_size: int = _DEFAULT_BLOCK) -> None:
+    """Call fill(a, b) on each block [a, b) of at most block_size paths,
+    in order on the calling thread when workers is 1 or there is one block,
+    else on a pool of workers threads. Each call must write only its own
+    paths, so the schedule cannot change the result."""
+    edges = list(range(0, n_paths, block_size)) + [n_paths]
+    spans = list(zip(edges[:-1], edges[1:]))
+    if workers == 1 or len(spans) == 1:
+        for a, b in spans:
+            fill(a, b)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for fut in [pool.submit(fill, a, b) for a, b in spans]:
+                fut.result()
+
+
 def normal_increments(seed: int, n_paths: int, n_steps: int, d: int,
                       workers: int = 1, block_size: int = _DEFAULT_BLOCK) -> np.ndarray:
     """Standard normal array of shape (n_paths, n_steps, d), stored time-major.
@@ -58,15 +75,6 @@ def normal_increments(seed: int, n_paths: int, n_steps: int, d: int,
         raise InvalidParameters("workers and block_size must be positive")
 
     out = empty_time_major(n_steps, n_paths, (d,))
-    edges = list(range(0, n_paths, block_size)) + [n_paths]
-    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:])]
-    if workers == 1 or len(spans) == 1:
-        for a, b in spans:
-            _fill_block(out, int(seed), a, b, n_steps, d)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_fill_block, out, int(seed), a, b, n_steps, d)
-                       for a, b in spans]
-            for fut in futures:
-                fut.result()
+    _run_blocks(lambda a, b: _fill_block(out, int(seed), a, b, n_steps, d),
+                n_paths, workers, block_size)
     return out

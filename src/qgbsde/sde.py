@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (AssumptionLevelTooLow, InvalidParameters, NumericalBlowup,
-                     SingularFlow)
-from .model import AssumptionLevel, ModelSpec, Partition, empty_time_major
-from .rng import normal_increments
+from .errors import InvalidParameters, NumericalBlowup, SingularFlow
+from .model import ModelSpec, Partition, empty_time_major
+from .rng import _run_blocks, normal_increments
 
 _MAGIC = b"QGB1"
+# simulate_variational's caps on the flow's condition bound and on its
+# inverse's identity residual
+FLOW_CONDITION_CAP = 1e12
+FLOW_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -97,31 +99,19 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
 
     X = empty_time_major(n + 1, n_paths, (m,))
     X[:, 0] = model.x0
-    edges = list(range(0, n_paths, 32768)) + [n_paths]
-    spans = [(p, q) for p, q in zip(edges[:-1], edges[1:])]
-    if workers == 1 or len(spans) == 1:
-        for p, q in spans:
-            _euler_block(model, times, dW, X, p, q)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(_euler_block, model, times, dW, X, p, q)
-                        for p, q in spans]:
-                fut.result()
+    _run_blocks(lambda p, q: _euler_block(model, times, dW, X, p, q), n_paths, workers)
     return PathEnsemble(partition=partition, seed=int(seed), increments=dW, states=X)
 
 
-def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
-                         condition_cap: float = 1e12,
-                         flow_tol: float = 1e-8) -> PathEnsemble:
+def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemble:
     """Attach the first-variation flow and its inverse to an ensemble.
 
-    Each flow matrix is inverted directly; the condition bound is capped at
-    condition_cap and the identity residual (flow_identity_residual) at
-    flow_tol. The residual is handed on as flow_residual.
+    Needs the model's b_jac and sigma_jac. Each flow matrix is inverted
+    directly; the condition bound is capped at FLOW_CONDITION_CAP and the
+    identity residual (flow_identity_residual) at FLOW_TOL. The residual is
+    handed on as flow_residual.
     """
-    if model.assumption_level < AssumptionLevel.HX1Y1:
-        raise AssumptionLevelTooLow(
-            "variational flow needs coefficient Jacobians (level HX1Y1 or higher)")
+    model.require("b_jac", "sigma_jac")
     times = ensemble.partition.times
     X, dW = ensemble.states, ensemble.increments
     P, m = X.shape[0], model.m
@@ -153,13 +143,13 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble,
                     * np.linalg.norm(G[:, i], axis=(-2, -1)))
             finite = finite and bool(np.isfinite(cond).all())
             worst = np.fmax(worst, np.fmax.reduce(cond))  # NaN-ignoring max
-    if not finite or worst > condition_cap:
+    if not finite or worst > FLOW_CONDITION_CAP:
         raise SingularFlow(
-            f"flow condition bound {worst:.3e} exceeds cap {condition_cap:.3e}")
+            f"flow condition bound {worst:.3e} exceeds cap {FLOW_CONDITION_CAP:.3e}")
     out = replace(ensemble, flows=F, flow_inverses=G)
     resid = flow_identity_residual(out)
-    if resid > flow_tol:
-        raise SingularFlow(f"flow inverse identity residual {resid:.3e} > {flow_tol:.3e}")
+    if resid > FLOW_TOL:
+        raise SingularFlow(f"flow inverse identity residual {resid:.3e} > {FLOW_TOL:.3e}")
     return replace(out, flow_residual=resid)
 
 

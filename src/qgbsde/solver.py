@@ -5,7 +5,7 @@ Both walk the same one-step recursion backward from the terminal condition:
     Z_i = E[ Y_{i+1} dW_i | X_i ] / dt_i
     Y_i = E[ Y_{i+1} | X_i ] + dt_i * f(t_i, X_i, Y_i, Z_i)
 
-implicit in Y (resolved by a few Picard passes), explicit in Z. The Monte
+implicit in Y (at most PICARD_PASSES Picard passes), explicit in Z. The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
 step (_martingale_pair, which the gradient solve in variational shares); the
@@ -45,6 +45,9 @@ from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble
 from .truncation import clamped_driver
+
+# the most Picard passes one implicit step takes (see _picard_resolve)
+PICARD_PASSES = 3
 
 
 @dataclass
@@ -92,8 +95,8 @@ def _check_solver_inputs(model: ModelSpec, ensemble: PathEnsemble):
             f"(m={model.m}, d={model.d})")
 
 
-def _picard_resolve(f, t, x, base, z, dt, picard_iters, step):
-    """At most picard_iters fixed-point passes for y = base + dt f(t, x, y, z).
+def _picard_resolve(f, t, x, base, z, dt, step):
+    """At most PICARD_PASSES fixed-point passes for y = base + dt f(t, x, y, z).
 
     A pass that leaves y unchanged ends the loop: the remaining passes would
     return the same y with residual 0 and could not diverge, so y and the
@@ -101,7 +104,7 @@ def _picard_resolve(f, t, x, base, z, dt, picard_iters, step):
     """
     y = base
     prev = None
-    for _ in range(picard_iters):
+    for _ in range(PICARD_PASSES):
         y_new = base + dt * np.asarray(f(t, x, y, z))
         res = float(np.sqrt(np.mean((y_new - y) ** 2)))
         if (prev is not None and res > prev
@@ -116,13 +119,11 @@ def _picard_resolve(f, t, x, base, z, dt, picard_iters, step):
     return y, prev if prev is not None else 0.0
 
 
-def _start_backward(models, ensemble: PathEnsemble, picard_iters) -> np.ndarray:
+def _start_backward(models, ensemble: PathEnsemble) -> np.ndarray:
     """Check the solver inputs of every model and return the terminal values,
     one column per model."""
     for model in models:
         _check_solver_inputs(model, ensemble)
-    if picard_iters < 1:
-        raise InvalidParameters(f"picard_iters must be >= 1, got {picard_iters}")
     n = ensemble.partition.n_steps
     x_n = ensemble.states[:, n]
     y = np.column_stack([np.asarray(model.g(x_n)) for model in models])
@@ -148,7 +149,7 @@ def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
     return mean, z.reshape(targets.shape), mean_rms, z_rms
 
 
-def _resolve_columns(models, ensemble: PathEnsemble, i, cond_mean, z, picard_iters):
+def _resolve_columns(models, ensemble: PathEnsemble, i, cond_mean, z):
     """The implicit step i for column j of cond_mean (P, k) and z (P, k, d)
     under models[j], resolved column by column so that divergence is checked
     per driver. Returns y (P, k) and the picard residual per column; raises
@@ -162,14 +163,13 @@ def _resolve_columns(models, ensemble: PathEnsemble, i, cond_mean, z, picard_ite
     for j, model in enumerate(models):
         driver, zj = clamped_driver(model, z[:, j])
         y[:, j], residuals[j] = _picard_resolve(driver.f, t, x, cond_mean[:, j], zj,
-                                                dt, picard_iters, step=i)
+                                                dt, step=i)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise NumericalBlowup("non-finite backward value", step=i)
     return y, residuals
 
 
-def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next,
-                   picard_iters):
+def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next):
     """Step i of the recursion for several drivers on the ensemble's paths.
 
     design is the step's design on the state at node i. Column j of y_next
@@ -179,7 +179,7 @@ def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next
     the Y and of the Z projection, picard residual per column).
     """
     cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next)
-    y, residuals = _resolve_columns(models, ensemble, i, cond_mean, z, picard_iters)
+    y, residuals = _resolve_columns(models, ensemble, i, cond_mean, z)
     return y, z, y_rms, z_rms, residuals
 
 
@@ -210,21 +210,19 @@ def _store_step(sol: BackwardSolution, i, design: StepDesign, y, z, y_rms, z_rms
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
-                              basis: RegressionBasis,
-                              picard_iters: int = 3) -> BackwardSolution:
+                              basis: RegressionBasis) -> BackwardSolution:
     """Regression Monte Carlo dynamic programming over the ensemble.
 
     Each step regresses on one design of the state (step_design) and resolves
-    the implicit step with at most picard_iters passes. Y is whatever the
+    the implicit step with at most PICARD_PASSES passes. Y is whatever the
     scheme gives: the a-priori bound on the exact |Y| is not imposed.
     """
-    terminal = _start_backward((model,), ensemble, picard_iters)
+    terminal = _start_backward((model,), ensemble)
     sol = _empty_solution(ensemble, terminal[:, 0])
     for i in range(ensemble.partition.n_steps - 1, -1, -1):
         design = step_design(basis, ensemble.states[:, i], step=i)
         _store_step(sol, i, design, *_backward_step((model,), design, ensemble, i,
-                                                    sol.Y[:, i + 1:i + 2],
-                                                    picard_iters))
+                                                    sol.Y[:, i + 1:i + 2]))
     return sol
 
 
@@ -265,7 +263,7 @@ def _space_grid(model: ModelSpec, times, x0, T) -> np.ndarray:
         f"mass (tol {_MAX_LEAK:.1e}) after {_MAX_DOUBLINGS} doublings")
 
 
-def solve_quadrature_1d(model: ModelSpec, partition: Partition, picard_iters: int = 3):
+def solve_quadrature_1d(model: ModelSpec, partition: Partition):
     """Deterministic dynamic programming on a one-dimensional space grid.
 
     The grid has _GRID_SIZE nodes and a half-width that _space_grid doubles
@@ -302,7 +300,7 @@ def solve_quadrature_1d(model: ModelSpec, partition: Partition, picard_iters: in
         ey = vals @ wn
         z_grid = (vals * xi[None, :]) @ wn / np.sqrt(dt)
         driver, zc = clamped_driver(model, z_grid[:, None])
-        y, _ = _picard_resolve(driver.f, t, gx, ey, zc, dt, picard_iters, step=i)
+        y, _ = _picard_resolve(driver.f, t, gx, ey, zc, dt, step=i)
         if not np.isfinite(y).all():
             raise NumericalBlowup("non-finite grid values in quadrature sweep", step=i)
 

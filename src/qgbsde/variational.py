@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AssumptionLevelTooLow, InvalidParameters, NumericalBlowup,
-                     PicardDivergence)
-from .model import AssumptionLevel, ModelSpec, empty_time_major
+from .errors import InvalidParameters, NumericalBlowup, PicardDivergence
+from .model import ModelSpec, empty_time_major
 from .regression import RegressionBasis, step_design
 from .sde import PathEnsemble
 from .solver import BackwardSolution, _martingale_pair
@@ -53,10 +52,7 @@ class RepresentationReport:
     time_avg_rms: float
 
 
-def _require_variational_inputs(model, ensemble):
-    if model.assumption_level < AssumptionLevel.HX1Y1:
-        raise AssumptionLevelTooLow(
-            "variational solve needs driver and coefficient gradients (HX1Y1)")
+def _require_flows(ensemble):
     if ensemble.flows is None or ensemble.flow_inverses is None:
         raise InvalidParameters(
             "ensemble carries no flows; run simulate_variational first")
@@ -65,7 +61,8 @@ def _require_variational_inputs(model, ensemble):
 def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
                            base: BackwardSolution,
                            basis: RegressionBasis) -> VariationalSolution:
-    _require_variational_inputs(model, ensemble)
+    model.require("f_x", "f_y", "f_z", "g_grad")
+    _require_flows(ensemble)
     times = ensemble.partition.times
     X, F = ensemble.states, ensemble.flows
     P, n, m, d = X.shape[0], times.size - 1, model.m, model.d
@@ -112,7 +109,7 @@ def representation_check(model: ModelSpec, ensemble: PathEnsemble,
                          base: BackwardSolution,
                          var: VariationalSolution) -> RepresentationReport:
     """Residual of Z = gradY (gradX)^{-1} sigma node by node (diagonal u = t)."""
-    _require_variational_inputs(model, ensemble)
+    _require_flows(ensemble)
     times = ensemble.partition.times
     n = times.size - 1
     rms = np.empty(n)

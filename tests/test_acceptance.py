@@ -168,7 +168,7 @@ def regularity_ladder():
         zsums.append(reg.z_regularity_sum)
         meshes.append(coarse.mesh)
         ystats.append(reg.y_increment_sq)
-        exact.append(cole_hopf_increment_stat(CANON, coarse, fine))
+        exact.append(cole_hopf_increment_stat(CANON, fine, 4))
         del reg
         gc.collect()
     return meshes, zsums, ystats, exact

@@ -76,8 +76,7 @@ def test_solve_writes_full_artifact_set(tmp_path):
     resolved.read(out / "config_resolved.ini")
     for sec, keys in (("grid", ("n_steps", "refine_factor", "ladder")),
                       ("mc", ("n_paths", "seed", "workers")),
-                      ("solver", ("basis", "degree", "cells_per_dim",
-                                  "picard_iters")),
+                      ("solver", ("basis", "degree", "cells_per_dim")),
                       ("truncation", ("level", "levels", "reference_level",
                                       "oracle_reference")),
                       ("outputs", ("directory", "experiment_id"))):
@@ -182,8 +181,9 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"bad_out{i}"
         assert main(["--config", cfg, "--out", str(out), *flags]) == 2, (i, text, flags)
         assert not out.exists()
-    assert ("unknown keys: [solver] clamp, [solver] gh_nodes, [solver] space_bound, "
-            "[solver] space_nodes, [outputs] write_ensemble") in capsys.readouterr().err
+    assert ("unknown keys: [solver] clamp, [solver] gh_nodes, [solver] picard_iters, "
+            "[solver] space_bound, [solver] space_nodes, [outputs] write_ensemble"
+            ) in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "absent.ini")]) == 2
 
 
@@ -542,8 +542,8 @@ def test_converge_checks_quadratic_model_against_closed_form(tmp_path):
                  if r["statistic_name"] == "y_increment_ratio_closed_form"}
         base = Partition.uniform(1.0, ladder[0])
         assert exact[str(ladder[0])] == pytest.approx(
-            cole_hopf_increment_stat(make_quadratic(kappa=kappa), base,
-                                     base.refine(2)) / base.mesh, rel=1e-12)
+            cole_hopf_increment_stat(make_quadratic(kappa=kappa), base.refine(2),
+                                     2) / base.mesh, rel=1e-12)
         assert set(exact) == set(map(str, ladder))
         summary = (out / "summary.txt").read_text()
         assert "y increment / closed-form value" in summary
@@ -599,4 +599,4 @@ levels = 0.5 1.0
     trunc_rows = [r for r in rows if r["statistic_name"] == "trunc_err_y"]
     assert {r["n_trunc"] for r in trunc_rows} == {"0.5", "1"}
     summary = (out / "summary.txt").read_text()
-    assert "driver truncated at level 6" in summary
+    assert summary.count("driver truncated at level 6") == 1

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qgbsde import (AssumptionLevel, AssumptionLevelTooLow, GridMismatch,
-                    InvalidParameters, InvalidPartition, ModelSpec, Partition,
+from qgbsde import (PRESETS, AssumptionLevelTooLow, InvalidParameters,
+                    InvalidPartition, ModelSpec, Partition,
                     check_growth_certificate, make_brownian, make_discount,
-                    make_gbm, make_quadratic, nested_indices)
+                    make_gbm, make_quadratic)
 
 
 def _minimal_model(**overrides):
@@ -53,15 +53,6 @@ class TestPartition:
         with pytest.raises(InvalidParameters):
             p.refine(0)
 
-    def test_nested_indices(self):
-        p = Partition.uniform(1.0, 5)
-        fine = p.refine(3)
-        idx = nested_indices(p, fine)
-        np.testing.assert_array_equal(idx, [0, 3, 6, 9, 12, 15])
-        other = Partition.uniform(1.0, 7)
-        with pytest.raises(GridMismatch):
-            nested_indices(p, other)
-
 
 class TestModelSpec:
     def test_dimension_validation(self):
@@ -75,8 +66,13 @@ class TestModelSpec:
             _minimal_model(growth_M=-0.5)
 
     def test_gradient_requirement(self):
-        with pytest.raises(AssumptionLevelTooLow):
-            _minimal_model(assumption_level=AssumptionLevel.HX1Y1)
+        gradients = ("b_jac", "sigma_jac", "f_x", "f_y", "f_z", "g_grad")
+        model = _minimal_model(b_jac=lambda t, x: np.zeros(x.shape + (1,)))
+        model.require("b_jac")
+        with pytest.raises(AssumptionLevelTooLow, match="sigma_jac, g_grad$"):
+            model.require("b_jac", "sigma_jac", "g_grad")
+        for make in PRESETS.values():
+            make().require(*gradients)
 
     def test_x0_normalized_to_array(self):
         model = _minimal_model(x0=0.5)

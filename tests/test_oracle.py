@@ -107,7 +107,7 @@ def test_increment_stat_linear_terminal_exact():
     base = Partition.uniform(T, 4)
     h = base.mesh
     want = sigma ** 2 * h + (gamma * sigma ** 2 * h / 2.0) ** 2
-    got = cole_hopf_increment_stat(model, base, base.refine(3))
+    got = cole_hopf_increment_stat(model, base.refine(3), 3)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -116,7 +116,7 @@ def test_increment_stat_canonical_values():
     model = make_quadratic()
     for n, want in ((8, 0.4565922), (64, 0.4633931)):
         base = Partition.uniform(1.0, n)
-        got = cole_hopf_increment_stat(model, base, base.refine(4)) / base.mesh
+        got = cole_hopf_increment_stat(model, base.refine(4), 4) / base.mesh
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -142,16 +142,25 @@ def test_increment_stat_matches_dense_quadrature():
             for t in fine.times[4 * i + 1:4 * i + 5]:
                 yt = value(t, ws[:, None] + math.sqrt(t - s) * u)
                 dense = max(dense, float(w @ (yt - ys) ** 2 @ w))
-        got = cole_hopf_increment_stat(make_quadratic(kappa=kappa), base, fine)
+        got = cole_hopf_increment_stat(make_quadratic(kappa=kappa), fine, 4)
         assert got == pytest.approx(dense, rel=1e-6)
 
 
 def test_increment_stat_validation():
-    base = Partition.uniform(1.0, 4)
+    fine = Partition.uniform(1.0, 8)
     with pytest.raises(InvalidParameters):
-        cole_hopf_increment_stat(make_brownian(), base, base.refine(2))
+        cole_hopf_increment_stat(make_brownian(), fine, 2)
     with pytest.raises(InvalidParameters):
-        cole_hopf_increment_stat(make_quadratic(horizon=2.0), base, base.refine(2))
+        cole_hopf_increment_stat(make_quadratic(horizon=2.0), fine, 2)
+
+
+def test_increment_stat_factor_must_divide_the_fine_steps():
+    # the coarse grid is every factor-th fine node, so the factor must
+    # divide the fine step count
+    fine = Partition.uniform(1.0, 8)
+    for factor in (3, 0):
+        with pytest.raises(InvalidParameters, match="does not divide"):
+            cole_hopf_increment_stat(make_quadratic(), fine, factor)
 
 
 def test_from_model_rejects_wrong_models():

@@ -1,10 +1,12 @@
 """Tests for the least-squares conditional expectation machinery."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qgbsde import regression
 from qgbsde.errors import DegenerateRegression, InvalidParameters
 from qgbsde.regression import RegressionBasis, project, step_bounds, step_design
 
@@ -58,10 +60,10 @@ def test_constant_fit_on_degenerate_state():
     np.testing.assert_allclose(fitted[:, 1], 1.0)
 
 
-def test_local_degree0_is_cellwise_mean():
+def test_local_degree0_is_cellwise_mean(monkeypatch):
     # bounds at the sample's extremes, [0.1, 0.9], split into two cells at 0.5
-    basis = RegressionBasis(kind="local_partition", degree=0, cells_per_dim=2,
-                            lower_quantile=0.0, upper_quantile=1.0)
+    monkeypatch.setattr(regression, "QUANTILES", (0.0, 1.0))
+    basis = RegressionBasis(kind="local_partition", degree=0, cells_per_dim=2)
     x = np.array([[0.1], [0.2], [0.6], [0.9]])
     targets = np.array([[1.0], [3.0], [10.0], [20.0]])
     design = step_design(basis, x)
@@ -81,13 +83,13 @@ def test_local_degree1_recovers_affine():
     assert design.fallback_cells == 0
 
 
-def test_local_fallback_accounting():
+def test_local_fallback_accounting(monkeypatch):
     # cell 1 holds two points (below the degree-1 population floor) and cell 2
     # none at all; both must be reported, and the sparse cell must predict its
     # own mean rather than an extrapolated slope; the sample spans [0, 1], so
     # its extremes as bounds give the cells [0, 0.25), ..., [0.75, 1]
-    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=4,
-                            lower_quantile=0.0, upper_quantile=1.0)
+    monkeypatch.setattr(regression, "QUANTILES", (0.0, 1.0))
+    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=4)
     rng = np.random.default_rng(4)
     x0 = np.append(0.0, rng.uniform(0.00, 0.25, size=9))
     x1 = np.array([0.30, 0.40])
@@ -130,12 +132,12 @@ def test_fit_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_points_outside_bounds_use_edge_cells():
+def test_points_outside_bounds_use_edge_cells(monkeypatch):
     # the quartiles of the sample, [-1.1, 2.35], leave both extremes outside
-    basis = RegressionBasis(kind="local_partition", degree=0, cells_per_dim=2,
-                            lower_quantile=0.25, upper_quantile=0.75)
+    monkeypatch.setattr(regression, "QUANTILES", (0.25, 0.75))
+    basis = RegressionBasis(kind="local_partition", degree=0, cells_per_dim=2)
     x = np.array([[-5.0], [0.2], [0.8], [7.0]])
-    np.testing.assert_allclose(step_bounds(basis, x), [[-1.1, 2.35]])
+    np.testing.assert_allclose(step_bounds(x), [[-1.1, 2.35]])
     targets = np.array([[1.0], [3.0], [5.0], [7.0]])
     fitted, _ = _fit(basis, x, targets)
     assert np.all(np.isfinite(fitted))
@@ -146,7 +148,7 @@ def test_points_outside_bounds_use_edge_cells():
 def test_step_bounds_sources():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(100000, 1))
-    b = step_bounds(RegressionBasis(), x)
+    b = step_bounds(x)
     # default 0.1% / 99.9% quantiles of a standard normal sit near +-3.09
     assert -3.4 < b[0, 0] < -2.9
     assert 2.9 < b[0, 1] < 3.4
@@ -161,8 +163,6 @@ def test_basis_validation():
         RegressionBasis(kind="local_partition", degree=2)
     with pytest.raises(InvalidParameters):
         RegressionBasis(cells_per_dim=0)
-    with pytest.raises(InvalidParameters):
-        RegressionBasis(lower_quantile=0.5, upper_quantile=0.5)
     assert RegressionBasis(kind="global_polynomial", degree=3).describe() \
         == "global_polynomial(degree=3)"
     assert "cells=50" in RegressionBasis().describe()
@@ -249,9 +249,9 @@ def test_step_bounds_equal_numpy_quantile_bit_for_bit(m):
         smooth = rng.normal(size=(P, m))
         for x in (smooth, np.round(smooth, 1), rng.integers(0, 3, size=(P, m)) * 0.5):
             for lo, hi in ((0.001, 0.999), (0.0, 1.0), (0.25, 0.75)):
-                basis = RegressionBasis(lower_quantile=lo, upper_quantile=hi)
                 expected = np.quantile(x, [lo, hi], axis=0).T
-                assert np.array_equal(step_bounds(basis, x), expected), (P, lo, hi)
+                with mock.patch.object(regression, "QUANTILES", (lo, hi)):
+                    assert np.array_equal(step_bounds(x), expected), (P, lo, hi)
 
 
 def _cell_fit_reference(design, targets):
@@ -342,7 +342,7 @@ def test_local_design_condition_is_that_of_the_fitted_cells():
         G = np.array([[uc.size, uc.sum()], [uc.sum(), (uc * uc).sum()]])
         eig = np.linalg.eigvalsh(G)
         conds.append(eig[-1] / eig[0])
-    assert design.condition <= basis.condition_cap
+    assert design.condition <= regression.CONDITION_CAP
     assert design.condition == pytest.approx(max(conds), rel=1e-9)
 
 
@@ -358,7 +358,7 @@ def _blocked_pairwise_projection(design, targets, block=65536):
 
     phi = design.features
     G = tree_product(phi, phi.T)
-    normal = G + design.basis.ridge_scale * float(np.trace(G)) * np.eye(G.shape[0])
+    normal = G + regression.RIDGE_SCALE * float(np.trace(G)) * np.eye(G.shape[0])
     return phi.T @ np.linalg.solve(normal, tree_product(phi, targets))
 
 

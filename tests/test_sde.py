@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qgbsde import (AssumptionLevel, AssumptionLevelTooLow, InvalidParameters,
+from qgbsde import (AssumptionLevelTooLow, InvalidParameters,
                     ModelSpec, NumericalBlowup, Partition, PathEnsemble,
                     dump_ensemble, fit_convergence_order,
                     flow_identity_residual, load_ensemble, make_brownian,
                     make_gbm, normal_increments, simulate_forward,
                     simulate_variational)
+from qgbsde import sde
 from qgbsde.errors import SingularFlow
 
 
@@ -148,19 +149,21 @@ def _linear_flow_model(rates):
         sigma_jac=lambda t, x: np.zeros(x.shape[:1] + (m, m, m)),
         f_x=driver_grad((m,)), f_y=driver_grad(()), f_z=driver_grad((m,)),
         g_grad=lambda x: np.ones_like(x),
-        driver_z_lipschitz=0.0, assumption_level=AssumptionLevel.HX1Y1)
+        driver_z_lipschitz=0.0)
 
 
-def test_flow_condition_cap_and_singular_flow():
+def test_flow_condition_cap_and_singular_flow(monkeypatch):
     part = Partition.uniform(1.0, 4)
     # rates 0 and 3.6 at dt = 1/4: the flow ends at diag(1, 0.1^4), whose
     # condition number is 1e4 (Frobenius bound 1e4 + 1e-4)
     model = _linear_flow_model([0.0, 3.6])
     ens = simulate_forward(model, part, 50, 1)
-    flows = simulate_variational(model, ens, condition_cap=1e5)
+    monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", 1e5)
+    flows = simulate_variational(model, ens)
     np.testing.assert_allclose(flows.flows[:, -1, 1, 1], 1e-4, rtol=1e-12)
+    monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", 5e3)
     with pytest.raises(SingularFlow):
-        simulate_variational(model, ens, condition_cap=5e3)
+        simulate_variational(model, ens)
     # rate 4 at dt = 1/4 sends the flow to exactly zero after one step
     singular = _linear_flow_model([4.0])
     ens = simulate_forward(singular, part, 50, 1)

@@ -11,7 +11,7 @@ from qgbsde.model import (ModelSpec, Partition, make_brownian, make_discount,
                           make_gbm, make_quadratic)
 from qgbsde.oracle import cole_hopf_from_model
 from qgbsde.regression import RegressionBasis, step_design
-from qgbsde import solver, truncation
+from qgbsde import regression, solver, truncation
 from qgbsde.diagnostics import truncation_error_curve
 from qgbsde.sde import PathEnsemble, simulate_forward
 from qgbsde.solver import SolverMeta, solve_backward_regression, solve_quadrature_1d
@@ -63,7 +63,7 @@ def test_discount_matches_scheme_product():
     model = make_discount(rate=rate)
     part = Partition.uniform(model.T, n)
     ens = simulate_forward(model, part, 1000, seed=2)
-    sol = solve_backward_regression(model, ens, GLOBAL2, picard_iters=3)
+    sol = solve_backward_regression(model, ens, GLOBAL2)
     rdt = rate * model.T / n
     expected = (1.0 - rdt + rdt ** 2 - rdt ** 3) ** n
     assert sol.y0 == pytest.approx(expected, abs=1e-8)
@@ -71,18 +71,17 @@ def test_discount_matches_scheme_product():
     np.testing.assert_allclose(sol.Z, 0.0, atol=1e-7)
 
 
-def test_more_picard_sweeps_tighten_the_implicit_step():
+def test_more_picard_sweeps_tighten_the_implicit_step(monkeypatch):
     rate, n = 0.4, 8
     model = make_discount(rate=rate)
     part = Partition.uniform(model.T, n)
     ens = simulate_forward(model, part, 500, seed=2)
     rdt = rate * model.T / n
     fixed_point = ((1.0 / (1.0 + rdt)) ** n)
-    with pytest.raises(InvalidParameters, match="picard_iters"):
-        solve_backward_regression(model, ens, GLOBAL2, picard_iters=0)
     errs = []
     for k in (1, 2, 4):
-        sol = solve_backward_regression(model, ens, GLOBAL2, picard_iters=k)
+        monkeypatch.setattr(solver, "PICARD_PASSES", k)
+        sol = solve_backward_regression(model, ens, GLOBAL2)
         errs.append(abs(sol.y0 - fixed_point))
     assert errs[0] > errs[1] > errs[2]
 
@@ -97,20 +96,21 @@ def test_raw_quadratic_driver_is_rejected():
         solve_quadrature_1d(model, part)
 
 
-def test_picard_divergence_on_stiff_driver():
+def test_picard_divergence_on_stiff_driver(monkeypatch):
     # dt * f_y = 50/4 >> 1, the inner fixed point cannot contract
     model = make_discount(rate=0.1).with_driver(f=lambda t, x, y, z: 50.0 * y)
     part = Partition.uniform(model.T, 4)
     ens = simulate_forward(model, part, 500, seed=0)
+    monkeypatch.setattr(solver, "PICARD_PASSES", 4)
     with pytest.raises(PicardDivergence) as exc:
-        solve_backward_regression(model, ens, GLOBAL2, picard_iters=4)
+        solve_backward_regression(model, ens, GLOBAL2)
     assert exc.value.step is not None
 
 
-def _every_pass(f, t, x, base, z, dt, picard_iters, step):
+def _every_pass(f, t, x, base, z, dt, step):
     """The Picard loop without the early stop: every pass runs."""
     y, prev = base, None
-    for _ in range(picard_iters):
+    for _ in range(solver.PICARD_PASSES):
         y_new = base + dt * np.asarray(f(t, x, y, z))
         res = float(np.sqrt(np.mean((y_new - y) ** 2)))
         tol = 1e-12 * max(1.0, float(np.sqrt(np.mean(y_new ** 2))))
@@ -131,16 +131,17 @@ def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes)
     model = truncate_driver(counted, 0.5)
     part = Partition.uniform(model.T, 8)
     ens = simulate_forward(model, part, 4000, seed=2)
-    sol = solve_backward_regression(model, ens, GLOBAL2, picard_iters=4)
+    monkeypatch.setattr(solver, "PICARD_PASSES", 4)
+    sol = solve_backward_regression(model, ens, GLOBAL2)
     assert len(calls) == 8 * passes
     assert np.abs(sol.Z).max() > 1.0  # the clamp engages
-    quad_y0z0 = solve_quadrature_1d(model, part, picard_iters=4)
+    quad_y0z0 = solve_quadrature_1d(model, part)
 
     # the truncated model without its recorded truncation clamps z inside
     # every call of f, as a plain Lipschitz driver
     unrecorded = dataclasses.replace(model, truncation=None)
     monkeypatch.setattr(solver, "_picard_resolve", _every_pass)
-    ref = solve_backward_regression(unrecorded, ens, GLOBAL2, picard_iters=4)
+    ref = solve_backward_regression(unrecorded, ens, GLOBAL2)
     np.testing.assert_array_equal(sol.Y, ref.Y)
     np.testing.assert_array_equal(sol.Z, ref.Z)
     for field in dataclasses.fields(SolverMeta):
@@ -148,7 +149,7 @@ def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes)
                                       getattr(ref.meta, field.name))
     if rate == 0.0:
         assert not sol.meta.picard_residuals.any()
-    assert quad_y0z0 == solve_quadrature_1d(unrecorded, part, picard_iters=4)
+    assert quad_y0z0 == solve_quadrature_1d(unrecorded, part)
 
 
 def test_clamp_once_per_column_and_step(monkeypatch):
@@ -249,4 +250,4 @@ def test_meta_reads_condition_and_fallbacks_from_the_step_design():
     assert meta.fallback_cells.tolist() == [d.fallback_cells for d in designs]
     assert meta.conditions.tolist() == [d.condition for d in designs]
     assert meta.fallback_cells[0] == 0 and meta.fallback_cells[1:].min() > 0
-    assert meta.conditions.max() <= basis.condition_cap
+    assert meta.conditions.max() <= regression.CONDITION_CAP

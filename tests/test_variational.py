@@ -8,7 +8,7 @@ import pytest
 from qgbsde.errors import (AssumptionLevelTooLow, InvalidParameters,
                            PicardDivergence)
 from qgbsde import truncation, variational
-from qgbsde.model import (AssumptionLevel, ModelSpec, Partition, empty_time_major,
+from qgbsde.model import (ModelSpec, Partition, empty_time_major,
                           make_brownian, make_discount, make_gbm, make_quadratic)
 from qgbsde.regression import RegressionBasis, project, step_design
 from qgbsde.sde import simulate_forward, simulate_variational
@@ -33,7 +33,7 @@ def test_requires_flows_and_gradients():
     sol = solve_backward_regression(model, ens, GLOBAL2)
     with pytest.raises(InvalidParameters):
         solve_variational_bsde(model, ens, sol, GLOBAL2)  # no flows attached
-    bare = model.with_driver(g_grad=None, assumption_level=AssumptionLevel.HX0Y0)
+    bare = model.with_driver(g_grad=None)
     ens_v = simulate_variational(model, ens)
     with pytest.raises(AssumptionLevelTooLow):
         solve_variational_bsde(bare, ens_v, sol, GLOBAL2)
@@ -165,7 +165,7 @@ def _planar_model():
         f_y=lambda t, x, y, z: np.full(x.shape[0], 0.1),
         f_z=lambda t, x, y, z: 0.2 * np.cos(z),
         g_grad=lambda x: 1.0 / np.cosh(x) ** 2 + 0.5 * x[:, ::-1],
-        driver_z_lipschitz=0.4, assumption_level=AssumptionLevel.HX1Y1)
+        driver_z_lipschitz=0.4)
 
 
 def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
