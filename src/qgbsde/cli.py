@@ -18,9 +18,9 @@ Every run writes the same artifact set into the output directory:
     ensemble.bin         the simulated paths (simulate only)
 
 Every key outside [model] is one row of the _SETTINGS table: section, key,
-parser, default, INI format and range check. RunContext reads the rows in one
-loop (--seed, --workers and --out stand in for the rows of the same name) and
-checks them in a second, so a bad value exits 2 before anything is simulated.
+parser, default, INI format and range check. RunContext reads and checks the
+rows in one loop (--seed, --workers and --out stand in for the rows of the
+same name), so a bad value exits 2 before anything is simulated.
 config_resolved.ini is written from the same rows, and passed back as
 --config it reproduces the run. The [model] keys are the parameters of the
 chosen preset in model.PRESETS, each parsed as the type of its default; a
@@ -82,9 +82,9 @@ class _Setting(NamedTuple):
     section: str
     key: str
     parse: Callable[[str], Any]  # INI text -> value; ValueError when malformed
-    default: Any  # a value, or a function of the context read so far
+    default: Any
     fmt: Callable[[Any], str] = str  # value -> INI text that parses back to it
-    check: tuple | None = None  # (valid(value, ctx), what a valid value is)
+    check: tuple | None = None  # (valid(value), what a valid value is)
 
 
 def _bool(text):
@@ -112,10 +112,10 @@ def _flag(value):
 
 
 def _at_least(lo):
-    return (lambda v, ctx: v >= lo), f"must be >= {lo}"
+    return (lambda v: v >= lo), f"must be >= {lo}"
 
 
-_INCREASING = ((lambda v, ctx: bool(v) and min(v) > 0 and list(v) == sorted(set(v))),
+_INCREASING = ((lambda v: bool(v) and min(v) > 0 and list(v) == sorted(set(v))),
                "must be a strictly increasing list of positive numbers")
 
 _SETTINGS = (
@@ -124,7 +124,7 @@ _SETTINGS = (
     _Setting("grid", "ladder", _list(int), (8, 16, 32, 64), _join(str), _INCREASING),
     _Setting("mc", "n_paths", int, 100_000, check=_at_least(100)),
     _Setting("mc", "seed", int, 7,
-             check=((lambda v, ctx: 0 <= v < 2 ** 64), "must lie in [0, 2**64)")),
+             check=((lambda v: 0 <= v < 2 ** 64), "must lie in [0, 2**64)")),
     _Setting("mc", "workers", int, 1, check=_at_least(1)),
     # basis, degree and cells_per_dim make up ctx.basis, a RegressionBasis,
     # which checks their ranges
@@ -132,12 +132,9 @@ _SETTINGS = (
     _Setting("solver", "degree", int, 4),
     _Setting("solver", "cells_per_dim", int, 50),
     _Setting("truncation", "level", float, 10.0, repr,
-             ((lambda v, ctx: 0 <= v < math.inf), "must be finite and >= 0")),
+             ((lambda v: 0 <= v < math.inf), "must be finite and >= 0")),
     _Setting("truncation", "levels", _list(float), (1.0, 2.0, 3.0, 4.0, 6.0, 8.0),
              _join(_short), _INCREASING),
-    _Setting("truncation", "reference_level", float,
-             lambda ctx: 2.0 * max(ctx.levels, default=0.0), repr,
-             ((lambda v, ctx: v > ctx.levels[-1]), "must exceed the largest of levels")),
     _Setting("truncation", "oracle_reference", _bool, False, _flag),
     _Setting("outputs", "directory", Path, Path("qgbsde_out")),
     _Setting("outputs", "experiment_id", str, None,  # None: {command}_{model}
@@ -216,13 +213,11 @@ class RunContext:
         self.model = _build_model(cfg)
         overrides = {"seed": args.seed, "workers": args.workers, "directory": args.out}
         for s in _SETTINGS:
-            default = s.default(self) if callable(s.default) else s.default
-            setattr(self, s.key, _read(cfg, s.section, s.key, s.parse, default,
-                                       overrides.get(s.key)))
-        for s in _SETTINGS:
-            value = getattr(self, s.key)
-            if s.check is not None and not s.check[0](value, self):
+            value = _read(cfg, s.section, s.key, s.parse, s.default,
+                          overrides.get(s.key))
+            if s.check is not None and not s.check[0](value):
                 raise ConfigError(f"[{s.section}] {s.key} {s.check[1]}, got {value}")
+            setattr(self, s.key, value)
         try:
             self.basis = RegressionBasis(kind=self.basis, degree=self.degree,
                                          cells_per_dim=self.cells_per_dim)
@@ -501,8 +496,7 @@ def cmd_truncate_sweep(ctx: RunContext, ens: PathEnsemble | None = None):
                           "(the driver is already Lipschitz)")
     if ens is None:
         ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
-    curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels,
-                                   reference_level=ctx.reference_level)
+    curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels)
     for p in curve.points:
         ctx.add("trunc_err_y", p.err_y, n_trunc=p.level)
         ctx.add("trunc_err_z", p.err_z, n_trunc=p.level)

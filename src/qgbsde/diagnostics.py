@@ -14,8 +14,8 @@ at a time. The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one batched backward
 pass and records the error decay, from which a convergence order (and the
 implied tail exponent) is fitted. Levels share a target column until their
-clamp engages: a level at or above a column's max |Z| solves the
-untruncated step on it, so the pass computes each distinct column once.
+clamp engages: a level at or above a column's max |Z| sees the identity
+clamp on it, so the pass computes each distinct column once.
 """
 
 from __future__ import annotations
@@ -242,16 +242,16 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     levels start in the shared column, since they share g. At every step
     both regressions are single projections of the columns on the step's
     shared design. The levels at or above the shared column's max |z| see
-    the identity clamp there and share one implicit step on the
-    untruncated driver; each level below splits off into a column of its
-    own. The levels are sorted, so the ones still sharing are a top part of
-    the ladder, the reference included, and one split index describes the
-    columns. The reference can split off as well, and then every level
-    has a column of its own. The errors, y0 per level, realized_max_z (the
-    largest |Z| of the reference) and y_scale accumulate as the pass goes,
-    so no full solution is stored. A level in the reference's column has
-    zero error by construction, which holds for every level above
-    realized_max_z.
+    the identity clamp there and share one implicit step, resolved with the
+    lowest of them, whose driver passes z on unclamped; each level below
+    splits off into a column of its own. The levels are sorted, so the ones
+    still sharing are a top part of the ladder, the reference included, and
+    one split index describes the columns. The reference can split off as
+    well, and then every level has a column of its own. The errors, y0 per
+    level, realized_max_z (the largest |Z| of the reference) and y_scale
+    accumulate as the pass goes, so no full solution is stored. A level in
+    the reference's column has zero error by construction, which holds for
+    every level above realized_max_z.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:

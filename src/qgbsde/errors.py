@@ -30,8 +30,10 @@ class RejectedModel(QgbsdeError):
     """Solver precondition violated, e.g. driver not certified Lipschitz."""
 
 
-class NumericalBlowup(QgbsdeError):
-    """Non-finite value produced during simulation or backward induction."""
+class _AtStep(QgbsdeError):
+    """An error located at a time step and, optionally, a path: both are
+    kept as .step and .path and appended to the message as
+    " (step s[, path p])"."""
 
     def __init__(self, message, step=None, path=None):
         if step is not None:
@@ -42,28 +44,20 @@ class NumericalBlowup(QgbsdeError):
         self.path = path
 
 
+class NumericalBlowup(_AtStep):
+    """Non-finite value produced during simulation or backward induction."""
+
+
 class SingularFlow(QgbsdeError):
     """Variational flow matrix not invertible within the condition cap."""
 
 
-class DegenerateRegression(QgbsdeError):
+class DegenerateRegression(_AtStep):
     """Regression design rank-deficient beyond the condition cap."""
 
-    def __init__(self, message, step=None):
-        if step is not None:
-            message += f" (step {step})"
-        super().__init__(message)
-        self.step = step
 
-
-class PicardDivergence(QgbsdeError):
+class PicardDivergence(_AtStep):
     """Inner fixed-point iteration for the implicit step failed to contract."""
-
-    def __init__(self, message, step=None):
-        if step is not None:
-            message += f" (step {step})"
-        super().__init__(message)
-        self.step = step
 
 
 class DomainTooSmall(QgbsdeError):

@@ -17,12 +17,14 @@ paths:
 The Jacobians and gradients are optional (None when absent). The paper's
 differentiability hypotheses (HX1Y1) hold exactly when a model supplies
 them, so an operation that needs some of them asks the model with
-ModelSpec.require, which names the missing ones.
+ModelSpec.require, which names the missing ones. A variant of a model, a
+truncated driver (truncation.truncate_driver) included, is a new ModelSpec
+made with dataclasses.replace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,27 +97,12 @@ def empty_time_major(n_nodes: int, n_paths: int, tail=()) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Truncation:
-    """The level n and the model that truncation.truncate_driver clamped.
-
-    The truncated model's f, f_x and f_y are base's evaluated at
-    smooth_clamp(n, z), so a solver that evaluates the driver several times
-    at one z can clamp z once and call base's callables.
-    """
-
-    level: float
-    base: "ModelSpec"
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Forward-backward system with certified constants.
 
     driver_z_lipschitz is the certified global Lipschitz constant of f in z,
     or None when the driver is only quadratic-growth. Solvers refuse models
-    with None (apply a truncation level first). truncation is set by
-    truncate_driver only, and cleared by with_driver when a driver callable
-    is replaced.
+    with None (apply a truncation level first).
     """
 
     name: str
@@ -136,7 +123,6 @@ class ModelSpec:
     growth_M: float = 0.0
     driver_z_lipschitz: float | None = None
     meta: dict = field(default_factory=dict)
-    truncation: Truncation | None = None
 
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
@@ -157,12 +143,6 @@ class ModelSpec:
         if missing:
             raise AssumptionLevelTooLow(
                 f"model {self.name!r} does not supply {', '.join(missing)}")
-
-    def with_driver(self, **changes) -> "ModelSpec":
-        if changes.keys() & {"f", "f_x", "f_y", "f_z"}:
-            # a recorded truncation no longer describes the new driver
-            changes.setdefault("truncation", None)
-        return replace(self, **changes)
 
 
 def check_growth_certificate(model: ModelSpec) -> float:

@@ -121,13 +121,17 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemb
     F[:, 0] = np.eye(m)
     for i in range(n):
         dt = times[i + 1] - times[i]
-        B = model.b_jac(times[i], X[:, i])
-        S = model.sigma_jac(times[i], X[:, i])
         Fi = F[:, i]
-        F[:, i + 1] = (Fi + np.einsum("pab,pbc->pac", B, Fi) * dt
-                       + np.einsum("pjab,pbc,pj->pac", S, Fi, dW[:, i]))
-    if not np.isfinite(F[:, n]).all():
-        raise NumericalBlowup("non-finite variational flow", step=n - 1)
+        # overflow surfaces as the NumericalBlowup below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = model.b_jac(times[i], X[:, i])
+            S = model.sigma_jac(times[i], X[:, i])
+            F[:, i + 1] = (Fi + np.einsum("pab,pbc->pac", B, Fi) * dt
+                           + np.einsum("pjab,pbc,pj->pac", S, Fi, dW[:, i]))
+        bad = ~np.isfinite(F[:, i + 1]).all(axis=(1, 2))
+        if bad.any():
+            raise NumericalBlowup("non-finite variational flow",
+                                  step=i, path=int(np.argmax(bad)))
 
     try:
         G = np.linalg.inv(F)

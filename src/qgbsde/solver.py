@@ -17,12 +17,11 @@ The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
 
-Z is fixed while the Picard passes run. So both solvers clamp a truncated
-driver's z at most once per step and column (truncation.clamped_driver),
-and not at all when its max |z| is within the level, and run the passes on
-the untruncated driver. The passes stop as soon as one leaves y unchanged:
-every later pass would reproduce it bit for bit, with residual 0. A driver
-that does not depend on y therefore takes two passes.
+Both solvers call the model's own driver; a truncated driver clamps z on
+each call, and not at all when its max |z| is within the level. The Picard
+passes stop as soon as one leaves y unchanged: every later pass would
+reproduce it bit for bit, with residual 0. A driver that does not depend on
+y therefore takes two passes.
 
 The Z regression target is centered by the fitted conditional mean of
 Y_{i+1}: since that center is a function of X_i alone, the conditional
@@ -44,7 +43,6 @@ from .errors import (DomainTooSmall, InvalidParameters, NumericalBlowup,
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble
-from .truncation import clamped_driver
 
 # the most Picard passes one implicit step takes (see _picard_resolve)
 PICARD_PASSES = 3
@@ -161,9 +159,8 @@ def _resolve_columns(models, ensemble: PathEnsemble, i, cond_mean, z):
     y = np.empty(cond_mean.shape)
     residuals = np.empty(len(models))
     for j, model in enumerate(models):
-        driver, zj = clamped_driver(model, z[:, j])
-        y[:, j], residuals[j] = _picard_resolve(driver.f, t, x, cond_mean[:, j], zj,
-                                                dt, step=i)
+        y[:, j], residuals[j] = _picard_resolve(model.f, t, x, cond_mean[:, j],
+                                                z[:, j], dt, step=i)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise NumericalBlowup("non-finite backward value", step=i)
     return y, residuals
@@ -299,8 +296,7 @@ def solve_quadrature_1d(model: ModelSpec, partition: Partition):
         vals = spline(pts)
         ey = vals @ wn
         z_grid = (vals * xi[None, :]) @ wn / np.sqrt(dt)
-        driver, zc = clamped_driver(model, z_grid[:, None])
-        y, _ = _picard_resolve(driver.f, t, gx, ey, zc, dt, step=i)
+        y, _ = _picard_resolve(model.f, t, gx, ey, z_grid[:, None], dt, step=i)
         if not np.isfinite(y).all():
             raise NumericalBlowup("non-finite grid values in quadrature sweep", step=i)
 

@@ -11,12 +11,9 @@ E_i[gradY_{i+1}] and gradZ_i come from the backward solver's own estimator
 (solver._martingale_pair) on one regression design per step, each of the m
 components of gradY one target column, as for Y and Z in the base solve.
 
-For a truncated driver the base control is clamped once per step and the
-three gradients are evaluated on the untruncated driver at the clamped
-value (truncation.clamped_driver), with the clamp's derivative applied to
-f_z by the chain rule, as the truncated model's own f_z does. Where the
-clamp is the identity (max |z| within the level) that derivative is 1 and
-is not evaluated.
+The three gradients are the model's own f_x, f_y and f_z at the base
+solution; a truncated driver's carry the clamp, and its f_z the clamp's
+slope by the chain rule (truncation.truncate_driver).
 
 The control identity Z_t = gradY_t (gradX_t)^{-1} sigma(t, X_t) is then an
 internal consistency check between two independently regressed objects.
@@ -33,7 +30,6 @@ from .model import ModelSpec, empty_time_major
 from .regression import RegressionBasis, step_design
 from .sde import PathEnsemble
 from .solver import BackwardSolution, _martingale_pair
-from .truncation import clamped_driver, smooth_clamp_grad
 
 
 @dataclass(frozen=True)
@@ -84,12 +80,9 @@ def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
         Vi = v_fit.swapaxes(1, 2)  # (P, m, d) -> (P, d, m)
 
         yi, zi = base.Y[:, i], base.Z[:, i]
-        driver, zc = clamped_driver(model, zi)
-        fx = np.asarray(driver.f_x(t, xi, yi, zc))
-        fy = np.asarray(driver.f_y(t, xi, yi, zc))
-        fz = np.asarray(driver.f_z(t, xi, yi, zc))
-        if zc is not zi:  # the clamp engaged; where it did not, its slope is 1
-            fz = fz * smooth_clamp_grad(model.truncation.level, zi)
+        fx = np.asarray(model.f_x(t, xi, yi, zi))
+        fy = np.asarray(model.f_y(t, xi, yi, zi))
+        fz = np.asarray(model.f_z(t, xi, yi, zi))
         denom = 1.0 - dt * fy
         if np.abs(denom).min() < 0.5:
             raise PicardDivergence(

@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import dataclasses
 import functools
 import re
 import weakref
@@ -77,8 +78,7 @@ def test_solve_writes_full_artifact_set(tmp_path):
     for sec, keys in (("grid", ("n_steps", "refine_factor", "ladder")),
                       ("mc", ("n_paths", "seed", "workers")),
                       ("solver", ("basis", "degree", "cells_per_dim")),
-                      ("truncation", ("level", "levels", "reference_level",
-                                      "oracle_reference")),
+                      ("truncation", ("level", "levels", "oracle_reference")),
                       ("outputs", ("directory", "experiment_id"))):
         for key in keys:
             assert resolved.has_option(sec, key), f"[{sec}] {key} missing"
@@ -109,7 +109,7 @@ def test_solve_reports_conditional_standard_errors(tmp_path, monkeypatch):
 
 
 # config_resolved.ini as written before the |Y| clamp, the quadrature's grid
-# settings and write_ensemble were deleted
+# settings, reference_level and write_ensemble were deleted
 OLD_RESOLVED = """
 [model]
 name = brownian
@@ -182,7 +182,8 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
         assert main(["--config", cfg, "--out", str(out), *flags]) == 2, (i, text, flags)
         assert not out.exists()
     assert ("unknown keys: [solver] clamp, [solver] gh_nodes, [solver] picard_iters, "
-            "[solver] space_bound, [solver] space_nodes, [outputs] write_ensemble"
+            "[solver] space_bound, [solver] space_nodes, [truncation] reference_level, "
+            "[outputs] write_ensemble"
             ) in capsys.readouterr().err
     assert main(["--config", str(tmp_path / "absent.ini")]) == 2
 
@@ -190,7 +191,7 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
 def test_wrong_growth_certificate_exits_2(tmp_path, monkeypatch):
     @functools.wraps(make_quadratic)
     def understated(**kwargs):
-        return make_quadratic(**kwargs).with_driver(growth_M=0.1)
+        return dataclasses.replace(make_quadratic(**kwargs), growth_M=0.1)
 
     monkeypatch.setitem(cli.PRESETS, "quadratic", understated)
     cfg = _write(tmp_path, BASE.replace("name = brownian", "name = quadratic\ngamma = 2.0"))

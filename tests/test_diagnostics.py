@@ -375,7 +375,8 @@ def test_truncation_curve_diverging_column_raises_with_step():
     # f = 2 y |z|^2 with Z near sigma = 3: the Picard factor dt 2 clamp(Z)^2
     # stays below 1/4 at level 0.01 (|clamp| <= 1.01) but reaches about 2.25
     # once the level no longer engages, so only that column diverges
-    model = make_quadratic(terminal="identity", sigma=3.0).with_driver(
+    model = dataclasses.replace(
+        make_quadratic(terminal="identity", sigma=3.0),
         f=lambda t, x, y, z: 2.0 * y * np.sum(z * z, axis=1))
     ens = simulate_forward(model, Partition.uniform(1.0, 8), 4000, seed=5)
     curve = truncation_error_curve(model, ens, GLOBAL2, [0.01], reference_level=0.02)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,5 +135,5 @@ class TestPresets:
             assert check_growth_certificate(m) <= 1.0 + 1e-12
 
     def test_wrong_certificate_detected(self):
-        bad = make_quadratic(gamma=2.0).with_driver(growth_M=0.1)
+        bad = dataclasses.replace(make_quadratic(gamma=2.0), growth_M=0.1)
         assert check_growth_certificate(bad) > 1.0

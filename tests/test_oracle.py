@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -168,10 +169,11 @@ def test_from_model_rejects_wrong_models():
         cole_hopf_from_model(make_brownian())
     with pytest.raises(InvalidParameters):
         cole_hopf_from_model(make_quadratic(rate=0.5))
-    drifted = make_quadratic().with_driver(b=lambda t, x: np.ones_like(x))
+    drifted = dataclasses.replace(make_quadratic(), b=lambda t, x: np.ones_like(x))
     with pytest.raises(InvalidParameters):
         cole_hopf_from_model(drifted)
-    statedep = make_quadratic().with_driver(
+    statedep = dataclasses.replace(
+        make_quadratic(),
         sigma=lambda t, x: 1.0 + 0.1 * np.abs(x[..., None]))
     with pytest.raises(InvalidParameters):
         cole_hopf_from_model(statedep)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,39 @@ def test_blowup_detected():
     with pytest.raises(NumericalBlowup) as err:
         simulate_forward(model, Partition.uniform(10.0, 40), 4, 0)
     assert err.value.step is not None
+
+
+def _flow_model(b_jac, sigma_jac):
+    return ModelSpec(
+        name="stiff_flow", m=1, d=1, x0=np.array([0.0]), T=1.0,
+        b=lambda t, x: np.zeros_like(x),
+        sigma=lambda t, x: np.ones(x.shape + (1,)),
+        f=lambda t, x, y, z: np.zeros(x.shape[0]),
+        g=lambda x: x[:, 0],
+        b_jac=lambda t, x: np.full(x.shape + (1,), b_jac),
+        sigma_jac=lambda t, x: np.full(x.shape[:1] + (1, 1, 1), sigma_jac),
+    )
+
+
+def test_flow_blowup_reports_its_step_and_path():
+    # F_{i+1} = (1 + 1e30 dt) F_i first overflows at F[:, 11], i.e. step 10
+    model = _flow_model(1e30, 0.0)
+    ens = simulate_forward(model, Partition.uniform(1.0, 40), 100, 0)
+    with pytest.raises(NumericalBlowup) as err:
+        simulate_variational(model, ens)
+    assert (err.value.step, err.value.path) == (10, 0)
+
+
+def test_flow_blowup_is_no_warning():
+    # once F overflows, the drift term adds inf to the noise term's -inf on
+    # some paths; that must surface as NumericalBlowup only
+    model = _flow_model(1.0, 1e30)
+    ens = simulate_forward(model, Partition.uniform(1.0, 40), 100, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBlowup) as err:
+            simulate_variational(model, ens)
+    assert err.value.step is not None and err.value.path is not None
 
 
 def test_variational_needs_gradients():

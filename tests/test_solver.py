@@ -15,7 +15,7 @@ from qgbsde import regression, solver, truncation
 from qgbsde.diagnostics import truncation_error_curve
 from qgbsde.sde import PathEnsemble, simulate_forward
 from qgbsde.solver import SolverMeta, solve_backward_regression, solve_quadrature_1d
-from qgbsde.truncation import clamped_driver, smooth_clamp, truncate_driver
+from qgbsde.truncation import smooth_clamp, truncate_driver
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -98,7 +98,7 @@ def test_raw_quadratic_driver_is_rejected():
 
 def test_picard_divergence_on_stiff_driver(monkeypatch):
     # dt * f_y = 50/4 >> 1, the inner fixed point cannot contract
-    model = make_discount(rate=0.1).with_driver(f=lambda t, x, y, z: 50.0 * y)
+    model = dataclasses.replace(make_discount(rate=0.1), f=lambda t, x, y, z: 50.0 * y)
     part = Partition.uniform(model.T, 4)
     ens = simulate_forward(model, part, 500, seed=0)
     monkeypatch.setattr(solver, "PICARD_PASSES", 4)
@@ -126,7 +126,8 @@ def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes)
     # and the loop stops there; at rate > 0 every pass changes y and runs
     calls = []
     quad = make_quadratic(rate=rate)
-    counted = quad.with_driver(
+    counted = dataclasses.replace(
+        quad,
         f=lambda t, x, y, z: (calls.append(1), quad.f(t, x, y, z))[1])
     model = truncate_driver(counted, 0.5)
     part = Partition.uniform(model.T, 8)
@@ -137,11 +138,8 @@ def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes)
     assert np.abs(sol.Z).max() > 1.0  # the clamp engages
     quad_y0z0 = solve_quadrature_1d(model, part)
 
-    # the truncated model without its recorded truncation clamps z inside
-    # every call of f, as a plain Lipschitz driver
-    unrecorded = dataclasses.replace(model, truncation=None)
     monkeypatch.setattr(solver, "_picard_resolve", _every_pass)
-    ref = solve_backward_regression(unrecorded, ens, GLOBAL2)
+    ref = solve_backward_regression(model, ens, GLOBAL2)
     np.testing.assert_array_equal(sol.Y, ref.Y)
     np.testing.assert_array_equal(sol.Z, ref.Z)
     for field in dataclasses.fields(SolverMeta):
@@ -149,40 +147,30 @@ def test_early_stop_and_single_clamp_match_every_pass(monkeypatch, rate, passes)
                                       getattr(ref.meta, field.name))
     if rate == 0.0:
         assert not sol.meta.picard_residuals.any()
-    assert quad_y0z0 == solve_quadrature_1d(unrecorded, part)
+    assert quad_y0z0 == solve_quadrature_1d(model, part)
 
 
 def test_clamp_once_per_column_and_step(monkeypatch):
-    # every clamped_driver call is one column at one step; it may clamp at
-    # most once, and only when that column's max |z| exceeds the level
-    clamps, calls = [], []
+    # the truncated driver clamps only where the clamp is not the identity:
+    # every smooth_clamp call sees a max |z| above its level
+    calls = []
 
     def counting(level, z):
-        clamps.append(level)
+        calls.append((level, float(np.abs(z).max())))
         return smooth_clamp(level, z)
 
-    def recording(model, z):
-        before = len(clamps)
-        out = clamped_driver(model, z)
-        calls.append((model.truncation.level, float(np.abs(z).max()),
-                      len(clamps) - before))
-        return out
-
     monkeypatch.setattr(truncation, "smooth_clamp", counting)
-    monkeypatch.setattr(solver, "clamped_driver", recording)
     model = make_quadratic()
     ens = simulate_forward(model, Partition.uniform(model.T, 6), 2000, seed=1)
     solve_backward_regression(truncate_driver(model, 1.0), ens, GLOBAL2)
-    assert len(calls) == 6
-    # max |Z| is 1.49 at the first step of the pass and below 0.7 after it
-    assert [c for *_, c in calls] == [1, 0, 0, 0, 0, 0]
-    calls.clear()
+    # max |Z| is 1.49 at the first step of the pass and below 0.7 after it;
+    # the driver ignores y, so that step takes two Picard passes
+    assert [level for level, _ in calls] == [1.0, 1.0]
     truncation_error_curve(model, ens, GLOBAL2, [0.5, 1.0, 2.0])
-    assert all(c == (level < top) for level, top, c in calls)
-    # levels 2 and 4 share one column at every step; 0.5 and 1 split off at
-    # the first step, and 1 engages only there
-    assert len(calls) == 3 * 6
-    assert sorted(level for level, _, c in calls if c) == [0.5] * 6 + [1.0]
+    assert all(top > level for level, top in calls)
+    # levels 2 and 4 share one unclamped column at every step; 0.5 and 1
+    # split off at the first step, and 1 engages only there
+    assert sorted(level for level, _ in calls[2:]) == [0.5] * 12 + [1.0] * 2
 
 
 def test_dimension_mismatch_is_rejected():

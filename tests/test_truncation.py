@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qgbsde import (InvalidParameters, make_quadratic, smooth_clamp,
                     smooth_clamp_grad, truncate_driver)
-from qgbsde.truncation import clamped_driver
 
 
 def test_identity_region():
@@ -175,28 +174,32 @@ def test_truncated_gradient_chain_rule():
 @given(st.floats(0.0, 10.0),
        st.lists(st.floats(-15.0, 15.0), min_size=1, max_size=16))
 @settings(max_examples=300, deadline=None)
-def test_clamped_driver_evaluates_the_truncated_driver(n, values):
-    model = truncate_driver(make_quadratic(gamma=1.5, rate=0.3), n)
+def test_truncated_callables_evaluate_the_base_at_the_clamp(n, values):
+    base = make_quadratic(gamma=1.5, rate=0.3)
+    model = truncate_driver(base, n)
     z = np.array(values)[:, None]
     x = np.linspace(-1.0, 1.0, z.shape[0])[:, None]
     y = np.linspace(0.5, -0.5, z.shape[0])
-    driver, zc = clamped_driver(model, z)
-    assert driver is model.truncation.base
-    # z comes back itself exactly where the clamp is the identity
-    assert (zc is z) == (np.abs(z).max() <= n)
+    zc = smooth_clamp(n, z)
     for name in ("f", "f_x", "f_y"):
-        np.testing.assert_array_equal(getattr(driver, name)(0.3, x, y, zc),
-                                      getattr(model, name)(0.3, x, y, z))
+        np.testing.assert_array_equal(getattr(model, name)(0.3, x, y, z),
+                                      getattr(base, name)(0.3, x, y, zc))
+    np.testing.assert_array_equal(model.f_z(0.3, x, y, z),
+                                  base.f_z(0.3, x, y, zc) * smooth_clamp_grad(n, z))
 
 
-def test_clamped_driver_passes_nan_through_the_clamp():
-    model = truncate_driver(make_quadratic(), 2.0)
-    z = np.array([[0.5], [np.nan]])
-    driver, zc = clamped_driver(model, z)
-    assert zc is not z and np.isnan(zc[1, 0]) and zc[0, 0] == 0.5
-    plain = make_quadratic()
-    driver, zc = clamped_driver(plain, z)
-    assert driver is plain and zc is z
+def test_truncated_driver_keeps_nan():
+    # a NaN fails the identity test, so the whole column is clamped and the
+    # NaN comes out, where the solvers raise NumericalBlowup on it
+    base = make_quadratic()
+    model = truncate_driver(base, 2.0)
+    x, y = np.zeros((2, 1)), np.zeros(2)
+    z = np.array([[5.0], [np.nan]])
+    f, fz = model.f(0.0, x, y, z), model.f_z(0.0, x, y, z)
+    assert np.isnan(f[1]) and np.isnan(fz[1, 0])
+    zc = smooth_clamp(2.0, z[:1])
+    assert f[0] == base.f(0.0, x[:1], y[:1], zc)[0]
+    assert fz[0, 0] == (base.f_z(0.0, x[:1], y[:1], zc) * smooth_clamp_grad(2.0, z[:1]))[0, 0]
 
 
 def test_truncation_metadata():

