@@ -18,7 +18,7 @@ from .model import (PRESETS, ModelSpec, Partition, check_growth_certificate,
                     make_brownian, make_discount, make_gbm, make_quadratic)
 from .truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from .rng import normal_increments
-from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual,
+from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual, flow_inverse,
                   load_ensemble, simulate_forward, simulate_variational)
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .solver import (BackwardSolution, SolverMeta, solve_backward_regression,
@@ -27,16 +27,16 @@ from .variational import (RepresentationReport, VariationalSolution,
                           representation_check, solve_variational_bsde)
 from .oracle import (OracleResult, bmo_bound, cole_hopf_from_model,
                      cole_hopf_increment_stat, cole_hopf_reference)
-from .diagnostics import (BmoEstimate, OrderFit, Regularity, TruncationCurve,
-                          TruncationPoint, bmo_estimate, effective_qbar,
-                          fit_convergence_order, regularity_pass,
-                          truncation_error_curve)
+from .diagnostics import (BmoEstimate, Diagnosis, OrderFit, Regularity,
+                          TruncationCurve, TruncationPoint, bmo_estimate,
+                          diagnose_pass, effective_qbar, fit_convergence_order,
+                          regularity_pass, truncation_error_curve)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionLevelTooLow", "BackwardSolution",
-    "BmoEstimate", "ConfigError", "DegenerateRegression",
+    "BmoEstimate", "ConfigError", "DegenerateRegression", "Diagnosis",
     "DomainTooSmall", "InvalidParameters",
     "InvalidPartition", "InvalidPoints", "ModelSpec", "NumericalBlowup",
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",
@@ -46,8 +46,8 @@ __all__ = [
     "VariationalSolution", "bmo_bound", "bmo_estimate",
     "check_growth_certificate", "cole_hopf_from_model",
     "cole_hopf_increment_stat", "cole_hopf_reference",
-    "dump_ensemble", "effective_qbar", "fit_convergence_order",
-    "flow_identity_residual", "load_ensemble", "make_brownian",
+    "diagnose_pass", "dump_ensemble", "effective_qbar", "fit_convergence_order",
+    "flow_identity_residual", "flow_inverse", "load_ensemble", "make_brownian",
     "make_discount", "make_gbm", "make_quadratic",
     "normal_increments", "project", "regularity_pass", "representation_check",
     "simulate_forward", "simulate_variational",

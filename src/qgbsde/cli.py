@@ -58,18 +58,16 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .diagnostics import (bmo_estimate, effective_qbar, fit_convergence_order,
+from .diagnostics import (diagnose_pass, effective_qbar, fit_convergence_order,
                           regularity_pass, truncation_error_curve)
 from .errors import (ConfigError, DomainTooSmall, InvalidParameters, QgbsdeError,
                      QuadratureUnstable)
 from .model import PRESETS, ModelSpec, Partition, check_growth_certificate
 from .oracle import bmo_bound, cole_hopf_from_model, cole_hopf_increment_stat
 from .regression import RegressionBasis
-from .sde import (PathEnsemble, dump_ensemble, load_ensemble, simulate_forward,
-                  simulate_variational)
+from .sde import PathEnsemble, dump_ensemble, load_ensemble, simulate_forward
 from .solver import solve_backward_regression, solve_quadrature_1d
 from .truncation import truncate_driver
-from .variational import representation_check, solve_variational_bsde
 
 COMMANDS = ("simulate", "solve", "converge", "truncate_sweep", "diagnose", "all")
 
@@ -547,12 +545,11 @@ def _sweep_oracle_rows(ctx: RunContext, curve):
 def cmd_diagnose(ctx: RunContext):
     model = ctx.solver_model
     fine = Partition.uniform(ctx.model.T, ctx.n_steps).refine(ctx.refine_factor)
-    # the stages below read the coarse ensemble only; its states are a view
-    # of the fine ones, whose increments go with the pass
-    reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
-                          ctx.basis)
-    ens_c, sol_c = reg.ensemble, reg.solution
-    coarse = ens_c.partition
+    # the fine ensemble goes with the pass; the coarse states are a view of
+    # its states
+    diag = diagnose_pass(model, get_ensemble(ctx, fine), ctx.refine_factor, ctx.basis)
+    reg = diag.regularity
+    coarse = reg.ensemble.partition
 
     ystat = reg.y_increment_sq
     ratio = ystat / coarse.mesh
@@ -571,29 +568,27 @@ def cmd_diagnose(ctx: RunContext):
              f"{znode:.6e} (coarse-node regression), "
              f"{zleft:.6e} (left-endpoint competitor)")
 
-    bmo = bmo_estimate(sol_c, ens_c, ctx.basis)
+    bmo = diag.bmo
     ctx.add("bmo_estimate", bmo.regression_max)
     ctx.add("bmo_plain", bmo.plain_max)
     ctx.note(f"BMO tail estimate: {bmo.regression_max:.4f} (regression), "
              f"{bmo.plain_max:.4f} (plain mean)")
     if ctx.model.growth_M > 0:
-        xi_sup = float(np.abs(sol_c.Y[:, -1]).max())
+        xi_sup = float(np.abs(model.g(reg.ensemble.states[:, -1])).max())
         bound = bmo_bound(ctx.model.growth_M, ctx.model.T, xi_sup)
         ctx.add("bmo_bound_value", bound)
         ctx.note(f"closed-form BMO bound {bound:.4f} "
                  f"(M = {ctx.model.growth_M:g}, empirical |xi|_sup = {xi_sup:.4f})")
         ctx.check("bmo_estimate <= bmo_bound", bmo.regression_max <= bound)
 
-    try:
-        ens_v = simulate_variational(model, ens_c)
-        var = solve_variational_bsde(model, ens_v, sol_c, ctx.basis)
-        rep = representation_check(model, ens_v, sol_c, var)
-        ctx.add("flow_identity_residual", ens_v.flow_residual)
-        ctx.add("representation_rms", rep.time_avg_rms)
-        ctx.add("representation_max", float(rep.per_node_max.max()))
-        ctx.note(f"gradient representation residual: {rep.time_avg_rms:.4e} rms")
-    except QgbsdeError as exc:
-        ctx.warn(f"variational check skipped: {exc}")
+    rep = diag.representation
+    if rep is None:
+        ctx.warn(f"variational check skipped: {diag.gradient_error}")
+        return
+    ctx.add("flow_identity_residual", reg.ensemble.flow_residual)
+    ctx.add("representation_rms", rep.time_avg_rms)
+    ctx.add("representation_max", float(rep.per_node_max.max()))
+    ctx.note(f"gradient representation residual: {rep.time_avg_rms:.4e} rms")
 
 
 def cmd_all(ctx: RunContext):

@@ -10,7 +10,14 @@ grid and computes all of them in one backward pass that advances the
 coarse and the fine solve in lockstep, window by window: each coarse node's
 regression design serves the coarse step, the fine step at that node and
 both coarse fits of the control, and the fine solution is held one window
-at a time. The truncation sweep solves one quadratic model under a ladder
+at a time. diagnose_pass is the same pass with the remaining checks of the
+diagnose command taken at each coarse node on that node's design: the BMO
+tail estimate, as a backward running tail sum, and the gradient step and
+representation residual of variational, on flows simulated before the pass.
+Neither the coarse solution nor the tail sums nor the gradient are stored;
+bmo_estimate, variational.solve_variational_bsde and
+variational.representation_check are the whole-grid loops over the same
+per-node kernels. The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one batched backward
 pass and records the error decay, from which a convergence order (and the
 implied tail exponent) is fitted. Levels share a target column until their
@@ -25,13 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, InvalidPoints
+from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
-from .regression import RegressionBasis, project, step_design
-from .sde import PathEnsemble
-from .solver import (BackwardSolution, _backward_step, _empty_solution,
-                     _martingale_pair, _resolve_columns, _start_backward, _store_step)
+from .regression import RegressionBasis, StepDesign, project, step_design
+from .sde import PathEnsemble, simulate_variational
+from .solver import (BackwardSolution, _backward_step, _martingale_pair,
+                     _resolve_columns, _start_backward)
 from .truncation import truncate_driver
+from .variational import (RepresentationReport, _gradient_step, _representation_node,
+                          _terminal_gradient)
 
 
 @dataclass(frozen=True)
@@ -67,9 +76,8 @@ def fit_convergence_order(scales, errors) -> OrderFit:
 
 @dataclass(frozen=True)
 class Regularity:
-    """The coarse ensemble and solution of a regularity pass and the
-    path-regularity statistics of the nested fine solve, named after their
-    report rows.
+    """The coarse ensemble of a regularity pass and the path-regularity
+    statistics of the nested fine solve, named after their report rows.
 
     With fine nodes t_j, coarse windows [t_i, t_{i+1}] (closed on the right)
     and i(j) the window of fine step j:
@@ -86,7 +94,6 @@ class Regularity:
     """
 
     ensemble: PathEnsemble
-    solution: BackwardSolution
     y_increment_sq: float
     z_regularity_sum: float
     z_regularity_node: float
@@ -94,46 +101,37 @@ class Regularity:
     z_increment_sq: float
 
 
-def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
-                    basis: RegressionBasis) -> Regularity:
-    """Solve on the fine grid and on its coarsening by factor in one
-    backward pass and measure the fine solution's path regularity against
-    the coarse windows.
-
-    The coarse ensemble lives on the fine paths: its states are those at
-    every factor-th fine node (a strided view) and its increments the
-    window sums of the fine ones, taken along the node axis so that
-    time-major fine arrays give time-major coarse ones. So the design built
-    at a coarse node serves the coarse step, the fine step at that node,
-    and the regressions of the window-averaged fine control and of the
-    coarse control on the node's state. Within each coarse window the fine
-    solve runs from the right end to the left; its Y and Z are kept for the
-    current window only, in time-major buffers, and the window's statistics
-    are taken before the next window reuses them. The window sums are added
-    up in forward window order at the end. Solver arguments are those of
-    solve_backward_regression, and the coarse solution and every statistic
-    are bit for bit what two such solves and a loop per statistic over the
-    stored solutions give. Raises InvalidParameters unless factor divides
-    the fine step count.
-    """
+def _coarsen(fine: PathEnsemble, factor: int) -> PathEnsemble:
+    """The coarse ensemble on the fine paths: the states at every factor-th
+    fine node (a strided view) and the window sums of the fine increments,
+    taken along the node axis so that time-major fine arrays give
+    time-major coarse ones."""
     r, n_fine = factor, fine.partition.n_steps
     if r < 1 or n_fine % r:
         raise InvalidParameters(f"factor {factor} does not divide the {n_fine} "
                                 f"fine steps")
-    n = n_fine // r
     dw = fine.increments.swapaxes(0, 1)
-    coarse = PathEnsemble(
+    return PathEnsemble(
         partition=Partition(fine.partition.times[::r]), seed=fine.seed,
-        increments=dw.reshape(n, r, *dw.shape[1:]).sum(axis=1).swapaxes(0, 1),
+        increments=dw.reshape(n_fine // r, r, *dw.shape[1:]).sum(axis=1).swapaxes(0, 1),
         states=fine.states[:, ::r])
-    terminal = _start_backward((model,), coarse)[:, 0]
-    sol = _empty_solution(coarse, terminal)
+
+
+def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
+              basis: RegressionBasis, at_node=None) -> Regularity:
+    """The backward pass of regularity_pass over fine and its coarsening.
+    After the coarse step at node i, at_node(i, design, y, z), when given,
+    sees the node's design and the coarse Y_i (P,) and Z_i (P, d), which the
+    pass holds for that node only."""
+    n = coarse.partition.n_steps
+    r = fine.partition.n_steps // n
+    y_next = _start_backward((model,), coarse)
     h, dt_f = coarse.partition.dt, fine.partition.dt
     P, d = fine.n_paths, fine.d
     yw = empty_time_major(r + 1, P)
     zw = empty_time_major(r, P, (d,))
     # fine Y and Z at the right end of the current window
-    y_right, z_right = terminal, None
+    y_right, z_right = y_next[:, 0], None
     y_inc = z_inc = 0.0
     sums = np.empty((3, n))  # window, node and left-endpoint contributions
     for i in range(n - 1, -1, -1):
@@ -148,15 +146,17 @@ def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
                                       yw[:, k + 1:k + 2])
             yw[:, k] = y[:, 0]
             zw[:, k] = z[:, 0]
-        _store_step(sol, i, design, *_backward_step((model,), design, coarse, i,
-                                                    sol.Y[:, i + 1:i + 2]))
+        y_next, z, *_ = _backward_step((model,), design, coarse, i, y_next)
+        z = z[:, 0]
+        if at_node is not None:
+            at_node(i, design, y_next[:, 0], z)
 
         inc = yw[:, 1:] - yw[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
         dt = dt_f[lo:lo + r]
         window_avg = np.einsum("pjd,j->pd", zw, dt) / h[i]
         for s, zbar in enumerate((project(design, window_avg)[0],
-                                  project(design, sol.Z[:, i])[0], zw[:, 0])):
+                                  project(design, z)[0], zw[:, 0])):
             diff = zw - zbar[:, None]
             sums[s, i] = float(((diff ** 2).sum(axis=2) * dt).mean(axis=0).sum())
         # every fine step of Z that starts in this window, the last one into
@@ -168,15 +168,63 @@ def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
                 z_inc = max(z_inc, float(np.einsum("pd,pd->", dz, dz)) / P)
         y_right, z_right = yw[:, 0].copy(), zw[:, 0].copy()
     window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
-    return Regularity(ensemble=coarse, solution=sol, y_increment_sq=y_inc,
+    return Regularity(ensemble=coarse, y_increment_sq=y_inc,
                       z_regularity_sum=float(window), z_regularity_node=float(node),
                       z_regularity_left_endpoint=float(left), z_increment_sq=z_inc)
+
+
+def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
+                    basis: RegressionBasis) -> Regularity:
+    """Solve on the fine grid and on its coarsening by factor in one
+    backward pass and measure the fine solution's path regularity against
+    the coarse windows.
+
+    The coarse ensemble lives on the fine paths: its states are those at
+    every factor-th fine node and its increments the window sums of the fine
+    ones. So the design built at a coarse node serves the coarse step, the
+    fine step at that node, and the regressions of the window-averaged fine
+    control and of the coarse control on the node's state. Within each
+    coarse window the fine solve runs from the right end to the left; its Y
+    and Z are kept for the current window only, in time-major buffers, and
+    the window's statistics are taken before the next window reuses them.
+    The coarse solve keeps its Y and Z for the current node only. The window
+    sums are added up in forward window order at the end. Solver arguments
+    are those of solve_backward_regression, and every statistic is bit for
+    bit what two such solves and a loop per statistic over the stored
+    solutions give. Raises InvalidParameters unless factor divides the fine
+    step count.
+    """
+    return _lockstep(model, fine, _coarsen(fine, factor), basis)
 
 
 @dataclass(frozen=True)
 class BmoEstimate:
     regression_max: float
     plain_max: float
+
+
+class _BmoTail:
+    """bmo_estimate node by node, backward. The tail sum at node i,
+    sum_{j >= i} |Z_j|^2 dt_j, is the one at node i + 1 plus node i's term,
+    added in the order of a reversed cumulative sum, and only the current
+    tail is held."""
+
+    def __init__(self, n):
+        self.tail = None
+        self.regression_max = 0.0
+        self.means = np.empty(n)
+
+    def step(self, design: StepDesign, i, z, dt):
+        """Node i, on the design at node i, with Z_i (P, d) and dt_i."""
+        term = (z ** 2).sum(axis=1) * dt
+        self.tail = term if self.tail is None else self.tail + term
+        fitted, _ = project(design, self.tail[:, None])
+        self.regression_max = max(self.regression_max, float(fitted.max()))
+        self.means[i] = self.tail.mean()
+
+    def estimate(self) -> BmoEstimate:
+        return BmoEstimate(regression_max=self.regression_max,
+                           plain_max=float(self.means.max()))
 
 
 def bmo_estimate(sol: BackwardSolution, ensemble: PathEnsemble,
@@ -188,16 +236,68 @@ def bmo_estimate(sol: BackwardSolution, ensemble: PathEnsemble,
     over nodes and paths, plain_max the largest plain mean (the trivial
     conditioning), which is a lower bound and a stability reference.
     """
-    dt = sol.partition.dt
-    contrib = (sol.Z ** 2).sum(axis=2) * dt
-    tails = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
-    reg_max = 0.0
-    for i in range(tails.shape[1]):
-        fitted, _ = project(step_design(basis, ensemble.states[:, i], step=i),
-                            tails[:, i:i + 1])
-        reg_max = max(reg_max, float(fitted.max()))
-    return BmoEstimate(regression_max=reg_max,
-                       plain_max=float(tails.mean(axis=0).max()))
+    n, dt = sol.partition.n_steps, sol.partition.dt
+    bmo = _BmoTail(n)
+    for i in range(n - 1, -1, -1):
+        bmo.step(step_design(basis, ensemble.states[:, i], step=i), i, sol.Z[:, i],
+                 dt[i])
+    return bmo.estimate()
+
+
+@dataclass(frozen=True)
+class Diagnosis:
+    """A regularity pass and the checks diagnose_pass makes on its coarse
+    solution. regularity.ensemble carries the flows and their
+    flow_residual when they could be simulated. representation is None when
+    the flows or the gradient failed, and gradient_error is then the message
+    of the error that stopped them."""
+
+    regularity: Regularity
+    bmo: BmoEstimate
+    representation: RepresentationReport | None
+    gradient_error: str | None
+
+
+def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
+                  basis: RegressionBasis) -> Diagnosis:
+    """regularity_pass, with the BMO tail estimate, the gradient equation and
+    the representation residual taken at each coarse node on the node's
+    design, so that no coarse design is built twice and neither the coarse
+    solution nor the tail sums nor gradY and gradZ are stored.
+
+    Each check is the per-node kernel of its whole-grid form (bmo_estimate,
+    solve_variational_bsde, representation_check), and gives bit for bit
+    what that form gives on the coarse ensemble and its coarse solution. The
+    flows are simulated on the coarse ensemble before the pass. When they or
+    the gradient fail, the pass goes on without the gradient, and the
+    regularity statistics and the BMO estimate are still returned.
+    """
+    coarse = _coarsen(fine, factor)
+    n, dt = coarse.partition.n_steps, coarse.partition.dt
+    bmo = _BmoTail(n)
+    rms, peak = np.empty(n), np.empty(n)
+    u, error = None, None
+    try:
+        coarse = simulate_variational(model, coarse)
+        u = _terminal_gradient(model, coarse)
+    except QgbsdeError as exc:
+        error = str(exc)
+
+    def at_node(i, design, y, z):
+        nonlocal u, error
+        bmo.step(design, i, z, dt[i])
+        if u is None:
+            return
+        try:
+            u, _ = _gradient_step(model, design, coarse, i, u, y, z)
+            rms[i], peak[i] = _representation_node(model, coarse, i, u, z)
+        except QgbsdeError as exc:
+            u, error = None, str(exc)
+
+    reg = _lockstep(model, fine, coarse, basis, at_node)
+    rep = None if u is None else RepresentationReport(per_node_rms=rms, per_node_max=peak)
+    return Diagnosis(regularity=reg, bmo=bmo.estimate(), representation=rep,
+                     gradient_error=error)
 
 
 @dataclass(frozen=True)

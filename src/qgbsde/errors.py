@@ -48,7 +48,7 @@ class NumericalBlowup(_AtStep):
     """Non-finite value produced during simulation or backward induction."""
 
 
-class SingularFlow(QgbsdeError):
+class SingularFlow(_AtStep):
     """Variational flow matrix not invertible within the condition cap."""
 
 

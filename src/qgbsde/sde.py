@@ -1,4 +1,10 @@
-"""Forward Euler simulation, first variation flow, and ensemble (de)serialization."""
+"""Forward Euler simulation, first variation flow, and ensemble (de)serialization.
+
+The flow is stored; its inverse is not. flow_inverse inverts the flow
+matrices of one node when a check needs them: simulate_variational's, node
+by node, and the representation residual's (variational). For m = 1 the
+inverse is the reciprocal, bit for bit what np.linalg.inv gives.
+"""
 
 from __future__ import annotations
 
@@ -24,8 +30,8 @@ class PathEnsemble:
 
     increments: (P, N, d) Brownian increments (already scaled by sqrt(dt_i))
     states:     (P, N+1, m) Euler states, states[:, 0] == x0
-    flows / flow_inverses: (P, N+1, m, m) when the variational pass ran
-    flow_residual: flow_identity_residual of those flows, as
+    flows:      (P, N+1, m, m) first-variation flow, when simulate_variational ran
+    flow_residual: the largest flow_identity_residual of those flows, as
                    simulate_variational measured it for its check
 
     Arrays built by this module are indexed path first but stored time-major
@@ -39,7 +45,6 @@ class PathEnsemble:
     increments: np.ndarray
     states: np.ndarray
     flows: np.ndarray | None = None
-    flow_inverses: np.ndarray | None = None
     flow_residual: float | None = None
 
     def __post_init__(self):
@@ -104,12 +109,14 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
 
 
 def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemble:
-    """Attach the first-variation flow and its inverse to an ensemble.
+    """Attach the first-variation flow to an ensemble.
 
-    Needs the model's b_jac and sigma_jac. Each flow matrix is inverted
-    directly; the condition bound is capped at FLOW_CONDITION_CAP and the
-    identity residual (flow_identity_residual) at FLOW_TOL. The residual is
-    handed on as flow_residual.
+    Needs the model's b_jac and sigma_jac. The flow is inverted node by node
+    (flow_inverse) for two checks: the condition bound is capped at
+    FLOW_CONDITION_CAP and the identity residual (flow_identity_residual)
+    at FLOW_TOL. Either failure raises SingularFlow with the first failing
+    node as its step and that node's worst path. The largest residual is
+    handed on as flow_residual; the inverses are not kept.
     """
     model.require("b_jac", "sigma_jac")
     times = ensemble.partition.times
@@ -133,39 +140,52 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemb
             raise NumericalBlowup("non-finite variational flow",
                                   step=i, path=int(np.argmax(bad)))
 
-    try:
-        G = np.linalg.inv(F)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFlow(f"flow matrix is singular: {exc}") from exc
-    # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so
-    # the cap is never looser than on the exact condition number; taken
-    # node by node, like the identity residual, so no temporary spans the grid
-    finite, worst = True, np.nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n + 1):
-            cond = (np.linalg.norm(F[:, i], axis=(-2, -1))
-                    * np.linalg.norm(G[:, i], axis=(-2, -1)))
-            finite = finite and bool(np.isfinite(cond).all())
-            worst = np.fmax(worst, np.fmax.reduce(cond))  # NaN-ignoring max
-    if not finite or worst > FLOW_CONDITION_CAP:
-        raise SingularFlow(
-            f"flow condition bound {worst:.3e} exceeds cap {FLOW_CONDITION_CAP:.3e}")
-    out = replace(ensemble, flows=F, flow_inverses=G)
-    resid = flow_identity_residual(out)
-    if resid > FLOW_TOL:
-        raise SingularFlow(f"flow inverse identity residual {resid:.3e} > {FLOW_TOL:.3e}")
-    return replace(out, flow_residual=resid)
+    resid = 0.0
+    for i in range(n + 1):
+        Fi = F[:, i]
+        try:
+            Gi = flow_inverse(Fi)
+        except np.linalg.LinAlgError as exc:
+            raise SingularFlow(f"flow matrix is singular: {exc}", step=i) from exc
+        # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so
+        # the cap is never looser than on the exact condition number; a
+        # singular flow gives NaN or inf here, and fails it
+        with np.errstate(over="ignore", invalid="ignore"):
+            cond = (np.linalg.norm(Fi, axis=(-2, -1))
+                    * np.linalg.norm(Gi, axis=(-2, -1)))
+            node_resid = flow_identity_residual(Fi, Gi)
+        if not (cond <= FLOW_CONDITION_CAP).all():
+            raise SingularFlow(
+                f"flow condition bound {np.fmax.reduce(cond):.3e} exceeds cap "
+                f"{FLOW_CONDITION_CAP:.3e}", step=i,
+                path=int(np.argmax(np.where(np.isnan(cond), np.inf, cond))))
+        worst = float(node_resid.max())
+        if worst > FLOW_TOL:
+            raise SingularFlow(f"flow inverse identity residual {worst:.3e} > "
+                               f"{FLOW_TOL:.3e}", step=i, path=int(np.argmax(node_resid)))
+        resid = max(resid, worst)
+    return replace(ensemble, flows=F, flow_residual=resid)
 
 
-def flow_identity_residual(ensemble: PathEnsemble) -> float:
-    """Max-norm of flow @ flow_inverse minus identity over all paths and nodes,
-    taken node by node."""
-    if ensemble.flows is None or ensemble.flow_inverses is None:
-        raise InvalidParameters("ensemble carries no flows; run simulate_variational")
-    F, G = ensemble.flows, ensemble.flow_inverses
-    eye = np.eye(F.shape[-1])
-    return max(float(np.abs(np.einsum("pab,pbc->pac", F[:, i], G[:, i]) - eye).max())
-               for i in range(F.shape[1]))
+def flow_inverse(flow: np.ndarray) -> np.ndarray:
+    """The inverse of each m x m matrix of flow (P, m, m).
+
+    For m = 1 that is 1 / flow, bit for bit what np.linalg.inv gives at a
+    small part of its cost; a zero flow gives inf without a warning, which
+    the condition check of simulate_variational rejects. For m > 1 it is
+    np.linalg.inv, which raises LinAlgError on an exactly singular matrix.
+    """
+    if flow.shape[-1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / flow
+    return np.linalg.inv(flow)
+
+
+def flow_identity_residual(flow: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Per path, the max-norm of flow @ inverse minus the identity, for the
+    (P, m, m) flow matrices of one node and their inverses."""
+    eye = np.eye(flow.shape[-1])
+    return np.abs(np.einsum("pab,pbc->pac", flow, inverse) - eye).max(axis=(1, 2))
 
 
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:

@@ -180,32 +180,6 @@ def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next
     return y, z, y_rms, z_rms, residuals
 
 
-def _empty_solution(ensemble: PathEnsemble, terminal) -> BackwardSolution:
-    """Time-major Y and Z on the ensemble's grid with the terminal values in
-    place, for _store_step to fill backward."""
-    P, n, d = ensemble.n_paths, ensemble.partition.n_steps, ensemble.d
-    Y = empty_time_major(n + 1, P)
-    Y[:, n] = terminal
-    meta = SolverMeta(y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
-                      picard_residuals=np.empty(n), conditions=np.empty(n),
-                      fallback_cells=np.zeros(n, dtype=np.int64))
-    return BackwardSolution(partition=ensemble.partition, Y=Y,
-                            Z=empty_time_major(n, P, (d,)), meta=meta)
-
-
-def _store_step(sol: BackwardSolution, i, design: StepDesign, y, z, y_rms, z_rms,
-                picard_residuals):
-    """Write step i of a one-driver _backward_step on the design into the
-    solution."""
-    sol.Y[:, i] = y[:, 0]
-    sol.Z[:, i] = z[:, 0]
-    sol.meta.y_residual_rms[i] = y_rms[0]
-    sol.meta.z_residual_rms[i] = float(np.mean(z_rms))
-    sol.meta.picard_residuals[i] = picard_residuals[0]
-    sol.meta.conditions[i] = design.condition
-    sol.meta.fallback_cells[i] = design.fallback_cells
-
-
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
                               basis: RegressionBasis) -> BackwardSolution:
     """Regression Monte Carlo dynamic programming over the ensemble.
@@ -215,12 +189,25 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     scheme gives: the a-priori bound on the exact |Y| is not imposed.
     """
     terminal = _start_backward((model,), ensemble)
-    sol = _empty_solution(ensemble, terminal[:, 0])
-    for i in range(ensemble.partition.n_steps - 1, -1, -1):
+    P, n, d = ensemble.n_paths, ensemble.partition.n_steps, ensemble.d
+    Y = empty_time_major(n + 1, P)
+    Z = empty_time_major(n, P, (d,))
+    Y[:, n] = terminal[:, 0]
+    meta = SolverMeta(y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
+                      picard_residuals=np.empty(n), conditions=np.empty(n),
+                      fallback_cells=np.zeros(n, dtype=np.int64))
+    for i in range(n - 1, -1, -1):
         design = step_design(basis, ensemble.states[:, i], step=i)
-        _store_step(sol, i, design, *_backward_step((model,), design, ensemble, i,
-                                                    sol.Y[:, i + 1:i + 2]))
-    return sol
+        y, z, y_rms, z_rms, residuals = _backward_step((model,), design, ensemble, i,
+                                                       Y[:, i + 1:i + 2])
+        Y[:, i] = y[:, 0]
+        Z[:, i] = z[:, 0]
+        meta.y_residual_rms[i] = y_rms[0]
+        meta.z_residual_rms[i] = float(np.mean(z_rms))
+        meta.picard_residuals[i] = residuals[0]
+        meta.conditions[i] = design.condition
+        meta.fallback_cells[i] = design.fallback_cells
+    return BackwardSolution(partition=ensemble.partition, Y=Y, Z=Z, meta=meta)
 
 
 # fixed sizes of the quadrature: space grid nodes, Gauss-Hermite nodes, the

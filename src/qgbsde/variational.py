@@ -17,6 +17,13 @@ slope by the chain rule (truncation.truncate_driver).
 
 The control identity Z_t = gradY_t (gradX_t)^{-1} sigma(t, X_t) is then an
 internal consistency check between two independently regressed objects.
+
+Both are per-node kernels: _gradient_step takes gradY from node i + 1 to
+node i on a given design, and _representation_node measures the identity at
+one node, with the flow inverted there (sde.flow_inverse). The whole-grid
+solve_variational_bsde and representation_check are loops over them, and
+diagnostics.diagnose_pass calls them inside its own backward pass on the
+designs it builds anyway, holding gradY for one node only.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ import numpy as np
 
 from .errors import InvalidParameters, NumericalBlowup, PicardDivergence
 from .model import ModelSpec, empty_time_major
-from .regression import RegressionBasis, step_design
-from .sde import PathEnsemble
+from .regression import RegressionBasis, StepDesign, step_design
+from .sde import PathEnsemble, flow_inverse
 from .solver import BackwardSolution, _martingale_pair
 
 
@@ -45,56 +52,84 @@ class VariationalSolution:
 class RepresentationReport:
     per_node_rms: np.ndarray
     per_node_max: np.ndarray
-    time_avg_rms: float
+
+    @property
+    def time_avg_rms(self) -> float:
+        return float(self.per_node_rms.mean())
 
 
 def _require_flows(ensemble):
-    if ensemble.flows is None or ensemble.flow_inverses is None:
+    if ensemble.flows is None:
         raise InvalidParameters(
             "ensemble carries no flows; run simulate_variational first")
+
+
+def _terminal_gradient(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
+    """gradY_N = g'(X_N) gradX_N, (P, m), after checking that the model has
+    the driver gradients and the ensemble its flows."""
+    model.require("f_x", "f_y", "f_z", "g_grad")
+    _require_flows(ensemble)
+    n = ensemble.partition.n_steps
+    u = np.einsum("pa,pak->pk", np.asarray(model.g_grad(ensemble.states[:, n])),
+                  ensemble.flows[:, n])
+    if not np.isfinite(u).all():
+        raise NumericalBlowup("non-finite terminal gradient", step=n)
+    return u
+
+
+def _gradient_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
+                   u_next, y, z):
+    """Step i of the gradient equation on the design at node i: gradY_i
+    (P, m) and gradZ_i (P, d, m) from gradY_{i+1} = u_next (P, m) and the
+    base solution's Y_i (P,) and Z_i (P, d)."""
+    times = ensemble.partition.times
+    dt = times[i + 1] - times[i]
+    t, xi = times[i], ensemble.states[:, i]
+    e_fit, v_fit, *_ = _martingale_pair(design, ensemble, i, u_next)
+    v = v_fit.swapaxes(1, 2)  # (P, m, d) -> (P, d, m)
+    fx = np.asarray(model.f_x(t, xi, y, z))
+    fy = np.asarray(model.f_y(t, xi, y, z))
+    fz = np.asarray(model.f_z(t, xi, y, z))
+    denom = 1.0 - dt * fy
+    if np.abs(denom).min() < 0.5:
+        raise PicardDivergence(
+            f"implicit factor 1 - dt f_y reached {np.abs(denom).min():.3e}; "
+            "refine the grid", step=i)
+    drive = (np.einsum("pa,pak->pk", fx, ensemble.flows[:, i])
+             + np.einsum("pj,pjk->pk", fz, v))
+    u = (e_fit + dt * drive) / denom[:, None]
+    if not np.isfinite(u).all():
+        raise NumericalBlowup("non-finite gradient value", step=i)
+    return u, v
+
+
+def _representation_node(model: ModelSpec, ensemble: PathEnsemble, i, grad_y, z):
+    """RMS and max over paths of |Z_i - gradY_i (gradX_i)^{-1} sigma(t_i, X_i)|
+    for gradY_i (P, m) and Z_i (P, d)."""
+    sig = np.asarray(model.sigma(ensemble.partition.times[i], ensemble.states[:, i]))
+    row = np.einsum("pa,pab->pb", grad_y, flow_inverse(ensemble.flows[:, i]))
+    resid = z - np.einsum("pb,pbd->pd", row, sig)
+    sq = np.sum(resid ** 2, axis=1)
+    return float(np.sqrt(sq.mean())), float(np.sqrt(sq.max()))
 
 
 def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
                            base: BackwardSolution,
                            basis: RegressionBasis) -> VariationalSolution:
-    model.require("f_x", "f_y", "f_z", "g_grad")
-    _require_flows(ensemble)
-    times = ensemble.partition.times
-    X, F = ensemble.states, ensemble.flows
-    P, n, m, d = X.shape[0], times.size - 1, model.m, model.d
+    """The gradient equation over the whole grid, one _gradient_step per node
+    on the node's own design."""
+    X = ensemble.states
+    P, n = X.shape[0], ensemble.partition.n_steps
+    u = _terminal_gradient(model, ensemble)
     if base.Y.shape != (P, n + 1):
         raise InvalidParameters("base solution does not match the ensemble")
-
-    U = empty_time_major(n + 1, P, (m,))
-    V = empty_time_major(n, P, (d, m))
-    gg = np.asarray(model.g_grad(X[:, n]))
-    U[:, n] = np.einsum("pa,pak->pk", gg, F[:, n])
-    if not np.isfinite(U[:, n]).all():
-        raise NumericalBlowup("non-finite terminal gradient", step=n)
-
+    U = empty_time_major(n + 1, P, (model.m,))
+    V = empty_time_major(n, P, (model.d, model.m))
+    U[:, n] = u
     for i in range(n - 1, -1, -1):
-        dt = times[i + 1] - times[i]
-        t, xi = times[i], X[:, i]
-        e_fit, v_fit, *_ = _martingale_pair(step_design(basis, xi, step=i), ensemble,
-                                            i, U[:, i + 1])
-        Vi = v_fit.swapaxes(1, 2)  # (P, m, d) -> (P, d, m)
-
-        yi, zi = base.Y[:, i], base.Z[:, i]
-        fx = np.asarray(model.f_x(t, xi, yi, zi))
-        fy = np.asarray(model.f_y(t, xi, yi, zi))
-        fz = np.asarray(model.f_z(t, xi, yi, zi))
-        denom = 1.0 - dt * fy
-        if np.abs(denom).min() < 0.5:
-            raise PicardDivergence(
-                f"implicit factor 1 - dt f_y reached {np.abs(denom).min():.3e}; "
-                "refine the grid", step=i)
-        drive = (np.einsum("pa,pak->pk", fx, F[:, i])
-                 + np.einsum("pj,pjk->pk", fz, Vi))
-        U[:, i] = (e_fit + dt * drive) / denom[:, None]
-        V[:, i] = Vi
-        if not np.isfinite(U[:, i]).all():
-            raise NumericalBlowup("non-finite gradient value", step=i)
-
+        U[:, i], V[:, i] = _gradient_step(model, step_design(basis, X[:, i], step=i),
+                                          ensemble, i, U[:, i + 1], base.Y[:, i],
+                                          base.Z[:, i])
     return VariationalSolution(gradY=U, gradZ=V)
 
 
@@ -103,18 +138,9 @@ def representation_check(model: ModelSpec, ensemble: PathEnsemble,
                          var: VariationalSolution) -> RepresentationReport:
     """Residual of Z = gradY (gradX)^{-1} sigma node by node (diagonal u = t)."""
     _require_flows(ensemble)
-    times = ensemble.partition.times
-    n = times.size - 1
-    rms = np.empty(n)
-    peak = np.empty(n)
+    n = ensemble.partition.n_steps
+    rms, peak = np.empty(n), np.empty(n)
     for i in range(n):
-        xi = ensemble.states[:, i]
-        sig = np.asarray(model.sigma(times[i], xi))
-        row = np.einsum("pa,pab->pb", var.gradY[:, i], ensemble.flow_inverses[:, i])
-        rep = np.einsum("pb,pbd->pd", row, sig)
-        resid = base.Z[:, i] - rep
-        sq = np.sum(resid ** 2, axis=1)
-        rms[i] = float(np.sqrt(sq.mean()))
-        peak[i] = float(np.sqrt(sq.max()))
-    return RepresentationReport(per_node_rms=rms, per_node_max=peak,
-                                time_avg_rms=float(rms.mean()))
+        rms[i], peak[i] = _representation_node(model, ensemble, i, var.gradY[:, i],
+                                               base.Z[:, i])
+    return RepresentationReport(per_node_rms=rms, per_node_max=peak)

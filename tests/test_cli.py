@@ -5,19 +5,20 @@ import csv
 import dataclasses
 import functools
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgbsde import cli, sde
+from qgbsde import cli, diagnostics, solver, variational
 from qgbsde.cli import get_ensemble, main
 from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_from_model, cole_hopf_increment_stat
-from qgbsde.regression import RegressionBasis
-from qgbsde.sde import (dump_ensemble, flow_identity_residual, load_ensemble,
-                        simulate_forward, simulate_variational)
+from qgbsde.regression import RegressionBasis, step_design
+from qgbsde.sde import (dump_ensemble, load_ensemble, simulate_forward,
+                        simulate_variational)
 from qgbsde.solver import solve_backward_regression
 
 BASE = """
@@ -361,34 +362,140 @@ def test_all_simulates_each_grid_once(tmp_path, monkeypatch):
 
 def test_diagnose_releases_the_fine_ensemble(tmp_path, monkeypatch):
     handed_out = []
-    alive_at_flow = []
-    residuals = []
+    alive_at_rows = []
+    flowed = []
 
     def recording(ctx, partition, *args, **kwargs):
         ens = get_ensemble(ctx, partition, *args, **kwargs)
         handed_out.append((partition.n_steps, weakref.ref(ens)))
         return ens
 
-    def checking(model, ensemble, *args, **kwargs):
-        alive_at_flow.extend(n for n, ref in handed_out if ref() is not None)
-        return simulate_variational(model, ensemble, *args, **kwargs)
+    def checking(self, *args, **kwargs):
+        alive_at_rows.extend(n for n, ref in handed_out if ref() is not None)
+        return add(self, *args, **kwargs)
 
-    def counting(ensemble):
-        residuals.append(flow_identity_residual(ensemble))
-        return residuals[-1]
+    def keeping(model, ensemble):
+        flowed.append(simulate_variational(model, ensemble))
+        return flowed[-1]
 
+    add = cli.RunContext.add
     monkeypatch.setattr(cli, "get_ensemble", recording)
-    monkeypatch.setattr(cli, "simulate_variational", checking)
-    monkeypatch.setattr(sde, "flow_identity_residual", counting)
+    monkeypatch.setattr(cli.RunContext, "add", checking)
+    monkeypatch.setattr(diagnostics, "simulate_variational", keeping)
     cfg = _write(tmp_path, BASE.replace("n_steps = 4", "n_steps = 4\nrefine_factor = 2"))
     out = tmp_path / "o"
     assert main(["--config", cfg, "--command", "diagnose", "--out", str(out)]) == 0
     assert [n for n, _ in handed_out] == [8]
-    assert alive_at_flow == []
-    # computed once, inside simulate_variational, and reported as it was
+    # the fine ensemble goes with the pass, before the first row is written
+    assert alive_at_rows == []
+    # measured once, inside simulate_variational, and reported as it was
     _, rows = _read_report(out)
     row = [r for r in rows if r["statistic_name"] == "flow_identity_residual"]
-    assert len(residuals) == 1 and [float(r["value"]) for r in row] == residuals
+    assert len(flowed) == 1
+    assert [float(r["value"]) for r in row] == [flowed[0].flow_residual]
+
+
+def _count_step_designs(monkeypatch):
+    steps = []
+
+    def counting(basis, x, step=None):
+        steps.append(step)
+        return step_design(basis, x, step=step)
+
+    for module in (solver, diagnostics, variational):
+        monkeypatch.setattr(module, "step_design", counting)
+    return steps
+
+
+SMALL_QUADRATIC = BASE.replace("name = brownian", "name = quadratic").replace(
+    "n_steps = 4", "n_steps = 4\nrefine_factor = 2\nladder = 2 4") + """
+[truncation]
+levels = 0.5 1.0
+"""
+
+
+@pytest.mark.parametrize("command, calls", [
+    # one design per fine node of the pass: the coarse node's serves the
+    # coarse step, the fine step there, and the BMO and gradient checks
+    ("diagnose", 8),
+    # plus one per step for the solve and one per step for the sweep
+    ("all", 4 + 4 + 8),
+    ("converge", 2 * 2 + 2 * 4),
+])
+def test_each_design_is_built_once(tmp_path, monkeypatch, command, calls):
+    steps = _count_step_designs(monkeypatch)
+    cfg = _write(tmp_path, SMALL_QUADRATIC)
+    assert main(["--config", cfg, "--command", command, "--out", str(tmp_path / "o")]) == 0
+    assert len(steps) == calls
+
+
+_NOT_GRADIENT = ("y_increment_sq", "y_increment_ratio", "z_regularity_sum",
+                 "z_regularity_node", "z_regularity_left_endpoint", "z_increment_sq",
+                 "bmo_estimate", "bmo_plain", "bmo_bound_value")
+
+
+@pytest.mark.parametrize("variant, warning", [
+    # f_y = 3 makes the gradient's implicit factor 1 - dt f_y = 0.25 from
+    # t < 0.5 on: the gradient fails at coarse node 1 of 4, mid-pass
+    (dict(f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0 if t < 0.5 else 0.0)),
+     "implicit factor 1 - dt f_y reached 2.500e-01; refine the grid (step 1)"),
+    (dict(b_jac=None), "model 'quadratic_tanh_n10' does not supply b_jac"),
+], ids=["stiff_f_y", "no_b_jac"])
+def test_diagnose_without_the_gradient_writes_every_other_row(tmp_path, monkeypatch,
+                                                               capsys, variant, warning):
+    cfg = _write(tmp_path, SMALL_QUADRATIC)
+    assert main(["--config", cfg, "--command", "diagnose", "--out", str(tmp_path / "a")]) == 0
+    _, rows = _read_report(tmp_path / "a")
+    full = {r["statistic_name"]: r["value"] for r in rows}
+    assert {"flow_identity_residual", "representation_rms"} <= set(full)
+
+    @functools.wraps(make_quadratic)
+    def variant_model(**kwargs):
+        return dataclasses.replace(make_quadratic(**kwargs), **variant)
+
+    monkeypatch.setitem(cli.PRESETS, "quadratic", variant_model)
+    capsys.readouterr()
+    assert main(["--config", cfg, "--command", "diagnose", "--out", str(tmp_path / "b")]) == 0
+    _, rows = _read_report(tmp_path / "b")
+    assert {r["statistic_name"]: r["value"] for r in rows} == {
+        name: full[name] for name in _NOT_GRADIENT}
+    line = f"variational check skipped: {warning}"
+    assert f"warning: {line}" in capsys.readouterr().err.splitlines()
+    assert f"WARNING: {line}" in (tmp_path / "b" / "summary.txt").read_text()
+
+
+def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
+    # numpy reports its buffers to tracemalloc. Once the fine ensemble
+    # exists, the pass adds the coarse increments and the flows, about N + 1
+    # coarse columns each, and one node's temporaries, fewer than 48. The
+    # coarse Y and Z, the BMO tail sums or gradY and gradZ, stored, would
+    # add N columns each.
+    P, N = 2000, 48
+    grown = []
+
+    def measuring(ctx, partition, *args, **kwargs):
+        ens = get_ensemble(ctx, partition, *args, **kwargs)
+        grown.append(ens.increments.nbytes + ens.states.nbytes)
+        tracemalloc.reset_peak()
+        grown.append(tracemalloc.get_traced_memory()[0])
+        return ens
+
+    monkeypatch.setattr(cli, "get_ensemble", measuring)
+    cfg = _write(tmp_path, SMALL_QUADRATIC.replace("n_steps = 4", f"n_steps = {N}")
+                 .replace("n_paths = 500", f"n_paths = {P}"))
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfg, "--command", "diagnose",
+                     "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fine_bytes, at_ensemble = grown
+    assert fine_bytes == 8 * P * (2 * N * 2 + 1)
+    extra_columns = (peak - at_ensemble) / (8 * P)
+    # about 130; about 260 with the coarse solution, the tail sums, the
+    # flows' inverses and the gradient arrays all stored
+    assert extra_columns < 2 * (N + 1) + 48, extra_columns
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):

@@ -5,17 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qgbsde.diagnostics import (BmoEstimate, bmo_estimate, effective_qbar,
-                                fit_convergence_order, regularity_pass,
-                                truncation_error_curve)
+from qgbsde import diagnostics
+from qgbsde.diagnostics import (BmoEstimate, bmo_estimate, diagnose_pass,
+                                effective_qbar, fit_convergence_order,
+                                regularity_pass, truncation_error_curve)
 from qgbsde.errors import InvalidParameters, InvalidPoints, PicardDivergence
 from qgbsde.model import (ModelSpec, Partition, empty_time_major, make_brownian,
-                          make_quadratic)
+                          make_gbm, make_quadratic)
 from qgbsde import solver
 from qgbsde.regression import RegressionBasis, project, step_design
-from qgbsde.sde import PathEnsemble, simulate_forward
+from qgbsde.sde import PathEnsemble, simulate_forward, simulate_variational
 from qgbsde.solver import BackwardSolution, SolverMeta, solve_backward_regression
 from qgbsde.truncation import truncate_driver
+from qgbsde.variational import representation_check, solve_variational_bsde
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 PLANAR = ModelSpec(
@@ -206,12 +208,45 @@ _PASS_CASES = {
 }
 
 
+def _recording_coarse_steps(monkeypatch, fine):
+    """Record what every coarse step of a pass over fine returns, by node:
+    Y_i, Z_i, the two residual RMS, the Picard residual and the design's
+    condition and fallback count, in the layout of a BackwardSolution."""
+    steps = {}
+
+    def recording(models, design, ensemble, i, y_next):
+        out = solver._backward_step(models, design, ensemble, i, y_next)
+        if ensemble is not fine:
+            steps[i] = (design, *out)
+        return out
+
+    monkeypatch.setattr(diagnostics, "_backward_step", recording)
+
+    def solution():
+        n = len(steps)
+        assert sorted(steps) == list(range(n))
+        design, y, z, y_rms, z_rms, pic = zip(*(steps[i] for i in range(n)))
+        return (np.stack([a[:, 0] for a in y], axis=1),
+                np.stack([a[:, 0] for a in z], axis=1),
+                _meta_of(design, y_rms, z_rms, pic))
+    return solution
+
+
+def _meta_of(designs, y_rms, z_rms, pic):
+    return SolverMeta(y_residual_rms=np.array([a[0] for a in y_rms]),
+                      z_residual_rms=np.array([float(np.mean(a)) for a in z_rms]),
+                      picard_residuals=np.array([a[0] for a in pic]),
+                      conditions=np.array([d.condition for d in designs]),
+                      fallback_cells=np.array([d.fallback_cells for d in designs]))
+
+
 @pytest.mark.parametrize("case", list(_PASS_CASES))
-def test_regularity_pass_matches_stored_solutions_bitwise(case):
+def test_regularity_pass_matches_stored_solutions_bitwise(case, monkeypatch):
     model, basis, n_fine, factor, n_paths, path_major = _PASS_CASES[case]
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
     if path_major:
         ens_f = _path_major(ens_f)
+    coarse_solution = _recording_coarse_steps(monkeypatch, ens_f)
     reg = regularity_pass(model, ens_f, factor, basis)
     # the coarse ensemble: the fine states at every factor-th node, and the
     # window sums of the fine increments
@@ -235,12 +270,78 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case):
             sol_c, sol_f, _ref_left_endpoint(sol_c, sol_f)),
         z_increment_sq=_ref_z_increment_stat(sol_f.Z))
     assert {k: getattr(reg, k) for k in want} == want
-    np.testing.assert_array_equal(reg.solution.Y, sol_c.Y)
-    np.testing.assert_array_equal(reg.solution.Z, sol_c.Z)
+    # the coarse solve, held one node at a time, is the stored one's
+    Y, Z, meta = coarse_solution()
+    np.testing.assert_array_equal(Y, sol_c.Y[:, :-1])
+    np.testing.assert_array_equal(Z, sol_c.Z)
     for field in ("y_residual_rms", "z_residual_rms", "picard_residuals",
                   "conditions", "fallback_cells"):
-        np.testing.assert_array_equal(getattr(reg.solution.meta, field),
-                                      getattr(sol_c.meta, field))
+        np.testing.assert_array_equal(getattr(meta, field), getattr(sol_c.meta, field))
+
+
+def _standalone_chain(model, ens_c, basis):
+    """The whole-grid checks diagnose_pass fuses, one after another on the
+    coarse ensemble: its solve, the BMO estimate, the flows, the gradient
+    solve and the representation residual."""
+    sol = solve_backward_regression(model, ens_c, basis)
+    bmo = bmo_estimate(sol, ens_c, basis)
+    ens_v = simulate_variational(model, ens_c)
+    var = solve_variational_bsde(model, ens_v, sol, basis)
+    return bmo, ens_v, representation_check(model, ens_v, sol, var)
+
+
+_DIAGNOSE_CASES = {
+    # model, basis, fine steps, factor, paths; gbm's flows are the states
+    # over x0, the quadratic model's are exactly 1
+    "quadratic": (QUAD6, GLOBAL4, 16, 4, 20_000),
+    "gbm": (make_gbm(mu=0.3, vol=0.4), GLOBAL2, 12, 3, 5_000),
+    "gbm_local": (make_gbm(), RegressionBasis(kind="local_partition", degree=1,
+                                              cells_per_dim=10), 8, 2, 4_000),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIAGNOSE_CASES))
+def test_diagnose_pass_matches_the_standalone_chain_bitwise(case):
+    model, basis, n_fine, factor, n_paths = _DIAGNOSE_CASES[case]
+    ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
+    diag = diagnose_pass(model, ens_f, factor, basis)
+    reg = regularity_pass(model, ens_f, factor, basis)
+    assert diag.regularity == dataclasses.replace(reg, ensemble=diag.regularity.ensemble)
+    bmo, ens_v, rep = _standalone_chain(model, reg.ensemble, basis)
+    assert diag.gradient_error is None
+    assert diag.bmo == bmo
+    assert diag.regularity.ensemble.flow_residual == ens_v.flow_residual
+    np.testing.assert_array_equal(diag.regularity.ensemble.flows, ens_v.flows)
+    np.testing.assert_array_equal(diag.representation.per_node_rms, rep.per_node_rms)
+    np.testing.assert_array_equal(diag.representation.per_node_max, rep.per_node_max)
+    if model.name == "gbm":
+        assert np.ptp(ens_v.flows) > 0.1
+    else:
+        assert np.all(ens_v.flows == 1.0)
+
+
+def test_diagnose_pass_goes_on_without_a_failing_gradient():
+    # f_y = 3 makes the gradient's implicit factor 1 - dt f_y = 0.25 from
+    # t < 0.5 on, which fails at node 1 of 4; without b_jac there are no flows
+    quad = truncate_driver(make_quadratic(), 6.0)
+    stiff = dataclasses.replace(
+        quad, f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0 if t < 0.5 else 0.0))
+    ens_f = simulate_forward(quad, Partition.uniform(1.0, 8), 3000, seed=2)
+    reg = regularity_pass(quad, ens_f, 2, GLOBAL2)
+    sol = solve_backward_regression(quad, reg.ensemble, GLOBAL2)
+    ens_v = simulate_variational(stiff, reg.ensemble)
+    with pytest.raises(PicardDivergence) as exc:
+        solve_variational_bsde(stiff, ens_v, sol, GLOBAL2)
+    assert exc.value.step == 1
+    for model, error in ((stiff, str(exc.value)),
+                         (dataclasses.replace(quad, b_jac=None), None)):
+        diag = diagnose_pass(model, ens_f, 2, GLOBAL2)
+        assert diag.representation is None
+        assert diag.regularity == dataclasses.replace(reg, ensemble=diag.regularity.ensemble)
+        assert diag.bmo == bmo_estimate(sol, reg.ensemble, GLOBAL2)
+        if error is not None:
+            assert diag.gradient_error == error
+    assert "b_jac" in diag.gradient_error
 
 
 def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():

@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,8 @@ import pytest
 from qgbsde import (AssumptionLevelTooLow, InvalidParameters,
                     ModelSpec, NumericalBlowup, Partition, PathEnsemble,
                     dump_ensemble, fit_convergence_order,
-                    flow_identity_residual, load_ensemble, make_brownian,
+                    flow_identity_residual, flow_inverse, load_ensemble,
+                    make_brownian,
                     make_gbm, normal_increments, simulate_forward,
                     simulate_variational)
 from qgbsde import sde
@@ -139,7 +139,7 @@ def test_flow_constant_coefficients():
     ens = simulate_forward(make_brownian(), Partition.uniform(1.0, 8), 100, 2)
     ens = simulate_variational(make_brownian(), ens)
     np.testing.assert_allclose(ens.flows, 1.0, atol=1e-14)
-    assert flow_identity_residual(ens) <= 1e-12
+    assert ens.flow_residual <= 1e-12
 
 
 def test_flow_gbm_closed_form():
@@ -150,8 +150,11 @@ def test_flow_gbm_closed_form():
     ens = simulate_variational(model, ens)
     np.testing.assert_allclose(ens.flows[:, :, 0, 0], ens.states[:, :, 0] / 2.0,
                                rtol=1e-12)
-    assert flow_identity_residual(ens) <= 1e-8
-    assert ens.flow_residual == flow_identity_residual(ens)  # handed on as measured
+    # handed on as measured, the largest over the nodes
+    assert ens.flow_residual == max(
+        flow_identity_residual(F, flow_inverse(F)).max()
+        for F in ens.flows.swapaxes(0, 1))
+    assert ens.flow_residual <= 1e-8
 
 
 def test_flow_mean_matches_deterministic_exponential():
@@ -188,21 +191,60 @@ def _linear_flow_model(rates):
 
 def test_flow_condition_cap_and_singular_flow(monkeypatch):
     part = Partition.uniform(1.0, 4)
-    # rates 0 and 3.6 at dt = 1/4: the flow ends at diag(1, 0.1^4), whose
-    # condition number is 1e4 (Frobenius bound 1e4 + 1e-4)
+    # rates 0 and 3.6 at dt = 1/4: the flow at node i is diag(1, 0.1^i), whose
+    # condition number is 10^i (Frobenius bound 10^i + 10^-i)
     model = _linear_flow_model([0.0, 3.6])
     ens = simulate_forward(model, part, 50, 1)
     monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", 1e5)
     flows = simulate_variational(model, ens)
     np.testing.assert_allclose(flows.flows[:, -1, 1, 1], 1e-4, rtol=1e-12)
+    # only the last node exceeds the cap; every path alike, so the worst is
+    # the first
     monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", 5e3)
-    with pytest.raises(SingularFlow):
+    with pytest.raises(SingularFlow) as err:
         simulate_variational(model, ens)
-    # rate 4 at dt = 1/4 sends the flow to exactly zero after one step
+    assert (err.value.step, err.value.path) == (4, 0)
+    assert "(step 4, path 0)" in str(err.value)
+    # rate 4 at dt = 1/4 sends the flow to exactly zero after one step; its
+    # reciprocal is inf, which fails the cap without a warning
     singular = _linear_flow_model([4.0])
     ens = simulate_forward(singular, part, 50, 1)
-    with pytest.raises(SingularFlow):
-        simulate_variational(singular, ens)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFlow) as err:
+            simulate_variational(singular, ens)
+    assert (err.value.step, err.value.path) == (1, 0)
+
+
+def test_flow_identity_residual_fails_at_its_node_and_path(monkeypatch):
+    # an m = 2 flow whose inverse is perturbed on one path at one node
+    model = _linear_flow_model([0.5, 1.5])
+    ens = simulate_forward(model, Partition.uniform(1.0, 6), 30, 4)
+
+    def perturbed(flow):
+        inv = np.linalg.inv(flow)
+        if flow[0, 1, 1] < 0.3:  # node 4 onwards, where (1 - 1.5 / 6)^i < 0.3
+            inv[7, 0, 1] += 1e-6
+        return inv
+
+    monkeypatch.setattr(sde, "flow_inverse", perturbed)
+    with pytest.raises(SingularFlow) as err:
+        simulate_variational(model, ens)
+    assert (err.value.step, err.value.path) == (5, 7)
+    assert "identity residual" in str(err.value)
+
+
+def test_scalar_flow_inverse_is_bit_for_bit_linalg_inv():
+    # state-dependent flows of gbm, plus log-normal ones over many decades
+    model = make_gbm(mu=0.3, vol=0.4)
+    ens = simulate_variational(model, simulate_forward(
+        model, Partition.uniform(1.0, 16), 2000, 3))
+    rng = np.random.default_rng(2)
+    for F in (ens.flows.reshape(-1, 1, 1),
+              np.exp(rng.normal(scale=20.0, size=(100_000, 1, 1))),
+              -np.exp(rng.normal(scale=20.0, size=(100_000, 1, 1)))):
+        assert np.ptp(F) > 0.5
+        assert np.array_equal(flow_inverse(F), np.linalg.inv(F))
 
 
 def test_flow_identity_residual_matches_whole_array_formula():
@@ -211,12 +253,14 @@ def test_flow_identity_residual_matches_whole_array_formula():
     model = _linear_flow_model([0.5, 1.5])
     ens = simulate_forward(model, Partition.uniform(1.0, 6), 300, 4)
     ens = simulate_variational(model, ens)
+    inverses = np.linalg.inv(ens.flows)
     noise = np.random.default_rng(1).normal(scale=1e-3, size=ens.flows.shape)
-    for G in (ens.flow_inverses, ens.flow_inverses + noise):
+    for G in (inverses, inverses + noise):
         for F, Gs in ((ens.flows, G),
                       (np.ascontiguousarray(ens.flows), np.ascontiguousarray(G))):
             want = float(np.abs(np.einsum("piab,pibc->piac", F, Gs) - np.eye(2)).max())
-            got = flow_identity_residual(replace(ens, flows=F, flow_inverses=Gs))
+            got = max(flow_identity_residual(F[:, i], Gs[:, i]).max()
+                      for i in range(F.shape[1]))
             assert got == pytest.approx(want, rel=1e-12)
     assert want > 1e-4  # the perturbed inverses leave a visible residual
 
