@@ -18,11 +18,14 @@ Neither the coarse solution nor the tail sums nor the gradient are stored;
 bmo_estimate, variational.solve_variational_bsde and
 variational.representation_check are the whole-grid loops over the same
 per-node kernels. The truncation sweep solves one quadratic model under a ladder
-of truncation levels and a high-level reference in one batched backward
-pass and records the error decay, from which a convergence order (and the
-implied tail exponent) is fitted. Levels share a target column until their
-clamp engages: a level at or above a column's max |Z| sees the identity
-clamp on it, so the pass computes each distinct column once.
+of truncation levels and a high-level reference in one backward pass and
+records the error decay, from which a convergence order (and the implied
+tail exponent) is fitted. Levels share a target column until their clamp
+engages: a level at or above a column's max |Z| sees the identity clamp on
+it, so the pass computes each distinct column once. Each column is one
+contiguous row, stepped on the single-column kernels that every backward
+solve runs: its own pair of projections and the implicit step under its
+level's driver.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble, simulate_variational
-from .solver import (BackwardSolution, _backward_step, _martingale_pair,
-                     _resolve_columns, _start_backward)
+from .solver import (BackwardSolution, _backward_step, _implicit_step,
+                     _martingale_pair, _start_backward)
 from .truncation import truncate_driver
 from .variational import (RepresentationReport, _gradient_step, _representation_node,
                           _terminal_gradient)
@@ -125,13 +128,13 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
     pass holds for that node only."""
     n = coarse.partition.n_steps
     r = fine.partition.n_steps // n
-    y_next = _start_backward((model,), coarse)
+    y_next = _start_backward(model, coarse)
     h, dt_f = coarse.partition.dt, fine.partition.dt
     P, d = fine.n_paths, fine.d
     yw = empty_time_major(r + 1, P)
     zw = empty_time_major(r, P, (d,))
     # fine Y and Z at the right end of the current window
-    y_right, z_right = y_next[:, 0], None
+    y_right, z_right = y_next, None
     y_inc = z_inc = 0.0
     sums = np.empty((3, n))  # window, node and left-endpoint contributions
     for i in range(n - 1, -1, -1):
@@ -142,14 +145,11 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
             j = lo + k
             fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
                                                             step=j)
-            y, z, *_ = _backward_step((model,), fine_design, fine, j,
-                                      yw[:, k + 1:k + 2])
-            yw[:, k] = y[:, 0]
-            zw[:, k] = z[:, 0]
-        y_next, z, *_ = _backward_step((model,), design, coarse, i, y_next)
-        z = z[:, 0]
+            yw[:, k], zw[:, k], *_ = _backward_step(model, fine_design, fine, j,
+                                                    yw[:, k + 1])
+        y_next, z, *_ = _backward_step(model, design, coarse, i, y_next)
         if at_node is not None:
-            at_node(i, design, y_next[:, 0], z)
+            at_node(i, design, y_next, z)
 
         inc = yw[:, 1:] - yw[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
@@ -339,16 +339,20 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
 
     Every level and the reference run in one backward pass, on one column
     per level that has split off and one column shared by the rest. All
-    levels start in the shared column, since they share g. At every step
-    both regressions are single projections of the columns on the step's
-    shared design. The levels at or above the shared column's max |z| see
-    the identity clamp there and share one implicit step, resolved with the
-    lowest of them, whose driver passes z on unclamped; each level below
-    splits off into a column of its own. The levels are sorted, so the ones
-    still sharing are a top part of the ladder, the reference included, and
-    one split index describes the columns. The reference can split off as
-    well, and then every level has a column of its own. The errors, y0 per
-    level, realized_max_z (the largest |Z| of the reference) and y_scale
+    levels start in the shared column, since they share g. Each column is
+    one contiguous row of P values, and the pass steps it on the kernels of
+    a single solve: at every step each distinct column gets its own pair of
+    projections on the step's shared design (solver._martingale_pair), and
+    each level's column its own implicit step (solver._implicit_step). The
+    levels at or above the shared column's max |z| see the identity clamp
+    there and share one implicit step, resolved with the lowest of them,
+    whose driver passes z on unclamped; each level below splits off into a
+    column of its own. The levels are sorted, so the ones still sharing are
+    a top part of the ladder, the reference included, and one split index
+    describes the columns. The reference can split off as well, and then
+    every level has a column of its own. So each level's y0 and errors are
+    bit for bit those of its own solve_backward_regression. The errors, y0
+    per level, realized_max_z (the largest |Z| of the reference) and y_scale
     accumulate as the pass goes, so no full solution is stored. A level in
     the reference's column has zero error by construction, which holds for
     every level above realized_max_z.
@@ -362,46 +366,49 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
                                 f"largest ladder level {lv[-1]}")
     levels = (*lv, ref_level)
     models = [truncate_driver(model, n) for n in levels]
-    # every level has the model's g, so the terminal values are one column
-    y = _start_backward(models[-1:], ensemble)
+    # every level has the model's g, so the terminal values are one row
+    y = [_start_backward(models[-1], ensemble)]
     times = ensemble.partition.times
     L, n = len(lv), times.size - 1
-    # column j < k of y is the level j, split off; column k is shared by
-    # levels[k:] and is the reference's column while k <= L
+    # row j < k of y is the level j, split off; row k is shared by
+    # levels[k:] and is the reference's row while k <= L
     k = 0
     # running per-path maxima over the nodes seen so far, terminal included
     err_y_path = np.zeros((L, ensemble.n_paths))
-    y_sq_max = y[:, 0] ** 2
+    y_sq_max = y[0] ** 2
     err_z_steps = np.zeros((L, n))
     realized = 0.0
     for i in range(n - 1, -1, -1):
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
-        cond_mean, z, *_ = _martingale_pair(design, ensemble, i, y)
-        # the levels at or above the max |z| of the reference's column leave
-        # its z unclamped and keep sharing it; each level below splits off
-        # into a copy of it
-        shared = min(k, L)
-        top = float(np.abs(z[:, shared]).max())
+        means, zs = [], []
+        for row in y:
+            mean, z, *_ = _martingale_pair(design, ensemble, i, row[:, None])
+            means.append(mean[:, 0])
+            zs.append(z[:, 0])
+        # the levels at or above the max |z| of the reference's row leave its
+        # z unclamped and keep sharing it; each level below splits off and
+        # starts from it
+        shared = len(y) - 1
+        top = float(np.abs(zs[shared]).max())
         realized = max(realized, top)
         k = max(k, bisect_left(levels, top))
         ref = min(k, L)
-        # gathered one at a time, so that no step holds a column twice
-        src = np.minimum(np.arange(ref + 1), shared)
-        cond_mean = cond_mean[:, src]
-        z = z[:, src]
-        y, _ = _resolve_columns(models[:k + 1], ensemble, i, cond_mean, z)
-        np.maximum(y_sq_max, y[:, ref] ** 2, out=y_sq_max)
-        # a level still in the reference's column has error 0 by construction
+        y = [_implicit_step(models[j], ensemble, i, means[min(j, shared)],
+                            zs[min(j, shared)])[0] for j in range(ref + 1)]
+        np.maximum(y_sq_max, y[ref] ** 2, out=y_sq_max)
+        # a level still in the reference's row has error 0 by construction,
+        # and one that splits off at this step has the reference's z
         for j in range(ref):
-            dy = y[:, j] - y[:, ref]
+            dy = y[j] - y[ref]
             np.maximum(err_y_path[j], dy * dy, out=err_y_path[j])
-            dz = z[:, j] - z[:, ref]
-            err_z_steps[j, i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
-        del cond_mean, z  # not held through the next step's projections
+            if j < shared:
+                dz = zs[j] - zs[shared]
+                err_z_steps[j, i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
+        del means, zs  # not held through the next step's projections
     pts = tuple(TruncationPoint(level=lv[j], err_y=float(err_y_path[j].mean()),
                                 err_z=float(err_z_steps[j].sum()),
-                                y0=float(y[:, min(j, k)].mean()))
+                                y0=float(y[min(j, k)].mean()))
                 for j in range(L))
     return TruncationCurve(points=pts, reference_level=ref_level,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()))

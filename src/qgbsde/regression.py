@@ -33,6 +33,7 @@ and what only the fit knows, the residual RMS of every target column.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -100,6 +101,29 @@ def _monomial_powers(m, degree):
     return pows
 
 
+@functools.lru_cache(maxsize=None)
+def _global_plan(m, degree):
+    """How _global_design fills its features and its normal matrix.
+
+    ladder[r - 1] = (lower, dim) for each feature row r >= 1: monomial r is
+    monomial lower times coordinate dim, its first nonzero one. gram lists,
+    per distinct product monomial, one pair (a, b) of rows whose product it
+    is and the index arrays of every normal-matrix entry equal to it.
+    """
+    pows = _monomial_powers(m, degree)
+    index = {e: r for r, e in enumerate(pows)}
+    ladder = []
+    for e in pows[1:]:
+        dim = next(a for a, p in enumerate(e) if p)
+        ladder.append((index[tuple(p - (a == dim) for a, p in enumerate(e))], dim))
+    entries = {}
+    for a, ea in enumerate(pows):
+        for b, eb in enumerate(pows):
+            entries.setdefault(tuple(map(sum, zip(ea, eb))), []).append((a, b))
+    gram = tuple((*pairs[0], tuple(np.array(pairs).T)) for pairs in entries.values())
+    return len(pows), tuple(ladder), gram
+
+
 @dataclass(frozen=True)
 class StepDesign:
     """The part of the least-squares projection at one step that depends only
@@ -138,17 +162,18 @@ def _global_design(basis, x, bounds, step):
     mid = 0.5 * (bounds[:, 0] + bounds[:, 1])
     half = 0.5 * (bounds[:, 1] - bounds[:, 0])
     u = ((x - mid) / half).T.copy()  # (m, P): one contiguous row per coordinate
-    # upow[p] = u ** p by repeated products; np.power is ~50x slower
-    upow = [np.ones_like(u)]
-    for _ in range(basis.degree):
-        upow.append(upow[-1] * u)
-    pows = _monomial_powers(m, basis.degree)
-    phi = np.empty((len(pows), P))
-    for row, e in zip(phi, pows):
-        row[:] = upow[e[0]][0]
-        for dim in range(1, m):
-            row *= upow[e[dim]][dim]
-    G = phi @ phi.T
+    n_features, ladder, gram = _global_plan(m, basis.degree)
+    # each row a lower row times one coordinate, so at m = 1 row p is u ** p
+    # by repeated products; np.power is ~50x slower
+    phi = np.empty((n_features, P))
+    phi[0] = 1.0
+    for row, (lower, dim) in enumerate(ladder, start=1):
+        np.multiply(phi[lower], u[dim], out=phi[row])
+    # one dot per distinct product monomial fills every entry equal to it, so
+    # G is exactly symmetric
+    G = np.empty((n_features, n_features))
+    for a, b, entries in gram:
+        G[entries] = np.dot(phi[a], phi[b])
     eig = np.linalg.eigvalsh(G)
     cond = np.inf if eig[0] <= 0 else float(eig[-1] / eig[0])
     if cond > CONDITION_CAP:

@@ -8,11 +8,13 @@ Both walk the same one-step recursion backward from the terminal condition:
 implicit in Y (at most PICARD_PASSES Picard passes), explicit in Z. The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
-step (_martingale_pair, which the gradient solve in variational shares); the
-same one-step kernels advance several drivers on shared paths at once (the
-truncation sweep in diagnostics, which resolves each distinct column once
-with _resolve_columns), and a coarse and a nested fine solve in lockstep on
-shared designs (the regularity pass in diagnostics).
+step (_martingale_pair, which the gradient solve in variational shares),
+and resolves the implicit step under one driver (_implicit_step). Every
+regression solve runs these single-column kernels: the whole-grid solve
+here, a coarse and a nested fine solve in lockstep on shared designs (the
+regularity pass in diagnostics), and the truncation sweep in diagnostics,
+which projects each distinct column of its ladder on its own and resolves
+each level's column under that level's driver.
 The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
@@ -98,33 +100,29 @@ def _picard_resolve(f, t, x, base, z, dt, step):
 
     A pass that leaves y unchanged ends the loop: the remaining passes would
     return the same y with residual 0 and could not diverge, so y and the
-    residual are those of the full count.
+    residual are those of the full count. The residual is computed only for
+    a pass that changed y.
     """
     y = base
     prev = None
     for _ in range(PICARD_PASSES):
         y_new = base + dt * np.asarray(f(t, x, y, z))
+        if np.array_equal(y_new, y):
+            return y_new, 0.0
         res = float(np.sqrt(np.mean((y_new - y) ** 2)))
         if (prev is not None and res > prev
                 and res > 1e-12 * max(1.0, float(np.sqrt(np.mean(y_new ** 2))))):
             raise PicardDivergence(
                 f"inner iteration residual grew {prev:.3e} -> {res:.3e}", step=step)
-        # res is 0 also when the squared changes underflow; only equal values stop
-        stop = res == 0.0 and np.array_equal(y_new, y)
         y, prev = y_new, res
-        if stop:
-            break
     return y, prev if prev is not None else 0.0
 
 
-def _start_backward(models, ensemble: PathEnsemble) -> np.ndarray:
-    """Check the solver inputs of every model and return the terminal values,
-    one column per model."""
-    for model in models:
-        _check_solver_inputs(model, ensemble)
+def _start_backward(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
+    """Check the solver inputs and return the terminal values (P,)."""
+    _check_solver_inputs(model, ensemble)
     n = ensemble.partition.n_steps
-    x_n = ensemble.states[:, n]
-    y = np.column_stack([np.asarray(model.g(x_n)) for model in models])
+    y = np.asarray(model.g(ensemble.states[:, n]))
     if not np.isfinite(y).all():
         raise NumericalBlowup("non-finite terminal values", step=n)
     return y
@@ -147,37 +145,33 @@ def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
     return mean, z.reshape(targets.shape), mean_rms, z_rms
 
 
-def _resolve_columns(models, ensemble: PathEnsemble, i, cond_mean, z):
-    """The implicit step i for column j of cond_mean (P, k) and z (P, k, d)
-    under models[j], resolved column by column so that divergence is checked
-    per driver. Returns y (P, k) and the picard residual per column; raises
+def _implicit_step(model: ModelSpec, ensemble: PathEnsemble, i, cond_mean, z):
+    """The implicit step i under model's driver for the conditional mean
+    (P,) and z (P, d). Returns y (P,) and the Picard residual; raises
     NumericalBlowup when y or z is not finite.
     """
     times = ensemble.partition.times
-    t, dt = times[i], times[i + 1] - times[i]
-    x = ensemble.states[:, i]
-    y = np.empty(cond_mean.shape)
-    residuals = np.empty(len(models))
-    for j, model in enumerate(models):
-        y[:, j], residuals[j] = _picard_resolve(model.f, t, x, cond_mean[:, j],
-                                                z[:, j], dt, step=i)
+    y, residual = _picard_resolve(model.f, times[i], ensemble.states[:, i], cond_mean,
+                                  z, times[i + 1] - times[i], step=i)
     if not (np.isfinite(y).all() and np.isfinite(z).all()):
         raise NumericalBlowup("non-finite backward value", step=i)
-    return y, residuals
+    return y, residual
 
 
-def _backward_step(models, design: StepDesign, ensemble: PathEnsemble, i, y_next):
-    """Step i of the recursion for several drivers on the ensemble's paths.
+def _backward_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
+                   y_next):
+    """Step i of the recursion under model's driver on the ensemble's paths.
 
-    design is the step's design on the state at node i. Column j of y_next
-    (P, k) and of the returned y (P, k) and z (P, k, d) belongs to
-    models[j]. The conditional expectations come from _martingale_pair and
-    the implicit step from _resolve_columns. Returns (y, z, residual RMS of
-    the Y and of the Z projection, picard residual per column).
+    design is the step's design on the state at node i and y_next (P,) the
+    solution at node i + 1. The conditional expectations come from
+    _martingale_pair and the implicit step from _implicit_step. Returns
+    (y (P,), z (P, d), residual RMS of the Y projection, mean residual RMS
+    of the Z projection, Picard residual).
     """
-    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next)
-    y, residuals = _resolve_columns(models, ensemble, i, cond_mean, z)
-    return y, z, y_rms, z_rms, residuals
+    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next[:, None])
+    z = z[:, 0]
+    y, residual = _implicit_step(model, ensemble, i, cond_mean[:, 0], z)
+    return y, z, float(y_rms[0]), float(np.mean(z_rms)), residual
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
@@ -188,23 +182,19 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     the implicit step with at most PICARD_PASSES passes. Y is whatever the
     scheme gives: the a-priori bound on the exact |Y| is not imposed.
     """
-    terminal = _start_backward((model,), ensemble)
+    terminal = _start_backward(model, ensemble)
     P, n, d = ensemble.n_paths, ensemble.partition.n_steps, ensemble.d
     Y = empty_time_major(n + 1, P)
     Z = empty_time_major(n, P, (d,))
-    Y[:, n] = terminal[:, 0]
+    Y[:, n] = terminal
     meta = SolverMeta(y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
                       picard_residuals=np.empty(n), conditions=np.empty(n),
                       fallback_cells=np.zeros(n, dtype=np.int64))
     for i in range(n - 1, -1, -1):
         design = step_design(basis, ensemble.states[:, i], step=i)
-        y, z, y_rms, z_rms, residuals = _backward_step((model,), design, ensemble, i,
-                                                       Y[:, i + 1:i + 2])
-        Y[:, i] = y[:, 0]
-        Z[:, i] = z[:, 0]
-        meta.y_residual_rms[i] = y_rms[0]
-        meta.z_residual_rms[i] = float(np.mean(z_rms))
-        meta.picard_residuals[i] = residuals[0]
+        (Y[:, i], Z[:, i], meta.y_residual_rms[i], meta.z_residual_rms[i],
+         meta.picard_residuals[i]) = _backward_step(model, design, ensemble, i,
+                                                    Y[:, i + 1])
         meta.conditions[i] = design.condition
         meta.fallback_cells[i] = design.fallback_cells
     return BackwardSolution(partition=ensemble.partition, Y=Y, Z=Z, meta=meta)

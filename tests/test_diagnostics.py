@@ -214,8 +214,8 @@ def _recording_coarse_steps(monkeypatch, fine):
     condition and fallback count, in the layout of a BackwardSolution."""
     steps = {}
 
-    def recording(models, design, ensemble, i, y_next):
-        out = solver._backward_step(models, design, ensemble, i, y_next)
+    def recording(model, design, ensemble, i, y_next):
+        out = solver._backward_step(model, design, ensemble, i, y_next)
         if ensemble is not fine:
             steps[i] = (design, *out)
         return out
@@ -226,16 +226,14 @@ def _recording_coarse_steps(monkeypatch, fine):
         n = len(steps)
         assert sorted(steps) == list(range(n))
         design, y, z, y_rms, z_rms, pic = zip(*(steps[i] for i in range(n)))
-        return (np.stack([a[:, 0] for a in y], axis=1),
-                np.stack([a[:, 0] for a in z], axis=1),
+        return (np.stack(y, axis=1), np.stack(z, axis=1),
                 _meta_of(design, y_rms, z_rms, pic))
     return solution
 
 
 def _meta_of(designs, y_rms, z_rms, pic):
-    return SolverMeta(y_residual_rms=np.array([a[0] for a in y_rms]),
-                      z_residual_rms=np.array([float(np.mean(a)) for a in z_rms]),
-                      picard_residuals=np.array([a[0] for a in pic]),
+    return SolverMeta(y_residual_rms=np.array(y_rms), z_residual_rms=np.array(z_rms),
+                      picard_residuals=np.array(pic),
                       conditions=np.array([d.condition for d in designs]),
                       fallback_cells=np.array([d.fallback_cells for d in designs]))
 
@@ -399,9 +397,10 @@ def test_truncation_curve_decay_and_qbar():
 
 def test_batched_curve_matches_per_level_solves():
     # reference implementation: one full solve per level, errors taken on
-    # the stored solutions; the batched pass may differ only by the rounding
-    # of multi-column matrix products. The second ladder lies entirely below
-    # the realized max |Z|, so the reference's own column splits off as well.
+    # the stored solutions; the pass steps each column on the kernels of a
+    # single solve, so it agrees bit for bit. The second ladder lies entirely
+    # below the realized max |Z|, so the reference's own column splits off
+    # as well.
     model = make_quadratic()
     part = Partition.uniform(1.0, 8)
     ens = simulate_forward(model, part, 4000, seed=5)
@@ -420,7 +419,7 @@ def test_batched_curve_matches_per_level_solves():
             want += [err_y, err_z, sol.y0]
         got += [curve.realized_max_z, curve.y_scale]
         want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        assert got == want
         # exactly the levels above the realized max |Z| share the reference
         assert ([p.err_y == 0.0 for p in curve.points]
                 == [n >= curve.realized_max_z for n in levels])
@@ -467,9 +466,9 @@ def test_level_split_off_partway_matches_its_own_solve():
     err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt).mean(axis=0).sum())
     (p,) = curve.points
     assert p.err_y > 0.0
-    np.testing.assert_allclose([p.err_y, p.err_z, p.y0, curve.realized_max_z],
-                               [err_y, err_z, sol.y0, float(np.abs(ref.Z).max())],
-                               rtol=1e-9, atol=0.0)
+    assert ([p.err_y, p.err_z, p.y0, curve.realized_max_z, curve.y_scale]
+            == [err_y, err_z, sol.y0, float(np.abs(ref.Z).max()),
+                float((ref.Y ** 2).max(axis=1).mean())])
 
 
 def test_truncation_curve_diverging_column_raises_with_step():

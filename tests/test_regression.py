@@ -312,6 +312,28 @@ def test_global_features_are_feature_major(m):
                                ((2 * x - (lo + hi)) / (hi - lo)).T, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("m", [1, 2])
+def test_global_normal_matrix_is_the_gram_of_the_features(m, degree):
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(20_000, m))
+    design = step_design(RegressionBasis(kind="global_polynomial", degree=degree), x)
+    phi = design.features
+    gram = phi @ phi.T
+    ridge = regression.RIDGE_SCALE * float(np.trace(gram))
+    assert np.array_equal(design.normal, design.normal.T)
+    unridged = design.normal - ridge * np.eye(len(phi))
+    assert np.abs(unridged - gram).max() <= 1e-13 * np.abs(gram).max()
+    if m == 1:
+        # row p is u ** p by repeated products, u the rescaled coordinate
+        lo, hi = design.bounds[0]
+        u = (x[:, 0] - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+        power = np.ones(len(x))
+        for row in phi:
+            assert np.array_equal(row, power)
+            power = power * u
+
+
 @pytest.mark.parametrize("basis", _KINDS, ids=lambda b: b.describe())
 def test_zero_width_bounds_raise_with_step_and_dimension(basis):
     rng = np.random.default_rng(15)

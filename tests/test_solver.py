@@ -1,6 +1,7 @@
 """Tests for the backward regression and quadrature solvers."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -171,6 +172,36 @@ def test_clamp_once_per_column_and_step(monkeypatch):
     # levels 2 and 4 share one unclamped column at every step; 0.5 and 1
     # split off at the first step, and 1 engages only there
     assert sorted(level for level, _ in calls[2:]) == [0.5] * 12 + [1.0] * 2
+
+
+def test_sweep_steps_each_distinct_column_on_the_single_column_kernels(monkeypatch):
+    # the ladder of test_clamp_once_per_column_and_step: every level starts
+    # in one shared column, and 0.5 and 1 split off at the first step
+    designs, widths, resolved = [], [], []
+
+    def counting(design, targets):
+        designs.append(design)
+        widths.append(targets.shape[1])
+        return regression.project(design, targets)
+
+    picard = solver._picard_resolve
+
+    def checking(f, t, x, base, z, dt, step):
+        assert base.flags.c_contiguous and z.flags.c_contiguous
+        resolved.append(step)
+        return picard(f, t, x, base, z, dt, step)
+
+    monkeypatch.setattr(solver, "project", counting)
+    monkeypatch.setattr(solver, "_picard_resolve", checking)
+    model = make_quadratic()
+    ens = simulate_forward(model, Partition.uniform(model.T, 6), 2000, seed=1)
+    truncation_error_curve(model, ens, GLOBAL2, [0.5, 1.0, 2.0])
+    assert widths == [1] * len(widths)
+    # projections per step, in pass order: two per distinct column, and a
+    # step's distinct columns are the ones the step before it resolved
+    per_step = [len(list(group)) for _, group in itertools.groupby(designs, key=id)]
+    assert per_step == [2] + [2 * resolved.count(i + 1) for i in range(4, -1, -1)]
+    assert per_step == [2] + [6] * 5
 
 
 def test_dimension_mismatch_is_rejected():
