@@ -424,15 +424,30 @@ def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None):
     return sol
 
 
+def _regularity_rows(ctx: RunContext, reg, n):
+    """The six path-regularity rows of one regularity pass with N = n coarse
+    steps, and its summary line."""
+    ratio = reg.y_increment_sq / reg.ensemble.partition.mesh
+    ctx.add("y_increment_sq", reg.y_increment_sq, n_steps=n)
+    ctx.add("y_increment_ratio", ratio, n_steps=n)
+    for name in ("z_regularity_sum", "z_regularity_node",
+                 "z_regularity_left_endpoint", "z_increment_sq"):
+        ctx.add(name, getattr(reg, name), n_steps=n)
+    ctx.note(f"N = {n:4d}: max window E(Y_t - Y_ti)^2 = {reg.y_increment_sq:.6e} "
+             f"({ratio:.4f} x mesh); z regularity sum = {reg.z_regularity_sum:.6e} "
+             f"(window projection), {reg.z_regularity_node:.6e} (coarse node), "
+             f"{reg.z_regularity_left_endpoint:.6e} (left endpoint)")
+
+
 def cmd_converge(ctx: RunContext):
     """Path-regularity refinement study over the grid ladder.
 
     For each N one regularity pass solves the fine grid at refine_factor x N
-    and its coarsening to N steps; reported are the Z regularity sum
-    (window projection), the Y increment statistic, and the fitted order of
-    the regularity sum in the mesh. Where the closed-form oracle applies,
-    the Y increment statistic is checked against the exact solution's own
-    value; elsewhere its ratios to the mesh are noted.
+    and its coarsening to N steps and writes its six regularity rows; the
+    order of the Z regularity sum in the mesh is fitted over the ladder.
+    Where the closed-form oracle applies, the Y increment statistic is
+    checked against the exact solution's own value; elsewhere its ratios to
+    the mesh are noted.
     """
     model = ctx.solver_model
     meshes, zsums, ystats = [], [], []
@@ -441,18 +456,10 @@ def cmd_converge(ctx: RunContext):
         # the fine ensemble is dropped with the pass, before the next rung
         reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
                               ctx.basis)
-        coarse = reg.ensemble.partition
-        mesh = coarse.mesh
-        zsum, ystat = reg.z_regularity_sum, reg.y_increment_sq
-        ratio = ystat / mesh
-        ctx.add("z_regularity_sum", zsum, n_steps=n)
-        ctx.add("y_increment_sq", ystat, n_steps=n)
-        ctx.add("y_increment_ratio", ratio, n_steps=n)
-        ctx.note(f"N = {n:4d}: z regularity sum = {zsum:.6e}, "
-                 f"y increment ratio = {ratio:.4f}")
-        meshes.append(mesh)
-        zsums.append(zsum)
-        ystats.append(ystat)
+        _regularity_rows(ctx, reg, n)
+        meshes.append(reg.ensemble.partition.mesh)
+        zsums.append(reg.z_regularity_sum)
+        ystats.append(reg.y_increment_sq)
         del reg
     try:
         fit = fit_convergence_order(meshes, zsums)
@@ -549,24 +556,7 @@ def cmd_diagnose(ctx: RunContext):
     # its states
     diag = diagnose_pass(model, get_ensemble(ctx, fine), ctx.refine_factor, ctx.basis)
     reg = diag.regularity
-    coarse = reg.ensemble.partition
-
-    ystat = reg.y_increment_sq
-    ratio = ystat / coarse.mesh
-    ctx.add("y_increment_sq", ystat)
-    ctx.add("y_increment_ratio", ratio)
-    ctx.note(f"max window E(Y_t - Y_ti)^2 = {ystat:.6e} "
-             f"({ratio:.4f} x mesh {coarse.mesh:g})")
-
-    zsum, znode = reg.z_regularity_sum, reg.z_regularity_node
-    zleft = reg.z_regularity_left_endpoint
-    ctx.add("z_regularity_sum", zsum)
-    ctx.add("z_regularity_node", znode)
-    ctx.add("z_regularity_left_endpoint", zleft)
-    ctx.add("z_increment_sq", reg.z_increment_sq)
-    ctx.note(f"z regularity sum = {zsum:.6e} (window projection), "
-             f"{znode:.6e} (coarse-node regression), "
-             f"{zleft:.6e} (left-endpoint competitor)")
+    _regularity_rows(ctx, reg, ctx.n_steps)
 
     bmo = diag.bmo
     ctx.add("bmo_estimate", bmo.regression_max)

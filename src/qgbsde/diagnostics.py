@@ -131,15 +131,15 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
     y_next = _start_backward(model, coarse)
     h, dt_f = coarse.partition.dt, fine.partition.dt
     P, d = fine.n_paths, fine.d
+    # the fine Y and Z of the current window; slot r holds its right end,
+    # the left end of the window after it
     yw = empty_time_major(r + 1, P)
-    zw = empty_time_major(r, P, (d,))
-    # fine Y and Z at the right end of the current window
-    y_right, z_right = y_next, None
+    zw = empty_time_major(r + 1, P, (d,))
+    yw[:, r] = y_next
     y_inc = z_inc = 0.0
     sums = np.empty((3, n))  # window, node and left-endpoint contributions
     for i in range(n - 1, -1, -1):
         lo = i * r
-        yw[:, r] = y_right
         design = step_design(basis, coarse.states[:, i], step=i)
         for k in range(r - 1, -1, -1):
             j = lo + k
@@ -154,19 +154,17 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
         inc = yw[:, 1:] - yw[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
         dt = dt_f[lo:lo + r]
-        window_avg = np.einsum("pjd,j->pd", zw, dt) / h[i]
+        window_avg = np.einsum("pjd,j->pd", zw[:, :r], dt) / h[i]
         for s, zbar in enumerate((project(design, window_avg)[0],
                                   project(design, z)[0], zw[:, 0])):
-            diff = zw - zbar[:, None]
+            diff = zw[:, :r] - zbar[:, None]
             sums[s, i] = float(((diff ** 2).sum(axis=2) * dt).mean(axis=0).sum())
         # every fine step of Z that starts in this window, the last one into
-        # the first node of the next window
-        for k in range(r):
-            z_next = zw[:, k + 1] if k + 1 < r else z_right
-            if z_next is not None:
-                dz = z_next - zw[:, k]
-                z_inc = max(z_inc, float(np.einsum("pd,pd->", dz, dz)) / P)
-        y_right, z_right = yw[:, 0].copy(), zw[:, 0].copy()
+        # the first node of the next window; none starts at T
+        for k in range(r - (i == n - 1)):
+            dz = zw[:, k + 1] - zw[:, k]
+            z_inc = max(z_inc, float(np.einsum("pd,pd->", dz, dz)) / P)
+        yw[:, r], zw[:, r] = yw[:, 0], zw[:, 0]
     window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
     return Regularity(ensemble=coarse, y_increment_sq=y_inc,
                       z_regularity_sum=float(window), z_regularity_node=float(node),
@@ -326,13 +324,13 @@ class TruncationCurve:
 
 
 def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
-                           basis: RegressionBasis, levels,
-                           reference_level: float | None = None) -> TruncationCurve:
+                           basis: RegressionBasis, levels) -> TruncationCurve:
     """Solve the truncated equations over a ladder of levels.
 
-    Errors are against the solution at reference_level (default: twice the
-    largest level in the ladder), on the same paths and basis, so the
-    statistical noise is common to both sides and cancels to first order:
+    Errors are against the solution at the reference level, twice the
+    largest level in the ladder (the curve's reference_level), on the same
+    paths and basis, so the statistical noise is common to both sides and
+    cancels to first order:
 
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
@@ -360,10 +358,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
         raise InvalidParameters(f"levels must be positive, got {levels}")
-    ref_level = 2.0 * lv[-1] if reference_level is None else float(reference_level)
-    if ref_level <= lv[-1]:
-        raise InvalidParameters(f"reference level {ref_level} must exceed the "
-                                f"largest ladder level {lv[-1]}")
+    ref_level = 2.0 * lv[-1]
     levels = (*lv, ref_level)
     models = [truncate_driver(model, n) for n in levels]
     # every level has the model's g, so the terminal values are one row

@@ -593,6 +593,18 @@ def test_simulate_writes_ensemble(tmp_path):
     assert {"x_terminal_mean", "x_terminal_sq_mean", "x_max_abs"} <= names
 
 
+_REGULARITY_ROWS = ("y_increment_sq", "y_increment_ratio", "z_regularity_sum",
+                    "z_regularity_node", "z_regularity_left_endpoint",
+                    "z_increment_sq")
+
+
+def _regularity_values(rows, n):
+    """{name: (value, std_error)} of the regularity rows at N = n, in report
+    order."""
+    return {r["statistic_name"]: (r["value"], r["std_error"]) for r in rows
+            if r["N"] == str(n) and r["statistic_name"] in _REGULARITY_ROWS}
+
+
 def test_converge_reports_ladder_rows(tmp_path):
     text = BASE.replace("n_steps = 4",
                         "n_steps = 4\nladder = 2 4 8\nrefine_factor = 2")
@@ -600,11 +612,17 @@ def test_converge_reports_ladder_rows(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--command", "converge", "--out", str(out)]) == 0
     _, rows = _read_report(out)
-    per_n = {(r["statistic_name"], r["N"]) for r in rows}
+    basis = RegressionBasis(kind="global_polynomial", degree=2)
     for n in (2, 4, 8):
-        assert ("z_regularity_sum", str(n)) in per_n
-        assert ("y_increment_sq", str(n)) in per_n
-        assert ("y_increment_ratio", str(n)) in per_n
+        # each rung writes the six rows of its pass, in diagnose's order
+        ens = simulate_forward(make_brownian(), Partition.uniform(1.0, n).refine(2),
+                               500, seed=3)
+        reg = diagnostics.regularity_pass(make_brownian(), ens, 2, basis)
+        want = (reg.y_increment_sq, reg.y_increment_sq / reg.ensemble.partition.mesh,
+                reg.z_regularity_sum, reg.z_regularity_node,
+                reg.z_regularity_left_endpoint, reg.z_increment_sq)
+        assert list(_regularity_values(rows, n).items()) == [
+            (name, (repr(float(v)), "")) for name, v in zip(_REGULARITY_ROWS, want)]
     names = {r["statistic_name"] for r in rows}
     assert "order_z_regularity" in names
     assert "order_z_regularity_r2" in names
@@ -612,6 +630,33 @@ def test_converge_reports_ladder_rows(tmp_path):
     # ratio band must not be asserted, only reported
     summary = (out / "summary.txt").read_text()
     assert "y increment / mesh ratios" in summary
+
+
+def test_one_rung_converge_writes_diagnose_regularity_rows(tmp_path):
+    # both commands run the same pass on the same fine ensemble
+    text = SMALL_QUADRATIC.replace("ladder = 2 4", "ladder = 4")
+    cfg = _write(tmp_path, text)
+    reports = []
+    for command in ("converge", "diagnose"):
+        out = tmp_path / command
+        assert main(["--config", cfg, "--command", command, "--out", str(out)]) == 0
+        reports.append(_regularity_values(_read_report(out)[1], 4))
+    assert tuple(reports[0]) == _REGULARITY_ROWS
+    assert reports[0] == reports[1]
+
+
+def test_study_scripts_resolve(tmp_path):
+    # each study script writes its INI from a heredoc and runs one command;
+    # a setting deleted from the CLI would fail only when the study is run
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.sh"))
+    assert scripts
+    for script in scripts:
+        text = script.read_text()
+        (ini,) = re.findall(r"<<'EOF'\n(.*?)^EOF$", text, flags=re.DOTALL | re.MULTILINE)
+        (command,) = re.findall(r"--command (\w+)", text)
+        assert command in cli.COMMANDS, script.name
+        cfg = _write(tmp_path, ini, name=f"{script.stem}.ini")
+        cli.RunContext(cli._load_config(cfg), cli._parse_args(["--config", cfg]))
 
 
 QUADRATIC = """

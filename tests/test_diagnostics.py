@@ -369,8 +369,7 @@ def test_truncation_curve_saturated_levels_are_exact_zero():
     model = make_quadratic()
     part = Partition.uniform(1.0, 8)
     ens = simulate_forward(model, part, 4000, seed=5)
-    curve = truncation_error_curve(model, ens, GLOBAL2, levels=[2.0, 4.0],
-                                   reference_level=8.0)
+    curve = truncation_error_curve(model, ens, GLOBAL2, levels=[2.0, 4.0])
     # the canonical control stays near tanh scale, far below these levels,
     # so the truncation never engages and the recursions agree bitwise
     assert curve.realized_max_z < 2.0
@@ -383,9 +382,10 @@ def test_truncation_curve_decay_and_qbar():
     model = make_quadratic()
     part = Partition.uniform(1.0, 8)
     ens = simulate_forward(model, part, 4000, seed=5)
+    # the 4.0 rung sets the reference level at 8.0; its error is 0, below
+    # the noise floor, so the fit takes the four decaying levels only
     curve = truncation_error_curve(model, ens, GLOBAL2,
-                                   levels=[0.05, 0.1, 0.2, 0.4],
-                                   reference_level=8.0)
+                                   levels=[0.05, 0.1, 0.2, 0.4, 4.0])
     errs = [p.err_y for p in curve.points]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     out = effective_qbar(curve)
@@ -404,9 +404,10 @@ def test_batched_curve_matches_per_level_solves():
     model = make_quadratic()
     part = Partition.uniform(1.0, 8)
     ens = simulate_forward(model, part, 4000, seed=5)
-    for levels, ref_level in (([0.1, 0.2, 0.4, 4.0], 8.0), ([0.1, 0.2], 0.4)):
-        curve = truncation_error_curve(model, ens, GLOBAL2, levels,
-                                       reference_level=ref_level)
+    for levels in ([0.1, 0.2, 0.4, 4.0], [0.1, 0.2]):
+        curve = truncation_error_curve(model, ens, GLOBAL2, levels)
+        ref_level = curve.reference_level
+        assert ref_level == 2 * levels[-1]
         ref = solve_backward_regression(truncate_driver(model, ref_level), ens, GLOBAL2)
         got, want = [], []
         for p, n in zip(curve.points, levels):
@@ -438,7 +439,7 @@ def test_levels_above_the_realized_max_z_share_one_column(monkeypatch):
     model = make_quadratic()
     ens = simulate_forward(model, Partition.uniform(model.T, 6), 2000, seed=1)
     monkeypatch.setattr(solver, "project", counting)
-    curve = truncation_error_curve(model, ens, GLOBAL2, [2.0, 3.0], reference_level=6.0)
+    curve = truncation_error_curve(model, ens, GLOBAL2, [2.0, 3.0])
     assert widths == [1] * (2 * 6)  # the Y and the Z projection per step
     assert curve.realized_max_z < 2.0
     ref = solve_backward_regression(truncate_driver(model, 6.0), ens, GLOBAL2)
@@ -456,7 +457,7 @@ def test_level_split_off_partway_matches_its_own_solve():
         quad, sigma=lambda t, x: np.full(x.shape + (1,), 3.0 - 2.0 * t))
     part = Partition.uniform(1.0, 8)
     ens = simulate_forward(model, part, 4000, seed=5)
-    curve = truncation_error_curve(model, ens, GLOBAL2, [2.0], reference_level=4.0)
+    curve = truncation_error_curve(model, ens, GLOBAL2, [2.0])
     ref = solve_backward_regression(truncate_driver(model, 4.0), ens, GLOBAL2)
     sol = solve_backward_regression(truncate_driver(model, 2.0), ens, GLOBAL2)
     engaged = np.abs(sol.Z).max(axis=(0, 2)) > 2.0
@@ -479,10 +480,10 @@ def test_truncation_curve_diverging_column_raises_with_step():
         make_quadratic(terminal="identity", sigma=3.0),
         f=lambda t, x, y, z: 2.0 * y * np.sum(z * z, axis=1))
     ens = simulate_forward(model, Partition.uniform(1.0, 8), 4000, seed=5)
-    curve = truncation_error_curve(model, ens, GLOBAL2, [0.01], reference_level=0.02)
+    curve = truncation_error_curve(model, ens, GLOBAL2, [0.01])
     assert np.isfinite(curve.points[0].y0)
     with pytest.raises(PicardDivergence) as exc:
-        truncation_error_curve(model, ens, GLOBAL2, [0.01, 4.0], reference_level=8.0)
+        truncation_error_curve(model, ens, GLOBAL2, [0.01, 4.0])
     assert exc.value.step == 7  # the first step of the backward pass
 
 
@@ -494,6 +495,3 @@ def test_truncation_curve_validation():
         truncation_error_curve(model, ens, GLOBAL2, levels=[])
     with pytest.raises(InvalidParameters):
         truncation_error_curve(model, ens, GLOBAL2, levels=[-1.0, 2.0])
-    with pytest.raises(InvalidParameters):
-        truncation_error_curve(model, ens, GLOBAL2, levels=[1.0, 2.0],
-                               reference_level=2.0)
