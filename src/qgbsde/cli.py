@@ -38,13 +38,14 @@ backward experiments on the same paths skip the simulation. The key covers
 everything that determines the paths: the model preset and all of its
 parameters, x0, the horizon, the time grid, the path count, the seed and a
 cache format version. A cache file that cannot be read or holds other paths
-is rebuilt, with a note in summary.txt.
+is rebuilt with a note in summary.txt, and a failed write is a warning.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import datetime
 import functools
@@ -266,7 +267,7 @@ class RunContext:
 # ------------------------------------------------------------- ensembles ---
 
 # bump when the ensemble file format or the simulation scheme changes
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 def _cache_key(model, partition, n_paths, seed):
@@ -301,32 +302,32 @@ def get_ensemble(ctx: RunContext, partition: Partition):
     handed it by its caller (cmd_all). Under $QGBSDE_CACHE_DIR a cache file
     is checked against the request, rebuilt with a note when it is
     unreadable or holds other paths, and written through a temporary file
-    that replaces it in one step.
+    that replaces it in one step; a failed write is a warning.
     """
     n_paths, seed = ctx.n_paths, ctx.seed
     key = _cache_key(ctx.model, partition, n_paths, seed)
     cache_dir = os.environ.get("QGBSDE_CACHE_DIR")
     cache_path = Path(cache_dir) / f"ens_{key}.bin" if cache_dir else None
-    ens = None
     if cache_path is not None and cache_path.exists():
         try:
             ens = load_ensemble(cache_path)
             reason = _cache_mismatch(ens, ctx.model, partition, n_paths, seed)
         except (QgbsdeError, OSError) as exc:
             reason = str(exc)
-        if reason is not None:
-            ctx.note(f"cache file {cache_path.name} rejected ({reason}); rebuilt")
-            ens = None
-    if ens is None:
-        ens = simulate_forward(ctx.model, partition, n_paths, seed,
-                               workers=ctx.workers)
-        if cache_path is not None:
+        if reason is None:
+            return ens
+        ctx.note(f"cache file {cache_path.name} rejected ({reason}); rebuilt")
+    ens = simulate_forward(ctx.model, partition, n_paths, seed, workers=ctx.workers)
+    if cache_path is not None:
+        tmp = cache_path.with_name(f".{cache_path.name}.{os.getpid()}.tmp")
+        try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = cache_path.with_name(f".{cache_path.name}.{os.getpid()}.tmp")
-            try:
-                dump_ensemble(ens, tmp)
-                os.replace(tmp, cache_path)
-            finally:
+            dump_ensemble(ens, tmp)
+            os.replace(tmp, cache_path)
+        except OSError as exc:
+            ctx.warn(f"cache file {cache_path.name} not written ({exc})")
+        finally:
+            with contextlib.suppress(OSError):  # missing_ok does not cover ENOTDIR
                 tmp.unlink(missing_ok=True)
     return ens
 

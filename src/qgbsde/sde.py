@@ -1,4 +1,4 @@
-"""Forward Euler simulation, first variation flow, and ensemble (de)serialization.
+"""Forward Euler simulation, first variation flow, and the time-major ensemble file.
 
 The flow is stored; its inverse is not. flow_inverse inverts the flow
 matrices of one node when a check needs them: simulate_variational's, node
@@ -8,6 +8,7 @@ inverse is the reciprocal, bit for bit what np.linalg.inv gives.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -17,7 +18,8 @@ from .errors import InvalidParameters, NumericalBlowup, SingularFlow
 from .model import ModelSpec, Partition, empty_time_major
 from .rng import _run_blocks, normal_increments
 
-_MAGIC = b"QGB1"
+_MAGIC = b"QGB2"
+_HEADER = struct.Struct("<4s5Q")  # magic, then m, d, N, P, seed
 # simulate_variational's caps on the flow's condition bound and on its
 # inverse's identity residual
 FLOW_CONDITION_CAP = 1e12
@@ -34,10 +36,10 @@ class PathEnsemble:
     flow_residual: the largest flow_identity_residual of those flows, as
                    simulate_variational measured it for its check
 
-    Arrays built by this module are indexed path first but stored time-major
-    (time is the slowest axis in memory, see model.empty_time_major), so the
-    per-node slice states[:, i] is contiguous. Path-major arrays are accepted
-    as well; only the speed of the per-node access differs.
+    Arrays are indexed path first but stored time-major, in memory as in the
+    ensemble file (time is the slowest axis, see model.empty_time_major), so
+    the per-node slice states[:, i] is contiguous. Path-major arrays built by
+    hand are accepted as well; only the speed of the per-node access differs.
     """
 
     partition: Partition
@@ -189,42 +191,39 @@ def flow_identity_residual(flow: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:
-    """Binary dump: magic 'QGB1', little-endian u64 header (m, d, N, P, seed),
-    then times, increments, states as little-endian float64, row-major in
-    the (P, N, d) and (P, N+1, m) indexing, i.e. path-major whatever the
-    in-memory storage order."""
+    """Binary dump: magic 'QGB2', little-endian u64 header (m, d, N, P, seed),
+    then little-endian float64 times, increments node by node (N blocks of
+    P x d) and states node by node (N+1 blocks of P x m): the time-major
+    storage order, so only a path-major array is copied before writing."""
     n = ensemble.partition.n_steps
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<5Q", ensemble.m, ensemble.d, n,
-                             ensemble.n_paths, ensemble.seed % 2 ** 64))
-        for a in (ensemble.partition.times, ensemble.increments, ensemble.states):
-            # path-major bytes whatever the storage order, written from the
-            # array buffer without a further bytes copy
+        fh.write(_HEADER.pack(_MAGIC, ensemble.m, ensemble.d, n,
+                              ensemble.n_paths, ensemble.seed % 2 ** 64))
+        for a in (ensemble.partition.times, ensemble.increments.swapaxes(0, 1),
+                  ensemble.states.swapaxes(0, 1)):
             fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_ensemble(path) -> PathEnsemble:
-    """Read a dump_ensemble file into time-major arrays."""
+    """Read a dump_ensemble file in place into time-major arrays, once its
+    header agrees with the file size."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise InvalidParameters(f"not an ensemble file (bad magic {blob[:4]!r})")
-    off = 44
-    if len(blob) < off:
-        raise InvalidParameters(f"ensemble file truncated: {len(blob)}-byte header")
-    m, d, n, p, seed = struct.unpack("<5Q", blob[4:off])
-    expect = (n + 1) + p * n * d + p * (n + 1) * m
-    if len(blob) - off != 8 * expect:
-        raise InvalidParameters(f"ensemble file truncated: {len(blob) - off} data "
-                                f"bytes, expected {8 * expect}")
-    data = np.frombuffer(blob, dtype="<f8", offset=off)
-    times = data[: n + 1].copy()
-    a = n + 1
-    inc = empty_time_major(n, p, (d,))
-    inc[...] = data[a: a + p * n * d].reshape(p, n, d)
-    a += p * n * d
-    states = empty_time_major(n + 1, p, (m,))
-    states[...] = data[a:].reshape(p, n + 1, m)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != _MAGIC:
+            raise InvalidParameters(f"not a {_MAGIC.decode()} ensemble file "
+                                    f"({size} bytes, magic {head[:4]!r})")
+        m, d, n, p, seed = _HEADER.unpack(head)[1:]
+        expect = _HEADER.size + 8 * ((n + 1) + p * n * d + p * (n + 1) * m)
+        if size != expect:
+            raise InvalidParameters(f"ensemble file has {size} bytes, its header {expect}")
+        times = np.empty(n + 1)
+        inc = empty_time_major(n, p, (d,))
+        states = empty_time_major(n + 1, p, (m,))
+        for a in (times, inc.swapaxes(0, 1), states.swapaxes(0, 1)):
+            if fh.readinto(a.data) != a.nbytes:
+                raise InvalidParameters("ensemble file truncated while reading")
+            if not np.little_endian:
+                a.byteswap(inplace=True)
     return PathEnsemble(partition=Partition(times), seed=int(seed),
                         increments=inc, states=states)

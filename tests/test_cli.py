@@ -318,6 +318,21 @@ def _report_body(out):
     return (out / "report.csv").read_text().split("\n", 1)[1]
 
 
+def test_unwritable_cache_directory_is_a_warning(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, BASE)
+    assert main(["--config", cfg, "--out", str(tmp_path / "plain"), "--strict"]) == 0
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("QGBSDE_CACHE_DIR", str(blocker / "cache"))
+    out = tmp_path / "cached"
+    assert main(["--config", cfg, "--out", str(out)]) == 0
+    assert _report_body(out) == _report_body(tmp_path / "plain")
+    assert "WARNING: cache file ens_" in (out / "summary.txt").read_text()
+    assert " not written (" in (out / "summary.txt").read_text()
+    assert main(["--config", cfg, "--out", str(tmp_path / "strict"), "--strict"]) == 1
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("damage", ["truncated", "wrong_times"])
 def test_rejected_cache_file_is_rebuilt_with_a_note(tmp_path, monkeypatch, damage):
     cfg = _write(tmp_path, BASE)

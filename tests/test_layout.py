@@ -6,6 +6,8 @@ backward pass walks is one contiguous block. Path-major arrays built by hand
 must still give the same numbers.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,20 @@ def test_dump_writes_the_same_bytes_for_either_storage_order(tmp_path):
     dump_ensemble(_path_major(ens), tmp_path / "path_major.bin")
     assert ((tmp_path / "time_major.bin").read_bytes()
             == (tmp_path / "path_major.bin").read_bytes())
+
+
+def test_ensemble_file_follows_the_documented_layout(tmp_path):
+    # README "Outputs": the one artifact read outside the package
+    ens = simulate_forward(PLANAR, Partition.uniform(1.0, 5), 300, seed=8)
+    path = tmp_path / "ensemble.bin"
+    dump_ensemble(ens, path)
+    with open(path, "rb") as fh:
+        magic, m, d, n, p, seed = struct.unpack("<4s5Q", fh.read(44))
+        times = np.fromfile(fh, dtype="<f8", count=n + 1)
+        increments = np.fromfile(fh, dtype="<f8", count=n * p * d).reshape(n, p, d)
+        states = np.fromfile(fh, dtype="<f8", count=(n + 1) * p * m).reshape(n + 1, p, m)
+        assert fh.read() == b""
+    assert (magic, m, d, n, p, seed) == (b"QGB2", 2, 2, 5, 300, 8)
+    np.testing.assert_array_equal(times, ens.partition.times)
+    np.testing.assert_array_equal(increments.swapaxes(0, 1), ens.increments)
+    np.testing.assert_array_equal(states.swapaxes(0, 1), ens.states)

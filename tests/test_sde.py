@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +290,59 @@ def test_load_rejects_garbage(tmp_path):
         path.write_bytes(cut)
         with pytest.raises(InvalidParameters):
             load_ensemble(path)
+
+
+def _ensemble_bytes(ens):
+    return ens.partition.times.nbytes + ens.increments.nbytes + ens.states.nbytes
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_ensemble_reads_in_place(tmp_path):
+    # no whole-file buffer: the traced peak is the arrays it returns
+    ens = simulate_forward(make_gbm(), Partition.uniform(1.0, 16), 20_000, 1)
+    dump_ensemble(ens, tmp_path / "ens.bin")
+    back, peak = _traced_peak(lambda: load_ensemble(tmp_path / "ens.bin"))
+    assert peak <= 1.1 * _ensemble_bytes(back)
+
+
+def test_dump_ensemble_copies_no_time_major_array(tmp_path):
+    ens = simulate_forward(make_gbm(), Partition.uniform(1.0, 16), 20_000, 1)
+    _, peak = _traced_peak(lambda: dump_ensemble(ens, tmp_path / "ens.bin"))
+    assert peak <= 0.1 * _ensemble_bytes(ens)
+
+
+def test_load_checks_the_header_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(sde._HEADER.pack(sde._MAGIC, 1, 1, 4, 2 ** 40, 0) + b"\x00" * 64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(sde, "empty_time_major", refuse)
+    with pytest.raises(InvalidParameters, match="header"):
+        load_ensemble(path)
+
+
+def test_load_rejects_the_path_major_format(tmp_path):
+    # a QGB1 file holds the same header and the paths path-major
+    ens = simulate_forward(make_gbm(), Partition.uniform(1.0, 4), 10, 0)
+    path = tmp_path / "old.bin"
+    dump_ensemble(ens, path)
+    blob = path.read_bytes()
+    path.write_bytes(b"QGB1" + blob[4:44] + ens.partition.times.tobytes()
+                     + np.ascontiguousarray(ens.increments).tobytes()
+                     + np.ascontiguousarray(ens.states).tobytes())
+    assert path.stat().st_size == len(blob)
+    with pytest.raises(InvalidParameters, match="magic b'QGB1'"):
+        load_ensemble(path)
 
 
 def test_ensemble_shape_validation():
