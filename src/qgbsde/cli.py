@@ -31,7 +31,8 @@ Exit codes: 0 success, 1 numerical failure during the run, 2 configuration
 error. With --strict, runs that produced warnings also exit 1.
 
 Commands get their ensembles from get_ensemble, which keeps none: all hands
-its N-step ensemble to solve and truncate_sweep and drops it before diagnose.
+its N-step ensemble to the truncation sweep and to solve, which reads the
+sweep's point at an on-ladder [truncation] level, and drops it before diagnose.
 
 Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set), so repeated
 backward experiments on the same paths skip the simulation. The key covers
@@ -114,8 +115,16 @@ def _at_least(lo):
     return (lambda v: v >= lo), f"must be >= {lo}"
 
 
-_INCREASING = ((lambda v: bool(v) and min(v) > 0 and list(v) == sorted(set(v))),
-               "must be a strictly increasing list of positive numbers")
+def _writable(path):
+    path = os.path.abspath(path)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)
+
+
+_INCREASING = ((lambda v: bool(v) and all(0 < x < math.inf for x in v)
+                and list(v) == sorted(set(v))),
+               "must be a strictly increasing list of finite positive numbers")
 
 _SETTINGS = (
     _Setting("grid", "n_steps", int, 64, check=_at_least(1)),
@@ -135,7 +144,8 @@ _SETTINGS = (
     _Setting("truncation", "levels", _list(float), (1.0, 2.0, 3.0, 4.0, 6.0, 8.0),
              _join(_short), _INCREASING),
     _Setting("truncation", "oracle_reference", _bool, False, _flag),
-    _Setting("outputs", "directory", Path, Path("qgbsde_out")),
+    _Setting("outputs", "directory", Path, Path("qgbsde_out"),
+             check=(_writable, "must be a writable directory or creatable in one")),
     _Setting("outputs", "experiment_id", str, None,  # None: {command}_{model}
              lambda v: v or ""),
 )
@@ -388,26 +398,31 @@ def cmd_simulate(ctx: RunContext):
     return ens
 
 
-def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None):
+def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None, curve=None):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
-    if ens is None:
-        ens = get_ensemble(ctx, part)
     model = ctx.solver_model
-    sol = solve_backward_regression(model, ens, ctx.basis)
-    y0 = sol.y0
-    z0 = float(sol.z0[0]) if ctx.model.d == 1 else None
+    point = next((p for p in curve.points if p.level == ctx.level), None) if curve else None
+    if point is None:
+        ens = get_ensemble(ctx, part) if ens is None else ens
+        sol = solve_backward_regression(model, ens, ctx.basis)
+        y0, z0s, y_rms, z_rms = (sol.y0, sol.z0, sol.meta.y_residual_rms[0],
+                                 sol.meta.z_residual_rms[0])
+    else:  # the sweep's point at this level, bit for bit the same solve
+        y0, z0s, y_rms, z_rms = (point.y0, point.z0, point.y0_residual_rms,
+                                 point.z0_residual_rms)
+    z0 = float(z0s[0]) if ctx.model.d == 1 else None
     # at t = 0 the design is the constant one, so y0 and z0 are plain means of
     # their step-0 targets: the residual RMS over sqrt(P) is their Monte Carlo
     # error given the later fits. z's RMS is kept only as a mean over the d
     # components, so z0 gets one for d = 1 only.
-    sqrt_p = math.sqrt(ens.n_paths)
-    y0_se = sol.meta.y_residual_rms[0] / sqrt_p
-    z0_se = sol.meta.z_residual_rms[0] / sqrt_p if ctx.model.d == 1 else None
+    sqrt_p = math.sqrt(ctx.n_paths)
+    y0_se = y_rms / sqrt_p
+    z0_se = z_rms / sqrt_p if ctx.model.d == 1 else None
     ctx.add("y0", y0, std_error=y0_se)
     for k in range(ctx.model.d):
         suffix = "" if ctx.model.d == 1 else f"_{k}"
-        ctx.add(f"z0{suffix}", sol.z0[k], std_error=z0_se)
-    ctx.note(f"solved: y0 = {y0!r}, z0 = {np.array2string(sol.z0, precision=8)}")
+        ctx.add(f"z0{suffix}", z0s[k], std_error=z0_se)
+    ctx.note(f"solved: y0 = {y0!r}, z0 = {np.array2string(z0s, precision=8)}")
     ctx.note(f"std_error: y0 {y0_se:.3e}"
              + ("" if z0_se is None else f", z0 {z0_se:.3e}")
              + " (conditional on the fitted regressions, not seed-to-seed error)")
@@ -422,7 +437,6 @@ def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None):
                      f"|MC - quadrature| = {abs(y0 - qy):.3e}")
         except DomainTooSmall as exc:
             ctx.warn(f"quadrature cross-check skipped: {exc}")
-    return sol
 
 
 def _regularity_rows(ctx: RunContext, reg, n):
@@ -496,13 +510,13 @@ def cmd_converge(ctx: RunContext):
               all(0.5 <= r <= 2.0 for r in ratios))
 
 
-def cmd_truncate_sweep(ctx: RunContext, ens: PathEnsemble | None = None):
-    if ctx.model.driver_z_lipschitz is not None:
-        raise ConfigError("truncate_sweep needs a quadratic-growth model "
-                          "(the driver is already Lipschitz)")
-    if ens is None:
+def cmd_truncate_sweep(ctx: RunContext, curve=None):
+    if curve is None:
+        if ctx.model.driver_z_lipschitz is not None:
+            raise ConfigError("truncate_sweep needs a quadratic-growth model "
+                              "(the driver is already Lipschitz)")
         ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
-    curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels)
+        curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels)
     for p in curve.points:
         ctx.add("trunc_err_y", p.err_y, n_trunc=p.level)
         ctx.add("trunc_err_z", p.err_z, n_trunc=p.level)
@@ -584,10 +598,12 @@ def cmd_diagnose(ctx: RunContext):
 
 def cmd_all(ctx: RunContext):
     ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
-    cmd_solve(ctx, ens)
     if ctx.model.driver_z_lipschitz is None:
-        cmd_truncate_sweep(ctx, ens)
+        curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels)
+        cmd_solve(ctx, ens, curve)
+        cmd_truncate_sweep(ctx, curve)
     else:
+        cmd_solve(ctx, ens)
         ctx.note("truncation sweep skipped: driver already Lipschitz")
     del ens  # diagnose simulates the fine grid
     cmd_diagnose(ctx)

@@ -18,19 +18,13 @@ Neither the coarse solution nor the tail sums nor the gradient are stored;
 bmo_estimate, variational.solve_variational_bsde and
 variational.representation_check are the whole-grid loops over the same
 per-node kernels. The truncation sweep solves one quadratic model under a ladder
-of truncation levels and a high-level reference in one backward pass and
-records the error decay, from which a convergence order (and the implied
-tail exponent) is fitted. Levels share a target column until their clamp
-engages: a level at or above a column's max |Z| sees the identity clamp on
-it, so the pass computes each distinct column once. Each column is one
-contiguous row, stepped on the single-column kernels that every backward
-solve runs: its own pair of projections and the implicit step under its
-level's driver.
+of truncation levels and a high-level reference in one backward pass and fits
+the order of the error decay (and the implied tail exponent); each level's
+y0, z0 and step-0 residuals are bit for bit those of its own solve.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,6 +298,9 @@ class TruncationPoint:
     err_y: float
     err_z: float
     y0: float
+    z0: np.ndarray  # (d,)
+    y0_residual_rms: float  # of the step-0 projections, as in SolverMeta
+    z0_residual_rms: float
 
 
 @dataclass(frozen=True)
@@ -335,76 +332,63 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
 
-    Every level and the reference run in one backward pass, on one column
-    per level that has split off and one column shared by the rest. All
-    levels start in the shared column, since they share g. Each column is
-    one contiguous row of P values, and the pass steps it on the kernels of
-    a single solve: at every step each distinct column gets its own pair of
-    projections on the step's shared design (solver._martingale_pair), and
-    each level's column its own implicit step (solver._implicit_step). The
-    levels at or above the shared column's max |z| see the identity clamp
-    there and share one implicit step, resolved with the lowest of them,
-    whose driver passes z on unclamped; each level below splits off into a
-    column of its own. The levels are sorted, so the ones still sharing are
-    a top part of the ladder, the reference included, and one split index
-    describes the columns. The reference can split off as well, and then
-    every level has a column of its own. So each level's y0 and errors are
-    bit for bit those of its own solve_backward_regression. The errors, y0
-    per level, realized_max_z (the largest |Z| of the reference) and y_scale
-    accumulate as the pass goes, so no full solution is stored. A level in
-    the reference's column has zero error by construction, which holds for
-    every level above realized_max_z.
+    Every level and the reference run in one backward pass. Each level holds
+    a row of P values, one array for the levels on it; all start on the
+    terminal row, since they share g. At every step each distinct row gets
+    one pair of projections on the step's design (solver._martingale_pair).
+    The levels on the reference's row at or above its max |z| see the
+    identity clamp and share one implicit step (solver._implicit_step);
+    every other level steps a row of its own. So each level's errors, y0, z0
+    and step-0 residual RMS are bit for bit its own solve_backward_regression's,
+    and no full solution is stored. Every level above realized_max_z (the
+    reference's max |Z|) stays on the reference's row, with zero error.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
         raise InvalidParameters(f"levels must be positive, got {levels}")
     ref_level = 2.0 * lv[-1]
-    levels = (*lv, ref_level)
-    models = [truncate_driver(model, n) for n in levels]
-    # every level has the model's g, so the terminal values are one row
-    y = [_start_backward(models[-1], ensemble)]
-    times = ensemble.partition.times
-    L, n = len(lv), times.size - 1
-    # row j < k of y is the level j, split off; row k is shared by
-    # levels[k:] and is the reference's row while k <= L
-    k = 0
+    models = {n: truncate_driver(model, n) for n in (*lv, ref_level)}
+    rows = dict.fromkeys(models, _start_backward(models[ref_level], ensemble))
+    times, n_steps = ensemble.partition.times, ensemble.partition.n_steps
     # running per-path maxima over the nodes seen so far, terminal included
-    err_y_path = np.zeros((L, ensemble.n_paths))
-    y_sq_max = y[0] ** 2
-    err_z_steps = np.zeros((L, n))
+    err_y_path = dict(zip(lv, np.zeros((len(lv), ensemble.n_paths))))
+    y_sq_max = rows[ref_level] ** 2
+    err_z_steps = {n: np.zeros(n_steps) for n in lv}
     realized = 0.0
-    for i in range(n - 1, -1, -1):
+    for i in range(n_steps - 1, -1, -1):
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
-        means, zs = [], []
-        for row in y:
-            mean, z, *_ = _martingale_pair(design, ensemble, i, row[:, None])
-            means.append(mean[:, 0])
-            zs.append(z[:, 0])
-        # the levels at or above the max |z| of the reference's row leave its
-        # z unclamped and keep sharing it; each level below splits off and
-        # starts from it
-        shared = len(y) - 1
-        top = float(np.abs(zs[shared]).max())
+        # one pair per distinct row, then one implicit step per row and driver
+        done, pairs, new = {}, {}, {}
+        for n, row in rows.items():
+            if id(row) not in done:
+                mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, row[:, None])
+                done[id(row)] = mean[:, 0], z[:, 0], float(y_rms[0]), float(np.mean(z_rms))
+            pairs[n] = done[id(row)]
+        top = float(np.abs(pairs[ref_level][1]).max())
         realized = max(realized, top)
-        k = max(k, bisect_left(levels, top))
-        ref = min(k, L)
-        y = [_implicit_step(models[j], ensemble, i, means[min(j, shared)],
-                            zs[min(j, shared)])[0] for j in range(ref + 1)]
-        np.maximum(y_sq_max, y[ref] ** 2, out=y_sq_max)
-        # a level still in the reference's row has error 0 by construction,
-        # and one that splits off at this step has the reference's z
-        for j in range(ref):
-            dy = y[j] - y[ref]
-            np.maximum(err_y_path[j], dy * dy, out=err_y_path[j])
-            if j < shared:
-                dz = zs[j] - zs[shared]
-                err_z_steps[j, i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
-        del means, zs  # not held through the next step's projections
-    pts = tuple(TruncationPoint(level=lv[j], err_y=float(err_y_path[j].mean()),
-                                err_z=float(err_z_steps[j].sum()),
-                                y0=float(y[min(j, k)].mean()))
-                for j in range(L))
+        for n, row in rows.items():
+            # levels at or above the reference row's max |z| see no clamp on it
+            step = (id(row), None if row is rows[ref_level] and n >= top else n)
+            if step not in done:
+                done[step] = _implicit_step(models[n], ensemble, i, *pairs[n][:2])[0]
+            new[n] = done[step]
+        rows = new
+        y_ref = rows[ref_level]
+        np.maximum(y_sq_max, y_ref ** 2, out=y_sq_max)
+        # error 0 on the reference's row; one that leaves it now has its z
+        for n in [n for n in lv if rows[n] is not y_ref]:
+            dy = rows[n] - y_ref
+            np.maximum(err_y_path[n], dy * dy, out=err_y_path[n])
+            if pairs[n] is not pairs[ref_level]:
+                dz = pairs[n][1] - pairs[ref_level][1]
+                err_z_steps[n][i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
+        if i:  # not held through the next step's design; step 0's make the points
+            del done, pairs
+    pts = tuple(TruncationPoint(
+        level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
+        y0=float(rows[n].mean()), z0=pairs[n][1].mean(axis=0),
+        y0_residual_rms=pairs[n][2], z0_residual_rms=pairs[n][3]) for n in lv)
     return TruncationCurve(points=pts, reference_level=ref_level,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()))
 

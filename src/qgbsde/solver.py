@@ -13,8 +13,7 @@ and resolves the implicit step under one driver (_implicit_step). Every
 regression solve runs these single-column kernels: the whole-grid solve
 here, a coarse and a nested fine solve in lockstep on shared designs (the
 regularity pass in diagnostics), and the truncation sweep in diagnostics,
-which projects each distinct column of its ladder on its own and resolves
-each level's column under that level's driver.
+on each distinct row of its ladder under each level's driver.
 The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.

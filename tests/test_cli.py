@@ -160,6 +160,8 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, capsys):
     bad = (
         (BASE + "\n[plotting]\nstyle = dark\n", []),          # unknown section
         (BASE + "\n[truncation]\nlevels = 3 2 1\n", []),      # not increasing
+        (BASE + "\n[truncation]\nlevels = 1 inf\n", []),
+        (BASE + "\n[truncation]\nlevels = 1 nan\n", []),
         (BASE.replace("n_paths = 500", "n_paths = 50"), []),  # too few paths
         (BASE.replace("name = brownian", "name = heston"), []),
         (BASE.replace("n_steps = 4", "n_steps = few"), []),
@@ -251,6 +253,23 @@ n_paths = 500
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_unusable_output_directory_exits_2_before_simulating(tmp_path, monkeypatch,
+                                                            capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad directory must be rejected before any simulation")
+
+    monkeypatch.setattr(cli, "simulate_forward", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write(tmp_path, BASE)
+    for out in (blocker / "sub", blocker):
+        assert main(["--config", cfg, "--out", str(out)]) == 2
+        assert f"[outputs] directory must be a writable directory or creatable in " \
+               f"one, got {out}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.ini"]
+    assert blocker.read_text() == ""
 
 
 def test_truncate_sweep_rejects_lipschitz_driver(tmp_path):
@@ -429,17 +448,19 @@ levels = 0.5 1.0
 """
 
 
-@pytest.mark.parametrize("command, calls", [
+@pytest.mark.parametrize("command, extra, calls", [
     # one design per fine node of the pass: the coarse node's serves the
     # coarse step, the fine step there, and the BMO and gradient checks
-    ("diagnose", 8),
+    ("diagnose", "", 8),
     # plus one per step for the solve and one per step for the sweep
-    ("all", 4 + 4 + 8),
-    ("converge", 2 * 2 + 2 * 4),
-])
-def test_each_design_is_built_once(tmp_path, monkeypatch, command, calls):
+    ("all", "", 4 + 4 + 8),
+    # a level on the ladder: the solve is read from the sweep
+    ("all", "level = 1.0\n", 4 + 8),
+    ("converge", "", 2 * 2 + 2 * 4),
+], ids=["diagnose-8", "all-16", "all-on-ladder-12", "converge-12"])
+def test_each_design_is_built_once(tmp_path, monkeypatch, command, extra, calls):
     steps = _count_step_designs(monkeypatch)
-    cfg = _write(tmp_path, SMALL_QUADRATIC)
+    cfg = _write(tmp_path, SMALL_QUADRATIC + extra)
     assert main(["--config", cfg, "--command", command, "--out", str(tmp_path / "o")]) == 0
     assert len(steps) == calls
 
@@ -733,8 +754,7 @@ def test_solve_on_steep_terminal_has_closed_form_under_strict(tmp_path):
     assert "oracle unavailable" not in (out / "summary.txt").read_text()
 
 
-def test_all_command_on_quadratic_model(tmp_path):
-    text = """
+ALL_QUADRATIC = """
 [model]
 name = quadratic
 gamma = 1.0
@@ -756,7 +776,10 @@ degree = 2
 level = 6.0
 levels = 0.5 1.0
 """
-    cfg = _write(tmp_path, text)
+
+
+def test_all_command_on_quadratic_model(tmp_path):
+    cfg = _write(tmp_path, ALL_QUADRATIC)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--command", "all", "--out", str(out)]) == 0
     _, rows = _read_report(out)
@@ -768,3 +791,35 @@ levels = 0.5 1.0
     assert {r["n_trunc"] for r in trunc_rows} == {"0.5", "1"}
     summary = (out / "summary.txt").read_text()
     assert summary.count("driver truncated at level 6") == 1
+
+
+def test_all_reads_its_solve_from_the_sweep_when_the_level_is_on_the_ladder(
+        tmp_path, monkeypatch):
+    # level 0.5 engages its clamp, so its row leaves the reference's
+    cfg = _write(tmp_path, ALL_QUADRATIC.replace("level = 6.0", "level = 0.5"))
+    solve_out, all_out = tmp_path / "solve", tmp_path / "all"
+    assert main(["--config", cfg, "--out", str(solve_out)]) == 0
+    solved = []
+
+    def spy(*args, **kwargs):
+        solved.append(args)
+        return solve_backward_regression(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_backward_regression", spy)
+    assert main(["--config", cfg, "--command", "all", "--out", str(all_out)]) == 0
+    assert solved == []
+
+    def rows(out):
+        return [{k: v for k, v in r.items() if k != "experiment_id"}
+                for r in _read_report(out)[1]]
+
+    # all writes the solve's rows first, then the sweep's
+    want, got = rows(solve_out), rows(all_out)
+    assert [r["statistic_name"] for r in want] == [
+        "y0", "z0", "y0_reference", "y0_abs_error", "z0_reference", "z0_abs_error",
+        "y0_quadrature", "z0_quadrature", "y0_vs_quadrature"]
+    assert want[0]["std_error"] and want[1]["std_error"]
+    assert got[:len(want)] == want
+    (err,) = [r for r in got if r["statistic_name"] == "trunc_err_y"
+              and r["n_trunc"] == "0.5"]
+    assert float(err["value"]) > 0.0

@@ -416,8 +416,10 @@ def test_batched_curve_matches_per_level_solves():
             err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt)
                           .mean(axis=0).sum())
             assert p.level == n
-            got += [p.err_y, p.err_z, p.y0]
-            want += [err_y, err_z, sol.y0]
+            got += [p.err_y, p.err_z, p.y0, *p.z0, p.y0_residual_rms,
+                    p.z0_residual_rms]
+            want += [err_y, err_z, sol.y0, *sol.Z[:, 0].mean(axis=0),
+                     sol.meta.y_residual_rms[0], sol.meta.z_residual_rms[0]]
         got += [curve.realized_max_z, curve.y_scale]
         want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
         assert got == want
