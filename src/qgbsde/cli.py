@@ -389,7 +389,7 @@ def cmd_simulate(ctx: RunContext):
                 std_error=xt[:, k].std(ddof=1) / sqrt_p)
         ctx.add(f"x_terminal_sq_mean{suffix}", (xt[:, k] ** 2).mean(),
                 std_error=(xt[:, k] ** 2).std(ddof=1) / sqrt_p)
-    ctx.add("x_max_abs", np.abs(ens.states).max())
+    ctx.add("x_max_abs", max(float(ens.states.max()), -float(ens.states.min())))
     ctx.note(f"simulated {ens.n_paths} paths on {part.n_steps} steps, "
              f"E[X_T] = {xt.mean(axis=0)}")
     ctx.directory.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,10 @@ import configparser
 import csv
 import dataclasses
 import functools
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -627,6 +630,20 @@ def test_simulate_writes_ensemble(tmp_path):
     _, rows = _read_report(out)
     names = {r["statistic_name"] for r in rows}
     assert {"x_terminal_mean", "x_terminal_sq_mean", "x_max_abs"} <= names
+    x_max_abs, = (r["value"] for r in rows if r["statistic_name"] == "x_max_abs")
+    assert x_max_abs == repr(float(np.abs(ens.states).max()))
+
+
+def test_cli_imports_no_heavy_scipy_subpackage():
+    # in a fresh interpreter: the test session itself imports scipy.integrate
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    code = ("import sys, qgbsde.cli; "
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 _REGULARITY_ROWS = ("y_increment_sq", "y_increment_ratio", "z_regularity_sum",

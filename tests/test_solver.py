@@ -241,6 +241,37 @@ def test_quadrature_matches_closed_form_reference():
     assert abs(z0 - ref.z0) < 1e-2  # z carries the larger time-grid bias
 
 
+def test_spline_matches_scipy_not_a_knot_cubic_spline():
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(5)
+    for lo, hi in [(-3.0, 5.0), (-75.8, 77.8)]:
+        grid = np.linspace(lo, hi, solver._GRID_SIZE)
+        slope_map = solver._not_a_knot_slopes(grid)
+        for y in (np.tanh(rng.standard_normal(grid.size).cumsum() / 5.0),
+                  np.exp(grid / (hi - lo))):
+            pts = np.concatenate([rng.uniform(lo, hi, 2000), grid])
+            # relative to the spline's scale: pointwise relative errors blow
+            # up where it crosses zero
+            np.testing.assert_allclose(solver._spline(grid, slope_map, y, pts),
+                                       CubicSpline(grid, y)(pts), rtol=0,
+                                       atol=1e-14 * np.abs(y).max())
+            for end in (lo, hi):
+                assert solver._spline(grid, slope_map, y, end) == pytest.approx(
+                    float(CubicSpline(grid, y)(end)), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("model, n, expected", [
+    (truncate_driver(make_quadratic(), 6.0), 64, (0.18893456004766393, 0.5639178935769574)),
+    (truncate_driver(make_quadratic(kappa=5.0), 4.0), 32,
+     (0.37032704389998045, 0.6435838884636242)),
+    (make_gbm(), 16, (1.051189139721731, 0.20958288143984685)),
+], ids=["quadratic-6", "quadratic-kappa5-4", "gbm"])
+def test_quadrature_values_are_pinned(model, n, expected):
+    # values of the scipy CubicSpline version of the quadrature
+    got = solve_quadrature_1d(model, Partition.uniform(model.T, n))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_quadrature_domain_guard():
     # sigma = 0.5 x grows with the grid, so doubling the half-width leaves
     # the leak near 2 Phi(-2) and the search gives up
