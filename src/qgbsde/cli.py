@@ -31,8 +31,8 @@ Exit codes: 0 success, 1 numerical failure during the run, 2 configuration
 error. With --strict, runs that produced warnings also exit 1.
 
 Commands get their ensembles from get_ensemble, which keeps none: all hands
-its N-step ensemble to the truncation sweep and to solve, which reads the
-sweep's point at an on-ladder [truncation] level, and drops it before diagnose.
+its N-step ensemble to the truncation sweep, which solves [truncation] level
+as one more row of its pass for solve to report, and drops it before diagnose.
 
 Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set), so repeated
 backward experiments on the same paths skip the simulation. The key covers
@@ -60,8 +60,9 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .diagnostics import (diagnose_pass, effective_qbar, fit_convergence_order,
-                          regularity_pass, truncation_error_curve)
+from .diagnostics import (TruncationPoint, diagnose_pass, effective_qbar,
+                          fit_convergence_order, regularity_pass,
+                          truncation_error_curve)
 from .errors import (ConfigError, DomainTooSmall, InvalidParameters, QgbsdeError,
                      QuadratureUnstable)
 from .model import PRESETS, ModelSpec, Partition, check_growth_certificate
@@ -237,6 +238,15 @@ class RunContext:
         self.warnings = []
 
     @functools.cached_property
+    def closed_form(self):
+        """cole_hopf_from_model of the model, or the QgbsdeError it raised:
+        worked out once per run, for solve and the sweep's oracle rows."""
+        try:
+            return cole_hopf_from_model(self.model)
+        except QgbsdeError as exc:
+            return exc
+
+    @functools.cached_property
     def solver_model(self) -> ModelSpec:
         """The model actually handed to the backward solvers: quadratic-growth
         drivers get the configured truncation level applied, with a note.
@@ -346,12 +356,11 @@ def get_ensemble(ctx: RunContext, partition: Partition):
 
 def _oracle_rows(ctx: RunContext, y0, z0):
     """Compare the solved (Y_0, Z_0) against whatever closed form the model has."""
-    try:
-        ref = cole_hopf_from_model(ctx.model)
-    except InvalidParameters:  # no Cole-Hopf closed form for this model
+    ref = ctx.closed_form
+    if isinstance(ref, InvalidParameters):  # no Cole-Hopf closed form for this model
         ref = None
-    except QgbsdeError as exc:
-        ctx.warn(f"oracle unavailable: {exc}")
+    elif isinstance(ref, QgbsdeError):
+        ctx.warn(f"oracle unavailable: {ref}")
         return
     preset = ctx.model.meta.get("preset")
     if ref is not None:
@@ -398,16 +407,16 @@ def cmd_simulate(ctx: RunContext):
     return ens
 
 
-def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None, curve=None):
+def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None,
+              point: TruncationPoint | None = None):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     model = ctx.solver_model
-    point = next((p for p in curve.points if p.level == ctx.level), None) if curve else None
     if point is None:
         ens = get_ensemble(ctx, part) if ens is None else ens
         sol = solve_backward_regression(model, ens, ctx.basis)
         y0, z0s, y_rms, z_rms = (sol.y0, sol.z0, sol.meta.y_residual_rms[0],
                                  sol.meta.z_residual_rms[0])
-    else:  # the sweep's point at this level, bit for bit the same solve
+    else:  # all's sweep solved this level, bit for bit the same solve
         y0, z0s, y_rms, z_rms = (point.y0, point.z0, point.y0_residual_rms,
                                  point.z0_residual_rms)
     z0 = float(z0s[0]) if ctx.model.d == 1 else None
@@ -555,10 +564,9 @@ def _sweep_oracle_rows(ctx: RunContext, curve):
     """Scalar per-level |y0 - oracle| rows, from the y0 the sweep recorded;
     pathwise references cannot come from the oracle, so this supplements the
     high-level reference level."""
-    try:
-        ref = cole_hopf_from_model(ctx.model)
-    except QgbsdeError as exc:
-        ctx.warn(f"oracle reference requested but unavailable: {exc}")
+    ref = ctx.closed_form
+    if isinstance(ref, QgbsdeError):
+        ctx.warn(f"oracle reference requested but unavailable: {ref}")
         return
     for p in curve.points:
         ctx.add("trunc_y0_abs_error_vs_oracle", abs(p.y0 - ref.y0), n_trunc=p.level)
@@ -599,8 +607,9 @@ def cmd_diagnose(ctx: RunContext):
 def cmd_all(ctx: RunContext):
     ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
     if ctx.model.driver_z_lipschitz is None:
-        curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels)
-        cmd_solve(ctx, ens, curve)
+        curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels,
+                                       level=ctx.level)
+        cmd_solve(ctx, ens, curve.solve)
         cmd_truncate_sweep(ctx, curve)
     else:
         cmd_solve(ctx, ens)

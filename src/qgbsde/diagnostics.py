@@ -20,7 +20,8 @@ variational.representation_check are the whole-grid loops over the same
 per-node kernels. The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
 the order of the error decay (and the implied tail exponent); each level's
-y0, z0 and step-0 residuals are bit for bit those of its own solve.
+y0, z0 and step-0 residuals are bit for bit those of its own solve. The same
+pass can solve one more level that it does not report, the run's own.
 """
 
 from __future__ import annotations
@@ -309,6 +310,7 @@ class TruncationCurve:
     reference_level: float
     realized_max_z: float
     y_scale: float
+    solve: TruncationPoint | None = None  # at the level argument, not in points
 
     @property
     def noise_floor(self) -> float:
@@ -321,7 +323,7 @@ class TruncationCurve:
 
 
 def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
-                           basis: RegressionBasis, levels) -> TruncationCurve:
+                           basis: RegressionBasis, levels, level=None) -> TruncationCurve:
     """Solve the truncated equations over a ladder of levels.
 
     Errors are against the solution at the reference level, twice the
@@ -342,18 +344,30 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     and step-0 residual RMS are bit for bit its own solve_backward_regression's,
     and no full solution is stored. Every level above realized_max_z (the
     reference's max |Z|) stays on the reference's row, with zero error.
+
+    level, when given, is solved in the same pass as one more row, whose
+    point is the curve's solve and not one of the points. It changes no
+    reported number: the reference stays twice the top of the ladder, a
+    row depends only on its driver and the row it came from, rows and
+    implicit steps are shared only where they give the same bits, and
+    realized_max_z and y_scale read the reference's row alone. On the
+    ladder it is that level's row; at or above the reference's max |z| it
+    stays on the reference's row at no extra cost. A negative or
+    non-finite level raises InvalidParameters before any step.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
         raise InvalidParameters(f"levels must be positive, got {levels}")
     ref_level = 2.0 * lv[-1]
-    models = {n: truncate_driver(model, n) for n in (*lv, ref_level)}
+    # the levels whose errors are kept: the ladder and the solved level
+    kept = lv if level is None else sorted({*lv, float(level)})
+    models = {n: truncate_driver(model, n) for n in (*kept, ref_level)}
     rows = dict.fromkeys(models, _start_backward(models[ref_level], ensemble))
     times, n_steps = ensemble.partition.times, ensemble.partition.n_steps
     # running per-path maxima over the nodes seen so far, terminal included
-    err_y_path = dict(zip(lv, np.zeros((len(lv), ensemble.n_paths))))
+    err_y_path = dict(zip(kept, np.zeros((len(kept), ensemble.n_paths))))
     y_sq_max = rows[ref_level] ** 2
-    err_z_steps = {n: np.zeros(n_steps) for n in lv}
+    err_z_steps = {n: np.zeros(n_steps) for n in kept}
     realized = 0.0
     for i in range(n_steps - 1, -1, -1):
         dt = times[i + 1] - times[i]
@@ -377,7 +391,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         y_ref = rows[ref_level]
         np.maximum(y_sq_max, y_ref ** 2, out=y_sq_max)
         # error 0 on the reference's row; one that leaves it now has its z
-        for n in [n for n in lv if rows[n] is not y_ref]:
+        for n in [n for n in kept if rows[n] is not y_ref]:
             dy = rows[n] - y_ref
             np.maximum(err_y_path[n], dy * dy, out=err_y_path[n])
             if pairs[n] is not pairs[ref_level]:
@@ -385,12 +399,16 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
                 err_z_steps[n][i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
         if i:  # not held through the next step's design; step 0's make the points
             del done, pairs
-    pts = tuple(TruncationPoint(
-        level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
-        y0=float(rows[n].mean()), z0=pairs[n][1].mean(axis=0),
-        y0_residual_rms=pairs[n][2], z0_residual_rms=pairs[n][3]) for n in lv)
-    return TruncationCurve(points=pts, reference_level=ref_level,
-                           realized_max_z=realized, y_scale=float(y_sq_max.mean()))
+
+    def point(n):
+        return TruncationPoint(
+            level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
+            y0=float(rows[n].mean()), z0=pairs[n][1].mean(axis=0),
+            y0_residual_rms=pairs[n][2], z0_residual_rms=pairs[n][3])
+
+    return TruncationCurve(points=tuple(point(n) for n in lv), reference_level=ref_level,
+                           realized_max_z=realized, y_scale=float(y_sq_max.mean()),
+                           solve=None if level is None else point(float(level)))
 
 
 def effective_qbar(curve: TruncationCurve) -> tuple[float, OrderFit] | None:

@@ -17,6 +17,7 @@ import pytest
 
 from qgbsde import cli, diagnostics, solver, variational
 from qgbsde.cli import get_ensemble, main
+from qgbsde.errors import QuadratureUnstable
 from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_from_model, cole_hopf_increment_stat
 from qgbsde.regression import RegressionBasis, step_design
@@ -455,12 +456,12 @@ levels = 0.5 1.0
     # one design per fine node of the pass: the coarse node's serves the
     # coarse step, the fine step there, and the BMO and gradient checks
     ("diagnose", "", 8),
-    # plus one per step for the solve and one per step for the sweep
-    ("all", "", 4 + 4 + 8),
-    # a level on the ladder: the solve is read from the sweep
+    # plus one per step for the sweep, which solves the run's level too
+    ("all", "", 4 + 8),
+    # a level on the ladder is that ladder row of the sweep
     ("all", "level = 1.0\n", 4 + 8),
     ("converge", "", 2 * 2 + 2 * 4),
-], ids=["diagnose-8", "all-16", "all-on-ladder-12", "converge-12"])
+], ids=["diagnose-8", "all-12", "all-on-ladder-12", "converge-12"])
 def test_each_design_is_built_once(tmp_path, monkeypatch, command, extra, calls):
     steps = _count_step_designs(monkeypatch)
     cfg = _write(tmp_path, SMALL_QUADRATIC + extra)
@@ -810,12 +811,7 @@ def test_all_command_on_quadratic_model(tmp_path):
     assert summary.count("driver truncated at level 6") == 1
 
 
-def test_all_reads_its_solve_from_the_sweep_when_the_level_is_on_the_ladder(
-        tmp_path, monkeypatch):
-    # level 0.5 engages its clamp, so its row leaves the reference's
-    cfg = _write(tmp_path, ALL_QUADRATIC.replace("level = 6.0", "level = 0.5"))
-    solve_out, all_out = tmp_path / "solve", tmp_path / "all"
-    assert main(["--config", cfg, "--out", str(solve_out)]) == 0
+def _spy_solves(monkeypatch):
     solved = []
 
     def spy(*args, **kwargs):
@@ -823,20 +819,107 @@ def test_all_reads_its_solve_from_the_sweep_when_the_level_is_on_the_ladder(
         return solve_backward_regression(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_backward_regression", spy)
+    return solved
+
+
+def _rows_without_id(out):
+    return [{k: v for k, v in r.items() if k != "experiment_id"}
+            for r in _read_report(out)[1]]
+
+
+def _check_all_solves_in_the_sweep(tmp_path, monkeypatch, text):
+    """all makes no solve_backward_regression call, and its solve rows are
+    the solve command's bit for bit. Returns all's rows."""
+    cfg = _write(tmp_path, text)
+    solve_out, all_out = tmp_path / "solve", tmp_path / "all"
+    assert main(["--config", cfg, "--out", str(solve_out)]) == 0
+    solved = _spy_solves(monkeypatch)
     assert main(["--config", cfg, "--command", "all", "--out", str(all_out)]) == 0
     assert solved == []
-
-    def rows(out):
-        return [{k: v for k, v in r.items() if k != "experiment_id"}
-                for r in _read_report(out)[1]]
-
     # all writes the solve's rows first, then the sweep's
-    want, got = rows(solve_out), rows(all_out)
+    want, got = _rows_without_id(solve_out), _rows_without_id(all_out)
     assert [r["statistic_name"] for r in want] == [
         "y0", "z0", "y0_reference", "y0_abs_error", "z0_reference", "z0_abs_error",
         "y0_quadrature", "z0_quadrature", "y0_vs_quadrature"]
     assert want[0]["std_error"] and want[1]["std_error"]
     assert got[:len(want)] == want
+    return got
+
+
+def test_all_reads_its_solve_from_the_sweep_when_the_level_is_on_the_ladder(
+        tmp_path, monkeypatch):
+    # level 0.5 engages its clamp, so its row leaves the reference's
+    got = _check_all_solves_in_the_sweep(
+        tmp_path, monkeypatch, ALL_QUADRATIC.replace("level = 6.0", "level = 0.5"))
     (err,) = [r for r in got if r["statistic_name"] == "trunc_err_y"
               and r["n_trunc"] == "0.5"]
     assert float(err["value"]) > 0.0
+
+
+# the ladder is 0.5 1.0 and the realized max |Z| lies between them
+@pytest.mark.parametrize("level_line", ["", "level = 0.7\n", "level = 0.3\n"],
+                         ids=["default", "between", "below"])
+def test_all_solves_an_off_ladder_level_in_the_sweep(tmp_path, monkeypatch, level_line):
+    _check_all_solves_in_the_sweep(
+        tmp_path, monkeypatch, ALL_QUADRATIC.replace("level = 6.0\n", level_line))
+
+
+def test_all_sweep_rows_do_not_depend_on_the_solved_level(tmp_path):
+    trunc_rows = []
+    for level in ("10.0", "0.7", "0.3", "1.0", "20.0"):
+        cfg = _write(tmp_path, ALL_QUADRATIC.replace("level = 6.0", f"level = {level}"))
+        out = tmp_path / level
+        assert main(["--config", cfg, "--command", "all", "--out", str(out)]) == 0
+        trunc_rows.append([r for r in _rows_without_id(out)
+                           if r["statistic_name"].startswith("trunc_")])
+    assert len(trunc_rows[0]) == 2 * 2 + 2
+    assert all(rows == trunc_rows[0] for rows in trunc_rows)
+
+
+def test_all_on_a_lipschitz_model_solves_once(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, BASE)
+    solved = _spy_solves(monkeypatch)
+    assert main(["--config", cfg, "--command", "all", "--out", str(tmp_path / "o")]) == 0
+    assert len(solved) == 1
+
+
+def _count_closed_forms(monkeypatch, fail=None):
+    calls = []
+
+    def counting(model, *args, **kwargs):
+        calls.append(model)
+        if fail is not None:
+            raise fail
+        return cole_hopf_from_model(model, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "cole_hopf_from_model", counting)
+    return calls
+
+
+def test_all_works_the_closed_form_once(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, ALL_QUADRATIC + "oracle_reference = true\n")
+    calls = _count_closed_forms(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--command", "all", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    _, rows = _read_report(out)
+    y0_ref = cole_hopf_from_model(make_quadratic(terminal="tanh")).y0
+    (ref,) = [r for r in rows if r["statistic_name"] == "y0_reference"]
+    sweep = {r["n_trunc"]: float(r["value"]) for r in rows
+             if r["statistic_name"] == "trunc_y0_abs_error_vs_oracle"}
+    assert float(ref["value"]) == y0_ref
+    assert list(sweep) == ["0.5", "1"]
+
+
+def test_all_keeps_both_warnings_of_an_unavailable_closed_form(tmp_path, monkeypatch,
+                                                               capsys):
+    cfg = _write(tmp_path, ALL_QUADRATIC + "oracle_reference = true\n")
+    calls = _count_closed_forms(monkeypatch, QuadratureUnstable("no convergence"))
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--command", "all", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    assert "warning: oracle unavailable: no convergence" in err
+    assert "warning: oracle reference requested but unavailable: no convergence" in err
+    names = {r["statistic_name"] for r in _read_report(out)[1]}
+    assert not names & {"y0_reference", "trunc_y0_abs_error_vs_oracle"}

@@ -450,15 +450,20 @@ def test_levels_above_the_realized_max_z_share_one_column(monkeypatch):
         assert p.err_y == 0.0 and p.err_z == 0.0
 
 
-def test_level_split_off_partway_matches_its_own_solve():
-    # g(x) = x gives Z = sigma(t), here 3 at t = 0 falling to 1 at t = 1, so
-    # level 2 shares the reference's column over the last steps of the grid
-    # and splits off once the clamp engages partway through the pass
+def _falling_sigma():
+    """g(x) = x gives Z = sigma(t), here 3 at t = 0 falling to 1 at t = 1:
+    a clamp below 3 engages partway through the backward pass."""
     quad = make_quadratic(terminal="identity")
     model = dataclasses.replace(
         quad, sigma=lambda t, x: np.full(x.shape + (1,), 3.0 - 2.0 * t))
     part = Partition.uniform(1.0, 8)
-    ens = simulate_forward(model, part, 4000, seed=5)
+    return model, part, simulate_forward(model, part, 4000, seed=5)
+
+
+def test_level_split_off_partway_matches_its_own_solve():
+    # level 2 shares the reference's column over the last steps of the grid
+    # and splits off once the clamp engages partway through the pass
+    model, part, ens = _falling_sigma()
     curve = truncation_error_curve(model, ens, GLOBAL2, [2.0])
     ref = solve_backward_regression(truncate_driver(model, 4.0), ens, GLOBAL2)
     sol = solve_backward_regression(truncate_driver(model, 2.0), ens, GLOBAL2)
@@ -497,3 +502,77 @@ def test_truncation_curve_validation():
         truncation_error_curve(model, ens, GLOBAL2, levels=[])
     with pytest.raises(InvalidParameters):
         truncation_error_curve(model, ens, GLOBAL2, levels=[-1.0, 2.0])
+
+
+def _point_fields(p):
+    return (p.level, p.err_y, p.err_z, p.y0, *p.z0, p.y0_residual_rms, p.z0_residual_rms)
+
+
+def _counting_kernels(monkeypatch):
+    calls = {"pair": 0, "implicit": 0}
+
+    def counting(name, kernel):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(diagnostics, "_martingale_pair",
+                        counting("pair", diagnostics._martingale_pair))
+    monkeypatch.setattr(diagnostics, "_implicit_step",
+                        counting("implicit", diagnostics._implicit_step))
+    return calls
+
+
+# shares: the level steps a row the pass steps anyway
+@pytest.mark.parametrize("level, shares", [
+    (2.0, True),  # on the ladder: that ladder row
+    (1.5, False),  # between two ladder levels
+    (0.5, False),  # below the ladder
+    ("realized", True),  # at the reference's max |Z|
+    (4.0, True),  # the reference level
+    (6.0, True),  # above it
+], ids=["on-ladder", "between", "below", "at-realized-max-z", "reference", "above"])
+def test_solved_level_is_one_more_unreported_row(monkeypatch, level, shares):
+    # ladder 1, 2 with the reference at 4; both ladder levels split off
+    # partway, as does any level below 3
+    model, part, ens = _falling_sigma()
+    calls = _counting_kernels(monkeypatch)
+    base = truncation_error_curve(model, ens, GLOBAL2, [1.0, 2.0])
+    base_calls = dict(calls)
+    if level == "realized":
+        level = base.realized_max_z
+    curve = truncation_error_curve(model, ens, GLOBAL2, [1.0, 2.0], level=level)
+    extra = {k: calls[k] - 2 * base_calls[k] for k in calls}
+    if shares:
+        assert extra == {"pair": 0, "implicit": 0}
+    else:
+        assert extra["pair"] > 0 and extra["implicit"] > 0
+    # the reported curve is the one without the level, bit for bit
+    assert ([_point_fields(p) for p in curve.points]
+            == [_point_fields(p) for p in base.points])
+    assert ([curve.reference_level, curve.realized_max_z, curve.y_scale]
+            == [base.reference_level, base.realized_max_z, base.y_scale])
+    assert curve.reference_level == 4.0 and base.solve is None
+    # and the solved level is its own solve, errors against the reference's
+    sol = solve_backward_regression(truncate_driver(model, level), ens, GLOBAL2)
+    ref = solve_backward_regression(truncate_driver(model, 4.0), ens, GLOBAL2)
+    err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
+    err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt).mean(axis=0).sum())
+    assert _point_fields(curve.solve) == (
+        level, err_y, err_z, sol.y0, *sol.z0, sol.meta.y_residual_rms[0],
+        sol.meta.z_residual_rms[0])
+    assert (err_y == 0.0) == (level >= base.realized_max_z)
+
+
+@pytest.mark.parametrize("level", [-1.0, np.nan, np.inf])
+def test_solved_level_is_checked_before_any_step(monkeypatch, level):
+    model = make_quadratic()
+    ens = simulate_forward(model, Partition.uniform(1.0, 4), 500, seed=0)
+    steps = []
+    monkeypatch.setattr(diagnostics, "step_design",
+                        lambda *args, **kwargs: steps.append(args) or step_design(
+                            *args, **kwargs))
+    with pytest.raises(InvalidParameters):
+        truncation_error_curve(model, ens, GLOBAL2, [1.0, 2.0], level=level)
+    assert steps == []
