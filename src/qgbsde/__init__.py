@@ -23,13 +23,12 @@ from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual, flow_inve
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .solver import (BackwardSolution, SolverMeta, solve_backward_regression,
                      solve_quadrature_1d)
-from .variational import (RepresentationReport, VariationalSolution,
-                          representation_check, solve_variational_bsde)
+from .variational import RepresentationReport
 from .oracle import (OracleResult, bmo_bound, cole_hopf_from_model,
                      cole_hopf_increment_stat, cole_hopf_reference)
 from .diagnostics import (BmoEstimate, Diagnosis, OrderFit, Regularity,
-                          TruncationCurve, TruncationPoint, bmo_estimate,
-                          diagnose_pass, effective_qbar, fit_convergence_order,
+                          TruncationCurve, TruncationPoint, diagnose_pass,
+                          effective_qbar, fit_convergence_order,
                           regularity_pass, truncation_error_curve)
 
 __version__ = "0.1.0"
@@ -43,15 +42,14 @@ __all__ = [
     "PicardDivergence", "QgbsdeError", "QuadratureUnstable",
     "RegressionBasis", "Regularity", "RejectedModel", "RepresentationReport",
     "SingularFlow", "SolverMeta", "StepDesign", "TruncationCurve", "TruncationPoint",
-    "VariationalSolution", "bmo_bound", "bmo_estimate",
-    "check_growth_certificate", "cole_hopf_from_model",
+    "bmo_bound", "check_growth_certificate", "cole_hopf_from_model",
     "cole_hopf_increment_stat", "cole_hopf_reference",
     "diagnose_pass", "dump_ensemble", "effective_qbar", "fit_convergence_order",
     "flow_identity_residual", "flow_inverse", "load_ensemble", "make_brownian",
     "make_discount", "make_gbm", "make_quadratic",
-    "normal_increments", "project", "regularity_pass", "representation_check",
+    "normal_increments", "project", "regularity_pass",
     "simulate_forward", "simulate_variational",
     "smooth_clamp", "smooth_clamp_grad", "solve_backward_regression",
     "solve_quadrature_1d", "step_design",
-    "solve_variational_bsde", "truncate_driver", "truncation_error_curve",
+    "truncate_driver", "truncation_error_curve",
 ]

@@ -417,8 +417,8 @@ def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None,
         y0, z0s, y_rms, z_rms = (sol.y0, sol.z0, sol.meta.y_residual_rms[0],
                                  sol.meta.z_residual_rms[0])
     else:  # all's sweep solved this level, bit for bit the same solve
-        y0, z0s, y_rms, z_rms = (point.y0, point.z0, point.y0_residual_rms,
-                                 point.z0_residual_rms)
+        y0, z0s, y_rms, z_rms = (point.y0, np.asarray(point.z0),
+                                 point.y0_residual_rms, point.z0_residual_rms)
     z0 = float(z0s[0]) if ctx.model.d == 1 else None
     # at t = 0 the design is the constant one, so y0 and z0 are plain means of
     # their step-0 targets: the residual RMS over sqrt(P) is their Monte Carlo

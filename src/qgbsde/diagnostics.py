@@ -14,10 +14,8 @@ at a time. diagnose_pass is the same pass with the remaining checks of the
 diagnose command taken at each coarse node on that node's design: the BMO
 tail estimate, as a backward running tail sum, and the gradient step and
 representation residual of variational, on flows simulated before the pass.
-Neither the coarse solution nor the tail sums nor the gradient are stored;
-bmo_estimate, variational.solve_variational_bsde and
-variational.representation_check are the whole-grid loops over the same
-per-node kernels. The truncation sweep solves one quadratic model under a ladder
+Neither the coarse solution nor the tail sums nor the gradient are stored.
+The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
 the order of the error decay (and the implied tail exponent); each level's
 y0, z0 and step-0 residuals are bit for bit those of its own solve. The same
@@ -34,8 +32,7 @@ from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble, simulate_variational
-from .solver import (BackwardSolution, _backward_step, _implicit_step,
-                     _martingale_pair, _start_backward)
+from .solver import _backward_step, _implicit_step, _martingale_pair, _start_backward
 from .truncation import truncate_driver
 from .variational import (RepresentationReport, _gradient_step, _representation_node,
                           _terminal_gradient)
@@ -197,10 +194,16 @@ class BmoEstimate:
 
 
 class _BmoTail:
-    """bmo_estimate node by node, backward. The tail sum at node i,
-    sum_{j >= i} |Z_j|^2 dt_j, is the one at node i + 1 plus node i's term,
-    added in the order of a reversed cumulative sum, and only the current
-    tail is held."""
+    """Empirical sup_i ess-sup E[ sum_{j>=i} |Z_j|^2 dt_j | F_i ], node by
+    node, backward.
+
+    The tail sum at node i, sum_{j >= i} |Z_j|^2 dt_j, is the one at node
+    i + 1 plus node i's term, added in the order of a reversed cumulative
+    sum, and only the current tail is held. Its conditional expectation is
+    estimated by regressing it on the state at each node; regression_max
+    takes the largest fitted value over nodes and paths, plain_max the
+    largest plain mean (the trivial conditioning), which is a lower bound
+    and a stability reference."""
 
     def __init__(self, n):
         self.tail = None
@@ -218,23 +221,6 @@ class _BmoTail:
     def estimate(self) -> BmoEstimate:
         return BmoEstimate(regression_max=self.regression_max,
                            plain_max=float(self.means.max()))
-
-
-def bmo_estimate(sol: BackwardSolution, ensemble: PathEnsemble,
-                 basis: RegressionBasis) -> BmoEstimate:
-    """Empirical sup_i ess-sup E[ sum_{j>=i} |Z_j|^2 dt_j | F_i ].
-
-    The conditional expectation of the tail sum is estimated by regressing it
-    on the state at each node; regression_max takes the largest fitted value
-    over nodes and paths, plain_max the largest plain mean (the trivial
-    conditioning), which is a lower bound and a stability reference.
-    """
-    n, dt = sol.partition.n_steps, sol.partition.dt
-    bmo = _BmoTail(n)
-    for i in range(n - 1, -1, -1):
-        bmo.step(step_design(basis, ensemble.states[:, i], step=i), i, sol.Z[:, i],
-                 dt[i])
-    return bmo.estimate()
 
 
 @dataclass(frozen=True)
@@ -258,12 +244,14 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     design, so that no coarse design is built twice and neither the coarse
     solution nor the tail sums nor gradY and gradZ are stored.
 
-    Each check is the per-node kernel of its whole-grid form (bmo_estimate,
-    solve_variational_bsde, representation_check), and gives bit for bit
-    what that form gives on the coarse ensemble and its coarse solution. The
-    flows are simulated on the coarse ensemble before the pass. When they or
-    the gradient fail, the pass goes on without the gradient, and the
-    regularity statistics and the BMO estimate are still returned.
+    Each check runs its per-node kernel (_BmoTail.step,
+    variational._gradient_step and variational._representation_node) on the
+    coarse ensemble and its coarse solution. Factor 1 is the single-grid
+    solve: the coarse ensemble is then the fine one bit for bit, and the
+    coarse Y and Z those of solve_backward_regression on it. The flows are
+    simulated on the coarse ensemble before the pass. When they or the
+    gradient fail, the pass goes on without the gradient, and the regularity
+    statistics and the BMO estimate are still returned.
     """
     coarse = _coarsen(fine, factor)
     n, dt = coarse.partition.n_steps, coarse.partition.dt
@@ -299,7 +287,7 @@ class TruncationPoint:
     err_y: float
     err_z: float
     y0: float
-    z0: np.ndarray  # (d,)
+    z0: tuple[float, ...]  # (d,)
     y0_residual_rms: float  # of the step-0 projections, as in SolverMeta
     z0_residual_rms: float
 
@@ -403,7 +391,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     def point(n):
         return TruncationPoint(
             level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
-            y0=float(rows[n].mean()), z0=pairs[n][1].mean(axis=0),
+            y0=float(rows[n].mean()), z0=tuple(pairs[n][1].mean(axis=0).tolist()),
             y0_residual_rms=pairs[n][2], z0_residual_rms=pairs[n][3])
 
     return TruncationCurve(points=tuple(point(n) for n in lv), reference_level=ref_level,

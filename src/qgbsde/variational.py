@@ -20,8 +20,7 @@ internal consistency check between two independently regressed objects.
 
 Both are per-node kernels: _gradient_step takes gradY from node i + 1 to
 node i on a given design, and _representation_node measures the identity at
-one node, with the flow inverted there (sde.flow_inverse). The whole-grid
-solve_variational_bsde and representation_check are loops over them, and
+one node, with the flow inverted there (sde.flow_inverse).
 diagnostics.diagnose_pass calls them inside its own backward pass on the
 designs it builds anyway, holding gradY for one node only.
 """
@@ -33,19 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, NumericalBlowup, PicardDivergence
-from .model import ModelSpec, empty_time_major
-from .regression import RegressionBasis, StepDesign, step_design
+from .model import ModelSpec
+from .regression import StepDesign
 from .sde import PathEnsemble, flow_inverse
-from .solver import BackwardSolution, _martingale_pair
-
-
-@dataclass(frozen=True)
-class VariationalSolution:
-    """gradY: (P, N+1, m); gradZ: (P, N, d, m), both stored time-major like
-    the ensemble."""
-
-    gradY: np.ndarray
-    gradZ: np.ndarray
+from .solver import _martingale_pair
 
 
 @dataclass(frozen=True)
@@ -58,17 +48,13 @@ class RepresentationReport:
         return float(self.per_node_rms.mean())
 
 
-def _require_flows(ensemble):
-    if ensemble.flows is None:
-        raise InvalidParameters(
-            "ensemble carries no flows; run simulate_variational first")
-
-
 def _terminal_gradient(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
     """gradY_N = g'(X_N) gradX_N, (P, m), after checking that the model has
     the driver gradients and the ensemble its flows."""
     model.require("f_x", "f_y", "f_z", "g_grad")
-    _require_flows(ensemble)
+    if ensemble.flows is None:
+        raise InvalidParameters(
+            "ensemble carries no flows; run simulate_variational first")
     n = ensemble.partition.n_steps
     u = np.einsum("pa,pak->pk", np.asarray(model.g_grad(ensemble.states[:, n])),
                   ensemble.flows[:, n])
@@ -112,35 +98,3 @@ def _representation_node(model: ModelSpec, ensemble: PathEnsemble, i, grad_y, z)
     sq = np.sum(resid ** 2, axis=1)
     return float(np.sqrt(sq.mean())), float(np.sqrt(sq.max()))
 
-
-def solve_variational_bsde(model: ModelSpec, ensemble: PathEnsemble,
-                           base: BackwardSolution,
-                           basis: RegressionBasis) -> VariationalSolution:
-    """The gradient equation over the whole grid, one _gradient_step per node
-    on the node's own design."""
-    X = ensemble.states
-    P, n = X.shape[0], ensemble.partition.n_steps
-    u = _terminal_gradient(model, ensemble)
-    if base.Y.shape != (P, n + 1):
-        raise InvalidParameters("base solution does not match the ensemble")
-    U = empty_time_major(n + 1, P, (model.m,))
-    V = empty_time_major(n, P, (model.d, model.m))
-    U[:, n] = u
-    for i in range(n - 1, -1, -1):
-        U[:, i], V[:, i] = _gradient_step(model, step_design(basis, X[:, i], step=i),
-                                          ensemble, i, U[:, i + 1], base.Y[:, i],
-                                          base.Z[:, i])
-    return VariationalSolution(gradY=U, gradZ=V)
-
-
-def representation_check(model: ModelSpec, ensemble: PathEnsemble,
-                         base: BackwardSolution,
-                         var: VariationalSolution) -> RepresentationReport:
-    """Residual of Z = gradY (gradX)^{-1} sigma node by node (diagonal u = t)."""
-    _require_flows(ensemble)
-    n = ensemble.partition.n_steps
-    rms, peak = np.empty(n), np.empty(n)
-    for i in range(n):
-        rms[i], peak[i] = _representation_node(model, ensemble, i, var.gradY[:, i],
-                                               base.Z[:, i])
-    return RepresentationReport(per_node_rms=rms, per_node_max=peak)

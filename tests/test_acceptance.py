@@ -21,18 +21,16 @@ import pytest
 from scipy.integrate import quad
 
 from qgbsde.cli import main as cli_main
-from qgbsde.diagnostics import (effective_qbar, fit_convergence_order,
+from qgbsde.diagnostics import (diagnose_pass, effective_qbar, fit_convergence_order,
                                 regularity_pass, truncation_error_curve)
 from qgbsde.model import (Partition, make_brownian, make_discount, make_gbm,
                           make_quadratic)
 from qgbsde.oracle import (bmo_bound, cole_hopf_from_model,
                           cole_hopf_increment_stat)
 from qgbsde.regression import RegressionBasis
-from qgbsde.sde import simulate_forward, simulate_variational
+from qgbsde.sde import simulate_forward
 from qgbsde.solver import solve_backward_regression, solve_quadrature_1d
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
-from qgbsde.variational import representation_check, solve_variational_bsde
-from qgbsde.diagnostics import bmo_estimate
 
 SEED = 7
 BASIS = RegressionBasis(kind="global_polynomial", degree=4)
@@ -230,16 +228,14 @@ def test_truncation_level_error_decay():
 
 
 def test_representation_residual_refines_with_grid():
+    # diagnose_pass at factor 1 takes the residual on the single-grid solve
     loc = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=50)
     rms = []
     for n in (16, 32, 64):
         ens = simulate_forward(CANON, Partition.uniform(1.0, n), 200_000, SEED)
-        sol = solve_backward_regression(TRUNC6, ens, loc)
-        ens_v = simulate_variational(TRUNC6, ens)
-        var = solve_variational_bsde(TRUNC6, ens_v, sol, loc)
-        rep = representation_check(TRUNC6, ens_v, sol, var)
+        rep = diagnose_pass(TRUNC6, ens, 1, loc).representation
         rms.append(rep.time_avg_rms)
-        del ens, sol, ens_v, var, rep
+        del ens, rep
         gc.collect()
     shown = ", ".join(f"{r:.4e}" for r in rms)
     _check(rms[0] > rms[1] > rms[2],
@@ -252,15 +248,14 @@ def test_bmo_tail_estimate_under_closed_form_bound():
     target = (10.0 / 3.0) * math.exp(7.0)
     pin_ok = abs(pinned - target) <= 1e-9 * target
     ens = simulate_forward(CANON, Partition.uniform(1.0, 64), 100_000, SEED)
-    sol = solve_backward_regression(TRUNC6, ens, BASIS)
-    est = bmo_estimate(sol, ens, BASIS)
+    est = diagnose_pass(TRUNC6, ens, 1, BASIS).bmo  # on the single-grid solve
     bound = bmo_bound(CANON.growth_M, CANON.T, 1.0)  # sup |tanh| = 1
     _check(pin_ok and est.regression_max <= bound,
            f"BMO tail estimate {est.regression_max:.4f} <= closed-form bound "
            f"{bound:.4f} at the certified growth constant "
            f"{CANON.growth_M:g}; bound(1,1,1) = {pinned!r} matches (10/3)e^7 "
            f"to 1e-9 relative")
-    del ens, sol
+    del ens
     gc.collect()
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgbsde import cli, diagnostics, solver, variational
+from qgbsde import cli, diagnostics, solver
 from qgbsde.cli import get_ensemble, main
 from qgbsde.errors import QuadratureUnstable
 from qgbsde.model import Partition, make_brownian, make_quadratic
@@ -440,7 +440,7 @@ def _count_step_designs(monkeypatch):
         steps.append(step)
         return step_design(basis, x, step=step)
 
-    for module in (solver, diagnostics, variational):
+    for module in (solver, diagnostics):  # the only modules that build designs
         monkeypatch.setattr(module, "step_design", counting)
     return steps
 

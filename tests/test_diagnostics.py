@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgbsde import diagnostics
-from qgbsde.diagnostics import (BmoEstimate, bmo_estimate, diagnose_pass,
+from qgbsde.diagnostics import (BmoEstimate, TruncationPoint, diagnose_pass,
                                 effective_qbar, fit_convergence_order,
                                 regularity_pass, truncation_error_curve)
 from qgbsde.errors import InvalidParameters, InvalidPoints, PicardDivergence
@@ -17,7 +17,8 @@ from qgbsde.regression import RegressionBasis, project, step_design
 from qgbsde.sde import PathEnsemble, simulate_forward, simulate_variational
 from qgbsde.solver import BackwardSolution, SolverMeta, solve_backward_regression
 from qgbsde.truncation import truncate_driver
-from qgbsde.variational import representation_check, solve_variational_bsde
+from qgbsde.variational import _representation_node
+from test_variational import _gradient_loop_with_own_estimator
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 PLANAR = ModelSpec(
@@ -277,15 +278,31 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case, monkeypatch):
         np.testing.assert_array_equal(getattr(meta, field), getattr(sol_c.meta, field))
 
 
+def _ref_bmo(sol, ens, basis):
+    """The BMO estimate from a stored solution: every node's tail sum of
+    |Z|^2 dt at once, as a reversed cumulative sum over the nodes, each
+    regressed on its node's state."""
+    terms = (sol.Z ** 2).sum(axis=2) * sol.partition.dt
+    tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    nodes = [np.ascontiguousarray(tails[:, i]) for i in range(sol.partition.n_steps)]
+    fitted = [project(step_design(basis, ens.states[:, i], step=i), tail[:, None])[0]
+              for i, tail in enumerate(nodes)]
+    return BmoEstimate(regression_max=max(float(f.max()) for f in fitted),
+                       plain_max=max(float(tail.mean()) for tail in nodes))
+
+
 def _standalone_chain(model, ens_c, basis):
-    """The whole-grid checks diagnose_pass fuses, one after another on the
-    coarse ensemble: its solve, the BMO estimate, the flows, the gradient
-    solve and the representation residual."""
+    """The checks diagnose_pass fuses, one after another on the coarse
+    ensemble: its stored solve, the BMO estimate of it, the flows, the
+    gradient solve with its own estimator and the representation residual
+    at each node. Returns the BMO estimate, the ensemble with its flows and
+    the residual's per-node RMS and max, (N, 2)."""
     sol = solve_backward_regression(model, ens_c, basis)
-    bmo = bmo_estimate(sol, ens_c, basis)
     ens_v = simulate_variational(model, ens_c)
-    var = solve_variational_bsde(model, ens_v, sol, basis)
-    return bmo, ens_v, representation_check(model, ens_v, sol, var)
+    U, _ = _gradient_loop_with_own_estimator(model, ens_v, sol, basis)
+    rep = [_representation_node(model, ens_v, i, U[:, i], sol.Z[:, i])
+           for i in range(sol.partition.n_steps)]
+    return _ref_bmo(sol, ens_c, basis), ens_v, np.array(rep)
 
 
 _DIAGNOSE_CASES = {
@@ -310,12 +327,33 @@ def test_diagnose_pass_matches_the_standalone_chain_bitwise(case):
     assert diag.bmo == bmo
     assert diag.regularity.ensemble.flow_residual == ens_v.flow_residual
     np.testing.assert_array_equal(diag.regularity.ensemble.flows, ens_v.flows)
-    np.testing.assert_array_equal(diag.representation.per_node_rms, rep.per_node_rms)
-    np.testing.assert_array_equal(diag.representation.per_node_max, rep.per_node_max)
+    np.testing.assert_array_equal(diag.representation.per_node_rms, rep[:, 0])
+    np.testing.assert_array_equal(diag.representation.per_node_max, rep[:, 1])
     if model.name == "gbm":
         assert np.ptp(ens_v.flows) > 0.1
     else:
         assert np.all(ens_v.flows == 1.0)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "gbm_local"])
+def test_diagnose_pass_at_factor_1_is_the_single_grid_solve(case, monkeypatch):
+    # the coarse ensemble is the fine one bit for bit, so every check is
+    # taken on the solve_backward_regression of the given paths
+    model, basis, n_steps, _, n_paths = _DIAGNOSE_CASES[case]
+    ens = simulate_forward(model, Partition.uniform(1.0, n_steps), n_paths, seed=3)
+    coarse_solution = _recording_coarse_steps(monkeypatch, ens)
+    diag = diagnose_pass(model, ens, 1, basis)
+    ens_c = diag.regularity.ensemble
+    for field in ("increments", "states"):
+        np.testing.assert_array_equal(getattr(ens_c, field), getattr(ens, field))
+    np.testing.assert_array_equal(ens_c.partition.times, ens.partition.times)
+    sol = solve_backward_regression(model, ens, basis)
+    Y, Z, meta = coarse_solution()
+    np.testing.assert_array_equal(Y, sol.Y[:, :-1])
+    np.testing.assert_array_equal(Z, sol.Z)
+    assert meta.y_residual_rms[0] == sol.meta.y_residual_rms[0]
+    assert meta.z_residual_rms[0] == sol.meta.z_residual_rms[0]
+    assert diag.bmo == _ref_bmo(sol, ens, basis)
 
 
 def test_diagnose_pass_goes_on_without_a_failing_gradient():
@@ -327,16 +365,12 @@ def test_diagnose_pass_goes_on_without_a_failing_gradient():
     ens_f = simulate_forward(quad, Partition.uniform(1.0, 8), 3000, seed=2)
     reg = regularity_pass(quad, ens_f, 2, GLOBAL2)
     sol = solve_backward_regression(quad, reg.ensemble, GLOBAL2)
-    ens_v = simulate_variational(stiff, reg.ensemble)
-    with pytest.raises(PicardDivergence) as exc:
-        solve_variational_bsde(stiff, ens_v, sol, GLOBAL2)
-    assert exc.value.step == 1
-    for model, error in ((stiff, str(exc.value)),
-                         (dataclasses.replace(quad, b_jac=None), None)):
+    diverged = "implicit factor 1 - dt f_y reached 2.500e-01; refine the grid (step 1)"
+    for model, error in ((stiff, diverged), (dataclasses.replace(quad, b_jac=None), None)):
         diag = diagnose_pass(model, ens_f, 2, GLOBAL2)
         assert diag.representation is None
         assert diag.regularity == dataclasses.replace(reg, ensemble=diag.regularity.ensemble)
-        assert diag.bmo == bmo_estimate(sol, reg.ensemble, GLOBAL2)
+        assert diag.bmo == _ref_bmo(sol, reg.ensemble, GLOBAL2)
         if error is not None:
             assert diag.gradient_error == error
     assert "b_jac" in diag.gradient_error
@@ -353,13 +387,16 @@ def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
     regularity_pass(model, ens_f, 4, GLOBAL2)
 
 
-def test_bmo_estimate_constant_control():
-    # |Z| = 1 makes every tail sum T - t_i, so both estimates equal T
-    model = make_brownian()
-    part = Partition.uniform(1.0, 8)
-    ens = simulate_forward(model, part, 2000, seed=3)
-    sol = _crafted(part, np.zeros((2000, 9)), np.ones((2000, 8, 1)))
-    est = bmo_estimate(sol, ens, GLOBAL2)
+def test_bmo_estimate_constant_control(monkeypatch):
+    # |Z| = 1 makes every tail sum T - t_i, so both estimates equal T; the
+    # pass's coarse control is replaced by 1 as it is handed to the checks
+    def unit_control(model, design, ensemble, i, y_next):
+        y, z, *rest = solver._backward_step(model, design, ensemble, i, y_next)
+        return (y, np.ones_like(z), *rest)
+
+    monkeypatch.setattr(diagnostics, "_backward_step", unit_control)
+    ens = simulate_forward(make_brownian(), Partition.uniform(1.0, 8), 2000, seed=3)
+    est = diagnose_pass(make_brownian(), ens, 1, GLOBAL2).bmo
     assert isinstance(est, BmoEstimate)
     assert est.plain_max == pytest.approx(1.0, rel=1e-12)
     assert est.regression_max == pytest.approx(1.0, rel=1e-6)
@@ -504,8 +541,16 @@ def test_truncation_curve_validation():
         truncation_error_curve(model, ens, GLOBAL2, levels=[-1.0, 2.0])
 
 
-def _point_fields(p):
-    return (p.level, p.err_y, p.err_z, p.y0, *p.z0, p.y0_residual_rms, p.z0_residual_rms)
+@pytest.mark.parametrize("model", [make_quadratic(), PLANAR], ids=["d1", "d2"])
+def test_truncation_points_compare_and_hash_by_value(model):
+    ens = simulate_forward(model, Partition.uniform(1.0, 4), 500, seed=0)
+    a, b = (truncation_error_curve(model, ens, GLOBAL2, [1.0, 2.0]).points
+            for _ in range(2))
+    assert all(type(v) is float for p in a for v in p.z0) and len(a[0].z0) == model.d
+    assert a == b and [hash(p) for p in a] == [hash(p) for p in b]
+    moved = dataclasses.replace(a[0], z0=tuple(v + 1.0 for v in a[0].z0))
+    assert a[0] != moved and a[0] != a[1]
+    assert len({*a, *b, moved}) == 3
 
 
 def _counting_kernels(monkeypatch):
@@ -549,8 +594,7 @@ def test_solved_level_is_one_more_unreported_row(monkeypatch, level, shares):
     else:
         assert extra["pair"] > 0 and extra["implicit"] > 0
     # the reported curve is the one without the level, bit for bit
-    assert ([_point_fields(p) for p in curve.points]
-            == [_point_fields(p) for p in base.points])
+    assert curve.points == base.points
     assert ([curve.reference_level, curve.realized_max_z, curve.y_scale]
             == [base.reference_level, base.realized_max_z, base.y_scale])
     assert curve.reference_level == 4.0 and base.solve is None
@@ -559,8 +603,8 @@ def test_solved_level_is_one_more_unreported_row(monkeypatch, level, shares):
     ref = solve_backward_regression(truncate_driver(model, 4.0), ens, GLOBAL2)
     err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
     err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * part.dt).mean(axis=0).sum())
-    assert _point_fields(curve.solve) == (
-        level, err_y, err_z, sol.y0, *sol.z0, sol.meta.y_residual_rms[0],
+    assert curve.solve == TruncationPoint(
+        level, err_y, err_z, sol.y0, tuple(sol.z0), sol.meta.y_residual_rms[0],
         sol.meta.z_residual_rms[0])
     assert (err_y == 0.0) == (level >= base.realized_max_z)
 

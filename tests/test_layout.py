@@ -1,6 +1,6 @@
 """Storage order of the path-indexed arrays.
 
-Paths, solutions, flows and gradients are indexed path first, (P, N(+1), ...),
+Paths, solutions and flows are indexed path first, (P, N(+1), ...),
 but stored time-major, so the per-node slice a[:, i] that every forward and
 backward pass walks is one contiguous block. Path-major arrays built by hand
 must still give the same numbers.
@@ -18,7 +18,6 @@ from qgbsde.sde import (PathEnsemble, dump_ensemble, load_ensemble,
                         simulate_forward, simulate_variational)
 from qgbsde.solver import solve_backward_regression
 from qgbsde.truncation import truncate_driver
-from qgbsde.variational import solve_variational_bsde
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 PLANAR = ModelSpec(
@@ -56,15 +55,10 @@ def test_forward_and_backward_arrays_are_time_major(model, tmp_path):
         _assert_node_slices_contiguous(name, a)
 
 
-def test_flows_and_gradients_are_time_major():
+def test_flows_are_time_major():
     model = make_gbm()
     ens = simulate_forward(model, Partition.uniform(model.T, 6), 600, seed=2)
-    ens_v = simulate_variational(model, ens)
-    var = solve_variational_bsde(model, ens_v,
-                                 solve_backward_regression(model, ens_v, GLOBAL2),
-                                 GLOBAL2)
-    for name, a in [("flows", ens_v.flows), ("gradY", var.gradY), ("gradZ", var.gradZ)]:
-        _assert_node_slices_contiguous(name, a)
+    _assert_node_slices_contiguous("flows", simulate_variational(model, ens).flows)
 
 
 def test_coarse_restriction_is_time_major():

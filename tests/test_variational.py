@@ -5,16 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qgbsde.errors import (AssumptionLevelTooLow, InvalidParameters,
-                           PicardDivergence)
-from qgbsde import truncation
+from qgbsde import diagnostics, truncation
+from qgbsde.diagnostics import diagnose_pass
+from qgbsde.errors import AssumptionLevelTooLow, InvalidParameters
 from qgbsde.model import (ModelSpec, Partition, empty_time_major,
                           make_brownian, make_discount, make_gbm, make_quadratic)
 from qgbsde.regression import RegressionBasis, project, step_design
 from qgbsde.sde import simulate_forward, simulate_variational
 from qgbsde.solver import solve_backward_regression
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
-from qgbsde.variational import representation_check, solve_variational_bsde
+from qgbsde.variational import _gradient_step, _terminal_gradient
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -26,61 +26,74 @@ def _solved(model, n_steps=8, n_paths=20000, seed=4, basis=GLOBAL2):
     return ens, sol
 
 
+def _diagnosed(monkeypatch, model, n_steps=8, n_paths=20000, seed=4, basis=GLOBAL2):
+    """diagnose_pass at factor 1, the single-grid solve, on the paths that
+    _solved simulates, with the gradient the pass holds one node at a time
+    recorded. Returns gradY (P, N, m) and gradZ (P, N, d, m) at the nodes
+    0..N-1, and the Diagnosis."""
+    steps = {}
+
+    def recording(model, design, ensemble, i, u_next, y, z):
+        steps[i] = _gradient_step(model, design, ensemble, i, u_next, y, z)
+        return steps[i]
+
+    monkeypatch.setattr(diagnostics, "_gradient_step", recording)
+    part = Partition.uniform(model.T, n_steps)
+    diag = diagnose_pass(model, simulate_forward(model, part, n_paths, seed), 1, basis)
+    assert sorted(steps) == list(range(n_steps))
+    u, v = zip(*(steps[i] for i in range(n_steps)))
+    return np.stack(u, axis=1), np.stack(v, axis=1), diag
+
+
 def test_requires_flows_and_gradients():
     model = make_brownian()
-    part = Partition.uniform(model.T, 4)
-    ens = simulate_forward(model, part, 500, seed=0)
-    sol = solve_backward_regression(model, ens, GLOBAL2)
-    with pytest.raises(InvalidParameters):
-        solve_variational_bsde(model, ens, sol, GLOBAL2)  # no flows attached
+    ens = simulate_forward(model, Partition.uniform(model.T, 4), 500, seed=0)
+    with pytest.raises(InvalidParameters, match="no flows"):
+        _terminal_gradient(model, ens)
     bare = dataclasses.replace(model, g_grad=None)
-    ens_v = simulate_variational(model, ens)
-    with pytest.raises(AssumptionLevelTooLow):
-        solve_variational_bsde(bare, ens_v, sol, GLOBAL2)
+    with pytest.raises(AssumptionLevelTooLow, match="g_grad"):
+        _terminal_gradient(bare, simulate_variational(model, ens))
+    diag = diagnose_pass(bare, ens, 1, GLOBAL2)
+    assert diag.representation is None
+    assert diag.gradient_error == "model 'brownian' does not supply g_grad"
 
 
-def test_brownian_identity_gradient_is_one():
+def test_brownian_identity_gradient_is_one(monkeypatch):
     # Y = X gives gradY = 1 on every path and node, and a vanishing gradZ
-    model = make_brownian()
-    ens, sol = _solved(model, n_paths=5000)
-    var = solve_variational_bsde(model, ens, sol, GLOBAL2)
-    np.testing.assert_allclose(var.gradY, 1.0, atol=1e-6)
-    np.testing.assert_allclose(var.gradZ, 0.0, atol=1e-4)
+    U, V, _ = _diagnosed(monkeypatch, make_brownian(), n_paths=5000)
+    np.testing.assert_allclose(U, 1.0, atol=1e-6)
+    np.testing.assert_allclose(V, 0.0, atol=1e-4)
 
 
 def test_terminal_gradient_slice_is_exact():
     model = make_gbm()
-    ens, sol = _solved(model, n_paths=2000)
-    var = solve_variational_bsde(model, ens, sol, GLOBAL2)
+    ens, _ = _solved(model, n_paths=2000)
     # g(x) = x, so the terminal gradient is the flow itself
-    np.testing.assert_array_equal(var.gradY[:, -1, 0], ens.flows[:, -1, 0, 0])
+    np.testing.assert_array_equal(_terminal_gradient(model, ens)[:, 0],
+                                  ens.flows[:, -1, 0, 0])
 
 
-def test_gbm_initial_gradient_matches_flow_mean():
+def test_gbm_initial_gradient_matches_flow_mean(monkeypatch):
     # Y_t = X_t E[X_T]/X_t-type martingale structure collapses the initial
     # gradient to E[flow_T], which the Euler scheme fixes at (1 + mu dt)^N
     mu, n = 0.05, 8
     model = make_gbm(mu=mu)
-    ens, sol = _solved(model, n_steps=n, n_paths=20000)
-    var = solve_variational_bsde(model, ens, sol, GLOBAL2)
+    U, _, _ = _diagnosed(monkeypatch, model, n_steps=n, n_paths=20000)
     target = (1.0 + mu * model.T / n) ** n
-    assert var.gradY[:, 0, 0].mean() == pytest.approx(target, abs=1e-2)
+    assert U[:, 0, 0].mean() == pytest.approx(target, abs=1e-2)
 
 
-def test_tanh_terminal_gradient_matches_quadrature():
+def test_tanh_terminal_gradient_matches_quadrature(monkeypatch):
     # gradY_0 = E[g'(W_T)] for zero-drift unit-volatility paths; the constant
     # below is E[sech^2(W_1)] from 201-node Hermite quadrature
-    model = make_brownian(terminal="tanh")
-    ens, sol = _solved(model, n_paths=40000)
-    var = solve_variational_bsde(model, ens, sol, GLOBAL2)
-    assert var.gradY[:, 0, 0].mean() == pytest.approx(0.6057055096021588, abs=1e-2)
+    U, _, _ = _diagnosed(monkeypatch, make_brownian(terminal="tanh"), n_paths=40000)
+    assert U[:, 0, 0].mean() == pytest.approx(0.6057055096021588, abs=1e-2)
 
 
 def test_representation_identity_on_brownian():
     model = make_brownian()
-    ens, sol = _solved(model)
-    var = solve_variational_bsde(model, ens, sol, GLOBAL2)
-    report = representation_check(model, ens, sol, var)
+    ens = simulate_forward(model, Partition.uniform(model.T, 8), 20000, seed=4)
+    report = diagnose_pass(model, ens, 1, GLOBAL2).representation
     # Z and gradY flow_inv sigma both estimate the constant 1; their gap is
     # pure regression noise
     assert report.time_avg_rms < 5e-2
@@ -91,23 +104,14 @@ def test_representation_identity_on_brownian():
 
 
 def test_implicit_factor_guard():
+    # 1 - dt f_y = 1 - 0.25 * 3 falls below 1/2 at the first gradient step
     model = make_discount(rate=0.1)
-    part = Partition.uniform(model.T, 4)
-    ens = simulate_variational(model, simulate_forward(model, part, 500, seed=1))
-    sol = solve_backward_regression(model, ens, GLOBAL2)
+    ens = simulate_forward(model, Partition.uniform(model.T, 4), 500, seed=1)
     stiff = dataclasses.replace(model, f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0))
-    with pytest.raises(PicardDivergence):
-        solve_variational_bsde(stiff, ens, sol, GLOBAL2)
-
-
-def test_base_shape_mismatch_rejected():
-    model = make_brownian()
-    part = Partition.uniform(model.T, 4)
-    ens = simulate_variational(model, simulate_forward(model, part, 500, seed=1))
-    sol = solve_backward_regression(model, ens, GLOBAL2)
-    short = simulate_variational(model, simulate_forward(model, part, 400, seed=1))
-    with pytest.raises(InvalidParameters):
-        solve_variational_bsde(model, short, sol, GLOBAL2)
+    diag = diagnose_pass(stiff, ens, 1, GLOBAL2)
+    assert diag.representation is None
+    assert diag.gradient_error == ("implicit factor 1 - dt f_y reached 2.500e-01; "
+                                   "refine the grid (step 3)")
 
 
 def test_truncated_gradients_clamp_once_per_step(monkeypatch):
@@ -127,7 +131,7 @@ def test_truncated_gradients_clamp_once_per_step(monkeypatch):
             mp.setattr(truncation, "smooth_clamp", counting(clamps, smooth_clamp))
             mp.setattr(truncation, "smooth_clamp_grad",
                        counting(grads, smooth_clamp_grad))
-            solve_variational_bsde(model, ens, sol, GLOBAL2)
+            _gradient_loop_with_own_estimator(model, ens, sol, GLOBAL2)
         assert clamps == [level] * (18 if engaged else 0)
         assert grads == [level] * (6 if engaged else 0)
 
@@ -194,11 +198,13 @@ def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
 @pytest.mark.parametrize("basis", [GLOBAL2, RegressionBasis(kind="local_partition",
                                                             degree=1, cells_per_dim=6)],
                          ids=lambda b: b.describe())
-def test_planar_gradient_solve_matches_its_own_estimator_bit_for_bit(basis):
+def test_planar_gradient_solve_matches_its_own_estimator_bit_for_bit(basis, monkeypatch):
+    # diagnose_pass's gradient at factor 1 against the loop on the stored solve
     model = _planar_model()
     ens, sol = _solved(model, n_steps=6, n_paths=4000, basis=basis)
-    var = solve_variational_bsde(model, ens, sol, basis)
     U, V = _gradient_loop_with_own_estimator(model, ens, sol, basis)
+    gradY, gradZ, _ = _diagnosed(monkeypatch, model, n_steps=6, n_paths=4000,
+                                 basis=basis)
     assert np.abs(V).max() > 1e-2  # gradZ is not trivially zero
-    assert np.array_equal(var.gradY, U)
-    assert np.array_equal(var.gradZ, V)
+    assert np.array_equal(gradY, U[:, :-1])
+    assert np.array_equal(gradZ, V)
