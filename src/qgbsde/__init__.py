@@ -17,7 +17,6 @@ from .errors import (AssumptionLevelTooLow, ConfigError, DegenerateRegression,
 from .model import (PRESETS, ModelSpec, Partition, check_growth_certificate,
                     make_brownian, make_discount, make_gbm, make_quadratic)
 from .truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
-from .rng import normal_increments
 from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual, flow_inverse,
                   load_ensemble, simulate_forward, simulate_variational)
 from .regression import RegressionBasis, StepDesign, project, step_design
@@ -47,7 +46,7 @@ __all__ = [
     "diagnose_pass", "dump_ensemble", "effective_qbar", "fit_convergence_order",
     "flow_identity_residual", "flow_inverse", "load_ensemble", "make_brownian",
     "make_discount", "make_gbm", "make_quadratic",
-    "normal_increments", "project", "regularity_pass",
+    "project", "regularity_pass",
     "simulate_forward", "simulate_variational",
     "smooth_clamp", "smooth_clamp_grad", "solve_backward_regression",
     "solve_quadrature_1d", "step_design",

@@ -287,7 +287,7 @@ class RunContext:
 # ------------------------------------------------------------- ensembles ---
 
 # bump when the ensemble file format or the simulation scheme changes
-_CACHE_FORMAT = 3
+_CACHE_FORMAT = 4
 
 
 def _cache_key(model, partition, n_paths, seed):

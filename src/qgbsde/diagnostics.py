@@ -6,14 +6,16 @@ the maximal mean-square Y increment over coarse windows, the
 time-integrated L^2 distance between the fine control and three
 coarse-grid approximations of it, and the largest mean-square step of the
 fine control. regularity_pass restricts the fine ensemble to the coarse
-grid and computes all of them in one backward pass that advances the
-coarse and the fine solve in lockstep, window by window: each coarse node's
-regression design serves the coarse step, the fine step at that node and
-both coarse fits of the control, and the fine solution is held one window
-at a time. diagnose_pass is the same pass with the remaining checks of the
-diagnose command taken at each coarse node on that node's design: the BMO
-tail estimate, as a backward running tail sum, and the gradient step and
-representation residual of variational, on flows simulated before the pass.
+grid (a coarse increment is the forward-order sum of the fine increments
+derived in its window) and computes all of them in one backward pass that
+advances the coarse and the fine solve in lockstep, window by window: each
+coarse node's regression design serves the coarse step, the fine step at
+that node and both coarse fits of the control, and the fine solution is
+held one window at a time. diagnose_pass is the same pass with the
+remaining checks of the diagnose command taken at each coarse node on that
+node's design: the BMO tail estimate, as a backward running tail sum, and
+the gradient step and representation residual of variational, on flows
+simulated before the pass.
 Neither the coarse solution nor the tail sums nor the gradient are stored.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
@@ -24,14 +26,15 @@ pass can solve one more level that it does not report, the run's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
-from .sde import PathEnsemble, simulate_variational
+from .sde import PathEnsemble, euler_increment, simulate_variational
 from .solver import _backward_step, _implicit_step, _martingale_pair, _start_backward
 from .truncation import truncate_driver
 from .variational import (RepresentationReport, _gradient_step, _representation_node,
@@ -96,28 +99,42 @@ class Regularity:
     z_increment_sq: float
 
 
+@dataclass(frozen=True)
+class _Coarse(PathEnsemble):
+    """Every r-th node of a fine grid and a view of the fine states it keeps.
+    Step i's increment is the forward-order sum of the fine ones in window i,
+    not the one its own states give (for gbm that biases the coarse Z)."""
+
+    fine_partition: Partition = field(kw_only=True)
+    fine_states: np.ndarray = field(kw_only=True, repr=False)
+
+    def increment(self, model: ModelSpec, i) -> np.ndarray:
+        r = self.fine_partition.n_steps // self.partition.n_steps
+        x, times = self.fine_states, self.fine_partition.times
+        return reduce(np.add, [euler_increment(model, times, j, x[:, j], x[:, j + 1])
+                               for j in range(i * r, i * r + r)])
+
+
 def _coarsen(fine: PathEnsemble, factor: int) -> PathEnsemble:
     """The coarse ensemble on the fine paths: the states at every factor-th
-    fine node (a strided view) and the window sums of the fine increments,
-    taken along the node axis so that time-major fine arrays give
-    time-major coarse ones."""
+    fine node, a strided view along the node axis, so that time-major fine
+    states give time-major coarse ones."""
     r, n_fine = factor, fine.partition.n_steps
     if r < 1 or n_fine % r:
         raise InvalidParameters(f"factor {factor} does not divide the {n_fine} "
                                 f"fine steps")
-    dw = fine.increments.swapaxes(0, 1)
-    return PathEnsemble(
-        partition=Partition(fine.partition.times[::r]), seed=fine.seed,
-        increments=dw.reshape(n_fine // r, r, *dw.shape[1:]).sum(axis=1).swapaxes(0, 1),
-        states=fine.states[:, ::r])
+    return _Coarse(partition=Partition(fine.partition.times[::r]), seed=fine.seed,
+                   states=fine.states[:, ::r], fine_partition=fine.partition,
+                   fine_states=fine.states)
 
 
 def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
               basis: RegressionBasis, at_node=None) -> Regularity:
     """The backward pass of regularity_pass over fine and its coarsening.
-    After the coarse step at node i, at_node(i, design, y, z), when given,
-    sees the node's design and the coarse Y_i (P,) and Z_i (P, d), which the
-    pass holds for that node only."""
+    After the coarse step at node i, at_node(i, design, dw, y, z), when
+    given, sees the node's design and increment and the coarse Y_i (P,) and
+    Z_i (P, d), which the pass holds for that node only. At factor 1 the
+    fine step is the coarse step bit for bit, and is copied from it."""
     n = coarse.partition.n_steps
     r = fine.partition.n_steps // n
     y_next = _start_backward(model, coarse)
@@ -133,15 +150,19 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
     for i in range(n - 1, -1, -1):
         lo = i * r
         design = step_design(basis, coarse.states[:, i], step=i)
-        for k in range(r - 1, -1, -1):
+        dws = [fine.increment(model, j) for j in range(lo, lo + r)]
+        for k in range(r - 1, -1, -1) if r > 1 else ():
             j = lo + k
             fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
                                                             step=j)
             yw[:, k], zw[:, k], *_ = _backward_step(model, fine_design, fine, j,
-                                                    yw[:, k + 1])
-        y_next, z, *_ = _backward_step(model, design, coarse, i, y_next)
+                                                    dws[k], yw[:, k + 1])
+        dw = reduce(np.add, dws)  # in forward order, as _Coarse.increment
+        y_next, z, *_ = _backward_step(model, design, coarse, i, dw, y_next)
+        if r == 1:
+            yw[:, 0], zw[:, 0] = y_next, z
         if at_node is not None:
-            at_node(i, design, y_next, z)
+            at_node(i, design, dw, y_next, z)
 
         inc = yw[:, 1:] - yw[:, :1]
         y_inc = max(y_inc, float((inc ** 2).mean(axis=0).max()))
@@ -264,13 +285,13 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     except QgbsdeError as exc:
         error = str(exc)
 
-    def at_node(i, design, y, z):
+    def at_node(i, design, dw, y, z):
         nonlocal u, error
         bmo.step(design, i, z, dt[i])
         if u is None:
             return
         try:
-            u, _ = _gradient_step(model, design, coarse, i, u, y, z)
+            u, _ = _gradient_step(model, design, coarse, i, dw, u, y, z)
             rms[i], peak[i] = _representation_node(model, coarse, i, u, z)
         except QgbsdeError as exc:
             u, error = None, str(exc)
@@ -325,7 +346,8 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     Every level and the reference run in one backward pass. Each level holds
     a row of P values, one array for the levels on it; all start on the
     terminal row, since they share g. At every step each distinct row gets
-    one pair of projections on the step's design (solver._martingale_pair).
+    one pair of projections on the step's design and increment, derived
+    once per step (solver._martingale_pair).
     The levels on the reference's row at or above its max |z| see the
     identity clamp and share one implicit step (solver._implicit_step);
     every other level steps a row of its own. So each level's errors, y0, z0
@@ -360,11 +382,13 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     for i in range(n_steps - 1, -1, -1):
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
+        dw = ensemble.increment(model, i)
         # one pair per distinct row, then one implicit step per row and driver
         done, pairs, new = {}, {}, {}
         for n, row in rows.items():
             if id(row) not in done:
-                mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, row[:, None])
+                mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, dw,
+                                                         row[:, None])
                 done[id(row)] = mean[:, 0], z[:, 0], float(y_rms[0]), float(np.mean(z_rms))
             pairs[n] = done[id(row)]
         top = float(np.abs(pairs[ref_level][1]).max())

@@ -1,4 +1,4 @@
-"""Counter-based Gaussian increments, reproducible under any path blocking.
+"""Counter-based Gaussian draws, reproducible under any path blocking.
 
 Each path owns a fixed range of Philox counter blocks derived from its index
 alone, so splitting the path set across workers (or changing the block size)
@@ -20,9 +20,6 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-from .errors import InvalidParameters
-from .model import empty_time_major
-
 _DRAWS_PER_ADVANCE = 4
 _DEFAULT_BLOCK = 32768
 _MIN_UNIFORM = 2.0 ** -54  # ndtri(0) is -inf; clip the (prob 2^-53) zero draw
@@ -32,23 +29,25 @@ def _blocks_per_path(n_steps: int, d: int) -> int:
     return -(-(n_steps * d) // _DRAWS_PER_ADVANCE)
 
 
-def _fill_block(out, seed, p0, p1, n_steps, d):
+def _fill_block(seed, p0, p1, n_steps, d):
+    """Standard normals (p1 - p0, n_steps, d) of the paths [p0, p1), the
+    value at [p - p0, i, j] a function of (seed, p, i, j) alone; computed in
+    place on the uniforms, so no second block-sized array exists."""
     bpp = _blocks_per_path(n_steps, d)
     bg = Philox(key=seed)
     bg.advance(p0 * bpp)
-    u = Generator(bg).random((p1 - p0) * bpp * _DRAWS_PER_ADVANCE)
-    u = u.reshape(p1 - p0, bpp * _DRAWS_PER_ADVANCE)[:, : n_steps * d]
+    u = Generator(bg).random((p1 - p0, bpp * _DRAWS_PER_ADVANCE))
     np.maximum(u, _MIN_UNIFORM, out=u)
-    ndtri(u.reshape(p1 - p0, n_steps, d), out=out[p0:p1])
+    ndtri(u, out=u)
+    return u[:, : n_steps * d].reshape(p1 - p0, n_steps, d)
 
 
-def _run_blocks(fill, n_paths: int, workers: int,
-                block_size: int = _DEFAULT_BLOCK) -> None:
-    """Call fill(a, b) on each block [a, b) of at most block_size paths,
+def _run_blocks(fill, n_paths: int, workers: int) -> None:
+    """Call fill(a, b) on each block [a, b) of at most _DEFAULT_BLOCK paths,
     in order on the calling thread when workers is 1 or there is one block,
     else on a pool of workers threads. Each call must write only its own
     paths, so the schedule cannot change the result."""
-    edges = list(range(0, n_paths, block_size)) + [n_paths]
+    edges = list(range(0, n_paths, _DEFAULT_BLOCK)) + [n_paths]
     spans = list(zip(edges[:-1], edges[1:]))
     if workers == 1 or len(spans) == 1:
         for a, b in spans:
@@ -57,24 +56,3 @@ def _run_blocks(fill, n_paths: int, workers: int,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for fut in [pool.submit(fill, a, b) for a, b in spans]:
                 fut.result()
-
-
-def normal_increments(seed: int, n_paths: int, n_steps: int, d: int,
-                      workers: int = 1, block_size: int = _DEFAULT_BLOCK) -> np.ndarray:
-    """Standard normal array of shape (n_paths, n_steps, d), stored time-major.
-
-    The value at [p, i, j] depends only on (seed, p, i, j); workers and
-    block_size affect scheduling, never output.
-    """
-    if n_paths < 1 or n_steps < 1 or d < 1:
-        raise InvalidParameters(
-            f"need positive sizes, got paths={n_paths}, steps={n_steps}, d={d}")
-    if not (0 <= int(seed) < 2 ** 64):
-        raise InvalidParameters(f"seed must fit in an unsigned 64-bit int, got {seed}")
-    if workers < 1 or block_size < 1:
-        raise InvalidParameters("workers and block_size must be positive")
-
-    out = empty_time_major(n_steps, n_paths, (d,))
-    _run_blocks(lambda a, b: _fill_block(out, int(seed), a, b, n_steps, d),
-                n_paths, workers, block_size)
-    return out

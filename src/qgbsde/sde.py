@@ -1,5 +1,8 @@
 """Forward Euler simulation, first variation flow, and the time-major ensemble file.
 
+Paths carry their states only: euler_increment derives each Brownian
+increment from the Euler step, once per node of a pass.
+
 The flow is stored; its inverse is not. flow_inverse inverts the flow
 matrices of one node when a check needs them: simulate_variational's, node
 by node, and the representation residual's (variational). For m = 1 the
@@ -16,9 +19,9 @@ import numpy as np
 
 from .errors import InvalidParameters, NumericalBlowup, SingularFlow
 from .model import ModelSpec, Partition, empty_time_major
-from .rng import _run_blocks, normal_increments
+from .rng import _fill_block, _run_blocks
 
-_MAGIC = b"QGB2"
+_MAGIC = b"QGB3"
 _HEADER = struct.Struct("<4s5Q")  # magic, then m, d, N, P, seed
 # simulate_variational's caps on the flow's condition bound and on its
 # inverse's identity residual
@@ -28,9 +31,8 @@ FLOW_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated increments and states on a fixed grid.
+    """Simulated Euler states on a fixed grid; d equals m.
 
-    increments: (P, N, d) Brownian increments (already scaled by sqrt(dt_i))
     states:     (P, N+1, m) Euler states, states[:, 0] == x0
     flows:      (P, N+1, m, m) first-variation flow, when simulate_variational ran
     flow_residual: the largest flow_identity_residual of those flows, as
@@ -44,21 +46,14 @@ class PathEnsemble:
 
     partition: Partition
     seed: int
-    increments: np.ndarray
     states: np.ndarray
     flows: np.ndarray | None = None
     flow_residual: float | None = None
 
     def __post_init__(self):
-        n = self.partition.n_steps
-        if self.increments.ndim != 3 or self.increments.shape[1] != n:
-            raise InvalidParameters(
-                f"increments must be (P, {n}, d), got {self.increments.shape}")
-        if self.states.ndim != 3 or self.states.shape[1] != n + 1:
-            raise InvalidParameters(
-                f"states must be (P, {n + 1}, m), got {self.states.shape}")
-        if self.states.shape[0] != self.increments.shape[0]:
-            raise InvalidParameters("states and increments disagree on path count")
+        n = self.partition.n_steps + 1
+        if self.states.ndim != 3 or self.states.shape[1] != n:
+            raise InvalidParameters(f"states must be (P, {n}, m), got {self.states.shape}")
 
     @property
     def n_paths(self) -> int:
@@ -68,12 +63,44 @@ class PathEnsemble:
     def m(self) -> int:
         return self.states.shape[2]
 
-    @property
-    def d(self) -> int:
-        return self.increments.shape[2]
+    d = m
+
+    def increment(self, model: ModelSpec, i) -> np.ndarray:
+        """Step i's Brownian increment (P, d), see euler_increment."""
+        return euler_increment(model, self.partition.times, i, self.states[:, i],
+                               self.states[:, i + 1])
 
 
-def _euler_block(model, times, dW, X, a, b):
+def euler_increment(model: ModelSpec, times, i, x, x_next) -> np.ndarray:
+    """The Brownian increment (P, d) of step i that the Euler step from the
+    states x (P, m) at times[i] to x_next at times[i + 1] determines:
+
+        dW_i = sigma(t_i, x)^{-1} (x_next - x - b(t_i, x) dt_i)
+
+    At m = d = 1 that is one division. A sigma singular on a path raises
+    NumericalBlowup with step i and that path.
+    """
+    t, dt = times[i], times[i + 1] - times[i]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sig = np.asarray(model.sigma(t, x))
+        move = x_next - x - np.asarray(model.b(t, x)) * dt
+        if sig.shape[-1] == 1:
+            dw = move / sig[:, :, 0]
+        else:
+            try:
+                dw = np.linalg.solve(sig, move[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # inf or nan on the singular paths
+                dw = move / (np.linalg.det(sig) != 0.0)[:, None]
+    bad = ~np.isfinite(dw).all(axis=1)
+    if bad.any():
+        raise NumericalBlowup("sigma is singular: the Euler step does not determine "
+                              "dW", step=i, path=int(np.argmax(bad)))
+    return dw
+
+
+def _euler_block(model, times, seed, X, a, b):
+    """The Euler steps of the paths [a, b), on their own normals only."""
+    normals = _fill_block(seed, a, b, times.size - 1, model.d)
     for i in range(times.size - 1):
         dt = times[i + 1] - times[i]
         t = times[i]
@@ -82,7 +109,8 @@ def _euler_block(model, times, dW, X, a, b):
         with np.errstate(over="ignore", invalid="ignore"):
             drift = model.b(t, xi)
             diff = model.sigma(t, xi)
-            nxt = xi + drift * dt + np.einsum("pmd,pd->pm", diff, dW[a:b, i])
+            dw = normals[:, i] * np.sqrt(dt)
+            nxt = xi + drift * dt + np.einsum("pmd,pd->pm", diff, dw)
         bad = ~np.isfinite(nxt).all(axis=1)
         if bad.any():
             raise NumericalBlowup("non-finite state in forward Euler",
@@ -94,20 +122,23 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
                      seed: int, workers: int = 1) -> PathEnsemble:
     """Left-point Euler scheme for the forward equation.
 
-    Output is bit-identical for any workers value: increments come from the
-    counter-based generator and path blocks write disjoint slices.
+    Output is bit-identical for any workers value and path block size: the
+    normals come from the counter-based generator and path blocks write
+    disjoint slices. A model with m != d is rejected before any draw.
     """
-    if n_paths < 1:
-        raise InvalidParameters(f"n_paths must be positive, got {n_paths}")
+    if n_paths < 1 or workers < 1:
+        raise InvalidParameters(
+            f"n_paths and workers must be positive, got {n_paths} and {workers}")
+    if not (0 <= int(seed) < 2 ** 64):
+        raise InvalidParameters(f"seed must fit in an unsigned 64-bit int, got {seed}")
+    if model.m != model.d:  # only a square sigma lets the states determine dW
+        raise InvalidParameters(f"model '{model.name}' has m = {model.m} but d = {model.d}")
     times = partition.times
-    n, m, d = partition.n_steps, model.m, model.d
-    dW = normal_increments(seed, n_paths, n, d, workers=workers)
-    dW *= np.sqrt(partition.dt)[None, :, None]
-
-    X = empty_time_major(n + 1, n_paths, (m,))
+    X = empty_time_major(partition.n_steps + 1, n_paths, (model.m,))
     X[:, 0] = model.x0
-    _run_blocks(lambda p, q: _euler_block(model, times, dW, X, p, q), n_paths, workers)
-    return PathEnsemble(partition=partition, seed=int(seed), increments=dW, states=X)
+    _run_blocks(lambda a, b: _euler_block(model, times, int(seed), X, a, b),
+                n_paths, workers)
+    return PathEnsemble(partition=partition, seed=int(seed), states=X)
 
 
 def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemble:
@@ -122,7 +153,7 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemb
     """
     model.require("b_jac", "sigma_jac")
     times = ensemble.partition.times
-    X, dW = ensemble.states, ensemble.increments
+    X = ensemble.states
     P, m = X.shape[0], model.m
     n = times.size - 1
 
@@ -131,12 +162,13 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemb
     for i in range(n):
         dt = times[i + 1] - times[i]
         Fi = F[:, i]
+        dw = ensemble.increment(model, i)
         # overflow surfaces as the NumericalBlowup below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             B = model.b_jac(times[i], X[:, i])
             S = model.sigma_jac(times[i], X[:, i])
             F[:, i + 1] = (Fi + np.einsum("pab,pbc->pac", B, Fi) * dt
-                           + np.einsum("pjab,pbc,pj->pac", S, Fi, dW[:, i]))
+                           + np.einsum("pjab,pbc,pj->pac", S, Fi, dw))
         bad = ~np.isfinite(F[:, i + 1]).all(axis=(1, 2))
         if bad.any():
             raise NumericalBlowup("non-finite variational flow",
@@ -191,16 +223,14 @@ def flow_identity_residual(flow: np.ndarray, inverse: np.ndarray) -> np.ndarray:
 
 
 def dump_ensemble(ensemble: PathEnsemble, path) -> None:
-    """Binary dump: magic 'QGB2', little-endian u64 header (m, d, N, P, seed),
-    then little-endian float64 times, increments node by node (N blocks of
-    P x d) and states node by node (N+1 blocks of P x m): the time-major
-    storage order, so only a path-major array is copied before writing."""
+    """Binary dump: magic 'QGB3', little-endian u64 header (m, d, N, P, seed),
+    then little-endian float64 times and states node by node (N+1 blocks of
+    P x m), so only a path-major array is copied before writing."""
     n = ensemble.partition.n_steps
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, ensemble.m, ensemble.d, n,
                               ensemble.n_paths, ensemble.seed % 2 ** 64))
-        for a in (ensemble.partition.times, ensemble.increments.swapaxes(0, 1),
-                  ensemble.states.swapaxes(0, 1)):
+        for a in (ensemble.partition.times, ensemble.states.swapaxes(0, 1)):
             fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
@@ -214,16 +244,16 @@ def load_ensemble(path) -> PathEnsemble:
             raise InvalidParameters(f"not a {_MAGIC.decode()} ensemble file "
                                     f"({size} bytes, magic {head[:4]!r})")
         m, d, n, p, seed = _HEADER.unpack(head)[1:]
-        expect = _HEADER.size + 8 * ((n + 1) + p * n * d + p * (n + 1) * m)
+        if d != m:
+            raise InvalidParameters(f"ensemble file has d = {d} but m = {m}")
+        expect = _HEADER.size + 8 * ((n + 1) + (n + 1) * p * m)
         if size != expect:
             raise InvalidParameters(f"ensemble file has {size} bytes, its header {expect}")
         times = np.empty(n + 1)
-        inc = empty_time_major(n, p, (d,))
         states = empty_time_major(n + 1, p, (m,))
-        for a in (times, inc.swapaxes(0, 1), states.swapaxes(0, 1)):
+        for a in (times, states.swapaxes(0, 1)):
             if fh.readinto(a.data) != a.nbytes:
                 raise InvalidParameters("ensemble file truncated while reading")
             if not np.little_endian:
                 a.byteswap(inplace=True)
-    return PathEnsemble(partition=Partition(times), seed=int(seed),
-                        increments=inc, states=states)
+    return PathEnsemble(partition=Partition(times), seed=int(seed), states=states)

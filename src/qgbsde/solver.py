@@ -5,7 +5,8 @@ Both walk the same one-step recursion backward from the terminal condition:
     Z_i = E[ Y_{i+1} dW_i | X_i ] / dt_i
     Y_i = E[ Y_{i+1} | X_i ] + dt_i * f(t_i, X_i, Y_i, Z_i)
 
-implicit in Y (at most PICARD_PASSES Picard passes), explicit in Z. The Monte
+implicit in Y (at most PICARD_PASSES Picard passes), explicit in Z, with
+dW_i derived from the states once per step (sde.euler_increment). The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
 step (_martingale_pair, which the gradient solve in variational shares),
@@ -126,9 +127,10 @@ def _start_backward(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
     return y
 
 
-def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
+def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, dw, v_next):
     """The two conditional expectations of step i for the targets v_next
-    (P, k) at node i + 1, each one projection on the design at node i.
+    (P, k) at node i + 1, each one projection on the design at node i, with
+    dw (P, d) the step's increment (PathEnsemble.increment).
 
     Returns E[v | X_i] (P, k), E[(v - E[v | X_i]) dW_i | X_i] / dt_i
     (P, k, d), and the residual RMS of the two projections, (k,) and
@@ -136,7 +138,6 @@ def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, v_next):
     """
     times = ensemble.partition.times
     dt = times[i + 1] - times[i]
-    dw = ensemble.increments[:, i]
     mean, mean_rms = project(design, v_next)
     targets = (v_next - mean)[:, :, None] * dw[:, None, :] / dt
     z, z_rms = project(design, targets.reshape(len(targets), -1))
@@ -157,16 +158,18 @@ def _implicit_step(model: ModelSpec, ensemble: PathEnsemble, i, cond_mean, z):
 
 
 def _backward_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
-                   y_next):
+                   dw, y_next):
     """Step i of the recursion under model's driver on the ensemble's paths.
 
-    design is the step's design on the state at node i and y_next (P,) the
-    solution at node i + 1. The conditional expectations come from
-    _martingale_pair and the implicit step from _implicit_step. Returns
+    design is the step's design on the state at node i, dw (P, d) its
+    increment and y_next (P,) the solution at node i + 1. The conditional
+    expectations come from _martingale_pair and the implicit step from
+    _implicit_step. Returns
     (y (P,), z (P, d), residual RMS of the Y projection, mean residual RMS
     of the Z projection, Picard residual).
     """
-    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, y_next[:, None])
+    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, dw,
+                                                  y_next[:, None])
     z = z[:, 0]
     y, residual = _implicit_step(model, ensemble, i, cond_mean[:, 0], z)
     return y, z, float(y_rms[0]), float(np.mean(z_rms)), residual
@@ -192,6 +195,7 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
         design = step_design(basis, ensemble.states[:, i], step=i)
         (Y[:, i], Z[:, i], meta.y_residual_rms[i], meta.z_residual_rms[i],
          meta.picard_residuals[i]) = _backward_step(model, design, ensemble, i,
+                                                    ensemble.increment(model, i),
                                                     Y[:, i + 1])
         meta.conditions[i] = design.condition
         meta.fallback_cells[i] = design.fallback_cells

@@ -19,10 +19,10 @@ The control identity Z_t = gradY_t (gradX_t)^{-1} sigma(t, X_t) is then an
 internal consistency check between two independently regressed objects.
 
 Both are per-node kernels: _gradient_step takes gradY from node i + 1 to
-node i on a given design, and _representation_node measures the identity at
-one node, with the flow inverted there (sde.flow_inverse).
+node i on a given design and increment, and _representation_node measures
+the identity at one node, with the flow inverted there (sde.flow_inverse).
 diagnostics.diagnose_pass calls them inside its own backward pass on the
-designs it builds anyway, holding gradY for one node only.
+designs and increments it has anyway, holding gradY for one node only.
 """
 
 from __future__ import annotations
@@ -64,14 +64,14 @@ def _terminal_gradient(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
 
 
 def _gradient_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
-                   u_next, y, z):
-    """Step i of the gradient equation on the design at node i: gradY_i
-    (P, m) and gradZ_i (P, d, m) from gradY_{i+1} = u_next (P, m) and the
-    base solution's Y_i (P,) and Z_i (P, d)."""
+                   dw, u_next, y, z):
+    """Step i of the gradient equation on the design at node i and the
+    increment dw (P, d): gradY_i (P, m) and gradZ_i (P, d, m) from u_next =
+    gradY_{i+1} (P, m) and the base solution's Y_i (P,) and Z_i (P, d)."""
     times = ensemble.partition.times
     dt = times[i + 1] - times[i]
     t, xi = times[i], ensemble.states[:, i]
-    e_fit, v_fit, *_ = _martingale_pair(design, ensemble, i, u_next)
+    e_fit, v_fit, *_ = _martingale_pair(design, ensemble, i, dw, u_next)
     v = v_fit.swapaxes(1, 2)  # (P, m, d) -> (P, d, m)
     fx = np.asarray(model.f_x(t, xi, y, z))
     fy = np.asarray(model.f_y(t, xi, y, z))

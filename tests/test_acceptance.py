@@ -28,6 +28,7 @@ from qgbsde.model import (Partition, make_brownian, make_discount, make_gbm,
 from qgbsde.oracle import (bmo_bound, cole_hopf_from_model,
                           cole_hopf_increment_stat)
 from qgbsde.regression import RegressionBasis
+from qgbsde.rng import _fill_block
 from qgbsde.sde import simulate_forward
 from qgbsde.solver import solve_backward_regression, solve_quadrature_1d
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
@@ -75,13 +76,15 @@ def test_forward_euler_strong_order():
     mu, vol, x0 = model.meta["mu"], model.meta["vol"], float(model.x0[0])
     fine = Partition.uniform(model.T, 256)
     ens = simulate_forward(model, fine, 100_000, SEED)
-    w_T = ens.increments[:, :, 0].sum(axis=1)
+    # the scaled draws the Euler step took
+    dw = _fill_block(SEED, 0, ens.n_paths, 256, 1)[:, :, 0] * np.sqrt(fine.dt)
+    w_T = dw.sum(axis=1)
     exact = x0 * np.exp((mu - 0.5 * vol ** 2) * model.T + vol * w_T)
     scales, errs = [], []
     for k in range(3, 9):
         n = 2 ** k
         idx = np.arange(n) * (256 // n)
-        inc = np.add.reduceat(ens.increments[:, :, 0], idx, axis=1)
+        inc = np.add.reduceat(dw, idx, axis=1)
         x = np.full(ens.n_paths, x0)
         dt = model.T / n
         for i in range(n):
@@ -92,7 +95,7 @@ def test_forward_euler_strong_order():
     _check(abs(fit.slope - 0.5) <= 0.15 and fit.r_squared >= 0.95,
            f"forward Euler strong order on geometric Brownian paths: slope "
            f"{fit.slope:.4f} within 0.5 +- 0.15, r2 {fit.r_squared:.5f} >= 0.95")
-    del ens
+    del ens, dw
     gc.collect()
 
 

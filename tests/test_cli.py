@@ -506,16 +506,16 @@ def test_diagnose_without_the_gradient_writes_every_other_row(tmp_path, monkeypa
 
 def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
     # numpy reports its buffers to tracemalloc. Once the fine ensemble
-    # exists, the pass adds the coarse increments and the flows, about N + 1
-    # coarse columns each, and one node's temporaries, fewer than 48. The
-    # coarse Y and Z, the BMO tail sums or gradY and gradZ, stored, would
-    # add N columns each.
+    # exists, the pass adds the flows, N + 1 coarse columns, and one node's
+    # temporaries, fewer than 48; the paths carry no increments. The coarse
+    # Y and Z, the BMO tail sums or gradY and gradZ, stored, would add N
+    # columns each.
     P, N = 2000, 48
     grown = []
 
     def measuring(ctx, partition, *args, **kwargs):
         ens = get_ensemble(ctx, partition, *args, **kwargs)
-        grown.append(ens.increments.nbytes + ens.states.nbytes)
+        grown.append(ens.states.nbytes)
         tracemalloc.reset_peak()
         grown.append(tracemalloc.get_traced_memory()[0])
         return ens
@@ -531,11 +531,11 @@ def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     fine_bytes, at_ensemble = grown
-    assert fine_bytes == 8 * P * (2 * N * 2 + 1)
+    assert fine_bytes == 8 * P * (2 * N + 1)
     extra_columns = (peak - at_ensemble) / (8 * P)
-    # about 130; about 260 with the coarse solution, the tail sums, the
-    # flows' inverses and the gradient arrays all stored
-    assert extra_columns < 2 * (N + 1) + 48, extra_columns
+    # about 260 with the coarse solution, the tail sums, the flows' inverses
+    # and the gradient arrays all stored
+    assert extra_columns < (N + 1) + 48, extra_columns
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):

@@ -107,7 +107,6 @@ def _ref_left_endpoint(base, fine):
 
 def _path_major(ens):
     return PathEnsemble(partition=ens.partition, seed=ens.seed,
-                        increments=np.ascontiguousarray(ens.increments),
                         states=np.ascontiguousarray(ens.states))
 
 
@@ -215,8 +214,8 @@ def _recording_coarse_steps(monkeypatch, fine):
     condition and fallback count, in the layout of a BackwardSolution."""
     steps = {}
 
-    def recording(model, design, ensemble, i, y_next):
-        out = solver._backward_step(model, design, ensemble, i, y_next)
+    def recording(model, design, ensemble, i, dw, y_next):
+        out = solver._backward_step(model, design, ensemble, i, dw, y_next)
         if ensemble is not fine:
             steps[i] = (design, *out)
         return out
@@ -253,9 +252,10 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case, monkeypatch):
     coarse = ens_c.partition
     np.testing.assert_array_equal(coarse.times, ens_f.partition.times[::factor])
     np.testing.assert_array_equal(ens_c.states, ens_f.states[:, ::factor])
+    fine_dw = np.stack([ens_f.increment(model, j) for j in range(n_fine)], axis=1)
     np.testing.assert_allclose(
-        ens_c.increments,
-        np.add.reduceat(ens_f.increments, np.arange(0, n_fine, factor), axis=1),
+        np.stack([ens_c.increment(model, i) for i in range(coarse.n_steps)], axis=1),
+        np.add.reduceat(fine_dw, np.arange(0, n_fine, factor), axis=1),
         rtol=0, atol=1e-15)
     sol_c = solve_backward_regression(model, ens_c, basis)
     sol_f = solve_backward_regression(model, ens_f, basis)
@@ -344,9 +344,10 @@ def test_diagnose_pass_at_factor_1_is_the_single_grid_solve(case, monkeypatch):
     coarse_solution = _recording_coarse_steps(monkeypatch, ens)
     diag = diagnose_pass(model, ens, 1, basis)
     ens_c = diag.regularity.ensemble
-    for field in ("increments", "states"):
-        np.testing.assert_array_equal(getattr(ens_c, field), getattr(ens, field))
+    np.testing.assert_array_equal(ens_c.states, ens.states)
     np.testing.assert_array_equal(ens_c.partition.times, ens.partition.times)
+    for i in range(n_steps):
+        np.testing.assert_array_equal(ens_c.increment(model, i), ens.increment(model, i))
     sol = solve_backward_regression(model, ens, basis)
     Y, Z, meta = coarse_solution()
     np.testing.assert_array_equal(Y, sol.Y[:, :-1])
@@ -376,6 +377,24 @@ def test_diagnose_pass_goes_on_without_a_failing_gradient():
     assert "b_jac" in diag.gradient_error
 
 
+def test_factor_1_runs_each_backward_step_once(monkeypatch):
+    # the window's one fine step is the coarse step bit for bit (the
+    # factor_1 pass case), so it is taken from the coarse step, not rerun
+    steps = []
+
+    def counting(model, design, ensemble, i, dw, y_next):
+        steps.append(i)
+        return solver._backward_step(model, design, ensemble, i, dw, y_next)
+
+    monkeypatch.setattr(diagnostics, "_backward_step", counting)
+    ens = simulate_forward(QUAD6, Partition.uniform(1.0, 8), 2000, seed=3)
+    regularity_pass(QUAD6, ens, 1, GLOBAL2)
+    assert steps == list(range(7, -1, -1))
+    steps.clear()
+    regularity_pass(QUAD6, ens, 2, GLOBAL2)
+    assert len(steps) == 8 + 4
+
+
 def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
     # the pass builds the coarse states from the fine paths itself; what is
     # left to reject is a factor that leaves no whole windows
@@ -390,8 +409,8 @@ def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
 def test_bmo_estimate_constant_control(monkeypatch):
     # |Z| = 1 makes every tail sum T - t_i, so both estimates equal T; the
     # pass's coarse control is replaced by 1 as it is handed to the checks
-    def unit_control(model, design, ensemble, i, y_next):
-        y, z, *rest = solver._backward_step(model, design, ensemble, i, y_next)
+    def unit_control(model, design, ensemble, i, dw, y_next):
+        y, z, *rest = solver._backward_step(model, design, ensemble, i, dw, y_next)
         return (y, np.ones_like(z), *rest)
 
     monkeypatch.setattr(diagnostics, "_backward_step", unit_control)

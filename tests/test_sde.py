@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -9,23 +10,39 @@ from qgbsde import (AssumptionLevelTooLow, InvalidParameters,
                     dump_ensemble, fit_convergence_order,
                     flow_identity_residual, flow_inverse, load_ensemble,
                     make_brownian,
-                    make_gbm, normal_increments, simulate_forward,
+                    make_gbm, simulate_forward,
                     simulate_variational)
-from qgbsde import sde
+from qgbsde import cli, rng, sde
 from qgbsde.errors import SingularFlow
+from qgbsde.regression import RegressionBasis
+from qgbsde.rng import _fill_block
+from qgbsde.solver import solve_backward_regression
+
+
+def _drawn(ens):
+    """The scaled normals the Euler step of ens took, (P, N, d)."""
+    n = ens.partition.n_steps
+    return (_fill_block(ens.seed, 0, ens.n_paths, n, ens.d)
+            * np.sqrt(ens.partition.dt)[None, :, None])
+
+
+def _derived(model, ens):
+    """Every step's increment as the ensemble derives it, (P, N, d)."""
+    return np.stack([ens.increment(model, i) for i in range(ens.partition.n_steps)],
+                    axis=1)
 
 
 def test_initial_state_exact():
     ens = simulate_forward(make_gbm(x0=1.5), Partition.uniform(1.0, 8), 50, 3)
     assert np.all(ens.states[:, 0, 0] == 1.5)
     assert ens.states.shape == (50, 9, 1)
-    assert ens.increments.shape == (50, 8, 1)
+    assert ens.increment(make_gbm(x0=1.5), 7).shape == (50, 1)
 
 
 def test_additive_model_is_exact():
     # b=0, sigma=1: Euler is exact, X_t = x0 + W_t
     ens = simulate_forward(make_brownian(x0=0.7), Partition.uniform(1.0, 16), 200, 5)
-    walk = 0.7 + np.cumsum(ens.increments[:, :, 0], axis=1)
+    walk = 0.7 + np.cumsum(_drawn(ens)[:, :, 0], axis=1)
     np.testing.assert_allclose(ens.states[:, 1:, 0], walk, atol=1e-14)
 
 
@@ -47,13 +64,14 @@ def test_gbm_strong_order_half():
     model = make_gbm(mu=0.05, vol=0.2, x0=1.0)
     fine = Partition.uniform(1.0, 64)
     ens = simulate_forward(model, fine, 20_000, 9)
-    w_term = ens.increments[:, :, 0].sum(axis=1)
+    dw = _drawn(ens)[:, :, 0]
+    w_term = dw.sum(axis=1)
     exact = np.exp((0.05 - 0.5 * 0.2 ** 2) + 0.2 * w_term)
     scales, errors = [], []
     for n in (8, 16, 32, 64):
         step = 64 // n
         idx = np.arange(n) * step
-        inc = np.add.reduceat(ens.increments[:, :, 0], idx, axis=1)
+        inc = np.add.reduceat(dw, idx, axis=1)
         x = np.ones(inc.shape[0])
         dt = 1.0 / n
         for i in range(n):
@@ -65,13 +83,70 @@ def test_gbm_strong_order_half():
     assert fit.r_squared >= 0.95
 
 
-def test_worker_count_bit_identical():
+def test_worker_count_bit_identical(monkeypatch):
+    # the normals are drawn block by block inside the Euler loop; neither
+    # the worker count nor the block size may change a state
     model = make_gbm()
     part = Partition.uniform(1.0, 8)
     a = simulate_forward(model, part, 70_000, 4, workers=1)
     b = simulate_forward(model, part, 70_000, 4, workers=3)
     assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.increments, b.increments)
+    monkeypatch.setattr(rng, "_DEFAULT_BLOCK", 1000)
+    for workers in (1, 3):
+        c = simulate_forward(model, part, 70_000, 4, workers=workers)
+        assert np.array_equal(a.states, c.states)
+
+
+def test_forward_simulation_holds_one_block_of_normals(monkeypatch):
+    # the traced peak is the states, one path block's normals (at most 3
+    # padding draws per path) and per-step temporaries of one block
+    P, N, block = 4000, 64, 1000
+    monkeypatch.setattr(rng, "_DEFAULT_BLOCK", block)
+    ens, peak = _traced_peak(lambda: simulate_forward(
+        make_gbm(), Partition.uniform(1.0, N), P, 2))
+    normals = 8 * block * 4 * rng._blocks_per_path(N, 1)
+    assert peak <= ens.states.nbytes + normals + 8 * block * 16, peak
+
+
+def test_m_other_than_d_is_rejected_before_any_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew before the dimension check")
+
+    monkeypatch.setattr(sde, "_fill_block", refuse)
+    model = ModelSpec(
+        name="rect", m=1, d=2, x0=np.array([0.0]), T=1.0,
+        b=lambda t, x: np.zeros_like(x),
+        sigma=lambda t, x: np.ones(x.shape + (2,)),
+        f=lambda t, x, y, z: np.zeros(x.shape[0]),
+        g=lambda x: x[:, 0],
+    )
+    with pytest.raises(InvalidParameters, match="m = 1 but d = 2"):
+        simulate_forward(model, Partition.uniform(1.0, 4), 10, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_singular_sigma_on_a_path_fails_the_solve_at_its_step_and_path(m):
+    # sigma vanishes at the one state 5.0, which path 17 takes at node 4:
+    # the Euler step there does not determine the increment
+    def sigma(t, x):
+        eye = np.broadcast_to(np.eye(m), x.shape + (m,))
+        return np.where((x[:, :1] == 5.0)[:, :, None], 0.0, eye)
+
+    model = ModelSpec(
+        name="vanishing", m=m, d=m, x0=np.zeros(m), T=1.0,
+        b=lambda t, x: np.zeros_like(x), sigma=sigma,
+        f=lambda t, x, y, z: np.zeros(x.shape[0]),
+        g=lambda x: x.sum(axis=1), driver_z_lipschitz=0.0)
+    ens = simulate_forward(model, Partition.uniform(1.0, 6), 50, 2)
+    states = np.array(ens.states)
+    states[17, 4] = 5.0
+    hand = PathEnsemble(partition=ens.partition, seed=2, states=states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBlowup, match="sigma is singular") as err:
+            solve_backward_regression(model, hand, RegressionBasis(
+                kind="global_polynomial", degree=1))
+    assert (err.value.step, err.value.path) == (4, 17)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -273,7 +348,6 @@ def test_dump_load_roundtrip(tmp_path):
     back = load_ensemble(path)
     assert back.seed == 11
     assert np.array_equal(back.states, ens.states)
-    assert np.array_equal(back.increments, ens.increments)
     assert np.array_equal(back.partition.times, ens.partition.times)
 
 
@@ -290,10 +364,14 @@ def test_load_rejects_garbage(tmp_path):
         path.write_bytes(cut)
         with pytest.raises(InvalidParameters):
             load_ensemble(path)
+    # d must equal m: the states alone determine the increments
+    path.write_bytes(blob[:12] + (2).to_bytes(8, "little") + blob[20:])
+    with pytest.raises(InvalidParameters, match="d = 2 but m = 1"):
+        load_ensemble(path)
 
 
 def _ensemble_bytes(ens):
-    return ens.partition.times.nbytes + ens.increments.nbytes + ens.states.nbytes
+    return ens.partition.times.nbytes + ens.states.nbytes
 
 
 def _traced_peak(call):
@@ -331,34 +409,55 @@ def test_load_checks_the_header_before_allocating(tmp_path, monkeypatch):
         load_ensemble(path)
 
 
-def test_load_rejects_the_path_major_format(tmp_path):
-    # a QGB1 file holds the same header and the paths path-major
-    ens = simulate_forward(make_gbm(), Partition.uniform(1.0, 4), 10, 0)
+def test_load_rejects_the_path_major_format(tmp_path, monkeypatch):
+    # the same header, then the increments and the states: path-major in a
+    # QGB1 file, node by node in a QGB2 file
+    model, part = make_gbm(), Partition.uniform(1.0, 4)
+    ens = simulate_forward(model, part, 10, 0)
     path = tmp_path / "old.bin"
     dump_ensemble(ens, path)
-    blob = path.read_bytes()
-    path.write_bytes(b"QGB1" + blob[4:44] + ens.partition.times.tobytes()
-                     + np.ascontiguousarray(ens.increments).tobytes()
-                     + np.ascontiguousarray(ens.states).tobytes())
-    assert path.stat().st_size == len(blob)
-    with pytest.raises(InvalidParameters, match="magic b'QGB1'"):
-        load_ensemble(path)
+    head = path.read_bytes()[4:44] + ens.partition.times.tobytes()
+    dw = _drawn(ens)
+    old = {b"QGB1": (dw, ens.states),
+           b"QGB2": (dw.swapaxes(0, 1), ens.states.swapaxes(0, 1))}
+    for magic, arrays in old.items():
+        path.write_bytes(magic + head + b"".join(np.ascontiguousarray(a).tobytes()
+                                                 for a in arrays))
+        with pytest.raises(InvalidParameters, match=f"magic {magic!r}"):
+            load_ensemble(path)
+    # as a cache file, a QGB2 file sits under a cache key of format 3, which
+    # no run asks for: it is neither read nor rejected nor replaced
+    current = cli._CACHE_FORMAT
+    monkeypatch.setattr(cli, "_CACHE_FORMAT", 3)
+    stale = tmp_path / "cache" / f"ens_{cli._cache_key(model, part, 10, 0)}.bin"
+    monkeypatch.setattr(cli, "_CACHE_FORMAT", current)
+    stale.parent.mkdir()
+    stale.write_bytes(path.read_bytes())
+    monkeypatch.setenv("QGBSDE_CACHE_DIR", str(stale.parent))
+    notes = []
+    ctx = types.SimpleNamespace(model=model, n_paths=10, seed=0, workers=1,
+                                note=notes.append, warn=notes.append)
+    assert np.array_equal(cli.get_ensemble(ctx, part).states, ens.states)
+    assert notes == [] and stale.read_bytes() == path.read_bytes()
+    assert len(list(stale.parent.glob("ens_*.bin"))) == 2
 
 
 def test_ensemble_shape_validation():
     part = Partition.uniform(1.0, 4)
     with pytest.raises(InvalidParameters):
-        PathEnsemble(partition=part, seed=0,
-                     increments=np.zeros((10, 3, 1)), states=np.zeros((10, 5, 1)))
+        PathEnsemble(partition=part, seed=0, states=np.zeros((10, 4, 1)))
     with pytest.raises(InvalidParameters):
-        PathEnsemble(partition=part, seed=0,
-                     increments=np.zeros((10, 4, 1)), states=np.zeros((9, 5, 1)))
+        PathEnsemble(partition=part, seed=0, states=np.zeros((10, 5)))
 
 
 def test_increments_scale_with_dt():
     ens = simulate_forward(make_brownian(), Partition.uniform(4.0, 4), 50_000, 1)
-    # each increment has variance dt = 1
-    var = ens.increments.var()
-    assert var == pytest.approx(1.0, rel=0.05)
-    raw = normal_increments(1, 50_000, 4, 1)
-    np.testing.assert_allclose(ens.increments, raw * 1.0, atol=1e-14)
+    # each increment has variance dt = 1, and is the draw to rounding
+    dw = _derived(make_brownian(), ens)
+    assert dw.var() == pytest.approx(1.0, rel=0.05)
+    raw = _fill_block(1, 0, 50_000, 4, 1)
+    np.testing.assert_allclose(dw, raw * 1.0, atol=1e-14)
+    # as it is under a state-dependent drift and sigma
+    gbm = make_gbm(mu=0.3, vol=0.4)
+    ens = simulate_forward(gbm, Partition.uniform(1.0, 32), 20_000, 3)
+    np.testing.assert_allclose(_derived(gbm, ens), _drawn(ens), rtol=0, atol=1e-14)

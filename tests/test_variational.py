@@ -33,8 +33,8 @@ def _diagnosed(monkeypatch, model, n_steps=8, n_paths=20000, seed=4, basis=GLOBA
     0..N-1, and the Diagnosis."""
     steps = {}
 
-    def recording(model, design, ensemble, i, u_next, y, z):
-        steps[i] = _gradient_step(model, design, ensemble, i, u_next, y, z)
+    def recording(model, design, ensemble, i, dw, u_next, y, z):
+        steps[i] = _gradient_step(model, design, ensemble, i, dw, u_next, y, z)
         return steps[i]
 
     monkeypatch.setattr(diagnostics, "_gradient_step", recording)
@@ -172,7 +172,7 @@ def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
     """The gradient solve with its own copy of the pair of projections, in
     its own (d, m) column order; the shared estimator must reproduce it."""
     times = ensemble.partition.times
-    X, dW, F = ensemble.states, ensemble.increments, ensemble.flows
+    X, F = ensemble.states, ensemble.flows
     P, n, m, d = X.shape[0], times.size - 1, model.m, model.d
     U = empty_time_major(n + 1, P, (m,))
     V = empty_time_major(n, P, (d, m))
@@ -182,7 +182,8 @@ def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
         t, xi = times[i], X[:, i]
         design = step_design(basis, xi, step=i)
         e_fit, _ = project(design, U[:, i + 1])
-        v_targets = ((U[:, i + 1] - e_fit)[:, None, :] * dW[:, i, :, None] / dt)
+        dw = ensemble.increment(model, i)
+        v_targets = ((U[:, i + 1] - e_fit)[:, None, :] * dw[:, :, None] / dt)
         Vi = project(design, v_targets.reshape(P, d * m))[0].reshape(P, d, m)
         yi, zi = base.Y[:, i], base.Z[:, i]
         fx = np.asarray(model.f_x(t, xi, yi, zi))
