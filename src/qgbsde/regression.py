@@ -26,7 +26,8 @@ index, normal matrices, the condition check) once; project applies it to any
 number of target columns. Global features are stored feature-major, one
 contiguous row of P values per monomial, so the normal matrix, the
 right-hand sides and the fit all stream along contiguous rows; a cell fit
-fetches every coefficient a path needs with one gather along the cell axis.
+takes one contiguous target column at a time and gathers each of its
+coefficients per path from one contiguous row.
 The design is the only record of the step: project returns the fitted values
 and what only the fit knows, the residual RMS of every target column.
 """
@@ -262,31 +263,45 @@ def step_design(basis: RegressionBasis, x: np.ndarray,
 
 
 def _project_local(design, targets):
+    """The cell fit of each target column, one contiguous column at a time:
+    bincount would copy a strided column on each of its 1 + m calls, and
+    each coefficient is gathered per path from one contiguous row."""
     cell, counts, u = design.cell, design.counts, design.coords
-    n_cells, k = counts.size, targets.shape[1]
+    n_cells, (P, k) = counts.size, targets.shape
+    empty = counts == 0
+    # empty cells fall back to the global mean so off-sample queries stay
+    # defined; it is taken only when a cell is empty
+    global_mean = targets.mean(axis=0) if empty.any() else None
+    columns = [np.ascontiguousarray(targets[:, j]) for j in range(k)]
+    fitted = np.empty((P, k))
     if design.basis.degree == 0:
-        sums = np.stack([np.bincount(cell, weights=targets[:, j], minlength=n_cells)
-                         for j in range(k)], axis=1)
-        means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
-                         targets.mean(axis=0))
-        return np.take(means, cell, axis=0)
+        for j, t in enumerate(columns):
+            means = np.bincount(cell, weights=t, minlength=n_cells) / np.maximum(counts, 1)
+            if global_mean is not None:
+                means[empty] = global_mean[j]
+            np.take(means, cell, out=fitted[:, j])
+        return fitted
     m = u.shape[1]
-    R = np.zeros((n_cells, 1 + m, k))
-    for j in range(k):
-        R[:, 0, j] = np.bincount(cell, weights=targets[:, j], minlength=n_cells)
+    R = np.empty((n_cells, 1 + m, k))
+    for j, t in enumerate(columns):
+        R[:, 0, j] = np.bincount(cell, weights=t, minlength=n_cells)
         for a in range(m):
-            R[:, a + 1, j] = np.bincount(cell, weights=u[:, a] * targets[:, j],
-                                         minlength=n_cells)
+            R[:, a + 1, j] = np.bincount(cell, weights=u[:, a] * t, minlength=n_cells)
     usable = design.usable
     coefs = np.zeros((n_cells, 1 + m, k))
     coefs[usable] = np.linalg.solve(design.normal, R[usable])
-    # underpopulated or ill-conditioned cells keep the cell mean; empty cells
-    # fall back to the global mean so off-sample queries stay defined
-    fallback = ~usable & (counts > 0)
+    # underpopulated or ill-conditioned cells keep the cell mean
+    fallback = ~usable & ~empty
     coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
-    coefs[counts == 0, 0, :] = targets.mean(axis=0)
-    per_path = np.take(coefs, cell, axis=0)
-    return per_path[:, 0] + np.einsum("pa,pak->pk", u, per_path[:, 1:])
+    if global_mean is not None:
+        coefs[empty, 0, :] = global_mean
+    for j in range(k):
+        c = coefs[:, :, j].T.copy()  # one contiguous row per coefficient
+        slope = np.take(c[1], cell) * u[:, 0]
+        for a in range(1, m):
+            slope += np.take(c[a + 1], cell) * u[:, a]
+        np.add(np.take(c[0], cell), slope, out=fitted[:, j])
+    return fitted
 
 
 def project(design: StepDesign, targets: np.ndarray):

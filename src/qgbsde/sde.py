@@ -91,11 +91,16 @@ def euler_increment(model: ModelSpec, times, i, x, x_next) -> np.ndarray:
                 dw = np.linalg.solve(sig, move[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:  # inf or nan on the singular paths
                 dw = move / (np.linalg.det(sig) != 0.0)[:, None]
-    bad = ~np.isfinite(dw).all(axis=1)
-    if bad.any():
+    if not np.isfinite(dw).all():
         raise NumericalBlowup("sigma is singular: the Euler step does not determine "
-                              "dW", step=i, path=int(np.argmax(bad)))
+                              "dW", step=i, path=_first_bad_path(dw))
     return dw
+
+
+def _first_bad_path(a: np.ndarray) -> int:
+    """The first path of a (P, ...) with a non-finite entry, looked up only
+    once a pass over the whole array has found one."""
+    return int(np.argmax(~np.isfinite(a.reshape(len(a), -1)).all(axis=1)))
 
 
 def _euler_block(model, times, seed, X, a, b):
@@ -111,10 +116,9 @@ def _euler_block(model, times, seed, X, a, b):
             diff = model.sigma(t, xi)
             dw = normals[:, i] * np.sqrt(dt)
             nxt = xi + drift * dt + np.einsum("pmd,pd->pm", diff, dw)
-        bad = ~np.isfinite(nxt).all(axis=1)
-        if bad.any():
+        if not np.isfinite(nxt).all():
             raise NumericalBlowup("non-finite state in forward Euler",
-                                  step=i, path=a + int(np.argmax(bad)))
+                                  step=i, path=a + _first_bad_path(nxt))
         X[a:b, i + 1] = nxt
 
 
@@ -169,10 +173,9 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemb
             S = model.sigma_jac(times[i], X[:, i])
             F[:, i + 1] = (Fi + np.einsum("pab,pbc->pac", B, Fi) * dt
                            + np.einsum("pjab,pbc,pj->pac", S, Fi, dw))
-        bad = ~np.isfinite(F[:, i + 1]).all(axis=(1, 2))
-        if bad.any():
+        if not np.isfinite(F[:, i + 1]).all():
             raise NumericalBlowup("non-finite variational flow",
-                                  step=i, path=int(np.argmax(bad)))
+                                  step=i, path=_first_bad_path(F[:, i + 1]))
 
     resid = 0.0
     for i in range(n + 1):

@@ -43,7 +43,8 @@ def _crafted(partition, Y, Z):
 
 # Reference statistics: one loop per statistic over two stored solutions,
 # as the package computed them before regularity_pass. The crafted-value
-# tests pin these formulas; the pass must reproduce them bit for bit.
+# tests pin these formulas; the pass must reproduce them to rounding, since
+# it sums the same terms row by row in another order.
 
 def _coarse_nodes(coarse, fine):
     """Fine node indices of the coarse nodes: every factor-th fine node."""
@@ -200,6 +201,8 @@ _PASS_CASES = {
                RegressionBasis(kind="local_partition", degree=1, cells_per_dim=20),
                18, 3, 20_000, False),
     "planar": (PLANAR, GLOBAL2, 8, 2, 5_000, False),
+    "planar_local": (PLANAR, RegressionBasis(kind="local_partition", degree=1,
+                                             cells_per_dim=6), 8, 2, 5_000, False),
     "path_major": (QUAD6, GLOBAL4, 16, 4, 10_000, True),
     # the extreme factors: one window over the whole horizon, and windows of
     # one fine step each
@@ -239,7 +242,7 @@ def _meta_of(designs, y_rms, z_rms, pic):
 
 
 @pytest.mark.parametrize("case", list(_PASS_CASES))
-def test_regularity_pass_matches_stored_solutions_bitwise(case, monkeypatch):
+def test_regularity_pass_matches_stored_solutions(case, monkeypatch):
     model, basis, n_fine, factor, n_paths, path_major = _PASS_CASES[case]
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
     if path_major:
@@ -268,8 +271,12 @@ def test_regularity_pass_matches_stored_solutions_bitwise(case, monkeypatch):
         z_regularity_left_endpoint=_ref_z_l2_regularity(
             sol_c, sol_f, _ref_left_endpoint(sol_c, sol_f)),
         z_increment_sq=_ref_z_increment_stat(sol_f.Z))
-    assert {k: getattr(reg, k) for k in want} == want
-    # the coarse solve, held one node at a time, is the stored one's
+    # the statistics to rounding, with no absolute floor: at factor 1 the
+    # window sum is ~1e-19, the rounding noise of the fits, and must still
+    # match to rel 1e-12
+    assert {k: getattr(reg, k) for k in want} == {
+        k: pytest.approx(v, rel=1e-12, abs=0.0) for k, v in want.items()}
+    # the coarse solve, held one node at a time, is the stored one's bit for bit
     Y, Z, meta = coarse_solution()
     np.testing.assert_array_equal(Y, sol_c.Y[:, :-1])
     np.testing.assert_array_equal(Z, sol_c.Z)
