@@ -32,7 +32,7 @@ error. With --strict, runs that produced warnings also exit 1.
 
 Commands get their ensembles from get_ensemble, which keeps none: all hands
 its N-step ensemble to the truncation sweep, which solves [truncation] level
-as one more row of its pass for solve to report, and drops it before diagnose.
+as one more row of its pass for solve to report, and drops it on return.
 
 Forward ensembles are cached under $QGBSDE_CACHE_DIR (if set), so repeated
 backward experiments on the same paths skip the simulation. The key covers
@@ -407,13 +407,11 @@ def cmd_simulate(ctx: RunContext):
     return ens
 
 
-def cmd_solve(ctx: RunContext, ens: PathEnsemble | None = None,
-              point: TruncationPoint | None = None):
+def cmd_solve(ctx: RunContext, point: TruncationPoint | None = None):
     part = Partition.uniform(ctx.model.T, ctx.n_steps)
     model = ctx.solver_model
     if point is None:
-        ens = get_ensemble(ctx, part) if ens is None else ens
-        sol = solve_backward_regression(model, ens, ctx.basis)
+        sol = solve_backward_regression(model, get_ensemble(ctx, part), ctx.basis)
         y0, z0s, y_rms, z_rms = (sol.y0, sol.z0, sol.meta.y_residual_rms[0],
                                  sol.meta.z_residual_rms[0])
     else:  # all's sweep solved this level, bit for bit the same solve
@@ -605,16 +603,15 @@ def cmd_diagnose(ctx: RunContext):
 
 
 def cmd_all(ctx: RunContext):
-    ens = get_ensemble(ctx, Partition.uniform(ctx.model.T, ctx.n_steps))
     if ctx.model.driver_z_lipschitz is None:
-        curve = truncation_error_curve(ctx.model, ens, ctx.basis, ctx.levels,
-                                       level=ctx.level)
-        cmd_solve(ctx, ens, curve.solve)
+        part = Partition.uniform(ctx.model.T, ctx.n_steps)
+        curve = truncation_error_curve(ctx.model, get_ensemble(ctx, part), ctx.basis,
+                                       ctx.levels, level=ctx.level)
+        cmd_solve(ctx, curve.solve)
         cmd_truncate_sweep(ctx, curve)
     else:
-        cmd_solve(ctx, ens)
+        cmd_solve(ctx)
         ctx.note("truncation sweep skipped: driver already Lipschitz")
-    del ens  # diagnose simulates the fine grid
     cmd_diagnose(ctx)
 
 

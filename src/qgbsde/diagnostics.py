@@ -23,9 +23,10 @@ simulated before the pass.
 Neither the coarse solution nor the tail sums nor the gradient are stored.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
-the order of the error decay (and the implied tail exponent); each level's
-y0, z0 and step-0 residuals are bit for bit those of its own solve. The same
-pass can solve one more level that it does not report, the run's own.
+the order of the error decay (and the implied tail exponent). A level reads
+the reference's row until its clamp or the reference's engages on the
+reference's max |Z|, and then steps a row of its own, bit for bit its own
+solve. The same pass can solve one more level that it does not report.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .sde import PathEnsemble, euler_increment, simulate_variational
-from .solver import _backward_step, _implicit_step, _martingale_pair, _start_backward
+from .solver import _backward_step, _implicit_step, _row_pair, _start_backward
 from .truncation import truncate_driver
 from .variational import (RepresentationReport, _gradient_step, _representation_node,
                           _terminal_gradient)
@@ -367,27 +368,26 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
 
-    Every level and the reference run in one backward pass. Each level holds
-    a row of P values, one array for the levels on it; all start on the
-    terminal row, since they share g. At every step each distinct row gets
-    one pair of projections on the step's design and increment, derived
-    once per step (solver._martingale_pair).
-    The levels on the reference's row at or above its max |z| see the
-    identity clamp and share one implicit step (solver._implicit_step);
-    every other level steps a row of its own. So each level's errors, y0, z0
-    and step-0 residual RMS are bit for bit its own solve_backward_regression's,
-    and no full solution is stored. Every level above realized_max_z (the
-    reference's max |Z|) stays on the reference's row, with zero error.
+    Every level and the reference run in one backward pass on one design
+    and increment per step, through the kernels of a single solve
+    (solver._row_pair, solver._implicit_step). All start on the reference's
+    terminal row, since they share g. A level reads the reference's row,
+    with error 0, until the first step where min(n, reference_level) is
+    below the max |z| of the reference's pair: there it takes that pair and
+    from then on steps a row of its own under its own driver. So each
+    level's errors, y0, z0 and step-0 residual RMS are bit for bit its own
+    solve_backward_regression's, and no full solution is stored. Every
+    ladder level at or above realized_max_z (the reference's max |Z|) keeps
+    error 0, since the reference lies above it too.
 
     level, when given, is solved in the same pass as one more row, whose
     point is the curve's solve and not one of the points. It changes no
     reported number: the reference stays twice the top of the ladder, a
-    row depends only on its driver and the row it came from, rows and
-    implicit steps are shared only where they give the same bits, and
+    row depends only on its driver and the row it came from, and
     realized_max_z and y_scale read the reference's row alone. On the
-    ladder it is that level's row; at or above the reference's max |z| it
-    stays on the reference's row at no extra cost. A negative or
-    non-finite level raises InvalidParameters before any step.
+    ladder it is that level's row; while it stays on the reference's row it
+    costs nothing. A negative or non-finite level raises InvalidParameters
+    before any step.
     """
     lv = sorted(set(float(n) for n in levels))
     if not lv or lv[0] <= 0.0:
@@ -396,51 +396,44 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     # the levels whose errors are kept: the ladder and the solved level
     kept = lv if level is None else sorted({*lv, float(level)})
     models = {n: truncate_driver(model, n) for n in (*kept, ref_level)}
-    rows = dict.fromkeys(models, _start_backward(models[ref_level], ensemble))
+    y_ref = _start_backward(models[ref_level], ensemble)
+    own = {}  # the rows of the levels that have left the reference's
     times, n_steps = ensemble.partition.times, ensemble.partition.n_steps
     # running per-path maxima over the nodes seen so far, terminal included
     err_y_path = dict(zip(kept, np.zeros((len(kept), ensemble.n_paths))))
-    y_sq_max = rows[ref_level] ** 2
+    y_sq_max = y_ref ** 2
     err_z_steps = {n: np.zeros(n_steps) for n in kept}
     realized = 0.0
     for i in range(n_steps - 1, -1, -1):
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
         dw = ensemble.increment(model, i)
-        # one pair per distinct row, then one implicit step per row and driver
-        done, pairs, new = {}, {}, {}
-        for n, row in rows.items():
-            if id(row) not in done:
-                mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, dw,
-                                                         row[:, None])
-                done[id(row)] = mean[:, 0], z[:, 0], float(y_rms[0]), float(np.mean(z_rms))
-            pairs[n] = done[id(row)]
-        top = float(np.abs(pairs[ref_level][1]).max())
+        pairs = {n: _row_pair(design, ensemble, i, dw, row) for n, row in own.items()}
+        ref_pair = _row_pair(design, ensemble, i, dw, y_ref)
+        top = float(np.abs(ref_pair[1]).max())
         realized = max(realized, top)
-        for n, row in rows.items():
-            # levels at or above the reference row's max |z| see no clamp on it
-            step = (id(row), None if row is rows[ref_level] and n >= top else n)
-            if step not in done:
-                done[step] = _implicit_step(models[n], ensemble, i, *pairs[n][:2])[0]
-            new[n] = done[step]
-        rows = new
-        y_ref = rows[ref_level]
+        for n in kept:  # a level leaves once its clamp or the reference's engages
+            if n != ref_level and n not in own and min(n, ref_level) < top:
+                own[n], pairs[n] = y_ref, ref_pair
+        # the old rows are freed once every row has stepped: the sweep's time
+        # and peak RSS move with the order in which its arrays are freed
+        own, y_ref = ({n: _implicit_step(models[n], ensemble, i, *pairs[n][:2])[0]
+                       for n in own},
+                      _implicit_step(models[ref_level], ensemble, i, *ref_pair[:2])[0])
         np.maximum(y_sq_max, y_ref ** 2, out=y_sq_max)
-        # error 0 on the reference's row; one that leaves it now has its z
-        for n in [n for n in kept if rows[n] is not y_ref]:
-            dy = rows[n] - y_ref
+        for n, row in own.items():
+            dy, dz = row - y_ref, pairs[n][1] - ref_pair[1]
             np.maximum(err_y_path[n], dy * dy, out=err_y_path[n])
-            if pairs[n] is not pairs[ref_level]:
-                dz = pairs[n][1] - pairs[ref_level][1]
-                err_z_steps[n][i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
+            err_z_steps[n][i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
         if i:  # not held through the next step's design; step 0's make the points
-            del done, pairs
+            del pairs, ref_pair
 
     def point(n):
+        _, z, y_rms, z_rms = pairs.get(n, ref_pair)
         return TruncationPoint(
             level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
-            y0=float(rows[n].mean()), z0=tuple(pairs[n][1].mean(axis=0).tolist()),
-            y0_residual_rms=pairs[n][2], z0_residual_rms=pairs[n][3])
+            y0=float(own.get(n, y_ref).mean()), z0=tuple(z.mean(axis=0).tolist()),
+            y0_residual_rms=y_rms, z0_residual_rms=z_rms)
 
     return TruncationCurve(points=tuple(point(n) for n in lv), reference_level=ref_level,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()),

@@ -11,10 +11,10 @@ Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
 step (_martingale_pair, which the gradient solve in variational shares),
 and resolves the implicit step under one driver (_implicit_step). Every
-regression solve runs these single-column kernels: the whole-grid solve
-here, a coarse and a nested fine solve in lockstep on shared designs (the
-regularity pass in diagnostics), and the truncation sweep in diagnostics,
-on each distinct row of its ladder under each level's driver.
+whole-grid walk projects its rows through one single-row kernel (_row_pair):
+the whole-grid solve here, a coarse and a nested fine solve in lockstep on
+shared designs (the regularity pass in diagnostics), and the truncation
+sweep in diagnostics, on the reference's row and each level's that left it.
 The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
@@ -157,22 +157,29 @@ def _implicit_step(model: ModelSpec, ensemble: PathEnsemble, i, cond_mean, z):
     return y, residual
 
 
+def _row_pair(design: StepDesign, ensemble: PathEnsemble, i, dw, y_next):
+    """_martingale_pair for one row y_next (P,) at node i + 1. Returns the
+    conditional mean (P,), z (P, d), the residual RMS of the Y projection
+    and the mean residual RMS of the Z projection.
+    """
+    mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, dw, y_next[:, None])
+    return mean[:, 0], z[:, 0], float(y_rms[0]), float(np.mean(z_rms))
+
+
 def _backward_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
                    dw, y_next):
     """Step i of the recursion under model's driver on the ensemble's paths.
 
     design is the step's design on the state at node i, dw (P, d) its
     increment and y_next (P,) the solution at node i + 1. The conditional
-    expectations come from _martingale_pair and the implicit step from
+    expectations come from _row_pair and the implicit step from
     _implicit_step. Returns
     (y (P,), z (P, d), residual RMS of the Y projection, mean residual RMS
     of the Z projection, Picard residual).
     """
-    cond_mean, z, y_rms, z_rms = _martingale_pair(design, ensemble, i, dw,
-                                                  y_next[:, None])
-    z = z[:, 0]
-    y, residual = _implicit_step(model, ensemble, i, cond_mean[:, 0], z)
-    return y, z, float(y_rms[0]), float(np.mean(z_rms)), residual
+    cond_mean, z, y_rms, z_rms = _row_pair(design, ensemble, i, dw, y_next)
+    y, residual = _implicit_step(model, ensemble, i, cond_mean, z)
+    return y, z, y_rms, z_rms, residual
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,

@@ -492,6 +492,49 @@ def test_batched_curve_matches_per_level_solves():
     assert curve.realized_max_z > ref_level  # the reference split off
 
 
+def _own_solve_point(model, ens, level, ref):
+    """level's TruncationPoint from its own solve, with errors against the
+    reference solve ref on the stored solutions."""
+    sol = solve_backward_regression(truncate_driver(model, level), ens, GLOBAL2)
+    err_y = float(((sol.Y - ref.Y) ** 2).max(axis=1).mean())
+    err_z = float((((sol.Z - ref.Z) ** 2).sum(axis=2) * ens.partition.dt)
+                  .mean(axis=0).sum())
+    return TruncationPoint(level, err_y, err_z, sol.y0, tuple(sol.z0),
+                           sol.meta.y_residual_rms[0], sol.meta.z_residual_rms[0])
+
+
+@pytest.mark.parametrize("level", [0.05, 0.15, 0.4, 1.0, 6.0])
+def test_solved_level_beside_a_clamping_reference_is_its_own_solve(level):
+    # the [0.1, 0.2] ladder's reference, 0.4, clamps: a level above it
+    # leaves the reference's row on the reference's first clamped step
+    model = make_quadratic()
+    ens = simulate_forward(model, Partition.uniform(1.0, 8), 4000, seed=5)
+    base = truncation_error_curve(model, ens, GLOBAL2, [0.1, 0.2])
+    curve = truncation_error_curve(model, ens, GLOBAL2, [0.1, 0.2], level=level)
+    assert base.realized_max_z > base.reference_level == 0.4
+    assert curve.points == base.points
+    assert ([curve.reference_level, curve.realized_max_z, curve.y_scale]
+            == [base.reference_level, base.realized_max_z, base.y_scale])
+    ref = solve_backward_regression(truncate_driver(model, 0.4), ens, GLOBAL2)
+    assert curve.solve == _own_solve_point(model, ens, level, ref)
+
+
+@pytest.mark.parametrize("levels, clamps", [([0.3, 0.6, 1.2], False), ([0.2, 0.4], True)],
+                         ids=["reference-above-max-z", "reference-clamps"])
+def test_planar_curve_matches_per_level_solves(levels, clamps):
+    # d = 2, realized max |Z| 1.29: the 1.2 level engages its clamp, and the
+    # second ladder's reference, 0.8, clamps as well
+    ens = simulate_forward(PLANAR, Partition.uniform(1.0, 8), 4000, seed=5)
+    curve = truncation_error_curve(PLANAR, ens, GLOBAL2, levels)
+    ref = solve_backward_regression(truncate_driver(PLANAR, curve.reference_level),
+                                    ens, GLOBAL2)
+    assert curve.points == tuple(_own_solve_point(PLANAR, ens, n, ref) for n in levels)
+    assert ([curve.realized_max_z, curve.y_scale]
+            == [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())])
+    assert (curve.realized_max_z > curve.reference_level) == clamps
+    assert all(p.err_y > 0.0 for p in curve.points)
+
+
 def test_levels_above_the_realized_max_z_share_one_column(monkeypatch):
     # max |Z| is 1.49: no level engages its clamp, so every step projects
     # one column, and every level's y0 is the reference solve's bit for bit
@@ -588,8 +631,8 @@ def _counting_kernels(monkeypatch):
             return kernel(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(diagnostics, "_martingale_pair",
-                        counting("pair", diagnostics._martingale_pair))
+    monkeypatch.setattr(diagnostics, "_row_pair",
+                        counting("pair", diagnostics._row_pair))
     monkeypatch.setattr(diagnostics, "_implicit_step",
                         counting("implicit", diagnostics._implicit_step))
     return calls
