@@ -128,7 +128,9 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
 
     Output is bit-identical for any workers value and path block size: the
     normals come from the counter-based generator and path blocks write
-    disjoint slices. A model with m != d is rejected before any draw.
+    disjoint slices. Beside the states, each running worker holds one path
+    block's normals, 8 * rng._DEFAULT_BLOCK * 4 ceil(N d / 4) bytes (16.8 MB
+    at N = 256, d = 1). A model with m != d is rejected before any draw.
     """
     if n_paths < 1 or workers < 1:
         raise InvalidParameters(

@@ -539,7 +539,7 @@ def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):
-    # 70k paths span three RNG and Euler blocks and two regression blocks;
+    # 70k paths span nine RNG and Euler blocks of at most 8192 paths;
     # the batched sweep must not depend on how the forward work was split
     cfg = _write(tmp_path, """
 [model]

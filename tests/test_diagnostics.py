@@ -195,7 +195,8 @@ QUAD6 = truncate_driver(make_quadratic(), 6.0)
 GLOBAL4 = RegressionBasis(kind="global_polynomial", degree=4)
 _PASS_CASES = {
     # model, basis, fine steps, factor, paths, path-major fine ensemble
-    # (70k paths: two regression blocks of 65,536)
+    # (70k paths: nine forward blocks of at most 8192 paths; the global
+    # projection has no path blocks)
     "global4_70k": (QUAD6, GLOBAL4, 16, 4, 70_000, False),
     "local1": (make_brownian(terminal="tanh"),
                RegressionBasis(kind="local_partition", degree=1, cells_per_dim=20),

@@ -97,14 +97,23 @@ def test_worker_count_bit_identical(monkeypatch):
         assert np.array_equal(a.states, c.states)
 
 
-def test_forward_simulation_holds_one_block_of_normals(monkeypatch):
+@pytest.mark.parametrize("block, N", [(1000, 64), (None, 256)],
+                         ids=["block_1000", "default_block"])
+def test_forward_simulation_holds_one_block_of_normals(monkeypatch, block, N):
     # the traced peak is the states, one path block's normals (at most 3
-    # padding draws per path) and per-step temporaries of one block
-    P, N, block = 4000, 64, 1000
-    monkeypatch.setattr(rng, "_DEFAULT_BLOCK", block)
+    # padding draws per path) and per-step temporaries of one block; at the
+    # default block, on the longest fine grid any run uses, those normals
+    # stay within 17 MiB
+    if block is None:
+        block = rng._DEFAULT_BLOCK
+        P = 5 * block // 2
+    else:
+        monkeypatch.setattr(rng, "_DEFAULT_BLOCK", block)
+        P = 4000
+    normals = 8 * block * 4 * rng._blocks_per_path(N, 1)
+    assert normals <= 17 * 2 ** 20, normals
     ens, peak = _traced_peak(lambda: simulate_forward(
         make_gbm(), Partition.uniform(1.0, N), P, 2))
-    normals = 8 * block * 4 * rng._blocks_per_path(N, 1)
     assert peak <= ens.states.nbytes + normals + 8 * block * 16, peak
 
 
