@@ -16,18 +16,19 @@ the quantile level) raises DegenerateRegression. Normal equations get a
 ridge of RIDGE_SCALE = 1e-10 times their trace; the unridged condition
 number is checked against CONDITION_CAP = 1e12. For the global basis a cap
 violation raises DegenerateRegression (the whole step is unusable); for the
-local basis a bad or underpopulated cell falls back to the cell mean (and an
-empty cell to the global mean), and only a step where every cell failed
-raises.
+local basis a bad or underpopulated cell falls back to the cell mean, and
+only a step where every cell failed raises. An empty cell holds no path, so
+no fit reads it.
 
 The projection at one step is a fixed linear operator of the state sample.
 step_design builds what depends on the state alone (bounds, features or cell
-index, normal matrices, the condition check) once; project applies it to any
-number of target columns. Global features are stored feature-major, one
-contiguous row of P values per monomial, so the normal matrix, the
-right-hand sides and the fit all stream along contiguous rows; a cell fit
-takes one contiguous target column at a time and gathers each of its
-coefficients per path from one contiguous row.
+index, the normal matrix or each cell's fit, the condition check) once;
+project applies it to any number of target columns. Global features are
+stored feature-major, one contiguous row of P values per monomial, so the
+normal matrix, the right-hand sides and the fit all stream along contiguous
+rows; a cell fit takes one contiguous target column at a time, maps its
+moment sums through each cell's fit and gathers each coefficient per path
+from one contiguous row.
 The design is the only record of the step: project returns the fitted values
 and what only the fit knows, the residual RMS of every target column.
 """
@@ -133,15 +134,18 @@ class StepDesign:
 
     kind is "constant" for a state without spread, else the basis kind.
     condition is the largest unridged condition number of a normal matrix
-    the fit solves (1 for the constant design and the local degree-0 basis),
-    and fallback_cells counts the local cells that fall back: an empty cell
-    to the global mean, an underpopulated or ill-conditioned affine cell to
-    its own mean.
+    the fit uses (1 for the constant design and the local degree-0 basis),
+    and fallback_cells counts the local cells without a full fit: every
+    empty cell, and at degree 1 every underpopulated or ill-conditioned
+    cell, which keeps its own mean.
     Global basis: features (F, P), feature-major and C-contiguous, one row
     per monomial, and the ridged normal matrix (F, F).
-    Local basis: cell index (P,) and counts (n_cells,); for degree 1 also the
-    cell-local coordinates (P, m), the usable-cell mask and the ridged normal
-    matrices of the usable cells (n_usable, 1 + m, 1 + m).
+    Local basis: cell index (P,) and each cell's fit, inverse (n_cells, nf,
+    nf) with nf = 1 + m * degree, the map from the cell's moment sums to its
+    coefficients: the inverse of the ridged normal matrix for a cell with a
+    full fit, 1 / count in the corner for a cell mean, zeros for an empty
+    cell. For degree 1 also the cell-local coordinates (m, P), one
+    contiguous row per coordinate.
     """
 
     basis: RegressionBasis
@@ -153,9 +157,8 @@ class StepDesign:
     features: np.ndarray | None = None
     normal: np.ndarray | None = None
     cell: np.ndarray | None = None
-    counts: np.ndarray | None = None
+    inverse: np.ndarray | None = None
     coords: np.ndarray | None = None
-    usable: np.ndarray | None = None
 
 
 def _global_design(basis, x, bounds, step):
@@ -191,45 +194,49 @@ def _local_design(basis, x, bounds, step):
     P, m = x.shape
     nc = basis.cells_per_dim
     width = (bounds[:, 1] - bounds[:, 0]) / nc
-    idx = np.clip(((x - bounds[:, 0]) / width).astype(np.int64), 0, nc - 1)
-    flat = idx[:, 0]
+    # position in cell widths, (m, P): its integer part is the cell, its
+    # fraction the cell-local coordinate
+    f = (x.T - bounds[:, :1]) / width[:, None]
+    idx = np.clip(f.astype(np.int64), 0, nc - 1)
+    flat = idx[0]
     for dim in range(1, m):
-        flat = flat * nc + idx[:, dim]
+        flat = flat * nc + idx[dim]
     n_cells = nc ** m
     counts = np.bincount(flat, minlength=n_cells)
+    nf = 1 + m * basis.degree
+    # each cell's fit as a map of its moment sums: 1 / count in the corner
+    # is the cell mean, zeros leave an empty cell (which no path reads) at 0
+    inverse = np.zeros((n_cells, nf, nf))
+    filled = counts > 0
+    inverse[filled, 0, 0] = 1.0 / counts[filled]
     common = dict(basis=basis, kind=basis.kind, n_paths=P, bounds=bounds,
-                  cell=flat, counts=counts)
+                  cell=flat, inverse=inverse)
     if basis.degree == 0:
-        return StepDesign(condition=1.0, fallback_cells=int((counts == 0).sum()),
-                          **common)
+        return StepDesign(condition=1.0, fallback_cells=int((~filled).sum()), **common)
 
-    centers = bounds[:, 0] + width * (np.stack(
-        np.meshgrid(*[np.arange(nc)] * m, indexing="ij"), axis=-1)
-        .reshape(n_cells, m) + 0.5)
-    # cell-local coordinates in [-1, 1]
-    u = (x - np.take(centers, flat, axis=0)) / (0.5 * width)
-    nf = 1 + m
+    # cell-local coordinates in [-1, 1], beyond it in the clipped edge cells
+    u = 2.0 * (f - idx) - 1.0
     G = np.zeros((n_cells, nf, nf))
     G[:, 0, 0] = counts
     for a in range(m):
-        sa = np.bincount(flat, weights=u[:, a], minlength=n_cells)
+        sa = np.bincount(flat, weights=u[a], minlength=n_cells)
         G[:, 0, a + 1] = G[:, a + 1, 0] = sa
         for b2 in range(a, m):
-            sab = np.bincount(flat, weights=u[:, a] * u[:, b2], minlength=n_cells)
+            sab = np.bincount(flat, weights=u[a] * u[b2], minlength=n_cells)
             G[:, a + 1, b2 + 1] = G[:, b2 + 1, a + 1] = sab
     eig = np.linalg.eigvalsh(G)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(eig[:, 0] > 0, eig[:, -1] / np.maximum(eig[:, 0], 1e-300), np.inf)
+    # an underpopulated or ill-conditioned cell keeps its mean
     usable = (counts >= nf + 1) & (cond <= CONDITION_CAP)
     if not usable.any():
         raise DegenerateRegression(
             f"every cell of {basis.describe()} fell back at this step", step=step)
     Gu = G[usable]
     lam = RIDGE_SCALE * np.trace(Gu, axis1=1, axis2=2)
+    inverse[usable] = np.linalg.inv(Gu + lam[:, None, None] * np.eye(nf))
     return StepDesign(condition=float(cond[usable].max()),
-                      fallback_cells=int((~usable).sum()),
-                      coords=u, usable=usable,
-                      normal=Gu + lam[:, None, None] * np.eye(nf), **common)
+                      fallback_cells=int((~usable).sum()), coords=u, **common)
 
 
 def step_design(basis: RegressionBasis, x: np.ndarray,
@@ -264,43 +271,23 @@ def step_design(basis: RegressionBasis, x: np.ndarray,
 
 def _project_local(design, targets):
     """The cell fit of each target column, one contiguous column at a time:
-    bincount would copy a strided column on each of its 1 + m calls, and
-    each coefficient is gathered per path from one contiguous row."""
-    cell, counts, u = design.cell, design.counts, design.coords
-    n_cells, (P, k) = counts.size, targets.shape
-    empty = counts == 0
-    # empty cells fall back to the global mean so off-sample queries stay
-    # defined; it is taken only when a cell is empty
-    global_mean = targets.mean(axis=0) if empty.any() else None
-    columns = [np.ascontiguousarray(targets[:, j]) for j in range(k)]
-    fitted = np.empty((P, k))
-    if design.basis.degree == 0:
-        for j, t in enumerate(columns):
-            means = np.bincount(cell, weights=t, minlength=n_cells) / np.maximum(counts, 1)
-            if global_mean is not None:
-                means[empty] = global_mean[j]
-            np.take(means, cell, out=fitted[:, j])
-        return fitted
-    m = u.shape[1]
-    R = np.empty((n_cells, 1 + m, k))
-    for j, t in enumerate(columns):
-        R[:, 0, j] = np.bincount(cell, weights=t, minlength=n_cells)
-        for a in range(m):
-            R[:, a + 1, j] = np.bincount(cell, weights=u[:, a] * t, minlength=n_cells)
-    usable = design.usable
-    coefs = np.zeros((n_cells, 1 + m, k))
-    coefs[usable] = np.linalg.solve(design.normal, R[usable])
-    # underpopulated or ill-conditioned cells keep the cell mean
-    fallback = ~usable & ~empty
-    coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
-    if global_mean is not None:
-        coefs[empty, 0, :] = global_mean
-    for j in range(k):
-        c = coefs[:, :, j].T.copy()  # one contiguous row per coefficient
-        slope = np.take(c[1], cell) * u[:, 0]
-        for a in range(1, m):
-            slope += np.take(c[a + 1], cell) * u[:, a]
-        np.add(np.take(c[0], cell), slope, out=fitted[:, j])
+    bincount would copy a strided column on each of its calls. Each cell's
+    coefficients are its map applied to its moment sums, and each
+    coefficient is gathered per path from one contiguous row."""
+    cell, u, inverse = design.cell, design.coords, design.inverse
+    n_cells, nf = inverse.shape[:2]
+    fitted = np.empty(targets.shape)
+    sums = np.empty((nf, n_cells))
+    for j in range(targets.shape[1]):
+        t = np.ascontiguousarray(targets[:, j])
+        sums[0] = np.bincount(cell, weights=t, minlength=n_cells)
+        for a in range(1, nf):
+            sums[a] = np.bincount(cell, weights=u[a - 1] * t, minlength=n_cells)
+        coef = np.einsum("cab,bc->ac", inverse, sums, order="C")
+        fit = np.take(coef[0], cell)
+        for a in range(1, nf):
+            fit += np.take(coef[a], cell) * u[a - 1]
+        fitted[:, j] = fit
     return fitted
 
 

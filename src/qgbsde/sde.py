@@ -241,7 +241,7 @@ def dump_ensemble(ensemble: PathEnsemble, path) -> None:
 
 def load_ensemble(path) -> PathEnsemble:
     """Read a dump_ensemble file in place into time-major arrays, once its
-    header agrees with the file size."""
+    header agrees with the file size; a non-finite state is rejected."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
@@ -261,4 +261,9 @@ def load_ensemble(path) -> PathEnsemble:
                 raise InvalidParameters("ensemble file truncated while reading")
             if not np.little_endian:
                 a.byteswap(inplace=True)
+    for i in range(n + 1):  # one node row at a time: no full-size mask
+        row = states[:, i]
+        if not np.isfinite(row).all():
+            raise InvalidParameters(f"ensemble file has a non-finite state at node {i}, "
+                                    f"path {_first_bad_path(row)}")
     return PathEnsemble(partition=Partition(times), seed=int(seed), states=states)

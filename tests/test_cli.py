@@ -356,7 +356,7 @@ def test_unwritable_cache_directory_is_a_warning(tmp_path, monkeypatch):
     assert blocker.read_text() == ""
 
 
-@pytest.mark.parametrize("damage", ["truncated", "wrong_times"])
+@pytest.mark.parametrize("damage", ["truncated", "wrong_times", "non_finite"])
 def test_rejected_cache_file_is_rebuilt_with_a_note(tmp_path, monkeypatch, damage):
     cfg = _write(tmp_path, BASE)
     assert main(["--config", cfg, "--out", str(tmp_path / "plain")]) == 0
@@ -367,6 +367,10 @@ def test_rejected_cache_file_is_rebuilt_with_a_note(tmp_path, monkeypatch, damag
     if damage == "truncated":
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
+    elif damage == "non_finite":
+        ens = load_ensemble(path)
+        ens.states[123, 2, 0] = np.nan
+        dump_ensemble(ens, path)
     else:
         # the requested paths on another four-step grid, under the same key
         other = Partition(np.array([0.0, 0.1, 0.5, 0.7, 1.0]))

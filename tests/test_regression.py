@@ -83,13 +83,16 @@ def test_local_degree1_recovers_affine():
     assert design.fallback_cells == 0
 
 
-def test_local_fallback_accounting(monkeypatch):
+@pytest.mark.parametrize("degree", [0, 1])
+def test_local_fallback_accounting(monkeypatch, degree):
     # cell 1 holds two points (below the degree-1 population floor) and cell 2
-    # none at all; both must be reported, and the sparse cell must predict its
-    # own mean rather than an extrapolated slope; the sample spans [0, 1], so
-    # its extremes as bounds give the cells [0, 0.25), ..., [0.75, 1]
+    # none at all; at degree 1 both must be reported, and the sparse cell must
+    # predict its own mean rather than an extrapolated slope; at degree 0 that
+    # mean is the cell's fit and only the empty cell is reported; the sample
+    # spans [0, 1], so its extremes as bounds give the cells [0, 0.25), ...,
+    # [0.75, 1]
     monkeypatch.setattr(regression, "QUANTILES", (0.0, 1.0))
-    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=4)
+    basis = RegressionBasis(kind="local_partition", degree=degree, cells_per_dim=4)
     rng = np.random.default_rng(4)
     x0 = np.append(0.0, rng.uniform(0.00, 0.25, size=9))
     x1 = np.array([0.30, 0.40])
@@ -98,7 +101,7 @@ def test_local_fallback_accounting(monkeypatch):
     targets = np.concatenate([np.ones(10), [4.0, 8.0], np.full(10, 2.0)])[:, None]
     design = step_design(basis, x)
     fitted, _ = project(design, targets)
-    assert design.fallback_cells == 2
+    assert design.fallback_cells == 1 + degree
     np.testing.assert_allclose(fitted[10:12, 0], 6.0)
 
 
@@ -255,45 +258,62 @@ def test_step_bounds_equal_numpy_quantile_bit_for_bit(m):
 
 
 def _cell_fit_reference(design, targets):
-    """The cell fit written with the per-path fancy-index gathers; project
-    must reproduce it bit for bit."""
-    cell, counts, u = design.cell, design.counts, design.coords
-    n_cells, k = counts.size, targets.shape[1]
-    if design.basis.degree == 0:
-        sums = np.stack([np.bincount(cell, weights=targets[:, j], minlength=n_cells)
-                         for j in range(k)], axis=1)
-        means = np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None],
-                         targets.mean(axis=0))
-        return means[cell]
-    m = u.shape[1]
-    R = np.zeros((n_cells, 1 + m, k))
-    for j in range(k):
-        R[:, 0, j] = np.bincount(cell, weights=targets[:, j], minlength=n_cells)
-        for a in range(m):
-            R[:, a + 1, j] = np.bincount(cell, weights=u[:, a] * targets[:, j],
-                                         minlength=n_cells)
-    coefs = np.zeros((n_cells, 1 + m, k))
-    coefs[design.usable] = np.linalg.solve(design.normal, R[design.usable])
-    fallback = ~design.usable & (counts > 0)
-    coefs[fallback, 0, :] = R[fallback, 0, :] / counts[fallback, None]
-    coefs[counts == 0, 0, :] = targets.mean(axis=0)
-    return coefs[cell, 0, :] + np.einsum("pa,pak->pk", u, coefs[cell, 1:, :])
+    """The cell fit written cell by cell from the design's cells and
+    coordinates alone: each cell's normal equations, ridge and usable rule
+    rebuilt from the module's constants, a usable degree-1 cell solved with
+    np.linalg.solve, any other cell fitted by its mean. Also returns each
+    path's cell condition: that of its normal matrix where solved, 1 for a
+    mean."""
+    basis, cell = design.basis, design.cell
+    phi = np.ones((1, cell.size))
+    if basis.degree == 1:
+        phi = np.vstack([phi, design.coords])
+    nf = len(phi)
+    fitted = np.empty(targets.shape)
+    condition = np.ones(cell.size)
+    for c in np.unique(cell):
+        rows = cell == c
+        pc = phi[:, rows]
+        G, rhs = pc @ pc.T, pc @ targets[rows]
+        eig = np.linalg.eigvalsh(G)
+        if (basis.degree == 1 and rows.sum() >= nf + 1 and eig[0] > 0
+                and eig[-1] / eig[0] <= regression.CONDITION_CAP):
+            ridge = regression.RIDGE_SCALE * np.trace(G)
+            coef = np.linalg.solve(G + ridge * np.eye(nf), rhs)
+            condition[rows] = eig[-1] / eig[0]
+        else:
+            coef = np.zeros_like(rhs)
+            coef[0] = rhs[0] / rows.sum()
+        fitted[rows] = pc.T @ coef
+    return fitted, condition
 
 
 @pytest.mark.parametrize("degree", [0, 1])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m, cells", [pytest.param(1, 12, id="1"), pytest.param(2, 12, id="2"),
+                                      pytest.param(2, 50, id="2-near-cap")])
 @pytest.mark.parametrize("k", [1, 3])
-def test_cell_fit_matches_fancy_index_reference(degree, m, k):
+def test_cell_fit_matches_fancy_index_reference(degree, m, cells, k):
     rng = np.random.default_rng(13)
     x = rng.normal(size=(20000, m))
+    if cells == 50:
+        # four points 3e-7 off one line, alone in a tail cell, whose normal
+        # matrix sits within two decades of CONDITION_CAP
+        s = np.linspace(-1.0, 1.0, 4)
+        x[:4] = np.column_stack([2.44 + 0.01 * s, -2.51 + 0.01 * s + 3e-7 * rng.normal(size=4)])
     # 12 cells per dimension leave sparse and empty edge cells at m = 2, so
     # the fallbacks are part of what must match
     design = step_design(RegressionBasis(kind="local_partition", degree=degree,
-                                         cells_per_dim=12), x)
+                                         cells_per_dim=cells), x)
     assert m == 1 or design.fallback_cells > 0
+    if cells == 50 and degree == 1:
+        assert 1e10 < design.condition <= regression.CONDITION_CAP
     targets = _noisy_targets(x, rng, k)
     fitted, _ = project(design, targets)
-    assert np.array_equal(fitted, _cell_fit_reference(design, targets))
+    # the design applies each cell's inverse where the reference solves, so
+    # the two agree to rounding that grows with the cell's condition
+    reference, condition = _cell_fit_reference(design, targets)
+    scale = np.abs(reference).max(axis=0)
+    assert np.all(np.abs(fitted - reference) <= 1e-13 * condition[:, None] * scale)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -356,14 +376,18 @@ def test_local_design_condition_is_that_of_the_fitted_cells():
     basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=200)
     design = step_design(basis, x)
     assert 0 < design.fallback_cells < 200
-    assert design.fallback_cells == int((~design.usable).sum())
-    u = design.coords[:, 0]
-    conds = []
-    for c in np.flatnonzero(design.usable):
+    u = design.coords[0]
+    counts = np.bincount(design.cell, minlength=200)
+    cond = np.full(200, np.inf)
+    for c in np.flatnonzero(counts):
         uc = u[design.cell == c]
         G = np.array([[uc.size, uc.sum()], [uc.sum(), (uc * uc).sum()]])
         eig = np.linalg.eigvalsh(G)
-        conds.append(eig[-1] / eig[0])
+        if eig[0] > 0:
+            cond[c] = eig[-1] / eig[0]
+    usable = (counts >= 3) & (cond <= regression.CONDITION_CAP)
+    assert design.fallback_cells == int((~usable).sum())
+    conds = cond[usable]
     assert design.condition <= regression.CONDITION_CAP
     assert design.condition == pytest.approx(max(conds), rel=1e-9)
 
