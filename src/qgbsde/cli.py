@@ -446,10 +446,10 @@ def cmd_solve(ctx: RunContext, point: TruncationPoint | None = None):
             ctx.warn(f"quadrature cross-check skipped: {exc}")
 
 
-def _regularity_rows(ctx: RunContext, reg, n):
-    """The six path-regularity rows of one regularity pass with N = n coarse
-    steps, and its summary line."""
-    ratio = reg.y_increment_sq / reg.ensemble.partition.mesh
+def _regularity_rows(ctx: RunContext, reg, coarse: Partition):
+    """The six path-regularity rows of one regularity pass on the coarse
+    grid, and its summary line."""
+    n, ratio = coarse.n_steps, reg.y_increment_sq / coarse.mesh
     ctx.add("y_increment_sq", reg.y_increment_sq, n_steps=n)
     ctx.add("y_increment_ratio", ratio, n_steps=n)
     for name in ("z_regularity_sum", "z_regularity_node",
@@ -474,12 +474,13 @@ def cmd_converge(ctx: RunContext):
     model = ctx.solver_model
     meshes, zsums, ystats = [], [], []
     for n in ctx.ladder:
-        fine = Partition.uniform(ctx.model.T, n).refine(ctx.refine_factor)
+        # the pass's coarse grid, since refine keeps the coarse nodes exact
+        coarse = Partition.uniform(ctx.model.T, n)
         # the fine ensemble is dropped with the pass, before the next rung
-        reg = regularity_pass(model, get_ensemble(ctx, fine), ctx.refine_factor,
-                              ctx.basis)
-        _regularity_rows(ctx, reg, n)
-        meshes.append(reg.ensemble.partition.mesh)
+        reg = regularity_pass(model, get_ensemble(ctx, coarse.refine(ctx.refine_factor)),
+                              ctx.refine_factor, ctx.basis)
+        _regularity_rows(ctx, reg, coarse)
+        meshes.append(coarse.mesh)
         zsums.append(reg.z_regularity_sum)
         ystats.append(reg.y_increment_sq)
         del reg
@@ -572,12 +573,14 @@ def _sweep_oracle_rows(ctx: RunContext, curve):
 
 def cmd_diagnose(ctx: RunContext):
     model = ctx.solver_model
-    fine = Partition.uniform(ctx.model.T, ctx.n_steps).refine(ctx.refine_factor)
-    # the fine ensemble goes with the pass; the coarse states are a view of
-    # its states
-    diag = diagnose_pass(model, get_ensemble(ctx, fine), ctx.refine_factor, ctx.basis)
-    reg = diag.regularity
-    _regularity_rows(ctx, reg, ctx.n_steps)
+    coarse = Partition.uniform(ctx.model.T, ctx.n_steps)
+    ens = get_ensemble(ctx, coarse.refine(ctx.refine_factor))
+    diag = diagnose_pass(model, ens, ctx.refine_factor, ctx.basis)
+    # X_T, the last node of both grids, is read here, so that the fine states
+    # are dropped before the first row is written
+    xi_sup = float(np.abs(model.g(ens.states[:, -1])).max())
+    del ens
+    _regularity_rows(ctx, diag.regularity, coarse)
 
     bmo = diag.bmo
     ctx.add("bmo_estimate", bmo.regression_max)
@@ -585,7 +588,6 @@ def cmd_diagnose(ctx: RunContext):
     ctx.note(f"BMO tail estimate: {bmo.regression_max:.4f} (regression), "
              f"{bmo.plain_max:.4f} (plain mean)")
     if ctx.model.growth_M > 0:
-        xi_sup = float(np.abs(model.g(reg.ensemble.states[:, -1])).max())
         bound = bmo_bound(ctx.model.growth_M, ctx.model.T, xi_sup)
         ctx.add("bmo_bound_value", bound)
         ctx.note(f"closed-form BMO bound {bound:.4f} "
@@ -596,7 +598,7 @@ def cmd_diagnose(ctx: RunContext):
     if rep is None:
         ctx.warn(f"variational check skipped: {diag.gradient_error}")
         return
-    ctx.add("flow_identity_residual", reg.ensemble.flow_residual)
+    ctx.add("flow_identity_residual", diag.flow_residual)
     ctx.add("representation_rms", rep.time_avg_rms)
     ctx.add("representation_max", float(rep.per_node_max.max()))
     ctx.note(f"gradient representation residual: {rep.time_avg_rms:.4e} rms")

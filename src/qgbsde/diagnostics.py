@@ -19,8 +19,9 @@ temporary is built. diagnose_pass is the same pass with the
 remaining checks of the diagnose command taken at each coarse node on that
 node's design: the BMO tail estimate, as a backward running tail sum, and
 the gradient step and representation residual of variational, on flows
-simulated before the pass.
-Neither the coarse solution nor the tail sums nor the gradient are stored.
+simulated before the pass and held by it alone, so that no result keeps
+the fine states. Neither the coarse solution nor the tail sums nor the
+gradient are stored.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
 the order of the error decay (and the implied tail exponent). A level reads
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
-from .regression import RegressionBasis, StepDesign, project, step_design
+from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble, euler_increment, simulate_variational
 from .solver import _backward_step, _implicit_step, _row_pair, _start_backward
 from .truncation import truncate_driver
@@ -79,8 +80,8 @@ def fit_convergence_order(scales, errors) -> OrderFit:
 
 @dataclass(frozen=True)
 class Regularity:
-    """The coarse ensemble of a regularity pass and the path-regularity
-    statistics of the nested fine solve, named after their report rows.
+    """The path-regularity statistics of the nested fine solve of a
+    regularity pass, named after their report rows.
 
     With fine nodes t_j, coarse windows [t_i, t_{i+1}] (closed on the right)
     and i(j) the window of fine step j:
@@ -96,7 +97,6 @@ class Regularity:
     sanity ceiling for the other two).
     """
 
-    ensemble: PathEnsemble
     y_increment_sq: float
     z_regularity_sum: float
     z_regularity_node: float
@@ -202,7 +202,7 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
             z_inc = max(z_inc, _sq_distance(zw[:, k + 1], zw[:, k], dz) / P)
         yw[:, r], zw[:, r] = yw[:, 0], zw[:, 0]
     window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
-    return Regularity(ensemble=coarse, y_increment_sq=y_inc,
+    return Regularity(y_increment_sq=y_inc,
                       z_regularity_sum=float(window), z_regularity_node=float(node),
                       z_regularity_left_endpoint=float(left), z_increment_sq=z_inc)
 
@@ -239,46 +239,17 @@ class BmoEstimate:
     plain_max: float
 
 
-class _BmoTail:
-    """Empirical sup_i ess-sup E[ sum_{j>=i} |Z_j|^2 dt_j | F_i ], node by
-    node, backward.
-
-    The tail sum at node i, sum_{j >= i} |Z_j|^2 dt_j, is the one at node
-    i + 1 plus node i's term, added in the order of a reversed cumulative
-    sum, and only the current tail is held. Its conditional expectation is
-    estimated by regressing it on the state at each node; regression_max
-    takes the largest fitted value over nodes and paths, plain_max the
-    largest plain mean (the trivial conditioning), which is a lower bound
-    and a stability reference."""
-
-    def __init__(self, n):
-        self.tail = None
-        self.regression_max = 0.0
-        self.means = np.empty(n)
-
-    def step(self, design: StepDesign, i, z, dt):
-        """Node i, on the design at node i, with Z_i (P, d) and dt_i."""
-        term = (z ** 2).sum(axis=1) * dt
-        self.tail = term if self.tail is None else self.tail + term
-        fitted, _ = project(design, self.tail[:, None])
-        self.regression_max = max(self.regression_max, float(fitted.max()))
-        self.means[i] = self.tail.mean()
-
-    def estimate(self) -> BmoEstimate:
-        return BmoEstimate(regression_max=self.regression_max,
-                           plain_max=float(self.means.max()))
-
-
 @dataclass(frozen=True)
 class Diagnosis:
     """A regularity pass and the checks diagnose_pass makes on its coarse
-    solution. regularity.ensemble carries the flows and their
-    flow_residual when they could be simulated. representation is None when
-    the flows or the gradient failed, and gradient_error is then the message
-    of the error that stopped them."""
+    solution. flow_residual is the largest identity residual of the flows,
+    None when they could not be simulated. representation is None when the
+    flows or the gradient failed, and gradient_error is then the message of
+    the error that stopped them."""
 
     regularity: Regularity
     bmo: BmoEstimate
+    flow_residual: float | None
     representation: RepresentationReport | None
     gradient_error: str | None
 
@@ -290,41 +261,51 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     design, so that no coarse design is built twice and neither the coarse
     solution nor the tail sums nor gradY and gradZ are stored.
 
-    Each check runs its per-node kernel (_BmoTail.step,
-    variational._gradient_step and variational._representation_node) on the
-    coarse ensemble and its coarse solution. Factor 1 is the single-grid
-    solve: the coarse ensemble is then the fine one bit for bit, and the
-    coarse Y and Z those of solve_backward_regression on it. The flows are
-    simulated on the coarse ensemble before the pass. When they or the
-    gradient fail, the pass goes on without the gradient, and the regularity
-    statistics and the BMO estimate are still returned.
+    The BMO estimate is the empirical sup_i ess-sup E[ sum_{j>=i} |Z_j|^2
+    dt_j | F_i ]: the tail sum at node i is the one at node i + 1 plus node
+    i's term, and only the current tail is held. Its conditional expectation
+    is its regression on the node's state; regression_max takes the largest
+    fitted value over nodes and paths, plain_max the largest plain mean (the
+    trivial conditioning), a lower bound and a stability reference.
+
+    The gradient runs variational._gradient_step and
+    variational._representation_node on the coarse ensemble, its coarse
+    solution and the node's flow. The flows are simulated on the coarse
+    ensemble before the pass and held by the pass alone. Factor 1 is the
+    single-grid solve: the coarse ensemble is then the fine one bit for bit,
+    and the coarse Y and Z those of solve_backward_regression on it. When
+    the flows or the gradient fail, the pass goes on without the gradient,
+    and the regularity statistics and the BMO estimate are still returned.
     """
     coarse = _coarsen(fine, factor)
     n, dt = coarse.partition.n_steps, coarse.partition.dt
-    bmo = _BmoTail(n)
+    tail, bmo_max, means = 0.0, 0.0, np.empty(n)
     rms, peak = np.empty(n), np.empty(n)
-    u, error = None, None
+    flows = resid = u = error = None
     try:
-        coarse = simulate_variational(model, coarse)
-        u = _terminal_gradient(model, coarse)
+        flows, resid = simulate_variational(model, coarse)
+        u = _terminal_gradient(model, coarse, flows[:, n])
     except QgbsdeError as exc:
         error = str(exc)
 
     def at_node(i, design, dw, y, z):
-        nonlocal u, error
-        bmo.step(design, i, z, dt[i])
+        nonlocal tail, bmo_max, u, error
+        tail = tail + (z ** 2).sum(axis=1) * dt[i]
+        bmo_max = max(bmo_max, float(project(design, tail[:, None])[0].max()))
+        means[i] = tail.mean()
         if u is None:
             return
         try:
-            u, _ = _gradient_step(model, design, coarse, i, dw, u, y, z)
-            rms[i], peak[i] = _representation_node(model, coarse, i, u, z)
+            u, _ = _gradient_step(model, design, coarse, i, flows[:, i], dw, u, y, z)
+            rms[i], peak[i] = _representation_node(model, coarse, i, flows[:, i], u, z)
         except QgbsdeError as exc:
             u, error = None, str(exc)
 
     reg = _lockstep(model, fine, coarse, basis, at_node)
     rep = None if u is None else RepresentationReport(per_node_rms=rms, per_node_max=peak)
-    return Diagnosis(regularity=reg, bmo=bmo.estimate(), representation=rep,
-                     gradient_error=error)
+    return Diagnosis(regularity=reg,
+                     bmo=BmoEstimate(regression_max=bmo_max, plain_max=float(means.max())),
+                     flow_residual=resid, representation=rep, gradient_error=error)
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,18 @@
 Paths carry their states only: euler_increment derives each Brownian
 increment from the Euler step, once per node of a pass.
 
-The flow is stored; its inverse is not. flow_inverse inverts the flow
-matrices of one node when a check needs them: simulate_variational's, node
-by node, and the representation residual's (variational). For m = 1 the
-inverse is the reciprocal, bit for bit what np.linalg.inv gives.
+simulate_variational returns the flow as an array of its own; its inverse
+is not stored. flow_inverse inverts the flow matrices of one node when a
+check needs them: simulate_variational's, node by node, and the
+representation residual's (variational). For m = 1 the inverse is the
+reciprocal, bit for bit what np.linalg.inv gives.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +35,6 @@ class PathEnsemble:
     """Simulated Euler states on a fixed grid; d equals m.
 
     states:     (P, N+1, m) Euler states, states[:, 0] == x0
-    flows:      (P, N+1, m, m) first-variation flow, when simulate_variational ran
-    flow_residual: the largest flow_identity_residual of those flows, as
-                   simulate_variational measured it for its check
 
     Arrays are indexed path first but stored time-major, in memory as in the
     ensemble file (time is the slowest axis, see model.empty_time_major), so
@@ -47,8 +45,6 @@ class PathEnsemble:
     partition: Partition
     seed: int
     states: np.ndarray
-    flows: np.ndarray | None = None
-    flow_residual: float | None = None
 
     def __post_init__(self):
         n = self.partition.n_steps + 1
@@ -147,15 +143,19 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
     return PathEnsemble(partition=partition, seed=int(seed), states=X)
 
 
-def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemble:
-    """Attach the first-variation flow to an ensemble.
+def simulate_variational(model: ModelSpec,
+                         ensemble: PathEnsemble) -> tuple[np.ndarray, float]:
+    """The first-variation flow of an ensemble's paths and the largest
+    identity residual of its inverses.
 
-    Needs the model's b_jac and sigma_jac. The flow is inverted node by node
-    (flow_inverse) for two checks: the condition bound is capped at
-    FLOW_CONDITION_CAP and the identity residual (flow_identity_residual)
-    at FLOW_TOL. Either failure raises SingularFlow with the first failing
-    node as its step and that node's worst path. The largest residual is
-    handed on as flow_residual; the inverses are not kept.
+    The flow is (P, N+1, m, m), indexed like the states and stored
+    time-major. Needs the model's b_jac and sigma_jac. The flow is inverted
+    node by node (flow_inverse) for two checks: the condition bound is
+    capped at FLOW_CONDITION_CAP and the identity residual
+    (flow_identity_residual) at FLOW_TOL. Either failure raises SingularFlow
+    with the first failing node as its step and that node's worst path. The
+    largest residual is returned as measured for the check; the inverses
+    are not kept.
     """
     model.require("b_jac", "sigma_jac")
     times = ensemble.partition.times
@@ -203,7 +203,7 @@ def simulate_variational(model: ModelSpec, ensemble: PathEnsemble) -> PathEnsemb
             raise SingularFlow(f"flow inverse identity residual {worst:.3e} > "
                                f"{FLOW_TOL:.3e}", step=i, path=int(np.argmax(node_resid)))
         resid = max(resid, worst)
-    return replace(ensemble, flows=F, flow_residual=resid)
+    return F, resid
 
 
 def flow_inverse(flow: np.ndarray) -> np.ndarray:

@@ -18,11 +18,12 @@ slope by the chain rule (truncation.truncate_driver).
 The control identity Z_t = gradY_t (gradX_t)^{-1} sigma(t, X_t) is then an
 internal consistency check between two independently regressed objects.
 
-Both are per-node kernels: _gradient_step takes gradY from node i + 1 to
-node i on a given design and increment, and _representation_node measures
-the identity at one node, with the flow inverted there (sde.flow_inverse).
-diagnostics.diagnose_pass calls them inside its own backward pass on the
-designs and increments it has anyway, holding gradY for one node only.
+Both are per-node kernels that take the node's flow gradX_i (P, m, m):
+_gradient_step takes gradY from node i + 1 to node i on a given design and
+increment, and _representation_node measures the identity at one node,
+with the flow inverted there (sde.flow_inverse). diagnostics.diagnose_pass
+calls them inside its own backward pass on the designs and increments it
+has anyway, holding gradY for one node only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, NumericalBlowup, PicardDivergence
+from .errors import NumericalBlowup, PicardDivergence
 from .model import ModelSpec
 from .regression import StepDesign
 from .sde import PathEnsemble, flow_inverse
@@ -48,26 +49,23 @@ class RepresentationReport:
         return float(self.per_node_rms.mean())
 
 
-def _terminal_gradient(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
-    """gradY_N = g'(X_N) gradX_N, (P, m), after checking that the model has
-    the driver gradients and the ensemble its flows."""
+def _terminal_gradient(model: ModelSpec, ensemble: PathEnsemble, flow) -> np.ndarray:
+    """gradY_N = g'(X_N) gradX_N, (P, m), for the flow gradX_N (P, m, m),
+    after checking that the model has the driver gradients."""
     model.require("f_x", "f_y", "f_z", "g_grad")
-    if ensemble.flows is None:
-        raise InvalidParameters(
-            "ensemble carries no flows; run simulate_variational first")
     n = ensemble.partition.n_steps
-    u = np.einsum("pa,pak->pk", np.asarray(model.g_grad(ensemble.states[:, n])),
-                  ensemble.flows[:, n])
+    u = np.einsum("pa,pak->pk", np.asarray(model.g_grad(ensemble.states[:, n])), flow)
     if not np.isfinite(u).all():
         raise NumericalBlowup("non-finite terminal gradient", step=n)
     return u
 
 
 def _gradient_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
-                   dw, u_next, y, z):
-    """Step i of the gradient equation on the design at node i and the
-    increment dw (P, d): gradY_i (P, m) and gradZ_i (P, d, m) from u_next =
-    gradY_{i+1} (P, m) and the base solution's Y_i (P,) and Z_i (P, d)."""
+                   flow, dw, u_next, y, z):
+    """Step i of the gradient equation on the design at node i, the flow
+    gradX_i (P, m, m) and the increment dw (P, d): gradY_i (P, m) and
+    gradZ_i (P, d, m) from u_next = gradY_{i+1} (P, m) and the base
+    solution's Y_i (P,) and Z_i (P, d)."""
     times = ensemble.partition.times
     dt = times[i + 1] - times[i]
     t, xi = times[i], ensemble.states[:, i]
@@ -81,7 +79,7 @@ def _gradient_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble,
         raise PicardDivergence(
             f"implicit factor 1 - dt f_y reached {np.abs(denom).min():.3e}; "
             "refine the grid", step=i)
-    drive = (np.einsum("pa,pak->pk", fx, ensemble.flows[:, i])
+    drive = (np.einsum("pa,pak->pk", fx, flow)
              + np.einsum("pj,pjk->pk", fz, v))
     u = (e_fit + dt * drive) / denom[:, None]
     if not np.isfinite(u).all():
@@ -89,11 +87,11 @@ def _gradient_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble,
     return u, v
 
 
-def _representation_node(model: ModelSpec, ensemble: PathEnsemble, i, grad_y, z):
+def _representation_node(model: ModelSpec, ensemble: PathEnsemble, i, flow, grad_y, z):
     """RMS and max over paths of |Z_i - gradY_i (gradX_i)^{-1} sigma(t_i, X_i)|
-    for gradY_i (P, m) and Z_i (P, d)."""
+    for the flow gradX_i (P, m, m), gradY_i (P, m) and Z_i (P, d)."""
     sig = np.asarray(model.sigma(ensemble.partition.times[i], ensemble.states[:, i]))
-    row = np.einsum("pa,pab->pb", grad_y, flow_inverse(ensemble.flows[:, i]))
+    row = np.einsum("pa,pab->pb", grad_y, flow_inverse(flow))
     resid = z - np.einsum("pb,pbd->pd", row, sig)
     sq = np.sum(resid ** 2, axis=1)
     return float(np.sqrt(sq.mean())), float(np.sqrt(sq.max()))

@@ -162,10 +162,10 @@ def test_oracle_step_halving_agreement():
 def regularity_ladder():
     meshes, zsums, ystats, exact = [], [], [], []
     for n in (8, 16, 32, 64):
-        fine = Partition.uniform(CANON.T, n).refine(4)
+        coarse = Partition.uniform(CANON.T, n)
+        fine = coarse.refine(4)
         reg = regularity_pass(TRUNC6, simulate_forward(CANON, fine, 100_000, SEED), 4,
                               BASIS)
-        coarse = reg.ensemble.partition
         zsums.append(reg.z_regularity_sum)
         meshes.append(coarse.mesh)
         ystats.append(reg.y_increment_sq)

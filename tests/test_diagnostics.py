@@ -1,6 +1,8 @@
 """Tests for path-regularity statistics, truncation sweeps, and order fits."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -252,7 +254,7 @@ def test_regularity_pass_matches_stored_solutions(case, monkeypatch):
     reg = regularity_pass(model, ens_f, factor, basis)
     # the coarse ensemble: the fine states at every factor-th node, and the
     # window sums of the fine increments
-    ens_c = reg.ensemble
+    ens_c = diagnostics._coarsen(ens_f, factor)
     coarse = ens_c.partition
     np.testing.assert_array_equal(coarse.times, ens_f.partition.times[::factor])
     np.testing.assert_array_equal(ens_c.states, ens_f.states[:, ::factor])
@@ -303,14 +305,14 @@ def _standalone_chain(model, ens_c, basis):
     """The checks diagnose_pass fuses, one after another on the coarse
     ensemble: its stored solve, the BMO estimate of it, the flows, the
     gradient solve with its own estimator and the representation residual
-    at each node. Returns the BMO estimate, the ensemble with its flows and
-    the residual's per-node RMS and max, (N, 2)."""
+    at each node. Returns the BMO estimate, the flows, their identity
+    residual and the residual's per-node RMS and max, (N, 2)."""
     sol = solve_backward_regression(model, ens_c, basis)
-    ens_v = simulate_variational(model, ens_c)
-    U, _ = _gradient_loop_with_own_estimator(model, ens_v, sol, basis)
-    rep = [_representation_node(model, ens_v, i, U[:, i], sol.Z[:, i])
+    flows, flow_residual = simulate_variational(model, ens_c)
+    U, _ = _gradient_loop_with_own_estimator(model, ens_c, flows, sol, basis)
+    rep = [_representation_node(model, ens_c, i, flows[:, i], U[:, i], sol.Z[:, i])
            for i in range(sol.partition.n_steps)]
-    return _ref_bmo(sol, ens_c, basis), ens_v, np.array(rep)
+    return _ref_bmo(sol, ens_c, basis), flows, flow_residual, np.array(rep)
 
 
 _DIAGNOSE_CASES = {
@@ -324,23 +326,32 @@ _DIAGNOSE_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_DIAGNOSE_CASES))
-def test_diagnose_pass_matches_the_standalone_chain_bitwise(case):
+def test_diagnose_pass_matches_the_standalone_chain_bitwise(case, monkeypatch):
     model, basis, n_fine, factor, n_paths = _DIAGNOSE_CASES[case]
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
+    simulated = []  # the flows the pass simulates and holds
+
+    def keeping(model, ensemble):
+        simulated.append(simulate_variational(model, ensemble))
+        return simulated[-1]
+
+    monkeypatch.setattr(diagnostics, "simulate_variational", keeping)
     diag = diagnose_pass(model, ens_f, factor, basis)
     reg = regularity_pass(model, ens_f, factor, basis)
-    assert diag.regularity == dataclasses.replace(reg, ensemble=diag.regularity.ensemble)
-    bmo, ens_v, rep = _standalone_chain(model, reg.ensemble, basis)
+    assert diag.regularity == reg
+    bmo, flows, flow_residual, rep = _standalone_chain(
+        model, diagnostics._coarsen(ens_f, factor), basis)
     assert diag.gradient_error is None
     assert diag.bmo == bmo
-    assert diag.regularity.ensemble.flow_residual == ens_v.flow_residual
-    np.testing.assert_array_equal(diag.regularity.ensemble.flows, ens_v.flows)
+    assert diag.flow_residual == flow_residual
+    [(pass_flows, _)] = simulated
+    np.testing.assert_array_equal(pass_flows, flows)
     np.testing.assert_array_equal(diag.representation.per_node_rms, rep[:, 0])
     np.testing.assert_array_equal(diag.representation.per_node_max, rep[:, 1])
     if model.name == "gbm":
-        assert np.ptp(ens_v.flows) > 0.1
+        assert np.ptp(flows) > 0.1
     else:
-        assert np.all(ens_v.flows == 1.0)
+        assert np.all(flows == 1.0)
 
 
 @pytest.mark.parametrize("case", ["quadratic", "gbm_local"])
@@ -351,7 +362,7 @@ def test_diagnose_pass_at_factor_1_is_the_single_grid_solve(case, monkeypatch):
     ens = simulate_forward(model, Partition.uniform(1.0, n_steps), n_paths, seed=3)
     coarse_solution = _recording_coarse_steps(monkeypatch, ens)
     diag = diagnose_pass(model, ens, 1, basis)
-    ens_c = diag.regularity.ensemble
+    ens_c = diagnostics._coarsen(ens, 1)
     np.testing.assert_array_equal(ens_c.states, ens.states)
     np.testing.assert_array_equal(ens_c.partition.times, ens.partition.times)
     for i in range(n_steps):
@@ -373,16 +384,32 @@ def test_diagnose_pass_goes_on_without_a_failing_gradient():
         quad, f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0 if t < 0.5 else 0.0))
     ens_f = simulate_forward(quad, Partition.uniform(1.0, 8), 3000, seed=2)
     reg = regularity_pass(quad, ens_f, 2, GLOBAL2)
-    sol = solve_backward_regression(quad, reg.ensemble, GLOBAL2)
+    ens_c = diagnostics._coarsen(ens_f, 2)
+    sol = solve_backward_regression(quad, ens_c, GLOBAL2)
     diverged = "implicit factor 1 - dt f_y reached 2.500e-01; refine the grid (step 1)"
     for model, error in ((stiff, diverged), (dataclasses.replace(quad, b_jac=None), None)):
         diag = diagnose_pass(model, ens_f, 2, GLOBAL2)
         assert diag.representation is None
-        assert diag.regularity == dataclasses.replace(reg, ensemble=diag.regularity.ensemble)
-        assert diag.bmo == _ref_bmo(sol, reg.ensemble, GLOBAL2)
+        assert diag.regularity == reg
+        assert diag.bmo == _ref_bmo(sol, ens_c, GLOBAL2)
         if error is not None:
             assert diag.gradient_error == error
     assert "b_jac" in diag.gradient_error
+    assert diag.flow_residual is None
+
+
+@pytest.mark.parametrize("run", [regularity_pass, diagnose_pass],
+                         ids=lambda run: run.__name__)
+def test_pass_result_does_not_keep_the_fine_states(run):
+    ens = simulate_forward(QUAD6, Partition.uniform(1.0, 8), 2000, seed=3)
+    # the states and the array that owns their memory
+    refs = [weakref.ref(a) for a in (ens.states, ens.states.base)]
+    result = run(QUAD6, ens, 2, GLOBAL2)
+    del ens
+    gc.collect()
+    assert all(ref() is None for ref in refs)  # while the result lives on
+    if run is diagnose_pass:  # its flows and gradient ran
+        assert result.representation is not None
 
 
 def test_factor_1_runs_each_backward_step_once(monkeypatch):

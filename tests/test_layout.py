@@ -11,8 +11,7 @@ import struct
 import numpy as np
 import pytest
 
-from qgbsde import sde
-from qgbsde.diagnostics import regularity_pass
+from qgbsde import diagnostics, sde
 from qgbsde.errors import InvalidParameters
 from qgbsde.model import ModelSpec, Partition, make_gbm, make_quadratic
 from qgbsde.regression import RegressionBasis
@@ -58,14 +57,14 @@ def test_forward_and_backward_arrays_are_time_major(model, tmp_path):
 def test_flows_are_time_major():
     model = make_gbm()
     ens = simulate_forward(model, Partition.uniform(model.T, 6), 600, seed=2)
-    _assert_node_slices_contiguous("flows", simulate_variational(model, ens).flows)
+    _assert_node_slices_contiguous("flows", simulate_variational(model, ens)[0])
 
 
 def test_coarse_restriction_is_time_major():
     # the regularity pass coarsens the fine ensemble along its node axis
     model = make_gbm()
     ens_f = simulate_forward(model, Partition.uniform(model.T, 15), 300, seed=4)
-    ens_c = regularity_pass(model, ens_f, 3, GLOBAL2).ensemble
+    ens_c = diagnostics._coarsen(ens_f, 3)
     _assert_node_slices_contiguous("coarse states", ens_c.states)
     # the restriction itself: shared nodes, and each window's increment the
     # forward-order sum of the fine ones derived in it (reduceat adds in

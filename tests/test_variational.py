@@ -7,7 +7,7 @@ import pytest
 
 from qgbsde import diagnostics, truncation
 from qgbsde.diagnostics import diagnose_pass
-from qgbsde.errors import AssumptionLevelTooLow, InvalidParameters
+from qgbsde.errors import AssumptionLevelTooLow
 from qgbsde.model import (ModelSpec, Partition, empty_time_major,
                           make_brownian, make_discount, make_gbm, make_quadratic)
 from qgbsde.regression import RegressionBasis, project, step_design
@@ -21,9 +21,10 @@ GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
 def _solved(model, n_steps=8, n_paths=20000, seed=4, basis=GLOBAL2):
     part = Partition.uniform(model.T, n_steps)
-    ens = simulate_variational(model, simulate_forward(model, part, n_paths, seed))
+    ens = simulate_forward(model, part, n_paths, seed)
+    flows, _ = simulate_variational(model, ens)
     sol = solve_backward_regression(model, ens, basis)
-    return ens, sol
+    return ens, flows, sol
 
 
 def _diagnosed(monkeypatch, model, n_steps=8, n_paths=20000, seed=4, basis=GLOBAL2):
@@ -33,8 +34,8 @@ def _diagnosed(monkeypatch, model, n_steps=8, n_paths=20000, seed=4, basis=GLOBA
     0..N-1, and the Diagnosis."""
     steps = {}
 
-    def recording(model, design, ensemble, i, dw, u_next, y, z):
-        steps[i] = _gradient_step(model, design, ensemble, i, dw, u_next, y, z)
+    def recording(model, design, ensemble, i, flow, dw, u_next, y, z):
+        steps[i] = _gradient_step(model, design, ensemble, i, flow, dw, u_next, y, z)
         return steps[i]
 
     monkeypatch.setattr(diagnostics, "_gradient_step", recording)
@@ -48,11 +49,9 @@ def _diagnosed(monkeypatch, model, n_steps=8, n_paths=20000, seed=4, basis=GLOBA
 def test_requires_flows_and_gradients():
     model = make_brownian()
     ens = simulate_forward(model, Partition.uniform(model.T, 4), 500, seed=0)
-    with pytest.raises(InvalidParameters, match="no flows"):
-        _terminal_gradient(model, ens)
     bare = dataclasses.replace(model, g_grad=None)
     with pytest.raises(AssumptionLevelTooLow, match="g_grad"):
-        _terminal_gradient(bare, simulate_variational(model, ens))
+        _terminal_gradient(bare, ens, simulate_variational(model, ens)[0][:, -1])
     diag = diagnose_pass(bare, ens, 1, GLOBAL2)
     assert diag.representation is None
     assert diag.gradient_error == "model 'brownian' does not supply g_grad"
@@ -67,10 +66,10 @@ def test_brownian_identity_gradient_is_one(monkeypatch):
 
 def test_terminal_gradient_slice_is_exact():
     model = make_gbm()
-    ens, _ = _solved(model, n_paths=2000)
+    ens, flows, _ = _solved(model, n_paths=2000)
     # g(x) = x, so the terminal gradient is the flow itself
-    np.testing.assert_array_equal(_terminal_gradient(model, ens)[:, 0],
-                                  ens.flows[:, -1, 0, 0])
+    np.testing.assert_array_equal(_terminal_gradient(model, ens, flows[:, -1])[:, 0],
+                                  flows[:, -1, 0, 0])
 
 
 def test_gbm_initial_gradient_matches_flow_mean(monkeypatch):
@@ -120,7 +119,7 @@ def test_truncated_gradients_clamp_once_per_step(monkeypatch):
     # it is the identity and neither the clamp nor its slope is evaluated
     for level, engaged in ((0.5, True), (10.0, False)):
         model = truncate_driver(make_quadratic(), level)
-        ens, sol = _solved(model, n_steps=6, n_paths=3000)
+        ens, flows, sol = _solved(model, n_steps=6, n_paths=3000)
         assert (np.abs(sol.Z).max() > 1.0) if engaged else (np.abs(sol.Z).max() < level)
         clamps, grads = [], []
 
@@ -131,7 +130,7 @@ def test_truncated_gradients_clamp_once_per_step(monkeypatch):
             mp.setattr(truncation, "smooth_clamp", counting(clamps, smooth_clamp))
             mp.setattr(truncation, "smooth_clamp_grad",
                        counting(grads, smooth_clamp_grad))
-            _gradient_loop_with_own_estimator(model, ens, sol, GLOBAL2)
+            _gradient_loop_with_own_estimator(model, ens, flows, sol, GLOBAL2)
         assert clamps == [level] * (18 if engaged else 0)
         assert grads == [level] * (6 if engaged else 0)
 
@@ -168,11 +167,12 @@ def _planar_model():
         driver_z_lipschitz=0.4)
 
 
-def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
-    """The gradient solve with its own copy of the pair of projections, in
-    its own (d, m) column order; the shared estimator must reproduce it."""
+def _gradient_loop_with_own_estimator(model, ensemble, flows, base, basis):
+    """The gradient solve on the flows (P, N+1, m, m) with its own copy of
+    the pair of projections, in its own (d, m) column order; the shared
+    estimator must reproduce it."""
     times = ensemble.partition.times
-    X, F = ensemble.states, ensemble.flows
+    X, F = ensemble.states, flows
     P, n, m, d = X.shape[0], times.size - 1, model.m, model.d
     U = empty_time_major(n + 1, P, (m,))
     V = empty_time_major(n, P, (d, m))
@@ -202,8 +202,8 @@ def _gradient_loop_with_own_estimator(model, ensemble, base, basis):
 def test_planar_gradient_solve_matches_its_own_estimator_bit_for_bit(basis, monkeypatch):
     # diagnose_pass's gradient at factor 1 against the loop on the stored solve
     model = _planar_model()
-    ens, sol = _solved(model, n_steps=6, n_paths=4000, basis=basis)
-    U, V = _gradient_loop_with_own_estimator(model, ens, sol, basis)
+    ens, flows, sol = _solved(model, n_steps=6, n_paths=4000, basis=basis)
+    U, V = _gradient_loop_with_own_estimator(model, ens, flows, sol, basis)
     gradY, gradZ, _ = _diagnosed(monkeypatch, model, n_steps=6, n_paths=4000,
                                  basis=basis)
     assert np.abs(V).max() > 1e-2  # gradZ is not trivially zero
