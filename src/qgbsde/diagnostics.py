@@ -19,9 +19,10 @@ temporary is built. diagnose_pass is the same pass with the
 remaining checks of the diagnose command taken at each coarse node on that
 node's design: the BMO tail estimate, as a backward running tail sum, and
 the gradient step and representation residual of variational, on flows
-simulated before the pass and held by it alone, so that no result keeps
-the fine states. Neither the coarse solution nor the tail sums nor the
-gradient are stored.
+checked before the pass and served to it one node at a time, last node
+first, from checkpoints that it alone holds, so that no result keeps the
+fine states. Neither the coarse solution nor the tail sums nor the
+gradient nor the whole flow are stored.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
 the order of the error decay (and the implied tail exponent). A level reads
@@ -270,12 +271,15 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
 
     The gradient runs variational._gradient_step and
     variational._representation_node on the coarse ensemble, its coarse
-    solution and the node's flow. The flows are simulated on the coarse
-    ensemble before the pass and held by the pass alone. Factor 1 is the
-    single-grid solve: the coarse ensemble is then the fine one bit for bit,
-    and the coarse Y and Z those of solve_backward_regression on it. When
-    the flows or the gradient fail, the pass goes on without the gradient,
-    and the regularity statistics and the BMO estimate are still returned.
+    solution and the node's flow. The flows are simulated and checked on the
+    coarse ensemble before the pass (sde.simulate_variational), which then
+    reads them one node at a time in its backward order, each rebuilt from a
+    checkpoint, so about 2 sqrt(N + 1) flow rows are held, not N + 1. Factor
+    1 is the single-grid solve: the coarse ensemble is then the fine one bit
+    for bit, and the coarse Y and Z those of solve_backward_regression on it.
+    When the flows or the gradient fail, the pass releases the flows and
+    goes on without the gradient, and the regularity statistics and the BMO
+    estimate are still returned.
     """
     coarse = _coarsen(fine, factor)
     n, dt = coarse.partition.n_steps, coarse.partition.dt
@@ -284,22 +288,23 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     flows = resid = u = error = None
     try:
         flows, resid = simulate_variational(model, coarse)
-        u = _terminal_gradient(model, coarse, flows[:, n])
+        u = _terminal_gradient(model, coarse, next(flows))
     except QgbsdeError as exc:
-        error = str(exc)
+        flows, error = None, str(exc)
 
     def at_node(i, design, dw, y, z):
-        nonlocal tail, bmo_max, u, error
+        nonlocal tail, bmo_max, u, flows, error
         tail = tail + (z ** 2).sum(axis=1) * dt[i]
         bmo_max = max(bmo_max, float(project(design, tail[:, None])[0].max()))
         means[i] = tail.mean()
         if u is None:
             return
         try:
-            u, _ = _gradient_step(model, design, coarse, i, flows[:, i], dw, u, y, z)
-            rms[i], peak[i] = _representation_node(model, coarse, i, flows[:, i], u, z)
-        except QgbsdeError as exc:
-            u, error = None, str(exc)
+            flow = next(flows)  # node i's: served last node first
+            u, _ = _gradient_step(model, design, coarse, i, flow, dw, u, y, z)
+            rms[i], peak[i] = _representation_node(model, coarse, i, flow, u, z)
+        except QgbsdeError as exc:  # nothing reads the flows again
+            u, flows, error = None, None, str(exc)
 
     reg = _lockstep(model, fine, coarse, basis, at_node)
     rep = None if u is None else RepresentationReport(per_node_rms=rms, per_node_max=peak)

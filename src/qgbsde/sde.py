@@ -3,17 +3,21 @@
 Paths carry their states only: euler_increment derives each Brownian
 increment from the Euler step, once per node of a pass.
 
-simulate_variational returns the flow as an array of its own; its inverse
-is not stored. flow_inverse inverts the flow matrices of one node when a
-check needs them: simulate_variational's, node by node, and the
-representation residual's (variational). For m = 1 the inverse is the
-reciprocal, bit for bit what np.linalg.inv gives.
+simulate_variational checks the first-variation flow in one forward pass
+and serves it one node at a time, last node first, rebuilding each segment
+from a checkpoint kept every ceil(sqrt(N + 1)) nodes; neither the whole
+flow nor its inverse is stored. flow_inverse inverts the flow matrices of
+one node when a check needs them: simulate_variational's, node by node,
+and the representation residual's (variational). For m = 1 the inverse is
+the reciprocal, bit for bit what np.linalg.inv gives.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,66 +148,109 @@ def simulate_forward(model: ModelSpec, partition: Partition, n_paths: int,
 
 
 def simulate_variational(model: ModelSpec,
-                         ensemble: PathEnsemble) -> tuple[np.ndarray, float]:
-    """The first-variation flow of an ensemble's paths and the largest
-    identity residual of its inverses.
+                         ensemble: PathEnsemble) -> tuple[Iterator[np.ndarray], float]:
+    """The first-variation flow of an ensemble's paths, served one node at a
+    time from the last node to the first, and the largest identity residual
+    of its inverses.
 
-    The flow is (P, N+1, m, m), indexed like the states and stored
-    time-major. Needs the model's b_jac and sigma_jac. The flow is inverted
-    node by node (flow_inverse) for two checks: the condition bound is
-    capped at FLOW_CONDITION_CAP and the identity residual
-    (flow_identity_residual) at FLOW_TOL. Either failure raises SingularFlow
-    with the first failing node as its step and that node's worst path. The
-    largest residual is returned as measured for the check; the inverses
-    are not kept.
+    Needs the model's b_jac and sigma_jac. One forward pass steps the flow
+    (_flow_step) and checks it node by node, so the first failing node in
+    forward order raises: at node i the flow is inverted (flow_inverse), its
+    condition bound capped at FLOW_CONDITION_CAP and its identity residual
+    (flow_identity_residual) at FLOW_TOL, either failure a SingularFlow with
+    step i and that node's worst path; then step i, whose non-finite flow
+    raises NumericalBlowup with step i and its first path. The largest
+    residual is returned as measured for the check; the inverses are not
+    kept.
+
+    The pass keeps the flow only at every s-th node, s = ceil(sqrt(N + 1)),
+    and the iterator yields F_N, F_{N-1}, ..., F_0, each (P, m, m) and
+    contiguous: it rebuilds one segment of at most s nodes at a time from
+    its checkpoint, on the same one-step kernel, so each served node is bit
+    for bit the one the pass checked. So at most ceil((N + 1) / s) + s node
+    rows are held, not N + 1, at the cost of one more pass of increments and
+    flow steps. The iterator refers to the ensemble and the checkpoints
+    until it is dropped.
     """
     model.require("b_jac", "sigma_jac")
-    times = ensemble.partition.times
-    X = ensemble.states
-    P, m = X.shape[0], model.m
-    n = times.size - 1
-
-    F = empty_time_major(n + 1, P, (m, m))
-    F[:, 0] = np.eye(m)
-    for i in range(n):
-        dt = times[i + 1] - times[i]
-        Fi = F[:, i]
-        dw = ensemble.increment(model, i)
-        # overflow surfaces as the NumericalBlowup below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            B = model.b_jac(times[i], X[:, i])
-            S = model.sigma_jac(times[i], X[:, i])
-            F[:, i + 1] = (Fi + np.einsum("pab,pbc->pac", B, Fi) * dt
-                           + np.einsum("pjab,pbc,pj->pac", S, Fi, dw))
-        if not np.isfinite(F[:, i + 1]).all():
-            raise NumericalBlowup("non-finite variational flow",
-                                  step=i, path=_first_bad_path(F[:, i + 1]))
-
-    resid = 0.0
+    n = ensemble.partition.n_steps
+    s = 1 + math.isqrt(n)  # ceil(sqrt(N + 1))
+    flow = np.tile(np.eye(model.m), (ensemble.n_paths, 1, 1))
+    checkpoints, resid = [], 0.0
     for i in range(n + 1):
-        Fi = F[:, i]
-        try:
-            Gi = flow_inverse(Fi)
-        except np.linalg.LinAlgError as exc:
-            raise SingularFlow(f"flow matrix is singular: {exc}", step=i) from exc
-        # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so
-        # the cap is never looser than on the exact condition number; a
-        # singular flow gives NaN or inf here, and fails it
-        with np.errstate(over="ignore", invalid="ignore"):
-            cond = (np.linalg.norm(Fi, axis=(-2, -1))
-                    * np.linalg.norm(Gi, axis=(-2, -1)))
-            node_resid = flow_identity_residual(Fi, Gi)
+        if i % s == 0:
+            checkpoints.append(flow)
+        resid = max(resid, _checked_residual(flow, i))
+        if i < n:
+            flow = _flow_step(model, ensemble, i, flow)
+    return _served(model, ensemble, checkpoints, s), resid
+
+
+def _flow_step(model: ModelSpec, ensemble: PathEnsemble, i, flow) -> np.ndarray:
+    """The flow at node i + 1 from the flow (P, m, m) at node i, on step i's
+    increment; a non-finite result raises NumericalBlowup with step i and
+    its first such path."""
+    times, x = ensemble.partition.times, ensemble.states[:, i]
+    dt = times[i + 1] - times[i]
+    dw = ensemble.increment(model, i)
+    # overflow surfaces as the NumericalBlowup below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = model.b_jac(times[i], x)
+        S = model.sigma_jac(times[i], x)
+        nxt = (flow + np.einsum("pab,pbc->pac", B, flow) * dt
+               + np.einsum("pjab,pbc,pj->pac", S, flow, dw))
+    if not np.isfinite(nxt).all():
+        raise NumericalBlowup("non-finite variational flow", step=i,
+                              path=_first_bad_path(nxt))
+    return nxt
+
+
+def _checked_residual(flow: np.ndarray, i) -> float:
+    """The largest identity residual of the inverse of node i's flow
+    (P, m, m), once its condition bound and residual have passed their caps;
+    a failure raises SingularFlow with step i and the node's worst path."""
+    try:
+        inverse = flow_inverse(flow)
+    except np.linalg.LinAlgError as exc:
+        raise SingularFlow(f"flow matrix is singular: {exc}", step=i) from exc
+    # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so the
+    # cap is never looser than on the exact condition number; a singular
+    # flow gives NaN or inf here, and fails it. The norms overflow on a flow
+    # above ~1e154 even when it is well conditioned, so a node that fails is
+    # measured again on each path's matrices scaled by the flow's largest
+    # entry, which leaves the bound unchanged up to rounding
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cond = (np.linalg.norm(flow, axis=(-2, -1))
+                * np.linalg.norm(inverse, axis=(-2, -1)))
         if not (cond <= FLOW_CONDITION_CAP).all():
-            raise SingularFlow(
-                f"flow condition bound {np.fmax.reduce(cond):.3e} exceeds cap "
-                f"{FLOW_CONDITION_CAP:.3e}", step=i,
-                path=int(np.argmax(np.where(np.isnan(cond), np.inf, cond))))
-        worst = float(node_resid.max())
-        if worst > FLOW_TOL:
-            raise SingularFlow(f"flow inverse identity residual {worst:.3e} > "
-                               f"{FLOW_TOL:.3e}", step=i, path=int(np.argmax(node_resid)))
-        resid = max(resid, worst)
-    return F, resid
+            scale = np.abs(flow).max(axis=(1, 2))[:, None, None]
+            cond = (np.linalg.norm(flow / scale, axis=(-2, -1))
+                    * np.linalg.norm(inverse * scale, axis=(-2, -1)))
+        node_resid = flow_identity_residual(flow, inverse)
+    if not (cond <= FLOW_CONDITION_CAP).all():
+        raise SingularFlow(
+            f"flow condition bound {np.fmax.reduce(cond):.3e} exceeds cap "
+            f"{FLOW_CONDITION_CAP:.3e}", step=i,
+            path=int(np.argmax(np.where(np.isnan(cond), np.inf, cond))))
+    worst = float(node_resid.max())
+    if worst > FLOW_TOL:
+        raise SingularFlow(f"flow inverse identity residual {worst:.3e} > "
+                           f"{FLOW_TOL:.3e}", step=i, path=int(np.argmax(node_resid)))
+    return worst
+
+
+def _served(model: ModelSpec, ensemble: PathEnsemble, checkpoints, s):
+    """The flows F_N, ..., F_0: the segment of the last checkpoint first,
+    each segment rebuilt forward from its checkpoint by _flow_step and then
+    yielded backward, so only the checkpoints left and one segment are held."""
+    n = ensemble.partition.n_steps
+    while checkpoints:
+        first = (len(checkpoints) - 1) * s
+        segment = [checkpoints.pop()]
+        for i in range(first, min(first + s, n + 1) - 1):
+            segment.append(_flow_step(model, ensemble, i, segment[-1]))
+        while segment:
+            yield segment.pop()
 
 
 def flow_inverse(flow: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ _gradient_step takes gradY from node i + 1 to node i on a given design and
 increment, and _representation_node measures the identity at one node,
 with the flow inverted there (sde.flow_inverse). diagnostics.diagnose_pass
 calls them inside its own backward pass on the designs and increments it
-has anyway, holding gradY for one node only.
+has anyway, holding gradY for one node only and reading each node's flow
+as sde.simulate_variational serves it, last node first.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import functools
+import math
 import os
 import re
 import subprocess
@@ -405,7 +406,7 @@ def test_all_simulates_each_grid_once(tmp_path, monkeypatch):
 def test_diagnose_releases_the_fine_ensemble(tmp_path, monkeypatch):
     handed_out = []
     alive_at_rows = []
-    flowed = []
+    residuals = []
 
     def recording(ctx, partition, *args, **kwargs):
         ens = get_ensemble(ctx, partition, *args, **kwargs)
@@ -422,8 +423,9 @@ def test_diagnose_releases_the_fine_ensemble(tmp_path, monkeypatch):
         return add(self, *args, **kwargs)
 
     def keeping(model, ensemble):
-        flowed.append(simulate_variational(model, ensemble))
-        return flowed[-1]
+        served, resid = simulate_variational(model, ensemble)
+        residuals.append(resid)
+        return served, resid
 
     add = cli.RunContext.add
     monkeypatch.setattr(cli, "get_ensemble", recording)
@@ -438,8 +440,8 @@ def test_diagnose_releases_the_fine_ensemble(tmp_path, monkeypatch):
     # measured once, inside simulate_variational, and reported as it was
     _, rows = _read_report(out)
     row = [r for r in rows if r["statistic_name"] == "flow_identity_residual"]
-    assert len(flowed) == 1
-    assert [float(r["value"]) for r in row] == [flowed[0][1]]
+    assert len(residuals) == 1
+    assert [float(r["value"]) for r in row] == residuals
 
 
 def _count_step_designs(monkeypatch):
@@ -513,13 +515,9 @@ def test_diagnose_without_the_gradient_writes_every_other_row(tmp_path, monkeypa
     assert f"WARNING: {line}" in (tmp_path / "b" / "summary.txt").read_text()
 
 
-def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
-    # numpy reports its buffers to tracemalloc. Once the fine ensemble
-    # exists, the pass adds the flows, N + 1 coarse columns, and one node's
-    # temporaries, fewer than 48; the paths carry no increments. The coarse
-    # Y and Z, the BMO tail sums or gradY and gradZ, stored, would add N
-    # columns each.
-    P, N = 2000, 48
+def _diagnose_extra_columns(tmp_path, monkeypatch, P, N):
+    """The peak that diagnose adds to the traced memory once the fine
+    ensemble exists, in columns of P float64 values."""
     grown = []
 
     def measuring(ctx, partition, *args, **kwargs):
@@ -541,10 +539,29 @@ def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
         tracemalloc.stop()
     fine_bytes, at_ensemble = grown
     assert fine_bytes == 8 * P * (2 * N + 1)
-    extra_columns = (peak - at_ensemble) / (8 * P)
+    return (peak - at_ensemble) / (8 * P)
+
+
+def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
+    # numpy reports its buffers to tracemalloc. Once the fine ensemble
+    # exists, the pass adds the flows, at most N + 1 coarse columns, and
+    # one node's temporaries, fewer than 48; the paths carry no increments.
+    # The coarse Y and Z, the BMO tail sums or gradY and gradZ, stored,
+    # would add N columns each.
+    N = 48
+    extra_columns = _diagnose_extra_columns(tmp_path, monkeypatch, 2000, N)
     # about 260 with the coarse solution, the tail sums, the flows' inverses
     # and the gradient arrays all stored
     assert extra_columns < (N + 1) + 48, extra_columns
+
+
+def test_diagnose_holds_the_flows_at_checkpoints(tmp_path, monkeypatch):
+    # the flows at every ceil(sqrt(N + 1)) = 7th node, 7 columns, and one
+    # segment of at most 7 more, beside one node's temporaries; the whole
+    # flow would be N + 1 = 49 columns
+    N = 48
+    extra_columns = _diagnose_extra_columns(tmp_path, monkeypatch, 2000, N)
+    assert extra_columns < 2 * math.ceil(math.sqrt(N + 1)) + 48, extra_columns
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):

@@ -20,6 +20,7 @@ from qgbsde.sde import PathEnsemble, simulate_forward, simulate_variational
 from qgbsde.solver import BackwardSolution, SolverMeta, solve_backward_regression
 from qgbsde.truncation import truncate_driver
 from qgbsde.variational import _representation_node
+from test_sde import _flow_stack
 from test_variational import _gradient_loop_with_own_estimator
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
@@ -308,7 +309,7 @@ def _standalone_chain(model, ens_c, basis):
     at each node. Returns the BMO estimate, the flows, their identity
     residual and the residual's per-node RMS and max, (N, 2)."""
     sol = solve_backward_regression(model, ens_c, basis)
-    flows, flow_residual = simulate_variational(model, ens_c)
+    flows, flow_residual = _flow_stack(model, ens_c)
     U, _ = _gradient_loop_with_own_estimator(model, ens_c, flows, sol, basis)
     rep = [_representation_node(model, ens_c, i, flows[:, i], U[:, i], sol.Z[:, i])
            for i in range(sol.partition.n_steps)]
@@ -329,11 +330,16 @@ _DIAGNOSE_CASES = {
 def test_diagnose_pass_matches_the_standalone_chain_bitwise(case, monkeypatch):
     model, basis, n_fine, factor, n_paths = _DIAGNOSE_CASES[case]
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
-    simulated = []  # the flows the pass simulates and holds
+    served = []  # the flows served to the pass, in the order it read them
 
     def keeping(model, ensemble):
-        simulated.append(simulate_variational(model, ensemble))
-        return simulated[-1]
+        flows, resid = simulate_variational(model, ensemble)
+
+        def recording():
+            for flow in flows:
+                served.append(flow)
+                yield flow
+        return recording(), resid
 
     monkeypatch.setattr(diagnostics, "simulate_variational", keeping)
     diag = diagnose_pass(model, ens_f, factor, basis)
@@ -344,8 +350,9 @@ def test_diagnose_pass_matches_the_standalone_chain_bitwise(case, monkeypatch):
     assert diag.gradient_error is None
     assert diag.bmo == bmo
     assert diag.flow_residual == flow_residual
-    [(pass_flows, _)] = simulated
-    np.testing.assert_array_equal(pass_flows, flows)
+    # every node once, from the last to the first
+    assert len(served) == flows.shape[1]
+    np.testing.assert_array_equal(np.stack(served[::-1], axis=1), flows)
     np.testing.assert_array_equal(diag.representation.per_node_rms, rep[:, 0])
     np.testing.assert_array_equal(diag.representation.per_node_max, rep[:, 1])
     if model.name == "gbm":
@@ -396,6 +403,34 @@ def test_diagnose_pass_goes_on_without_a_failing_gradient():
             assert diag.gradient_error == error
     assert "b_jac" in diag.gradient_error
     assert diag.flow_residual is None
+
+
+def test_diagnose_pass_releases_the_flows_when_the_gradient_fails(monkeypatch):
+    # the fixture above, whose gradient fails at coarse node 1 of 4: from
+    # there on nothing reads the flows, so the pass no longer holds them
+    quad = truncate_driver(make_quadratic(), 6.0)
+    stiff = dataclasses.replace(
+        quad, f_y=lambda t, x, y, z: np.full(x.shape[0], 3.0 if t < 0.5 else 0.0))
+    ens_f = simulate_forward(quad, Partition.uniform(1.0, 8), 3000, seed=2)
+    flows, alive = [], []
+
+    def keeping(model, ensemble):
+        served, resid = simulate_variational(model, ensemble)
+        flows.append(weakref.ref(served))
+        return served, resid
+
+    def watching(model, fine, coarse, basis, at_node):
+        def at(i, *args):
+            at_node(i, *args)
+            alive.append((i, flows[0]() is not None))
+        return lockstep(model, fine, coarse, basis, at)
+
+    lockstep = diagnostics._lockstep
+    monkeypatch.setattr(diagnostics, "simulate_variational", keeping)
+    monkeypatch.setattr(diagnostics, "_lockstep", watching)
+    diag = diagnose_pass(stiff, ens_f, 2, GLOBAL2)
+    assert diag.gradient_error.endswith("(step 1)")
+    assert alive == [(3, True), (2, True), (1, False), (0, False)]
 
 
 @pytest.mark.parametrize("run", [regularity_pass, diagnose_pass],

@@ -173,6 +173,30 @@ def test_blowup_detected():
     assert err.value.step is not None
 
 
+def _flow_stack(model, ens):
+    """Every node's flow as simulate_variational serves it, last node
+    first, stacked node 0 first and time-major into (P, N+1, m, m), and the
+    identity residual it returned."""
+    served, resid = simulate_variational(model, ens)
+    return np.stack(list(served)[::-1]).swapaxes(0, 1), resid
+
+
+def _whole_array_flows(model, ens):
+    """The flow at every node by the forward recursion on one path-major
+    (P, N+1, m, m) array."""
+    times, X = ens.partition.times, ens.states
+    n = ens.partition.n_steps
+    F = np.empty((ens.n_paths, n + 1, model.m, model.m))
+    F[:, 0] = np.eye(model.m)
+    for i in range(n):
+        B = model.b_jac(times[i], X[:, i])
+        S = model.sigma_jac(times[i], X[:, i])
+        F[:, i + 1] = (F[:, i] + np.einsum("pab,pbc->pac", B, F[:, i])
+                       * (times[i + 1] - times[i])
+                       + np.einsum("pjab,pbc,pj->pac", S, F[:, i], ens.increment(model, i)))
+    return F
+
+
 def _flow_model(b_jac, sigma_jac):
     return ModelSpec(
         name="stiff_flow", m=1, d=1, x0=np.array([0.0]), T=1.0,
@@ -222,7 +246,7 @@ def test_variational_needs_gradients():
 def test_flow_constant_coefficients():
     # b and sigma state-independent: the flow is identically the identity
     ens = simulate_forward(make_brownian(), Partition.uniform(1.0, 8), 100, 2)
-    flows, flow_residual = simulate_variational(make_brownian(), ens)
+    flows, flow_residual = _flow_stack(make_brownian(), ens)
     np.testing.assert_allclose(flows, 1.0, atol=1e-14)
     assert flow_residual <= 1e-12
 
@@ -232,7 +256,7 @@ def test_flow_gbm_closed_form():
     # recursion started at 1: flow = X / x0 path by path, exactly under Euler
     model = make_gbm(mu=0.3, vol=0.1, x0=2.0)
     ens = simulate_forward(model, Partition.uniform(1.0, 32), 500, 6)
-    flows, flow_residual = simulate_variational(model, ens)
+    flows, flow_residual = _flow_stack(model, ens)
     np.testing.assert_allclose(flows[:, :, 0, 0], ens.states[:, :, 0] / 2.0,
                                rtol=1e-12)
     # returned as measured, the largest over the nodes
@@ -246,9 +270,9 @@ def test_flow_mean_matches_deterministic_exponential():
     # E[flow] for GBM Euler is (1 + mu dt)^N -> e^mu
     model = make_gbm(mu=0.3, vol=0.1, x0=1.0)
     for n in (16, 64):
-        flows, _ = simulate_variational(model, simulate_forward(
+        served, _ = simulate_variational(model, simulate_forward(
             model, Partition.uniform(1.0, n), 100_000, 8))
-        got = flows[:, -1, 0, 0].mean()
+        got = next(served)[:, 0, 0].mean()  # the last node's flow comes first
         assert got == pytest.approx((1.0 + 0.3 / n) ** n, abs=3e-3)
     assert abs((1.0 + 0.3 / 64) ** 64 - np.exp(0.3)) < 2e-3
 
@@ -281,8 +305,8 @@ def test_flow_condition_cap_and_singular_flow(monkeypatch):
     model = _linear_flow_model([0.0, 3.6])
     ens = simulate_forward(model, part, 50, 1)
     monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", 1e5)
-    flows, _ = simulate_variational(model, ens)
-    np.testing.assert_allclose(flows[:, -1, 1, 1], 1e-4, rtol=1e-12)
+    served, _ = simulate_variational(model, ens)
+    np.testing.assert_allclose(next(served)[:, 1, 1], 1e-4, rtol=1e-12)
     # only the last node exceeds the cap; every path alike, so the worst is
     # the first
     monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", 5e3)
@@ -319,10 +343,59 @@ def test_flow_identity_residual_fails_at_its_node_and_path(monkeypatch):
     assert "identity residual" in str(err.value)
 
 
+@pytest.mark.parametrize("n_steps", [1, 3, 8, 15, 64])
+@pytest.mark.parametrize("model", [make_gbm(mu=0.3, vol=0.4),
+                                   _linear_flow_model([0.5, 1.5])], ids=["gbm", "linear"])
+def test_served_flows_are_the_whole_array_recursion_bit_for_bit(model, n_steps):
+    # checkpoints every ceil(sqrt(N + 1)) nodes: N + 1 = 4, 9 and 16 fill
+    # their last segment, 2 and 65 do not
+    ens = simulate_forward(model, Partition.uniform(1.0, n_steps), 300, 5)
+    want = _whole_array_flows(model, ens)
+    served, flow_residual = simulate_variational(model, ens)
+    nodes = list(served)
+    assert len(nodes) == n_steps + 1
+    for i, flow in zip(range(n_steps, -1, -1), nodes):  # last node first
+        np.testing.assert_array_equal(flow, want[:, i])
+    assert flow_residual == max(flow_identity_residual(F, flow_inverse(F)).max()
+                                for F in want.swapaxes(0, 1))
+    if model.m == 1:  # gbm's flows differ from path to path
+        assert np.ptp(want[:, -1]) > 0.1
+
+
+def _diagonal_flow_model(b_jac):
+    """m = d = 2 Brownian states whose b_jac is diag(b_jac), which the drift
+    does not follow: every path's flow is diag((1 + b_jac dt)^i)."""
+    return ModelSpec(
+        name="diagonal_flow", m=2, d=2, x0=np.zeros(2), T=1.0,
+        b=lambda t, x: np.zeros_like(x),
+        sigma=lambda t, x: np.broadcast_to(np.eye(2), x.shape + (2,)).copy(),
+        f=lambda t, x, y, z: np.zeros(x.shape[0]),
+        g=lambda x: x.sum(axis=1),
+        b_jac=lambda t, x: np.broadcast_to(np.diag(b_jac), x.shape + (2,)).copy(),
+        sigma_jac=lambda t, x: np.zeros(x.shape[:1] + (2, 2, 2)))
+
+
+def test_first_failing_node_in_forward_order_raises(monkeypatch):
+    # at dt = 1/40 the flow is diag(2.5e28^i, 0.5^i): its condition bound
+    # 5e28^i fails the cap from node 1 on, and its first entry overflows at
+    # step 10 (node 11); the forward pass checks node 1 before it gets there
+    model = _diagonal_flow_model([1e30, -20.0])
+    ens = simulate_forward(model, Partition.uniform(1.0, 40), 20, 0)
+    with pytest.raises(SingularFlow) as err:
+        simulate_variational(model, ens)
+    assert (err.value.step, err.value.path) == (1, 0)
+    assert "condition bound" in str(err.value)
+    # without the cap the overflow is the first failure
+    monkeypatch.setattr(sde, "FLOW_CONDITION_CAP", np.inf)
+    with pytest.raises(NumericalBlowup) as err:
+        simulate_variational(model, ens)
+    assert (err.value.step, err.value.path) == (10, 0)
+
+
 def test_scalar_flow_inverse_is_bit_for_bit_linalg_inv():
     # state-dependent flows of gbm, plus log-normal ones over many decades
     model = make_gbm(mu=0.3, vol=0.4)
-    flows, _ = simulate_variational(model, simulate_forward(
+    flows, _ = _flow_stack(model, simulate_forward(
         model, Partition.uniform(1.0, 16), 2000, 3))
     rng = np.random.default_rng(2)
     for F in (flows.reshape(-1, 1, 1),
@@ -337,7 +410,7 @@ def test_flow_identity_residual_matches_whole_array_formula():
     # and perturbed inverses, time-major and path-major
     model = _linear_flow_model([0.5, 1.5])
     ens = simulate_forward(model, Partition.uniform(1.0, 6), 300, 4)
-    flows, _ = simulate_variational(model, ens)
+    flows, _ = _flow_stack(model, ens)
     inverses = np.linalg.inv(flows)
     noise = np.random.default_rng(1).normal(scale=1e-3, size=flows.shape)
     for G in (inverses, inverses + noise):

@@ -15,6 +15,7 @@ from qgbsde.sde import simulate_forward, simulate_variational
 from qgbsde.solver import solve_backward_regression
 from qgbsde.truncation import smooth_clamp, smooth_clamp_grad, truncate_driver
 from qgbsde.variational import _gradient_step, _terminal_gradient
+from test_sde import _flow_stack
 
 GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 
@@ -22,7 +23,7 @@ GLOBAL2 = RegressionBasis(kind="global_polynomial", degree=2)
 def _solved(model, n_steps=8, n_paths=20000, seed=4, basis=GLOBAL2):
     part = Partition.uniform(model.T, n_steps)
     ens = simulate_forward(model, part, n_paths, seed)
-    flows, _ = simulate_variational(model, ens)
+    flows, _ = _flow_stack(model, ens)
     sol = solve_backward_regression(model, ens, basis)
     return ens, flows, sol
 
@@ -51,7 +52,7 @@ def test_requires_flows_and_gradients():
     ens = simulate_forward(model, Partition.uniform(model.T, 4), 500, seed=0)
     bare = dataclasses.replace(model, g_grad=None)
     with pytest.raises(AssumptionLevelTooLow, match="g_grad"):
-        _terminal_gradient(bare, ens, simulate_variational(model, ens)[0][:, -1])
+        _terminal_gradient(bare, ens, next(simulate_variational(model, ens)[0]))
     diag = diagnose_pass(bare, ens, 1, GLOBAL2)
     assert diag.representation is None
     assert diag.gradient_error == "model 'brownian' does not supply g_grad"
