@@ -215,17 +215,14 @@ def _checked_residual(flow: np.ndarray, i) -> float:
         raise SingularFlow(f"flow matrix is singular: {exc}", step=i) from exc
     # |F|_F |F^-1|_F bounds the 2-norm condition number from above, so the
     # cap is never looser than on the exact condition number; a singular
-    # flow gives NaN or inf here, and fails it. The norms overflow on a flow
-    # above ~1e154 even when it is well conditioned, so a node that fails is
-    # measured again on each path's matrices scaled by the flow's largest
-    # entry, which leaves the bound unchanged up to rounding
+    # flow gives NaN or inf here, and fails it. Each path's matrices are
+    # scaled by their largest entry, which leaves the bound unchanged up to
+    # rounding, so that the norms do not overflow on a large but
+    # well-conditioned flow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cond = (np.linalg.norm(flow, axis=(-2, -1))
-                * np.linalg.norm(inverse, axis=(-2, -1)))
-        if not (cond <= FLOW_CONDITION_CAP).all():
-            scale = np.abs(flow).max(axis=(1, 2))[:, None, None]
-            cond = (np.linalg.norm(flow / scale, axis=(-2, -1))
-                    * np.linalg.norm(inverse * scale, axis=(-2, -1)))
+        scale = np.abs(flow).max(axis=(1, 2))[:, None, None]
+        cond = (np.linalg.norm(flow / scale, axis=(-2, -1))
+                * np.linalg.norm(inverse * scale, axis=(-2, -1)))
         node_resid = flow_identity_residual(flow, inverse)
     if not (cond <= FLOW_CONDITION_CAP).all():
         raise SingularFlow(
