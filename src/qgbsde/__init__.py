@@ -22,10 +22,9 @@ from .sde import (PathEnsemble, dump_ensemble, flow_identity_residual, flow_inve
 from .regression import RegressionBasis, StepDesign, project, step_design
 from .solver import (BackwardSolution, SolverMeta, solve_backward_regression,
                      solve_quadrature_1d)
-from .variational import RepresentationReport
 from .oracle import (OracleResult, bmo_bound, cole_hopf_from_model,
                      cole_hopf_increment_stat, cole_hopf_reference)
-from .diagnostics import (BmoEstimate, Diagnosis, OrderFit, Regularity,
+from .diagnostics import (Diagnosis, OrderFit, Regularity,
                           TruncationCurve, TruncationPoint, diagnose_pass,
                           effective_qbar, fit_convergence_order,
                           regularity_pass, truncation_error_curve)
@@ -34,12 +33,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionLevelTooLow", "BackwardSolution",
-    "BmoEstimate", "ConfigError", "DegenerateRegression", "Diagnosis",
+    "ConfigError", "DegenerateRegression", "Diagnosis",
     "DomainTooSmall", "InvalidParameters",
     "InvalidPartition", "InvalidPoints", "ModelSpec", "NumericalBlowup",
     "OracleResult", "OrderFit", "PRESETS", "Partition", "PathEnsemble",
     "PicardDivergence", "QgbsdeError", "QuadratureUnstable",
-    "RegressionBasis", "Regularity", "RejectedModel", "RepresentationReport",
+    "RegressionBasis", "Regularity", "RejectedModel",
     "SingularFlow", "SolverMeta", "StepDesign", "TruncationCurve", "TruncationPoint",
     "bmo_bound", "check_growth_certificate", "cole_hopf_from_model",
     "cole_hopf_increment_stat", "cole_hopf_reference",

@@ -582,26 +582,25 @@ def cmd_diagnose(ctx: RunContext):
     del ens
     _regularity_rows(ctx, diag.regularity, coarse)
 
-    bmo = diag.bmo
-    ctx.add("bmo_estimate", bmo.regression_max)
-    ctx.add("bmo_plain", bmo.plain_max)
-    ctx.note(f"BMO tail estimate: {bmo.regression_max:.4f} (regression), "
-             f"{bmo.plain_max:.4f} (plain mean)")
+    ctx.add("bmo_estimate", diag.bmo_estimate)
+    ctx.add("bmo_plain", diag.bmo_plain)
+    ctx.note(f"BMO tail estimate: {diag.bmo_estimate:.4f} (regression), "
+             f"{diag.bmo_plain:.4f} (plain mean)")
     if ctx.model.growth_M > 0:
         bound = bmo_bound(ctx.model.growth_M, ctx.model.T, xi_sup)
         ctx.add("bmo_bound_value", bound)
         ctx.note(f"closed-form BMO bound {bound:.4f} "
                  f"(M = {ctx.model.growth_M:g}, empirical |xi|_sup = {xi_sup:.4f})")
-        ctx.check("bmo_estimate <= bmo_bound", bmo.regression_max <= bound)
+        ctx.check("bmo_estimate <= bmo_bound", diag.bmo_estimate <= bound)
 
-    rep = diag.representation
-    if rep is None:
+    if diag.representation_rms is None:
         ctx.warn(f"variational check skipped: {diag.gradient_error}")
         return
-    ctx.add("flow_identity_residual", diag.flow_residual)
-    ctx.add("representation_rms", rep.time_avg_rms)
-    ctx.add("representation_max", float(rep.per_node_max.max()))
-    ctx.note(f"gradient representation residual: {rep.time_avg_rms:.4e} rms")
+    rms = float(diag.representation_rms.mean())
+    ctx.add("flow_identity_residual", diag.flow_identity_residual)
+    ctx.add("representation_rms", rms)
+    ctx.add("representation_max", float(diag.representation_max.max()))
+    ctx.note(f"gradient representation residual: {rms:.4e} rms")
 
 
 def cmd_all(ctx: RunContext):

@@ -22,7 +22,9 @@ the gradient step and representation residual of variational, on flows
 checked before the pass and served to it one node at a time, last node
 first, from checkpoints that it alone holds, so that no result keeps the
 fine states. Neither the coarse solution nor the tail sums nor the
-gradient nor the whole flow are stored.
+gradient nor the whole flow are stored. Its result, Diagnosis, holds one
+field per diagnose report row; the representation residual's RMS and max
+are kept per node.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
 the order of the error decay (and the implied tail exponent). A level reads
@@ -44,8 +46,7 @@ from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble, euler_increment, simulate_variational
 from .solver import _backward_step, _implicit_step, _row_pair, _start_backward
 from .truncation import truncate_driver
-from .variational import (RepresentationReport, _gradient_step, _representation_node,
-                          _terminal_gradient)
+from .variational import _gradient_step, _representation_node, _terminal_gradient
 
 
 @dataclass(frozen=True)
@@ -109,19 +110,25 @@ class Regularity:
 class _Coarse(PathEnsemble):
     """Every r-th node of a fine grid and a view of the fine states it keeps.
     Step i's increment is the forward-order sum of the fine ones in window i,
-    not the one its own states give (for gbm that biases the coarse Z)."""
+    not the one its own states give (for gbm that biases the coarse Z);
+    window(model, i) returns the fine ones and their sum."""
 
     fine_partition: Partition = field(kw_only=True)
     fine_states: np.ndarray = field(kw_only=True, repr=False)
 
-    def increment(self, model: ModelSpec, i) -> np.ndarray:
+    def window(self, model: ModelSpec, i) -> tuple[list[np.ndarray], np.ndarray]:
+        """Window i's fine increments (P, d) in forward order, and their sum."""
         r = self.fine_partition.n_steps // self.partition.n_steps
         x, times = self.fine_states, self.fine_partition.times
-        return reduce(np.add, [euler_increment(model, times, j, x[:, j], x[:, j + 1])
-                               for j in range(i * r, i * r + r)])
+        dws = [euler_increment(model, times, j, x[:, j], x[:, j + 1])
+               for j in range(i * r, i * r + r)]
+        return dws, reduce(np.add, dws)
+
+    def increment(self, model: ModelSpec, i) -> np.ndarray:
+        return self.window(model, i)[1]
 
 
-def _coarsen(fine: PathEnsemble, factor: int) -> PathEnsemble:
+def _coarsen(fine: PathEnsemble, factor: int) -> _Coarse:
     """The coarse ensemble on the fine paths: the states at every factor-th
     fine node, a strided view along the node axis, so that time-major fine
     states give time-major coarse ones."""
@@ -142,7 +149,7 @@ def _sq_distance(a, b, out) -> float:
     return float(np.dot(flat, flat))
 
 
-def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
+def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: _Coarse,
               basis: RegressionBasis, at_node=None) -> Regularity:
     """The backward pass of regularity_pass over fine and its coarsening.
     After the coarse step at node i, at_node(i, design, dw, y, z), when
@@ -174,14 +181,13 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: PathEnsemble,
     for i in range(n - 1, -1, -1):
         lo = i * r
         design = step_design(basis, coarse.states[:, i], step=i)
-        dws = [fine.increment(model, j) for j in range(lo, lo + r)]
+        dws, dw = coarse.window(model, i)
         for k in range(r - 1, -1, -1) if r > 1 else ():
             j = lo + k
             fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
                                                             step=j)
             yw[:, k], zw[:, k], *_ = _backward_step(model, fine_design, fine, j,
                                                     dws[k], yw[:, k + 1])
-        dw = reduce(np.add, dws)  # in forward order, as _Coarse.increment
         y_next, z, *_ = _backward_step(model, design, coarse, i, dw, y_next)
         if r == 1:
             yw[:, 0], zw[:, 0] = y_next, z
@@ -235,23 +241,21 @@ def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
 
 
 @dataclass(frozen=True)
-class BmoEstimate:
-    regression_max: float
-    plain_max: float
-
-
-@dataclass(frozen=True)
 class Diagnosis:
     """A regularity pass and the checks diagnose_pass makes on its coarse
-    solution. flow_residual is the largest identity residual of the flows,
-    None when they could not be simulated. representation is None when the
-    flows or the gradient failed, and gradient_error is then the message of
-    the error that stopped them."""
+    solution, each named after the diagnose report row it feeds. The (N,)
+    representation_rms and representation_max hold each node's RMS and max
+    over paths, whose mean and max are those rows, and are None when the
+    flows or the gradient failed; gradient_error is then the message of the
+    error that stopped them. flow_identity_residual, the flows' largest
+    identity residual, is None when they could not be simulated."""
 
     regularity: Regularity
-    bmo: BmoEstimate
-    flow_residual: float | None
-    representation: RepresentationReport | None
+    bmo_estimate: float
+    bmo_plain: float
+    flow_identity_residual: float | None
+    representation_rms: np.ndarray | None
+    representation_max: np.ndarray | None
     gradient_error: str | None
 
 
@@ -265,8 +269,8 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     The BMO estimate is the empirical sup_i ess-sup E[ sum_{j>=i} |Z_j|^2
     dt_j | F_i ]: the tail sum at node i is the one at node i + 1 plus node
     i's term, and only the current tail is held. Its conditional expectation
-    is its regression on the node's state; regression_max takes the largest
-    fitted value over nodes and paths, plain_max the largest plain mean (the
+    is its regression on the node's state; bmo_estimate takes the largest
+    fitted value over nodes and paths, bmo_plain the largest plain mean (the
     trivial conditioning), a lower bound and a stability reference.
 
     The gradient runs variational._gradient_step and
@@ -307,10 +311,11 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
             u, flows, error = None, None, str(exc)
 
     reg = _lockstep(model, fine, coarse, basis, at_node)
-    rep = None if u is None else RepresentationReport(per_node_rms=rms, per_node_max=peak)
-    return Diagnosis(regularity=reg,
-                     bmo=BmoEstimate(regression_max=bmo_max, plain_max=float(means.max())),
-                     flow_residual=resid, representation=rep, gradient_error=error)
+    if u is None:  # the flows or the gradient failed
+        rms = peak = None
+    return Diagnosis(regularity=reg, bmo_estimate=bmo_max, bmo_plain=float(means.max()),
+                     flow_identity_residual=resid, representation_rms=rms,
+                     representation_max=peak, gradient_error=error)
 
 
 @dataclass(frozen=True)

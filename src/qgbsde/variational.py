@@ -24,12 +24,12 @@ increment, and _representation_node measures the identity at one node,
 with the flow inverted there (sde.flow_inverse). diagnostics.diagnose_pass
 calls them inside its own backward pass on the designs and increments it
 has anyway, holding gradY for one node only and reading each node's flow
-as sde.simulate_variational serves it, last node first.
+as sde.simulate_variational serves it, last node first. The per-node RMS
+and max of _representation_node are the Diagnosis fields
+representation_rms and representation_max, (N,) each.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +38,6 @@ from .model import ModelSpec
 from .regression import StepDesign
 from .sde import PathEnsemble, flow_inverse
 from .solver import _martingale_pair
-
-
-@dataclass(frozen=True)
-class RepresentationReport:
-    per_node_rms: np.ndarray
-    per_node_max: np.ndarray
-
-    @property
-    def time_avg_rms(self) -> float:
-        return float(self.per_node_rms.mean())
 
 
 def _terminal_gradient(model: ModelSpec, ensemble: PathEnsemble, flow) -> np.ndarray:

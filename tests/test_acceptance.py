@@ -236,9 +236,9 @@ def test_representation_residual_refines_with_grid():
     rms = []
     for n in (16, 32, 64):
         ens = simulate_forward(CANON, Partition.uniform(1.0, n), 200_000, SEED)
-        rep = diagnose_pass(TRUNC6, ens, 1, loc).representation
-        rms.append(rep.time_avg_rms)
-        del ens, rep
+        diag = diagnose_pass(TRUNC6, ens, 1, loc)
+        rms.append(diag.representation_rms.mean())
+        del ens, diag
         gc.collect()
     shown = ", ".join(f"{r:.4e}" for r in rms)
     _check(rms[0] > rms[1] > rms[2],
@@ -251,10 +251,10 @@ def test_bmo_tail_estimate_under_closed_form_bound():
     target = (10.0 / 3.0) * math.exp(7.0)
     pin_ok = abs(pinned - target) <= 1e-9 * target
     ens = simulate_forward(CANON, Partition.uniform(1.0, 64), 100_000, SEED)
-    est = diagnose_pass(TRUNC6, ens, 1, BASIS).bmo  # on the single-grid solve
+    est = diagnose_pass(TRUNC6, ens, 1, BASIS).bmo_estimate  # on the single-grid solve
     bound = bmo_bound(CANON.growth_M, CANON.T, 1.0)  # sup |tanh| = 1
-    _check(pin_ok and est.regression_max <= bound,
-           f"BMO tail estimate {est.regression_max:.4f} <= closed-form bound "
+    _check(pin_ok and est <= bound,
+           f"BMO tail estimate {est:.4f} <= closed-form bound "
            f"{bound:.4f} at the certified growth constant "
            f"{CANON.growth_M:g}; bound(1,1,1) = {pinned!r} matches (10/3)e^7 "
            f"to 1e-9 relative")

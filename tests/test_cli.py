@@ -515,6 +515,28 @@ def test_diagnose_without_the_gradient_writes_every_other_row(tmp_path, monkeypa
     assert f"WARNING: {line}" in (tmp_path / "b" / "summary.txt").read_text()
 
 
+def test_each_diagnosis_field_feeds_the_row_of_its_name(tmp_path, monkeypatch):
+    kept = []
+
+    def keeping(*args):
+        kept.append(run(*args))
+        return kept[-1]
+
+    run = cli.diagnose_pass
+    monkeypatch.setattr(cli, "diagnose_pass", keeping)
+    cfg = _write(tmp_path, SMALL_QUADRATIC)
+    assert main(["--config", cfg, "--command", "diagnose", "--out", str(tmp_path / "o")]) == 0
+    [diag] = kept
+    _, rows = _read_report(tmp_path / "o")
+    values = {r["statistic_name"]: float(r["value"]) for r in rows}
+    assert len(values) == len(rows)
+    for name in ("bmo_estimate", "bmo_plain", "flow_identity_residual"):
+        assert values[name] == getattr(diag, name)
+    # the report's one mean and one max of the per-node arrays
+    assert values["representation_rms"] == diag.representation_rms.mean()
+    assert values["representation_max"] == diag.representation_max.max()
+
+
 def _diagnose_extra_columns(tmp_path, monkeypatch, P, N):
     """The peak that diagnose adds to the traced memory once the fine
     ensemble exists, in columns of P float64 values."""

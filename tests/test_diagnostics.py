@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qgbsde import diagnostics
-from qgbsde.diagnostics import (BmoEstimate, TruncationPoint, diagnose_pass,
-                                effective_qbar, fit_convergence_order,
-                                regularity_pass, truncation_error_curve)
+from qgbsde.diagnostics import (TruncationPoint, diagnose_pass, effective_qbar,
+                                fit_convergence_order, regularity_pass,
+                                truncation_error_curve)
 from qgbsde.errors import InvalidParameters, InvalidPoints, PicardDivergence
 from qgbsde.model import (ModelSpec, Partition, empty_time_major, make_brownian,
                           make_gbm, make_quadratic)
@@ -290,16 +290,20 @@ def test_regularity_pass_matches_stored_solutions(case, monkeypatch):
 
 
 def _ref_bmo(sol, ens, basis):
-    """The BMO estimate from a stored solution: every node's tail sum of
-    |Z|^2 dt at once, as a reversed cumulative sum over the nodes, each
-    regressed on its node's state."""
+    """The BMO estimate and plain mean from a stored solution: every node's
+    tail sum of |Z|^2 dt at once, as a reversed cumulative sum over the
+    nodes, each regressed on its node's state."""
     terms = (sol.Z ** 2).sum(axis=2) * sol.partition.dt
     tails = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
     nodes = [np.ascontiguousarray(tails[:, i]) for i in range(sol.partition.n_steps)]
     fitted = [project(step_design(basis, ens.states[:, i], step=i), tail[:, None])[0]
               for i, tail in enumerate(nodes)]
-    return BmoEstimate(regression_max=max(float(f.max()) for f in fitted),
-                       plain_max=max(float(tail.mean()) for tail in nodes))
+    return (max(float(f.max()) for f in fitted),
+            max(float(tail.mean()) for tail in nodes))
+
+
+def _bmo(diag):
+    return diag.bmo_estimate, diag.bmo_plain
 
 
 def _standalone_chain(model, ens_c, basis):
@@ -348,13 +352,13 @@ def test_diagnose_pass_matches_the_standalone_chain_bitwise(case, monkeypatch):
     bmo, flows, flow_residual, rep = _standalone_chain(
         model, diagnostics._coarsen(ens_f, factor), basis)
     assert diag.gradient_error is None
-    assert diag.bmo == bmo
-    assert diag.flow_residual == flow_residual
+    assert _bmo(diag) == bmo
+    assert diag.flow_identity_residual == flow_residual
     # every node once, from the last to the first
     assert len(served) == flows.shape[1]
     np.testing.assert_array_equal(np.stack(served[::-1], axis=1), flows)
-    np.testing.assert_array_equal(diag.representation.per_node_rms, rep[:, 0])
-    np.testing.assert_array_equal(diag.representation.per_node_max, rep[:, 1])
+    np.testing.assert_array_equal(diag.representation_rms, rep[:, 0])
+    np.testing.assert_array_equal(diag.representation_max, rep[:, 1])
     if model.name == "gbm":
         assert np.ptp(flows) > 0.1
     else:
@@ -380,7 +384,22 @@ def test_diagnose_pass_at_factor_1_is_the_single_grid_solve(case, monkeypatch):
     np.testing.assert_array_equal(Z, sol.Z)
     assert meta.y_residual_rms[0] == sol.meta.y_residual_rms[0]
     assert meta.z_residual_rms[0] == sol.meta.z_residual_rms[0]
-    assert diag.bmo == _ref_bmo(sol, ens, basis)
+    assert _bmo(diag) == _ref_bmo(sol, ens, basis)
+
+
+def test_coarse_window_is_the_fine_increments_and_their_forward_sum():
+    # one derivation gives the fine steps of a window and the coarse step's
+    # increment, which _lockstep and simulate_variational both read
+    model = make_gbm(mu=0.3, vol=0.4)
+    ens = simulate_forward(model, Partition.uniform(1.0, 12), 500, seed=3)
+    coarse = diagnostics._coarsen(ens, 3)
+    for i in range(4):
+        dws, dw = coarse.window(model, i)
+        assert len(dws) == 3
+        for k, inc in enumerate(dws):
+            np.testing.assert_array_equal(inc, ens.increment(model, 3 * i + k))
+        np.testing.assert_array_equal(dw, (dws[0] + dws[1]) + dws[2])
+        np.testing.assert_array_equal(coarse.increment(model, i), dw)
 
 
 def test_diagnose_pass_goes_on_without_a_failing_gradient():
@@ -396,13 +415,13 @@ def test_diagnose_pass_goes_on_without_a_failing_gradient():
     diverged = "implicit factor 1 - dt f_y reached 2.500e-01; refine the grid (step 1)"
     for model, error in ((stiff, diverged), (dataclasses.replace(quad, b_jac=None), None)):
         diag = diagnose_pass(model, ens_f, 2, GLOBAL2)
-        assert diag.representation is None
+        assert diag.representation_rms is None and diag.representation_max is None
         assert diag.regularity == reg
-        assert diag.bmo == _ref_bmo(sol, ens_c, GLOBAL2)
+        assert _bmo(diag) == _ref_bmo(sol, ens_c, GLOBAL2)
         if error is not None:
             assert diag.gradient_error == error
     assert "b_jac" in diag.gradient_error
-    assert diag.flow_residual is None
+    assert diag.flow_identity_residual is None
 
 
 def test_diagnose_pass_releases_the_flows_when_the_gradient_fails(monkeypatch):
@@ -444,7 +463,7 @@ def test_pass_result_does_not_keep_the_fine_states(run):
     gc.collect()
     assert all(ref() is None for ref in refs)  # while the result lives on
     if run is diagnose_pass:  # its flows and gradient ran
-        assert result.representation is not None
+        assert result.representation_rms is not None
 
 
 def test_factor_1_runs_each_backward_step_once(monkeypatch):
@@ -485,10 +504,9 @@ def test_bmo_estimate_constant_control(monkeypatch):
 
     monkeypatch.setattr(diagnostics, "_backward_step", unit_control)
     ens = simulate_forward(make_brownian(), Partition.uniform(1.0, 8), 2000, seed=3)
-    est = diagnose_pass(make_brownian(), ens, 1, GLOBAL2).bmo
-    assert isinstance(est, BmoEstimate)
-    assert est.plain_max == pytest.approx(1.0, rel=1e-12)
-    assert est.regression_max == pytest.approx(1.0, rel=1e-6)
+    diag = diagnose_pass(make_brownian(), ens, 1, GLOBAL2)
+    assert diag.bmo_plain == pytest.approx(1.0, rel=1e-12)
+    assert diag.bmo_estimate == pytest.approx(1.0, rel=1e-6)
 
 
 def test_truncation_curve_saturated_levels_are_exact_zero():
