@@ -240,7 +240,7 @@ def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     return _lockstep(model, fine, _coarsen(fine, factor), basis)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagnosis:
     """A regularity pass and the checks diagnose_pass makes on its coarse
     solution, each named after the diagnose report row it feeds. The (N,)
@@ -248,7 +248,9 @@ class Diagnosis:
     over paths, whose mean and max are those rows, and are None when the
     flows or the gradient failed; gradient_error is then the message of the
     error that stopped them. flow_identity_residual, the flows' largest
-    identity residual, is None when they could not be simulated."""
+    identity residual, is None when they could not be simulated. Records
+    compare and hash by identity, since their arrays have no single truth
+    value."""
 
     regularity: Regularity
     bmo_estimate: float
@@ -365,9 +367,12 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     terminal row, since they share g. A level reads the reference's row,
     with error 0, until the first step where min(n, reference_level) is
     below the max |z| of the reference's pair: there it takes that pair and
-    from then on steps a row of its own under its own driver. So each
-    level's errors, y0, z0 and step-0 residual RMS are bit for bit its own
-    solve_backward_regression's, and no full solution is stored. Every
+    from then on steps a row of its own under its own driver. At each step
+    the reference's row steps first, and then each level's row right after
+    its own pair, so the reference's pair and one level's pair are held at a
+    time; step 0 keeps only the mean z0 and the residual RMS of each pair.
+    So each level's errors, y0, z0 and step-0 residual RMS are bit for bit
+    its own solve_backward_regression's, and no full solution is stored. Every
     ladder level at or above realized_max_z (the reference's max |Z|) keeps
     error 0, since the reference lies above it too.
 
@@ -395,35 +400,45 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     y_sq_max = y_ref ** 2
     err_z_steps = {n: np.zeros(n_steps) for n in kept}
     realized = 0.0
+    first = {}  # (z0, y0 and z0 residual RMS) of each row's step-0 pair
+
+    def scalars(pair):
+        _, z, y_rms, z_rms = pair
+        return tuple(z.mean(axis=0).tolist()), y_rms, z_rms
+
     for i in range(n_steps - 1, -1, -1):
         dt = times[i + 1] - times[i]
         design = step_design(basis, ensemble.states[:, i], step=i)
         dw = ensemble.increment(model, i)
-        pairs = {n: _row_pair(design, ensemble, i, dw, row) for n, row in own.items()}
         ref_pair = _row_pair(design, ensemble, i, dw, y_ref)
         top = float(np.abs(ref_pair[1]).max())
         realized = max(realized, top)
-        for n in kept:  # a level leaves once its clamp or the reference's engages
-            if n != ref_level and n not in own and min(n, ref_level) < top:
-                own[n], pairs[n] = y_ref, ref_pair
-        # the old rows are freed once every row has stepped: the sweep's time
-        # and peak RSS move with the order in which its arrays are freed
-        own, y_ref = ({n: _implicit_step(models[n], ensemble, i, *pairs[n][:2])[0]
-                       for n in own},
-                      _implicit_step(models[ref_level], ensemble, i, *ref_pair[:2])[0])
+        y_ref = _implicit_step(models[ref_level], ensemble, i, *ref_pair[:2])[0]
         np.maximum(y_sq_max, y_ref ** 2, out=y_sq_max)
-        for n, row in own.items():
-            dy, dz = row - y_ref, pairs[n][1] - ref_pair[1]
+        # a level leaves once its clamp or the reference's engages, on the
+        # reference's pair; the others step right after their own pair, so
+        # one level's pair is held at a time, and its old row goes with it
+        leaving = [n for n in kept
+                   if n != ref_level and n not in own and min(n, ref_level) < top]
+        for n in [*own, *leaving]:
+            pair = ref_pair if n in leaving else _row_pair(design, ensemble, i, dw,
+                                                           own.pop(n))
+            row = own[n] = _implicit_step(models[n], ensemble, i, *pair[:2])[0]
+            dy, dz = row - y_ref, pair[1] - ref_pair[1]
             np.maximum(err_y_path[n], dy * dy, out=err_y_path[n])
             err_z_steps[n][i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
-        if i:  # not held through the next step's design; step 0's make the points
-            del pairs, ref_pair
+            if not i:
+                first[n] = scalars(pair)
+            del pair, dy, dz
+        if not i:
+            first[ref_level] = scalars(ref_pair)
+        del ref_pair  # not held through the next step's design
 
     def point(n):
-        _, z, y_rms, z_rms = pairs.get(n, ref_pair)
+        z0, y_rms, z_rms = first.get(n, first[ref_level])
         return TruncationPoint(
             level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
-            y0=float(own.get(n, y_ref).mean()), z0=tuple(z.mean(axis=0).tolist()),
+            y0=float(own.get(n, y_ref).mean()), z0=z0,
             y0_residual_rms=y_rms, z0_residual_rms=z_rms)
 
     return TruncationCurve(points=tuple(point(n) for n in lv), reference_level=ref_level,

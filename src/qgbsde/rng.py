@@ -10,6 +10,11 @@ arithmetic possible.
 numpy's Philox.advance(k) moves k whole 256-bit counter increments, i.e.
 4 k single 64-bit draws, so every path is padded to a whole number of 4-draw
 blocks (at most 3 draws per path are discarded).
+
+scipy (for scipy.special.ndtri, the inverse normal CDF) is imported at the
+first draw, not with the module: it costs about 18 MB resident and a few
+tenths of a second, and a command that reads its ensemble from the cache
+draws nothing, so it never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 _DRAWS_PER_ADVANCE = 4
 # One block's normals, 8 * _DEFAULT_BLOCK * 4 ceil(N d / 4) bytes, sit on top
@@ -37,6 +41,8 @@ def _fill_block(seed, p0, p1, n_steps, d):
     """Standard normals (p1 - p0, n_steps, d) of the paths [p0, p1), the
     value at [p - p0, i, j] a function of (seed, p, i, j) alone; computed in
     place on the uniforms, so no second block-sized array exists."""
+    from scipy.special import ndtri  # every draw passes here; see the module doc
+
     bpp = _blocks_per_path(n_steps, d)
     bg = Philox(key=seed)
     bg.advance(p0 * bpp)

@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import functools
+import json
 import math
 import os
 import re
@@ -683,16 +684,39 @@ def test_simulate_writes_ensemble(tmp_path):
     assert x_max_abs == repr(float(np.abs(ens.states).max()))
 
 
-def test_cli_imports_no_heavy_scipy_subpackage():
-    # in a fresh interpreter: the test session itself imports scipy.integrate
+def test_cli_imports_no_heavy_scipy_subpackage(tmp_path, monkeypatch):
+    # in a fresh interpreter: the test session itself imports scipy. scipy
+    # is imported at the first draw, so neither the import nor a sweep on a
+    # cached ensemble loads any of it; a simulate, which draws, loads
+    # scipy.special, so the first two checks cannot pass vacuously
+    monkeypatch.setenv("QGBSDE_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = _write(tmp_path, SMALL_QUADRATIC)
+    assert main(["--config", cfg, "--command", "simulate", "--out", str(tmp_path / "a")]) == 0
     src = Path(__file__).resolve().parents[1] / "src"
     heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
-    code = ("import sys, qgbsde.cli; "
-            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    code = f"""
+import json, os, sys
+seen = []
+def record():
+    seen.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+def run(command, out):
+    assert qgbsde.cli.main(["--config", {cfg!r}, "--command", command,
+                            "--out", os.path.join({str(tmp_path)!r}, out)]) == 0
+    record()
+import qgbsde.cli
+record()
+run("truncate_sweep", "b")
+del os.environ["QGBSDE_CACHE_DIR"]
+run("simulate", "c")
+print(json.dumps(seen))
+"""
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == []
+    at_import, after_sweep, after_simulate = json.loads(out.splitlines()[-1])
+    assert at_import == after_sweep == []
+    assert "scipy.special" in after_simulate
+    assert not set(heavy) & set(after_simulate)
 
 
 _REGULARITY_ROWS = ("y_increment_sq", "y_increment_ratio", "z_regularity_sum",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -466,6 +467,17 @@ def test_pass_result_does_not_keep_the_fine_states(run):
         assert result.representation_rms is not None
 
 
+def test_diagnoses_compare_and_hash_by_identity():
+    # the per-node arrays have no single truth value, so two passes on the
+    # same paths are two records, and neither == nor hash() raises
+    ens = simulate_forward(QUAD6, Partition.uniform(1.0, 8), 500, seed=3)
+    a, b = (diagnose_pass(QUAD6, ens, 2, GLOBAL2) for _ in range(2))
+    assert a.representation_rms.size > 1
+    np.testing.assert_array_equal(a.representation_rms, b.representation_rms)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_factor_1_runs_each_backward_step_once(monkeypatch):
     # the window's one fine step is the coarse step bit for bit (the
     # factor_1 pass case), so it is taken from the coarse step, not rerun
@@ -571,6 +583,30 @@ def test_batched_curve_matches_per_level_solves():
         assert ([p.err_y == 0.0 for p in curve.points]
                 == [n >= curve.realized_max_z for n in levels])
     assert curve.realized_max_z > ref_level  # the reference split off
+
+
+def test_sweep_holds_one_level_pair_at_a_time():
+    # numpy reports its buffers to tracemalloc. Once the ensemble exists,
+    # the sweep holds each level's row and per-path err_y maxima, the
+    # reference's row and its per-path max of Y^2, the reference's pair and
+    # one level's pair (the conditional mean and z, 1 + d columns each), the
+    # design's feature rows, and one step's temporaries, fewer than 12
+    # columns. Every level's pair held at once would add 1 + d per level.
+    model, P, d, k = make_quadratic(), 4000, 1, 8
+    ens = simulate_forward(model, Partition.uniform(1.0, 8), P, seed=5)
+    levels = [0.02 * (j + 1) for j in range(k)]
+    tracemalloc.start()
+    try:
+        at_ensemble = tracemalloc.get_traced_memory()[0]
+        curve = truncation_error_curve(model, ens, GLOBAL2, levels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(p.err_y > 0.0 for p in curve.points)  # every level leaves
+    extra_columns = (peak - at_ensemble) / (8 * P)
+    n_features = 3  # GLOBAL2 at m = 1
+    # about 31 here and 56 with every pair held
+    assert extra_columns < 2 * k + 2 + 2 * (1 + d) + n_features + 12, extra_columns
 
 
 def _own_solve_point(model, ens, level, ref):
