@@ -8,14 +8,14 @@ coarse-grid approximations of it, and the largest mean-square step of the
 fine control. regularity_pass restricts the fine ensemble to the coarse
 grid (a coarse increment is the forward-order sum of the fine increments
 derived in its window) and computes all of them in one backward pass that
-advances the coarse and the fine solve in lockstep, window by window: each
-coarse node's regression design serves the coarse step, the fine step at
-that node and both coarse fits of the control, and the fine solution is
-held one window at a time. The window's statistics walk its time-major Y
-and Z rows one at a time: each row difference is one subtraction into a
-buffer allocated once per pass and one dot, and the window average is one
-product of the fine steps with the window's Z rows, so no (P, r, d)
-temporary is built. diagnose_pass is the same pass with the
+walks the coarse solve (solver.backward_walk) and steps the fine one through
+each coarse window: each coarse node's regression design serves the coarse
+step, the fine step at that node and both coarse fits of the control, and
+the fine solution is held one window at a time. The window's statistics
+walk its time-major Y and Z rows one at a time: each row difference is one
+subtraction into a buffer allocated once per pass and one dot, and the
+window average is one product of the fine steps with the window's Z rows,
+so no (P, r, d) temporary is built. diagnose_pass is the same pass with the
 remaining checks of the diagnose command taken at each coarse node on that
 node's design: the BMO tail estimate, as a backward running tail sum, and
 the gradient step and representation residual of variational, on flows
@@ -27,10 +27,11 @@ field per diagnose report row; the representation residual's RMS and max
 are kept per node.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
-the order of the error decay (and the implied tail exponent). A level reads
-the reference's row until its clamp or the reference's engages on the
-reference's max |Z|, and then steps a row of its own, bit for bit its own
-solve. The same pass can solve one more level that it does not report.
+the order of the error decay (and the implied tail exponent). It walks the
+reference's row; a level reads it until its clamp or the reference's engages
+on the reference's max |Z|, and then steps a row of its own, bit for bit its
+own solve. The same pass can solve one more level that it does not report.
+Both passes keep their walked row's health (SolverMeta) as the result's meta.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import InvalidParameters, InvalidPoints, QgbsdeError
 from .model import ModelSpec, Partition, empty_time_major
 from .regression import RegressionBasis, project, step_design
 from .sde import PathEnsemble, euler_increment, simulate_variational
-from .solver import _backward_step, _implicit_step, _row_pair, _start_backward
+from .solver import SolverMeta, _implicit_step, _row_pair, backward_walk
 from .truncation import truncate_driver
 from .variational import _gradient_step, _representation_node, _terminal_gradient
 
@@ -104,6 +105,7 @@ class Regularity:
     z_regularity_node: float
     z_regularity_left_endpoint: float
     z_increment_sq: float
+    meta: SolverMeta = field(compare=False)  # the coarse row's, by step
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,6 @@ class _Coarse(PathEnsemble):
         dws = [euler_increment(model, times, j, x[:, j], x[:, j + 1])
                for j in range(i * r, i * r + r)]
         return dws, reduce(np.add, dws)
-
-    def increment(self, model: ModelSpec, i) -> np.ndarray:
-        return self.window(model, i)[1]
 
 
 def _coarsen(fine: PathEnsemble, factor: int) -> _Coarse:
@@ -164,35 +163,32 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: _Coarse,
     for bit, since its terms are added in another order."""
     n = coarse.partition.n_steps
     r = fine.partition.n_steps // n
-    y_next = _start_backward(model, coarse)
     h, dt_f = coarse.partition.dt, fine.partition.dt
     P, d = fine.n_paths, fine.d
     # the fine Y and Z of the current window; slot r holds its right end,
     # the left end of the window after it
     yw = empty_time_major(r + 1, P)
     zw = empty_time_major(r + 1, P, (d,))
-    yw[:, r] = y_next
+    walk = backward_walk(model, coarse, basis)
+    yw[:, r], meta = next(walk)
     # the statistics' buffers: one row difference of Y and of Z, and the
     # window average, a product of dt with the window's time-major Z rows
     dy, dz, avg = np.empty(P), np.empty((P, d)), np.empty((P, d))
     z_rows = zw.swapaxes(0, 1)[:r].reshape(r, P * d)
     y_inc = z_inc = 0.0
     sums = np.empty((3, n))  # window, node and left-endpoint contributions
-    for i in range(n - 1, -1, -1):
+    for i, design, dws, dw, (_, z, *_), y in walk:
         lo = i * r
-        design = step_design(basis, coarse.states[:, i], step=i)
-        dws, dw = coarse.window(model, i)
         for k in range(r - 1, -1, -1) if r > 1 else ():
             j = lo + k
-            fine_design = design if k == 0 else step_design(basis, fine.states[:, j],
-                                                            step=j)
-            yw[:, k], zw[:, k], *_ = _backward_step(model, fine_design, fine, j,
-                                                    dws[k], yw[:, k + 1])
-        y_next, z, *_ = _backward_step(model, design, coarse, i, dw, y_next)
+            pair = _row_pair(step_design(basis, fine.states[:, j], step=j)
+                             if k else design, fine, j, dws[k], yw[:, k + 1])
+            yw[:, k], zw[:, k] = _implicit_step(model, fine, j, *pair[:2])[0], pair[1]
+            del pair  # not held through the next fine step
         if r == 1:
-            yw[:, 0], zw[:, 0] = y_next, z
+            yw[:, 0], zw[:, 0] = y, z
         if at_node is not None:
-            at_node(i, design, dw, y_next, z)
+            at_node(i, design, dw, y, z)
 
         for k in range(1, r + 1):
             y_inc = max(y_inc, _sq_distance(yw[:, k], yw[:, 0], dy) / P)
@@ -208,10 +204,12 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: _Coarse,
         for k in range(r - (i == n - 1)):
             z_inc = max(z_inc, _sq_distance(zw[:, k + 1], zw[:, k], dz) / P)
         yw[:, r], zw[:, r] = yw[:, 0], zw[:, 0]
+        del design, dws, dw  # not held through the walk's next step
     window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
     return Regularity(y_increment_sq=y_inc,
                       z_regularity_sum=float(window), z_regularity_node=float(node),
-                      z_regularity_left_endpoint=float(left), z_increment_sq=z_inc)
+                      z_regularity_left_endpoint=float(left), z_increment_sq=z_inc,
+                      meta=meta)
 
 
 def regularity_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
@@ -337,6 +335,7 @@ class TruncationCurve:
     reference_level: float
     realized_max_z: float
     y_scale: float
+    meta: SolverMeta = field(compare=False)  # the reference row's, by step
     solve: TruncationPoint | None = None  # at the level argument, not in points
 
     @property
@@ -361,8 +360,8 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         err_y(n) = E max_i |Y^n_i - Y^ref_i|^2
         err_z(n) = E sum_i |Z^n_i - Z^ref_i|^2 dt_i
 
-    Every level and the reference run in one backward pass on one design
-    and increment per step, through the kernels of a single solve
+    Every level runs in the reference's walk (solver.backward_walk), on its
+    one design and increment per step, through the kernels of a single solve
     (solver._row_pair, solver._implicit_step). All start on the reference's
     terminal row, since they share g. A level reads the reference's row,
     with error 0, until the first step where min(n, reference_level) is
@@ -392,7 +391,8 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     # the levels whose errors are kept: the ladder and the solved level
     kept = lv if level is None else sorted({*lv, float(level)})
     models = {n: truncate_driver(model, n) for n in (*kept, ref_level)}
-    y_ref = _start_backward(models[ref_level], ensemble)
+    walk = backward_walk(models[ref_level], ensemble, basis)
+    y_ref, meta = next(walk)
     own = {}  # the rows of the levels that have left the reference's
     times, n_steps = ensemble.partition.times, ensemble.partition.n_steps
     # running per-path maxima over the nodes seen so far, terminal included
@@ -406,14 +406,10 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         _, z, y_rms, z_rms = pair
         return tuple(z.mean(axis=0).tolist()), y_rms, z_rms
 
-    for i in range(n_steps - 1, -1, -1):
+    for i, design, _, dw, ref_pair, y_ref in walk:
         dt = times[i + 1] - times[i]
-        design = step_design(basis, ensemble.states[:, i], step=i)
-        dw = ensemble.increment(model, i)
-        ref_pair = _row_pair(design, ensemble, i, dw, y_ref)
         top = float(np.abs(ref_pair[1]).max())
         realized = max(realized, top)
-        y_ref = _implicit_step(models[ref_level], ensemble, i, *ref_pair[:2])[0]
         np.maximum(y_sq_max, y_ref ** 2, out=y_sq_max)
         # a level leaves once its clamp or the reference's engages, on the
         # reference's pair; the others step right after their own pair, so
@@ -432,7 +428,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
             del pair, dy, dz
         if not i:
             first[ref_level] = scalars(ref_pair)
-        del ref_pair  # not held through the next step's design
+        del ref_pair, design, dw  # not held through the walk's next step
 
     def point(n):
         z0, y_rms, z_rms = first.get(n, first[ref_level])
@@ -443,6 +439,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
 
     return TruncationCurve(points=tuple(point(n) for n in lv), reference_level=ref_level,
                            realized_max_z=realized, y_scale=float(y_sq_max.mean()),
+                           meta=meta,
                            solve=None if level is None else point(float(level)))
 
 

@@ -65,10 +65,16 @@ class PathEnsemble:
 
     d = m
 
+    def window(self, model: ModelSpec, i) -> tuple[list[np.ndarray], np.ndarray]:
+        """Step i's increments (P, d) and their sum: here ([dw], dw), see
+        euler_increment; a coarsened ensemble gives its window's fine ones."""
+        dw = euler_increment(model, self.partition.times, i, self.states[:, i],
+                             self.states[:, i + 1])
+        return [dw], dw
+
     def increment(self, model: ModelSpec, i) -> np.ndarray:
-        """Step i's Brownian increment (P, d), see euler_increment."""
-        return euler_increment(model, self.partition.times, i, self.states[:, i],
-                               self.states[:, i + 1])
+        """Step i's Brownian increment (P, d), the sum of its window."""
+        return self.window(model, i)[1]
 
 
 def euler_increment(model: ModelSpec, times, i, x, x_next) -> np.ndarray:

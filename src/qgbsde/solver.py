@@ -10,11 +10,13 @@ dW_i derived from the states once per step (sde.euler_increment). The Monte
 Carlo solver estimates the conditional expectations by least-squares
 regression on the state, both as projections on one regression design per
 step (_martingale_pair, which the gradient solve in variational shares),
-and resolves the implicit step under one driver (_implicit_step). Every
-whole-grid walk projects its rows through one single-row kernel (_row_pair):
-the whole-grid solve here, a coarse and a nested fine solve in lockstep on
-shared designs (the regularity pass in diagnostics), and the truncation
-sweep in diagnostics, on the reference's row and each level's that left it.
+and resolves the implicit step under one driver (_implicit_step). One
+generator, backward_walk, is the node loop of every whole-grid pass: it
+builds the designs, derives the increments and steps one row, keeping its
+per-step health (SolverMeta). The solve here stores that row; the passes in
+diagnostics step their other rows on its nodes through the same single-row
+kernel (_row_pair): the regularity pass each window's fine rows, the
+truncation sweep each level's row that left the reference's.
 The quadrature solver computes them exactly against the one-step Euler
 Gaussian transition and serves as a slow, grid-bound cross-check for
 one-dimensional models.
@@ -49,7 +51,7 @@ from .sde import PathEnsemble
 PICARD_PASSES = 3
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverMeta:
     y_residual_rms: np.ndarray
     z_residual_rms: np.ndarray
@@ -58,7 +60,7 @@ class SolverMeta:
     fallback_cells: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackwardSolution:
     """Per-path backward estimates on the ensemble's grid.
 
@@ -86,14 +88,6 @@ def _require_lipschitz_driver(model: ModelSpec):
             "driver is not certified Lipschitz in z; apply truncate_driver first")
 
 
-def _check_solver_inputs(model: ModelSpec, ensemble: PathEnsemble):
-    _require_lipschitz_driver(model)
-    if ensemble.m != model.m or ensemble.d != model.d:
-        raise InvalidParameters(
-            f"ensemble dims (m={ensemble.m}, d={ensemble.d}) do not match the model "
-            f"(m={model.m}, d={model.d})")
-
-
 def _picard_resolve(f, t, x, base, z, dt, step):
     """At most PICARD_PASSES fixed-point passes for y = base + dt f(t, x, y, z).
 
@@ -117,20 +111,10 @@ def _picard_resolve(f, t, x, base, z, dt, step):
     return y, prev if prev is not None else 0.0
 
 
-def _start_backward(model: ModelSpec, ensemble: PathEnsemble) -> np.ndarray:
-    """Check the solver inputs and return the terminal values (P,)."""
-    _check_solver_inputs(model, ensemble)
-    n = ensemble.partition.n_steps
-    y = np.asarray(model.g(ensemble.states[:, n]))
-    if not np.isfinite(y).all():
-        raise NumericalBlowup("non-finite terminal values", step=n)
-    return y
-
-
 def _martingale_pair(design: StepDesign, ensemble: PathEnsemble, i, dw, v_next):
     """The two conditional expectations of step i for the targets v_next
     (P, k) at node i + 1, each one projection on the design at node i, with
-    dw (P, d) the step's increment (PathEnsemble.increment).
+    dw (P, d) the step's increment (the sum of PathEnsemble.window).
 
     Returns E[v | X_i] (P, k), E[(v - E[v | X_i]) dW_i | X_i] / dt_i
     (P, k, d), and the residual RMS of the two projections, (k,) and
@@ -166,46 +150,57 @@ def _row_pair(design: StepDesign, ensemble: PathEnsemble, i, dw, y_next):
     return mean[:, 0], z[:, 0], float(y_rms[0]), float(np.mean(z_rms))
 
 
-def _backward_step(model: ModelSpec, design: StepDesign, ensemble: PathEnsemble, i,
-                   dw, y_next):
-    """Step i of the recursion under model's driver on the ensemble's paths.
+def backward_walk(model: ModelSpec, ensemble: PathEnsemble, basis: RegressionBasis):
+    """The backward pass of one row under model's driver over the ensemble.
 
-    design is the step's design on the state at node i, dw (P, d) its
-    increment and y_next (P,) the solution at node i + 1. The conditional
-    expectations come from _row_pair and the implicit step from
-    _implicit_step. Returns
-    (y (P,), z (P, d), residual RMS of the Y projection, mean residual RMS
-    of the Z projection, Picard residual).
+    Yields the terminal row g(X_N) (P,) and the SolverMeta it fills, then
+    for i = N - 1 down to 0 (i, design, dws, dw, pair, y): node i's design,
+    the step's increments in forward order and their sum (ensemble.window),
+    the row's _row_pair and its new values (_implicit_step). It drops the
+    pair when resumed. A driver not certified Lipschitz raises RejectedModel,
+    dims other than the model's InvalidParameters, and a non-finite terminal
+    row NumericalBlowup with step N, all before any step.
     """
-    cond_mean, z, y_rms, z_rms = _row_pair(design, ensemble, i, dw, y_next)
-    y, residual = _implicit_step(model, ensemble, i, cond_mean, z)
-    return y, z, y_rms, z_rms, residual
+    _require_lipschitz_driver(model)
+    if ensemble.m != model.m or ensemble.d != model.d:
+        raise InvalidParameters(
+            f"ensemble dims (m={ensemble.m}, d={ensemble.d}) do not match the model "
+            f"(m={model.m}, d={model.d})")
+    n = ensemble.partition.n_steps
+    y = np.asarray(model.g(ensemble.states[:, n]))
+    if not np.isfinite(y).all():
+        raise NumericalBlowup("non-finite terminal values", step=n)
+    meta = SolverMeta(y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
+                      picard_residuals=np.empty(n), conditions=np.empty(n),
+                      fallback_cells=np.zeros(n, dtype=np.int64))
+    yield y, meta
+    for i in range(n - 1, -1, -1):
+        design = step_design(basis, ensemble.states[:, i], step=i)
+        dws, dw = ensemble.window(model, i)
+        pair = _row_pair(design, ensemble, i, dw, y)
+        y, meta.picard_residuals[i] = _implicit_step(model, ensemble, i, *pair[:2])
+        meta.y_residual_rms[i], meta.z_residual_rms[i] = pair[2:]
+        meta.conditions[i] = design.condition
+        meta.fallback_cells[i] = design.fallback_cells
+        yield i, design, dws, dw, pair, y
+        del pair
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
                               basis: RegressionBasis) -> BackwardSolution:
-    """Regression Monte Carlo dynamic programming over the ensemble.
+    """Regression Monte Carlo dynamic programming: backward_walk's rows.
 
     Each step regresses on one design of the state (step_design) and resolves
     the implicit step with at most PICARD_PASSES passes. Y is whatever the
     scheme gives: the a-priori bound on the exact |Y| is not imposed.
     """
-    terminal = _start_backward(model, ensemble)
     P, n, d = ensemble.n_paths, ensemble.partition.n_steps, ensemble.d
     Y = empty_time_major(n + 1, P)
     Z = empty_time_major(n, P, (d,))
-    Y[:, n] = terminal
-    meta = SolverMeta(y_residual_rms=np.empty(n), z_residual_rms=np.empty(n),
-                      picard_residuals=np.empty(n), conditions=np.empty(n),
-                      fallback_cells=np.zeros(n, dtype=np.int64))
-    for i in range(n - 1, -1, -1):
-        design = step_design(basis, ensemble.states[:, i], step=i)
-        (Y[:, i], Z[:, i], meta.y_residual_rms[i], meta.z_residual_rms[i],
-         meta.picard_residuals[i]) = _backward_step(model, design, ensemble, i,
-                                                    ensemble.increment(model, i),
-                                                    Y[:, i + 1])
-        meta.conditions[i] = design.condition
-        meta.fallback_cells[i] = design.fallback_cells
+    walk = backward_walk(model, ensemble, basis)
+    Y[:, n], meta = next(walk)
+    for i, *_, pair, y in walk:
+        Y[:, i], Z[:, i] = y, pair[1]
     return BackwardSolution(partition=ensemble.partition, Y=Y, Z=Z, meta=meta)
 
 

@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgbsde import cli, diagnostics, solver
+from qgbsde import cli, diagnostics, sde, solver
 from qgbsde.cli import get_ensemble, main
 from qgbsde.errors import QuadratureUnstable
 from qgbsde.model import Partition, make_brownian, make_quadratic
 from qgbsde.oracle import cole_hopf_from_model, cole_hopf_increment_stat
 from qgbsde.regression import RegressionBasis, step_design
-from qgbsde.sde import (dump_ensemble, load_ensemble, simulate_forward,
-                        simulate_variational)
+from qgbsde.sde import (dump_ensemble, euler_increment, load_ensemble,
+                        simulate_forward, simulate_variational)
 from qgbsde.solver import solve_backward_regression
 
 BASE = """
@@ -457,6 +457,18 @@ def _count_step_designs(monkeypatch):
     return steps
 
 
+def _count_increments(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return euler_increment(*args)
+
+    for module in (sde, diagnostics):  # the only modules that derive increments
+        monkeypatch.setattr(module, "euler_increment", counting)
+    return calls
+
+
 SMALL_QUADRATIC = BASE.replace("name = brownian", "name = quadratic").replace(
     "n_steps = 4", "n_steps = 4\nrefine_factor = 2\nladder = 2 4") + """
 [truncation]
@@ -464,21 +476,28 @@ levels = 0.5 1.0
 """
 
 
-@pytest.mark.parametrize("command, extra, calls", [
+@pytest.mark.parametrize("command, extra, calls, increments", [
     # one design per fine node of the pass: the coarse node's serves the
-    # coarse step, the fine step there, and the BMO and gradient checks
-    ("diagnose", "", 8),
-    # plus one per step for the sweep, which solves the run's level too
-    ("all", "", 4 + 8),
+    # coarse step, the fine step there, and the BMO and gradient checks.
+    # One increment per fine step for the pass, whose coarse steps sum
+    # them; per coarse flow step two more, once as the flows are checked and
+    # once as they are served (3 of the 4 steps are rebuilt, at s = 3)
+    ("diagnose", "", 8, 8 + 8 + 6),
+    # plus one design and one increment per step for the sweep, which
+    # solves the run's level too
+    ("all", "", 4 + 8, 4 + 8 + 8 + 6),
     # a level on the ladder is that ladder row of the sweep
-    ("all", "level = 1.0\n", 4 + 8),
-    ("converge", "", 2 * 2 + 2 * 4),
+    ("all", "level = 1.0\n", 4 + 8, 4 + 8 + 8 + 6),
+    ("converge", "", 2 * 2 + 2 * 4, 4 + 8),
 ], ids=["diagnose-8", "all-12", "all-on-ladder-12", "converge-12"])
-def test_each_design_is_built_once(tmp_path, monkeypatch, command, extra, calls):
+def test_each_design_is_built_once(tmp_path, monkeypatch, command, extra, calls,
+                                   increments):
     steps = _count_step_designs(monkeypatch)
+    derived = _count_increments(monkeypatch)
     cfg = _write(tmp_path, SMALL_QUADRATIC + extra)
     assert main(["--config", cfg, "--command", command, "--out", str(tmp_path / "o")]) == 0
     assert len(steps) == calls
+    assert len(derived) == increments
 
 
 _NOT_GRADIENT = ("y_increment_sq", "y_increment_ratio", "z_regularity_sum",

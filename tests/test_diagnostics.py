@@ -216,34 +216,36 @@ _PASS_CASES = {
 }
 
 
-def _recording_coarse_steps(monkeypatch, fine):
-    """Record what every coarse step of a pass over fine returns, by node:
-    Y_i, Z_i, the two residual RMS, the Picard residual and the design's
-    condition and fallback count, in the layout of a BackwardSolution."""
-    steps = {}
+def _wrapping_walk(monkeypatch, node_map):
+    """Patch the walk of the diagnostics passes so that each node it yields,
+    (i, design, dws, dw, pair, y), reaches the pass as node_map(node)."""
+    def wrapped(model, ensemble, basis):
+        walk = solver.backward_walk(model, ensemble, basis)
+        yield next(walk)
+        for node in walk:
+            yield node_map(node)
 
-    def recording(model, design, ensemble, i, dw, y_next):
-        out = solver._backward_step(model, design, ensemble, i, dw, y_next)
-        if ensemble is not fine:
-            steps[i] = (design, *out)
-        return out
+    monkeypatch.setattr(diagnostics, "backward_walk", wrapped)
 
-    monkeypatch.setattr(diagnostics, "_backward_step", recording)
+
+def _recording_coarse_steps(monkeypatch):
+    """Record the coarse row of a pass as its walk yields it, by node: Y_i
+    and Z_i, in the layout of a BackwardSolution."""
+    rows = {}
+
+    def recording(node):
+        i, *_, pair, y = node
+        rows[i] = (y, pair[1])
+        return node
+
+    _wrapping_walk(monkeypatch, recording)
 
     def solution():
-        n = len(steps)
-        assert sorted(steps) == list(range(n))
-        design, y, z, y_rms, z_rms, pic = zip(*(steps[i] for i in range(n)))
-        return (np.stack(y, axis=1), np.stack(z, axis=1),
-                _meta_of(design, y_rms, z_rms, pic))
+        n = len(rows)
+        assert sorted(rows) == list(range(n))
+        y, z = zip(*(rows[i] for i in range(n)))
+        return np.stack(y, axis=1), np.stack(z, axis=1)
     return solution
-
-
-def _meta_of(designs, y_rms, z_rms, pic):
-    return SolverMeta(y_residual_rms=np.array(y_rms), z_residual_rms=np.array(z_rms),
-                      picard_residuals=np.array(pic),
-                      conditions=np.array([d.condition for d in designs]),
-                      fallback_cells=np.array([d.fallback_cells for d in designs]))
 
 
 @pytest.mark.parametrize("case", list(_PASS_CASES))
@@ -252,7 +254,7 @@ def test_regularity_pass_matches_stored_solutions(case, monkeypatch):
     ens_f = simulate_forward(model, Partition.uniform(1.0, n_fine), n_paths, seed=3)
     if path_major:
         ens_f = _path_major(ens_f)
-    coarse_solution = _recording_coarse_steps(monkeypatch, ens_f)
+    coarse_solution = _recording_coarse_steps(monkeypatch)
     reg = regularity_pass(model, ens_f, factor, basis)
     # the coarse ensemble: the fine states at every factor-th node, and the
     # window sums of the fine increments
@@ -281,13 +283,14 @@ def test_regularity_pass_matches_stored_solutions(case, monkeypatch):
     # match to rel 1e-12
     assert {k: getattr(reg, k) for k in want} == {
         k: pytest.approx(v, rel=1e-12, abs=0.0) for k, v in want.items()}
-    # the coarse solve, held one node at a time, is the stored one's bit for bit
-    Y, Z, meta = coarse_solution()
+    # the coarse solve, held one node at a time, is the stored one's bit for
+    # bit, and so is the health the pass keeps of it
+    Y, Z = coarse_solution()
     np.testing.assert_array_equal(Y, sol_c.Y[:, :-1])
     np.testing.assert_array_equal(Z, sol_c.Z)
-    for field in ("y_residual_rms", "z_residual_rms", "picard_residuals",
-                  "conditions", "fallback_cells"):
-        np.testing.assert_array_equal(getattr(meta, field), getattr(sol_c.meta, field))
+    for field in dataclasses.fields(SolverMeta):
+        np.testing.assert_array_equal(getattr(reg.meta, field.name),
+                                      getattr(sol_c.meta, field.name))
 
 
 def _ref_bmo(sol, ens, basis):
@@ -372,7 +375,7 @@ def test_diagnose_pass_at_factor_1_is_the_single_grid_solve(case, monkeypatch):
     # taken on the solve_backward_regression of the given paths
     model, basis, n_steps, _, n_paths = _DIAGNOSE_CASES[case]
     ens = simulate_forward(model, Partition.uniform(1.0, n_steps), n_paths, seed=3)
-    coarse_solution = _recording_coarse_steps(monkeypatch, ens)
+    coarse_solution = _recording_coarse_steps(monkeypatch)
     diag = diagnose_pass(model, ens, 1, basis)
     ens_c = diagnostics._coarsen(ens, 1)
     np.testing.assert_array_equal(ens_c.states, ens.states)
@@ -380,7 +383,8 @@ def test_diagnose_pass_at_factor_1_is_the_single_grid_solve(case, monkeypatch):
     for i in range(n_steps):
         np.testing.assert_array_equal(ens_c.increment(model, i), ens.increment(model, i))
     sol = solve_backward_regression(model, ens, basis)
-    Y, Z, meta = coarse_solution()
+    Y, Z = coarse_solution()
+    meta = diag.regularity.meta
     np.testing.assert_array_equal(Y, sol.Y[:, :-1])
     np.testing.assert_array_equal(Z, sol.Z)
     assert meta.y_residual_rms[0] == sol.meta.y_residual_rms[0]
@@ -474,20 +478,27 @@ def test_diagnoses_compare_and_hash_by_identity():
     a, b = (diagnose_pass(QUAD6, ens, 2, GLOBAL2) for _ in range(2))
     assert a.representation_rms.size > 1
     np.testing.assert_array_equal(a.representation_rms, b.representation_rms)
-    assert a == a and a != b
-    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    # and so are two solves, and their health records
+    s, t = (solve_backward_regression(QUAD6, ens, GLOBAL2) for _ in range(2))
+    np.testing.assert_array_equal(s.Y, t.Y)
+    for a, b in ((a, b), (s, t), (s.meta, t.meta)):
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 def test_factor_1_runs_each_backward_step_once(monkeypatch):
     # the window's one fine step is the coarse step bit for bit (the
-    # factor_1 pass case), so it is taken from the coarse step, not rerun
+    # factor_1 pass case), so it is taken from the coarse step, not rerun.
+    # Every step is one node of the walk (coarse) or one _row_pair of the
+    # pass (fine)
     steps = []
 
-    def counting(model, design, ensemble, i, dw, y_next):
+    def counting(design, ensemble, i, dw, y_next):
         steps.append(i)
-        return solver._backward_step(model, design, ensemble, i, dw, y_next)
+        return solver._row_pair(design, ensemble, i, dw, y_next)
 
-    monkeypatch.setattr(diagnostics, "_backward_step", counting)
+    _wrapping_walk(monkeypatch, lambda node: steps.append(node[0]) or node)
+    monkeypatch.setattr(diagnostics, "_row_pair", counting)
     ens = simulate_forward(QUAD6, Partition.uniform(1.0, 8), 2000, seed=3)
     regularity_pass(QUAD6, ens, 1, GLOBAL2)
     assert steps == list(range(7, -1, -1))
@@ -510,11 +521,11 @@ def test_regularity_pass_rejects_coarse_states_off_the_fine_paths():
 def test_bmo_estimate_constant_control(monkeypatch):
     # |Z| = 1 makes every tail sum T - t_i, so both estimates equal T; the
     # pass's coarse control is replaced by 1 as it is handed to the checks
-    def unit_control(model, design, ensemble, i, dw, y_next):
-        y, z, *rest = solver._backward_step(model, design, ensemble, i, dw, y_next)
-        return (y, np.ones_like(z), *rest)
+    def unit_control(node):
+        *head, (mean, z, *rms), y = node
+        return (*head, (mean, np.ones_like(z), *rms), y)
 
-    monkeypatch.setattr(diagnostics, "_backward_step", unit_control)
+    _wrapping_walk(monkeypatch, unit_control)
     ens = simulate_forward(make_brownian(), Partition.uniform(1.0, 8), 2000, seed=3)
     diag = diagnose_pass(make_brownian(), ens, 1, GLOBAL2)
     assert diag.bmo_plain == pytest.approx(1.0, rel=1e-12)
@@ -579,6 +590,10 @@ def test_batched_curve_matches_per_level_solves():
         got += [curve.realized_max_z, curve.y_scale]
         want += [float(np.abs(ref.Z).max()), float((ref.Y ** 2).max(axis=1).mean())]
         assert got == want
+        # the health of the reference's row is its own solve's
+        for field in dataclasses.fields(SolverMeta):
+            np.testing.assert_array_equal(getattr(curve.meta, field.name),
+                                          getattr(ref.meta, field.name))
         # exactly the levels above the realized max |Z| share the reference
         assert ([p.err_y == 0.0 for p in curve.points]
                 == [n >= curve.realized_max_z for n in levels])
@@ -800,9 +815,10 @@ def test_solved_level_is_checked_before_any_step(monkeypatch, level):
     model = make_quadratic()
     ens = simulate_forward(model, Partition.uniform(1.0, 4), 500, seed=0)
     steps = []
-    monkeypatch.setattr(diagnostics, "step_design",
-                        lambda *args, **kwargs: steps.append(args) or step_design(
-                            *args, **kwargs))
+    for module in (solver, diagnostics):  # the only modules that build designs
+        monkeypatch.setattr(module, "step_design",
+                            lambda *args, **kwargs: steps.append(args) or step_design(
+                                *args, **kwargs))
     with pytest.raises(InvalidParameters):
         truncation_error_curve(model, ens, GLOBAL2, [1.0, 2.0], level=level)
     assert steps == []
