@@ -108,7 +108,7 @@ class Regularity:
     meta: SolverMeta = field(compare=False)  # the coarse row's, by step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Coarse(PathEnsemble):
     """Every r-th node of a fine grid and a view of the fine states it keeps.
     Step i's increment is the forward-order sum of the fine ones in window i,
@@ -278,7 +278,10 @@ def diagnose_pass(model: ModelSpec, fine: PathEnsemble, factor: int,
     solution and the node's flow. The flows are simulated and checked on the
     coarse ensemble before the pass (sde.simulate_variational), which then
     reads them one node at a time in its backward order, each rebuilt from a
-    checkpoint, so about 2 sqrt(N + 1) flow rows are held, not N + 1. Factor
+    checkpoint, so about 2 sqrt(N + 1) flow rows are held, not N + 1. On a
+    model whose b_jac and sigma_jac vanish (brownian, quadratic) the flow is
+    the identity, one row served at every node, and no coarse increment is
+    derived for it; the pass only reads the rows it is served. Factor
     1 is the single-grid solve: the coarse ensemble is then the fine one bit
     for bit, and the coarse Y and Z those of solve_backward_regression on it.
     When the flows or the gradient fail, the pass releases the flows and

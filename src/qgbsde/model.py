@@ -31,7 +31,7 @@ import numpy as np
 from .errors import AssumptionLevelTooLow, InvalidParameters, InvalidPartition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Deterministic time grid 0 = t_0 < t_1 < ... < t_N = T."""
 
@@ -96,7 +96,7 @@ def empty_time_major(n_nodes: int, n_paths: int, tail=()) -> np.ndarray:
     return np.empty((n_nodes, n_paths) + tuple(tail)).swapaxes(0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Forward-backward system with certified constants.
 

@@ -126,7 +126,7 @@ def _global_plan(m, degree):
     return len(pows), tuple(ladder), gram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDesign:
     """The part of the least-squares projection at one step that depends only
     on the state sample, built once by step_design and applied to any number

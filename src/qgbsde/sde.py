@@ -6,10 +6,15 @@ increment from the Euler step, once per node of a pass.
 simulate_variational checks the first-variation flow in one forward pass
 and serves it one node at a time, last node first, rebuilding each segment
 from a checkpoint kept every ceil(sqrt(N + 1)) nodes; neither the whole
-flow nor its inverse is stored. flow_inverse inverts the flow matrices of
-one node when a check needs them: simulate_variational's, node by node,
-and the representation residual's (variational). For m = 1 the inverse is
-the reciprocal, bit for bit what np.linalg.inv gives.
+flow nor its inverse is stored. A step whose Jacobians vanish on every path
+hands the flow on as it is, so on an additive-noise model (b_jac and
+sigma_jac zero) the flow is one identity array, served at every node and
+checked once, and no increment is derived for it. Served rows may thus be
+one array shared by several nodes, and must not be written to.
+flow_inverse inverts the flow matrices of one node when a check needs
+them: simulate_variational's, node by node, and the representation
+residual's (variational). For m = 1 the inverse is the reciprocal, bit for
+bit what np.linalg.inv gives.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ FLOW_CONDITION_CAP = 1e12
 FLOW_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Simulated Euler states on a fixed grid; d equals m.
 
@@ -165,9 +170,10 @@ def simulate_variational(model: ModelSpec,
     condition bound capped at FLOW_CONDITION_CAP and its identity residual
     (flow_identity_residual) at FLOW_TOL, either failure a SingularFlow with
     step i and that node's worst path; then step i, whose non-finite flow
-    raises NumericalBlowup with step i and its first path. The largest
-    residual is returned as measured for the check; the inverses are not
-    kept.
+    raises NumericalBlowup with step i and its first path. A node whose flow
+    is the previous node's array, handed on by a step with zero Jacobians,
+    is not checked again: it passed already. The largest residual is
+    returned as measured for the check; the inverses are not kept.
 
     The pass keeps the flow only at every s-th node, s = ceil(sqrt(N + 1)),
     and the iterator yields F_N, F_{N-1}, ..., F_0, each (P, m, m) and
@@ -175,18 +181,20 @@ def simulate_variational(model: ModelSpec,
     its checkpoint, on the same one-step kernel, so each served node is bit
     for bit the one the pass checked. So at most ceil((N + 1) / s) + s node
     rows are held, not N + 1, at the cost of one more pass of increments and
-    flow steps. The iterator refers to the ensemble and the checkpoints
-    until it is dropped.
+    flow steps where the flow moves. Where it does not, every checkpoint and
+    served row is one array, so no caller may write to a served row. The
+    iterator refers to the ensemble and the checkpoints until it is dropped.
     """
     model.require("b_jac", "sigma_jac")
     n = ensemble.partition.n_steps
     s = 1 + math.isqrt(n)  # ceil(sqrt(N + 1))
     flow = np.tile(np.eye(model.m), (ensemble.n_paths, 1, 1))
-    checkpoints, resid = [], 0.0
+    checkpoints, resid, checked = [], 0.0, None
     for i in range(n + 1):
         if i % s == 0:
             checkpoints.append(flow)
-        resid = max(resid, _checked_residual(flow, i))
+        if flow is not checked:  # an unchanged flow passed at an earlier node
+            resid, checked = max(resid, _checked_residual(flow, i)), flow
         if i < n:
             flow = _flow_step(model, ensemble, i, flow)
     return _served(model, ensemble, checkpoints, s), resid
@@ -195,14 +203,18 @@ def simulate_variational(model: ModelSpec,
 def _flow_step(model: ModelSpec, ensemble: PathEnsemble, i, flow) -> np.ndarray:
     """The flow at node i + 1 from the flow (P, m, m) at node i, on step i's
     increment; a non-finite result raises NumericalBlowup with step i and
-    its first such path."""
+    its first such path. Where b_jac and sigma_jac are zero on every path
+    the step is flow + 0, so the flow itself is returned, and no increment
+    is derived: callers share it and must not write to it."""
     times, x = ensemble.partition.times, ensemble.states[:, i]
     dt = times[i + 1] - times[i]
-    dw = ensemble.increment(model, i)
     # overflow surfaces as the NumericalBlowup below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         B = model.b_jac(times[i], x)
         S = model.sigma_jac(times[i], x)
+        if not (np.any(B) or np.any(S)):
+            return flow
+        dw = ensemble.increment(model, i)
         nxt = (flow + np.einsum("pab,pbc->pac", B, flow) * dt
                + np.einsum("pjab,pbc,pj->pac", S, flow, dw))
     if not np.isfinite(nxt).all():
@@ -245,7 +257,8 @@ def _checked_residual(flow: np.ndarray, i) -> float:
 def _served(model: ModelSpec, ensemble: PathEnsemble, checkpoints, s):
     """The flows F_N, ..., F_0: the segment of the last checkpoint first,
     each segment rebuilt forward from its checkpoint by _flow_step and then
-    yielded backward, so only the checkpoints left and one segment are held."""
+    yielded backward, so only the checkpoints left and one segment are held.
+    Nodes across which the flow does not move are yielded as one array."""
     n = ensemble.partition.n_steps
     while checkpoints:
         first = (len(checkpoints) - 1) * s

@@ -476,25 +476,30 @@ levels = 0.5 1.0
 """
 
 
-@pytest.mark.parametrize("command, extra, calls, increments", [
+@pytest.mark.parametrize("preset, command, extra, calls, increments", [
     # one design per fine node of the pass: the coarse node's serves the
     # coarse step, the fine step there, and the BMO and gradient checks.
     # One increment per fine step for the pass, whose coarse steps sum
-    # them; per coarse flow step two more, once as the flows are checked and
-    # once as they are served (3 of the 4 steps are rebuilt, at s = 3)
-    ("diagnose", "", 8, 8 + 8 + 6),
+    # them; the quadratic preset's b_jac and sigma_jac vanish, so its flow
+    # is the identity throughout and derives none
+    ("quadratic", "diagnose", "", 8, 8),
     # plus one design and one increment per step for the sweep, which
     # solves the run's level too
-    ("all", "", 4 + 8, 4 + 8 + 8 + 6),
+    ("quadratic", "all", "", 4 + 8, 4 + 8),
     # a level on the ladder is that ladder row of the sweep
-    ("all", "level = 1.0\n", 4 + 8, 4 + 8 + 8 + 6),
-    ("converge", "", 2 * 2 + 2 * 4, 4 + 8),
-], ids=["diagnose-8", "all-12", "all-on-ladder-12", "converge-12"])
-def test_each_design_is_built_once(tmp_path, monkeypatch, command, extra, calls,
+    ("quadratic", "all", "level = 1.0\n", 4 + 8, 4 + 8),
+    ("quadratic", "converge", "", 2 * 2 + 2 * 4, 4 + 8),
+    # gbm's flow moves: per coarse flow step two more increments, once as
+    # the flows are checked and once as they are served (3 of the 4 steps
+    # are rebuilt, at s = 3)
+    ("gbm", "diagnose", "", 8, 8 + 8 + 6),
+], ids=["diagnose-8", "all-12", "all-on-ladder-12", "converge-12", "gbm-diagnose-8"])
+def test_each_design_is_built_once(tmp_path, monkeypatch, preset, command, extra, calls,
                                    increments):
     steps = _count_step_designs(monkeypatch)
     derived = _count_increments(monkeypatch)
-    cfg = _write(tmp_path, SMALL_QUADRATIC + extra)
+    cfg = _write(tmp_path, SMALL_QUADRATIC.replace("name = quadratic", f"name = {preset}")
+                 + extra)
     assert main(["--config", cfg, "--command", command, "--out", str(tmp_path / "o")]) == 0
     assert len(steps) == calls
     assert len(derived) == increments
@@ -557,7 +562,7 @@ def test_each_diagnosis_field_feeds_the_row_of_its_name(tmp_path, monkeypatch):
     assert values["representation_max"] == diag.representation_max.max()
 
 
-def _diagnose_extra_columns(tmp_path, monkeypatch, P, N):
+def _diagnose_extra_columns(tmp_path, monkeypatch, P, N, preset="quadratic"):
     """The peak that diagnose adds to the traced memory once the fine
     ensemble exists, in columns of P float64 values."""
     grown = []
@@ -571,7 +576,8 @@ def _diagnose_extra_columns(tmp_path, monkeypatch, P, N):
 
     monkeypatch.setattr(cli, "get_ensemble", measuring)
     cfg = _write(tmp_path, SMALL_QUADRATIC.replace("n_steps = 4", f"n_steps = {N}")
-                 .replace("n_paths = 500", f"n_paths = {P}"))
+                 .replace("n_paths = 500", f"n_paths = {P}")
+                 .replace("name = quadratic", f"name = {preset}"))
     tracemalloc.start()
     try:
         assert main(["--config", cfg, "--command", "diagnose",
@@ -598,12 +604,22 @@ def test_diagnose_stores_no_coarse_solution(tmp_path, monkeypatch):
 
 
 def test_diagnose_holds_the_flows_at_checkpoints(tmp_path, monkeypatch):
-    # the flows at every ceil(sqrt(N + 1)) = 7th node, 7 columns, and one
-    # segment of at most 7 more, beside one node's temporaries; the whole
-    # flow would be N + 1 = 49 columns
+    # gbm's flow moves: the flows at every ceil(sqrt(N + 1)) = 7th node, 7
+    # columns, and one segment of at most 7 more, beside one node's
+    # temporaries; the whole flow would be N + 1 = 49 columns
+    N = 48
+    extra_columns = _diagnose_extra_columns(tmp_path, monkeypatch, 2000, N, "gbm")
+    assert extra_columns < 2 * math.ceil(math.sqrt(N + 1)) + 48, extra_columns
+
+
+def test_diagnose_holds_one_identity_flow_row(tmp_path, monkeypatch):
+    # the quadratic preset's flow is the identity at every node, one column
+    # served throughout, beside one node's temporaries; checkpoints and a
+    # segment of their own, as a moving flow needs, would add about 12
     N = 48
     extra_columns = _diagnose_extra_columns(tmp_path, monkeypatch, 2000, N)
-    assert extra_columns < 2 * math.ceil(math.sqrt(N + 1)) + 48, extra_columns
+    # 42.4 with the checkpoints and segments held, about 31.5 here
+    assert extra_columns < 36, extra_columns
 
 
 def test_truncate_sweep_identical_across_worker_counts(tmp_path):

@@ -481,7 +481,15 @@ def test_diagnoses_compare_and_hash_by_identity():
     # and so are two solves, and their health records
     s, t = (solve_backward_regression(QUAD6, ens, GLOBAL2) for _ in range(2))
     np.testing.assert_array_equal(s.Y, t.Y)
-    for a, b in ((a, b), (s, t), (s.meta, t.meta)):
+    # and the records the passes take, each built twice from the same inputs
+    grids = [Partition.uniform(1.0, 8) for _ in range(2)]
+    models = [make_quadratic() for _ in range(2)]
+    ensembles = [PathEnsemble(partition=ens.partition, seed=ens.seed, states=ens.states)
+                 for _ in range(2)]
+    coarse = [diagnostics._coarsen(ens, 2) for _ in range(2)]
+    designs = [step_design(GLOBAL2, ens.states[:, 4]) for _ in range(2)]
+    for a, b in ((a, b), (s, t), (s.meta, t.meta), grids, models, ensembles, coarse,
+                 designs):
         assert a == a and a != b
         assert hash(a) == hash(a) and len({a, b, a}) == 2
 
@@ -600,7 +608,7 @@ def test_batched_curve_matches_per_level_solves():
     assert curve.realized_max_z > ref_level  # the reference split off
 
 
-def test_sweep_holds_one_level_pair_at_a_time():
+def test_sweep_holds_one_level_pair_at_a_time(monkeypatch):
     # numpy reports its buffers to tracemalloc. Once the ensemble exists,
     # the sweep holds each level's row and per-path err_y maxima, the
     # reference's row and its per-path max of Y^2, the reference's pair and
@@ -610,6 +618,13 @@ def test_sweep_holds_one_level_pair_at_a_time():
     model, P, d, k = make_quadratic(), 4000, 1, 8
     ens = simulate_forward(model, Partition.uniform(1.0, 8), P, seed=5)
     levels = [0.02 * (j + 1) for j in range(k)]
+    held = []  # the traced memory as the walk starts each node's design
+
+    def measuring(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return step_design(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_design", measuring)
     tracemalloc.start()
     try:
         at_ensemble = tracemalloc.get_traced_memory()[0]
@@ -622,6 +637,14 @@ def test_sweep_holds_one_level_pair_at_a_time():
     n_features = 3  # GLOBAL2 at m = 1
     # about 31 here and 56 with every pair held
     assert extra_columns < 2 * k + 2 + 2 * (1 + d) + n_features + 12, extra_columns
+    # Between two steps no pair is held: as each design after the first is
+    # built, the rows and maxima above, the walk's previous design and
+    # increment (n_features + d) and about one column of small records are
+    # alive, about 23.2 columns. The previous step's pair, kept by the walk
+    # or the sweep, would add 1 + d
+    assert len(held) == 8
+    held_columns = (max(held[1:]) - at_ensemble) / (8 * P)
+    assert held_columns < 2 * k + 2 + n_features + d + 1.5, held_columns
 
 
 def _own_solve_point(model, ens, level, ref):

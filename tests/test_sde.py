@@ -10,7 +10,7 @@ from qgbsde import (AssumptionLevelTooLow, InvalidParameters,
                     dump_ensemble, fit_convergence_order,
                     flow_identity_residual, flow_inverse, load_ensemble,
                     make_brownian,
-                    make_gbm, simulate_forward,
+                    make_gbm, make_quadratic, simulate_forward,
                     simulate_variational)
 from qgbsde import cli, rng, sde
 from qgbsde.errors import SingularFlow
@@ -345,7 +345,9 @@ def test_flow_identity_residual_fails_at_its_node_and_path(monkeypatch):
 
 @pytest.mark.parametrize("n_steps", [1, 3, 8, 15, 64])
 @pytest.mark.parametrize("model", [make_gbm(mu=0.3, vol=0.4),
-                                   _linear_flow_model([0.5, 1.5])], ids=["gbm", "linear"])
+                                   _linear_flow_model([0.5, 1.5]),
+                                   make_brownian(), make_quadratic()],
+                         ids=["gbm", "linear", "brownian", "quadratic"])
 def test_served_flows_are_the_whole_array_recursion_bit_for_bit(model, n_steps):
     # checkpoints every ceil(sqrt(N + 1)) nodes: N + 1 = 4, 9 and 16 fill
     # their last segment, 2 and 65 do not
@@ -358,8 +360,12 @@ def test_served_flows_are_the_whole_array_recursion_bit_for_bit(model, n_steps):
         np.testing.assert_array_equal(flow, want[:, i])
     assert flow_residual == max(flow_identity_residual(F, flow_inverse(F)).max()
                                 for F in want.swapaxes(0, 1))
-    if model.m == 1:  # gbm's flows differ from path to path
+    preset = model.meta.get("preset")
+    if preset == "gbm":  # gbm's flows differ from path to path
         assert np.ptp(want[:, -1]) > 0.1
+    elif preset in ("brownian", "quadratic"):
+        # b_jac and sigma_jac vanish: the identity, one array at every node
+        assert all(flow is nodes[0] for flow in nodes)
 
 
 def _diagonal_flow_model(b_jac):
