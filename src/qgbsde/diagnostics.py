@@ -11,27 +11,30 @@ derived in its window) and computes all of them in one backward pass that
 walks the coarse solve (solver.backward_walk) and steps the fine one through
 each coarse window: each coarse node's regression design serves the coarse
 step, the fine step at that node and both coarse fits of the control, and
-the fine solution is held one window at a time. The window's statistics
-walk its time-major Y and Z rows one at a time: each row difference is one
-subtraction into a buffer allocated once per pass and one dot, and the
-window average is one product of the fine steps with the window's Z rows,
-so no (P, r, d) temporary is built. diagnose_pass is the same pass with the
-remaining checks of the diagnose command taken at each coarse node on that
-node's design: the BMO tail estimate, as a backward running tail sum, and
-the gradient step and representation residual of variational, on flows
-checked before the pass and served to it one node at a time, last node
-first, from checkpoints that it alone holds, so that no result keeps the
-fine states. Neither the coarse solution nor the tail sums nor the
-gradient nor the whole flow are stored. Its result, Diagnosis, holds one
-field per diagnose report row; the representation residual's RMS and max
-are kept per node.
+the fine solution is held one window at a time; a coarse node's design,
+increments and Z are released before the next node's design is built. The
+window's statistics walk its time-major Y and Z rows one at a time: each
+row difference is one subtraction into a buffer allocated once per pass and
+one dot, and the window average is one product of the fine steps with the
+window's Z rows, so no (P, r, d) temporary is built. diagnose_pass is the
+same pass with the remaining checks of the diagnose command taken at each
+coarse node on that node's design: the BMO tail estimate, as a backward
+running tail sum, and the gradient step and representation residual of
+variational, on flows checked before the pass and served to it one node at
+a time, last node first, from checkpoints that it alone holds, so that no
+result keeps the fine states. Neither the coarse solution nor the tail
+sums nor the gradient nor the whole flow are stored. Its result,
+Diagnosis, holds one field per diagnose report row; the representation
+residual's RMS and max are kept per node.
 The truncation sweep solves one quadratic model under a ladder
 of truncation levels and a high-level reference in one backward pass and fits
 the order of the error decay (and the implied tail exponent). It walks the
 reference's row; a level reads it until its clamp or the reference's engages
 on the reference's max |Z|, and then steps a row of its own, bit for bit its
-own solve. The same pass can solve one more level that it does not report.
-Both passes keep their walked row's health (SolverMeta) as the result's meta.
+own solve. A level's per-path max Y error exists from the step it leaves,
+so a level that never leaves holds no array for it. The same pass can
+solve one more level that it does not report. Both passes keep their
+walked row's health (SolverMeta) as the result's meta.
 """
 
 from __future__ import annotations
@@ -204,7 +207,7 @@ def _lockstep(model: ModelSpec, fine: PathEnsemble, coarse: _Coarse,
         for k in range(r - (i == n - 1)):
             z_inc = max(z_inc, _sq_distance(zw[:, k + 1], zw[:, k], dz) / P)
         yw[:, r], zw[:, r] = yw[:, 0], zw[:, 0]
-        del design, dws, dw  # not held through the walk's next step
+        del design, dws, dw, z  # not held through the walk's next step
     window, node, left = np.cumsum(sums, axis=1)[:, -1]  # sequential, forward
     return Regularity(y_increment_sq=y_inc,
                       z_regularity_sum=float(window), z_regularity_node=float(node),
@@ -369,10 +372,14 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     terminal row, since they share g. A level reads the reference's row,
     with error 0, until the first step where min(n, reference_level) is
     below the max |z| of the reference's pair: there it takes that pair and
-    from then on steps a row of its own under its own driver. At each step
-    the reference's row steps first, and then each level's row right after
-    its own pair, so the reference's pair and one level's pair are held at a
-    time; step 0 keeps only the mean z0 and the residual RMS of each pair.
+    from then on steps a row of its own under its own driver. Its per-path
+    running max of |Y^n - Y^ref|^2 is created at that step; a level that
+    never leaves holds none and has err_y exactly 0. At each step the
+    reference's row steps first, and then each level's row right after its
+    own pair, so the reference's pair and one level's pair are held at a
+    time, and the walk's design and increments are let go before the next
+    step's are built; step 0 keeps only the mean z0 and the residual RMS of
+    each pair.
     So each level's errors, y0, z0 and step-0 residual RMS are bit for bit
     its own solve_backward_regression's, and no full solution is stored. Every
     ladder level at or above realized_max_z (the reference's max |Z|) keeps
@@ -398,8 +405,9 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
     y_ref, meta = next(walk)
     own = {}  # the rows of the levels that have left the reference's
     times, n_steps = ensemble.partition.times, ensemble.partition.n_steps
-    # running per-path maxima over the nodes seen so far, terminal included
-    err_y_path = dict(zip(kept, np.zeros((len(kept), ensemble.n_paths))))
+    # running per-path maxima over the nodes seen so far, terminal included,
+    # of each level that has left (until then its error is 0)
+    err_y_path = {}
     y_sq_max = y_ref ** 2
     err_z_steps = {n: np.zeros(n_steps) for n in kept}
     realized = 0.0
@@ -409,7 +417,7 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
         _, z, y_rms, z_rms = pair
         return tuple(z.mean(axis=0).tolist()), y_rms, z_rms
 
-    for i, design, _, dw, ref_pair, y_ref in walk:
+    for i, design, dws, dw, ref_pair, y_ref in walk:
         dt = times[i + 1] - times[i]
         top = float(np.abs(ref_pair[1]).max())
         realized = max(realized, top)
@@ -424,19 +432,24 @@ def truncation_error_curve(model: ModelSpec, ensemble: PathEnsemble,
                                                            own.pop(n))
             row = own[n] = _implicit_step(models[n], ensemble, i, *pair[:2])[0]
             dy, dz = row - y_ref, pair[1] - ref_pair[1]
-            np.maximum(err_y_path[n], dy * dy, out=err_y_path[n])
+            dy *= dy
+            if n in leaving:
+                err_y_path[n] = dy
+            else:
+                np.maximum(err_y_path[n], dy, out=err_y_path[n])
             err_z_steps[n][i] = (np.einsum("pd,pd->p", dz, dz) * dt).mean()
             if not i:
                 first[n] = scalars(pair)
             del pair, dy, dz
         if not i:
             first[ref_level] = scalars(ref_pair)
-        del ref_pair, design, dw  # not held through the walk's next step
+        del ref_pair, design, dws, dw  # not held through the walk's next step
 
     def point(n):
         z0, y_rms, z_rms = first.get(n, first[ref_level])
         return TruncationPoint(
-            level=n, err_y=float(err_y_path[n].mean()), err_z=float(err_z_steps[n].sum()),
+            level=n, err_y=float(err_y_path[n].mean()) if n in err_y_path else 0.0,
+            err_z=float(err_z_steps[n].sum()),
             y0=float(own.get(n, y_ref).mean()), z0=z0,
             y0_residual_rms=y_rms, z0_residual_rms=z_rms)
 

@@ -11,18 +11,17 @@ numpy's Philox.advance(k) moves k whole 256-bit counter increments, i.e.
 4 k single 64-bit draws, so every path is padded to a whole number of 4-draw
 blocks (at most 3 draws per path are discarded).
 
-scipy (for scipy.special.ndtri, the inverse normal CDF) is imported at the
-first draw, not with the module: it costs about 18 MB resident and a few
-tenths of a second, and a command that reads its ensemble from the cache
-draws nothing, so it never loads scipy.
+scipy (for scipy.special.ndtri, the inverse normal CDF) and numpy.random
+(for Philox) are imported at the first draw, not with the module: scipy
+costs about 18 MB resident and a few tenths of a second, numpy.random a few
+MB and about 10 ms, and a command that reads its ensemble from the cache
+draws nothing, so it loads neither. The thread pool (concurrent.futures) is
+imported only when workers > 1 share more than one block.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-from numpy.random import Generator, Philox
 
 _DRAWS_PER_ADVANCE = 4
 # One block's normals, 8 * _DEFAULT_BLOCK * 4 ceil(N d / 4) bytes, sit on top
@@ -41,7 +40,9 @@ def _fill_block(seed, p0, p1, n_steps, d):
     """Standard normals (p1 - p0, n_steps, d) of the paths [p0, p1), the
     value at [p - p0, i, j] a function of (seed, p, i, j) alone; computed in
     place on the uniforms, so no second block-sized array exists."""
-    from scipy.special import ndtri  # every draw passes here; see the module doc
+    # every draw passes here; see the module doc
+    from numpy.random import Generator, Philox
+    from scipy.special import ndtri
 
     bpp = _blocks_per_path(n_steps, d)
     bg = Philox(key=seed)
@@ -65,6 +66,7 @@ def _run_blocks(fill, n_paths: int, workers: int) -> None:
         for a, b in spans:
             fill(a, b)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for fut in [pool.submit(fill, a, b) for a, b in spans]:
                 fut.result()

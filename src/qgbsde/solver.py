@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .errors import (DomainTooSmall, InvalidParameters, NumericalBlowup,
                      PicardDivergence, RejectedModel)
@@ -157,7 +156,9 @@ def backward_walk(model: ModelSpec, ensemble: PathEnsemble, basis: RegressionBas
     for i = N - 1 down to 0 (i, design, dws, dw, pair, y): node i's design,
     the step's increments in forward order and their sum (ensemble.window),
     the row's _row_pair and its new values (_implicit_step). It drops the
-    pair when resumed. A driver not certified Lipschitz raises RejectedModel,
+    design, the increments and the pair when resumed, so that node i's
+    design is built after node i + 1's is released, once the caller has let
+    go of them too. A driver not certified Lipschitz raises RejectedModel,
     dims other than the model's InvalidParameters, and a non-finite terminal
     row NumericalBlowup with step N, all before any step.
     """
@@ -183,7 +184,7 @@ def backward_walk(model: ModelSpec, ensemble: PathEnsemble, basis: RegressionBas
         meta.conditions[i] = design.condition
         meta.fallback_cells[i] = design.fallback_cells
         yield i, design, dws, dw, pair, y
-        del pair
+        del design, dws, dw, pair
 
 
 def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
@@ -201,6 +202,7 @@ def solve_backward_regression(model: ModelSpec, ensemble: PathEnsemble,
     Y[:, n], meta = next(walk)
     for i, *_, pair, y in walk:
         Y[:, i], Z[:, i] = y, pair[1]
+        del _, pair  # not held through the walk's next step
     return BackwardSolution(partition=ensemble.partition, Y=Y, Z=Z, meta=meta)
 
 
@@ -295,6 +297,8 @@ def solve_quadrature_1d(model: ModelSpec, partition: Partition):
     map from node values to node slopes is solved once per grid, and the
     read-out at x0 goes through the spline as well. Returns (y0, z0).
     """
+    from numpy.polynomial.hermite import hermgauss  # only this solver needs it
+
     _require_lipschitz_driver(model)
     if model.m != 1 or model.d != 1:
         raise InvalidParameters("quadrature solver handles m = d = 1 only")

@@ -719,21 +719,25 @@ def test_simulate_writes_ensemble(tmp_path):
     assert x_max_abs == repr(float(np.abs(ens.states).max()))
 
 
-def test_cli_imports_no_heavy_scipy_subpackage(tmp_path, monkeypatch):
-    # in a fresh interpreter: the test session itself imports scipy. scipy
-    # is imported at the first draw, so neither the import nor a sweep on a
-    # cached ensemble loads any of it; a simulate, which draws, loads
-    # scipy.special, so the first two checks cannot pass vacuously
+def test_cli_imports_no_heavy_module_until_it_draws(tmp_path, monkeypatch):
+    # in a fresh interpreter: the test session itself imports scipy and
+    # numpy.random. Both are imported at the first draw, the thread pool
+    # only for workers > 1 and the Gauss-Hermite nodes only by the
+    # quadrature, so neither the import nor a sweep on a cached ensemble
+    # loads any of them; a simulate, which draws, loads scipy.special and
+    # numpy.random, so the first two checks cannot pass vacuously
     monkeypatch.setenv("QGBSDE_CACHE_DIR", str(tmp_path / "cache"))
     cfg = _write(tmp_path, SMALL_QUADRATIC)
     assert main(["--config", cfg, "--command", "simulate", "--out", str(tmp_path / "a")]) == 0
     src = Path(__file__).resolve().parents[1] / "src"
     heavy = ("scipy.interpolate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+    rng_stack = ("numpy.random", "concurrent.futures", "numpy.polynomial")
     code = f"""
 import json, os, sys
 seen = []
 def record():
-    seen.append(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+    seen.append(sorted(m for m in sys.modules
+                       if m.partition(".")[0] == "scipy" or m in {rng_stack!r}))
 def run(command, out):
     assert qgbsde.cli.main(["--config", {cfg!r}, "--command", command,
                             "--out", os.path.join({str(tmp_path)!r}, out)]) == 0
@@ -750,7 +754,7 @@ print(json.dumps(seen))
                          capture_output=True, text=True).stdout
     at_import, after_sweep, after_simulate = json.loads(out.splitlines()[-1])
     assert at_import == after_sweep == []
-    assert "scipy.special" in after_simulate
+    assert {"scipy.special", "numpy.random"} <= set(after_simulate)
     assert not set(heavy) & set(after_simulate)
 
 

@@ -637,14 +637,42 @@ def test_sweep_holds_one_level_pair_at_a_time(monkeypatch):
     n_features = 3  # GLOBAL2 at m = 1
     # about 31 here and 56 with every pair held
     assert extra_columns < 2 * k + 2 + 2 * (1 + d) + n_features + 12, extra_columns
-    # Between two steps no pair is held: as each design after the first is
-    # built, the rows and maxima above, the walk's previous design and
-    # increment (n_features + d) and about one column of small records are
-    # alive, about 23.2 columns. The previous step's pair, kept by the walk
-    # or the sweep, would add 1 + d
+    # Between two steps no node's arrays are held: as each design after the
+    # first is built, only the rows and maxima above and about one column of
+    # small records are alive, about 19.2 columns. The previous node's design
+    # (n_features) or pair (1 + d), kept by the walk or the sweep, would take
+    # it over the bound
     assert len(held) == 8
     held_columns = (max(held[1:]) - at_ensemble) / (8 * P)
-    assert held_columns < 2 * k + 2 + n_features + d + 1.5, held_columns
+    assert held_columns < 2 * k + 2 + d + 1.5, held_columns
+
+
+def test_regularity_pass_holds_one_coarse_node_at_a_time(monkeypatch):
+    # As each coarse design after the first is built, the pass holds its
+    # window buffers yw and zw (r + 1 rows of 1 + d columns), the statistics'
+    # buffers dy, dz and avg (1 + 2 d) and the walk's row, and under one
+    # column of small records: about 14.4 columns here. The previous node's
+    # design, increments (r + 1 of d columns) or coarse z, kept by the walk
+    # or the pass, would take it over the bound
+    model, P, d, r = make_brownian(), 4000, 1, 4
+    fine = simulate_forward(model, Partition.uniform(1.0, 32), P, seed=5)
+    basis = RegressionBasis(kind="local_partition", degree=1, cells_per_dim=10)
+    held = []
+
+    def measuring(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return step_design(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step_design", measuring)  # the coarse designs
+    tracemalloc.start()
+    try:
+        at_ensemble = tracemalloc.get_traced_memory()[0]
+        regularity_pass(model, fine, r, basis)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 8
+    held_columns = (max(held[1:]) - at_ensemble) / (8 * P)
+    assert held_columns < (r + 1) * (1 + d) + (1 + 2 * d) + 1 + 1, held_columns
 
 
 def _own_solve_point(model, ens, level, ref):

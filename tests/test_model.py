@@ -7,6 +7,7 @@ from qgbsde import (PRESETS, AssumptionLevelTooLow, InvalidParameters,
                     InvalidPartition, ModelSpec, Partition,
                     check_growth_certificate, make_brownian, make_discount,
                     make_gbm, make_quadratic)
+from qgbsde.model import _box_points
 
 
 def _minimal_model(**overrides):
@@ -133,6 +134,21 @@ class TestPresets:
         for m in (make_brownian(), make_discount(), make_gbm(),
                   make_quadratic(), make_quadratic(gamma=3.0, rate=0.5)):
             assert check_growth_certificate(m) <= 1.0 + 1e-12
+
+    def test_box_points_are_splitmix64_outputs(self):
+        # the reference generator in Python integers, state += golden gamma
+        def splitmix64(k):
+            mask = 2 ** 64 - 1
+            z = k * 0x9E3779B97F4A7C15 & mask
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+            return z ^ z >> 31
+
+        assert splitmix64(1) == 0xE220A8397B1DCDAF  # the published first output
+        pts = _box_points(50, 3, 5.0)
+        want = [5.0 * (2.0 * (splitmix64(j + 1) >> 11) * 2.0 ** -53 - 1.0)
+                for j in range(150)]
+        assert pts.shape == (50, 3) and pts.ravel().tolist() == want
 
     def test_wrong_certificate_detected(self):
         bad = dataclasses.replace(make_quadratic(gamma=2.0), growth_M=0.1)
